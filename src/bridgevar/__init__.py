@@ -39,13 +39,13 @@ from .knotprops import (HYPERBOLIC, NOT_A_KNOT, TORUS_NONHYPERBOLIC, TREFOIL,
                         commensurability_certificate, fourplat_sequence,
                         is_fibered, normalize_knot, trace_field_poly,
                         trace_field_report, two_bridge_params)
-from .report import build_report, render_text, to_json
+from .report import Knot, build_report, render_text, to_json
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BACKEND", "BiPoly", "CurveModel", "DegenerateModel", "ExactError",
-    "GAUSS_INT", "HYPERBOLIC", "INFINITY", "NOT_A_KNOT", "QuadElem",
+    "GAUSS_INT", "HYPERBOLIC", "INFINITY", "Knot", "NOT_A_KNOT", "QuadElem",
     "ROOT_THREE", "STATE_CURVE", "STATE_EMPTY", "STATE_FULL_PLANE",
     "STATE_LINE_UNION", "TORUS_NONHYPERBOLIC", "TREFOIL", "UNKNOT",
     "UniPoly", "alexander", "big_f", "big_g", "big_h", "binom_check",

@@ -11,12 +11,10 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .poly import ExactError
-from .curves import c_model, d_model, d_split, STATE_CURVE
-from .knotprops import (commensurability_certificate, trace_field_report,
-                        two_bridge_params, HYPERBOLIC)
+from .knotprops import two_bridge_params, HYPERBOLIC
 from .newton import (binom_check, complexabs_check, expected_vertices,
                      lemma_polynomial, polygon)
-from .report import _analysis_dict, build_report, render_text, to_json
+from .report import Knot, build_report, render_text, to_json
 from .riley import (ideal_generator_check, normalize_unit, riley_poly_J,
                     riley_poly_matrix, riley_poly_pq, trace_formula_check)
 from .seq import identity_suite
@@ -159,27 +157,12 @@ def cmd_verify(args):
 
 
 def cmd_model(args):
-    out = {"C": None, "D": None}
-    try:
-        out["C"] = c_model(args.k, args.l).to_dict()
-    except ExactError as e:
-        out["C"] = {"unavailable": str(e)}
-    dm = d_model(args.k, args.l)
-    out["D"] = dm.to_dict()
-    if dm.state == STATE_CURVE and dm.k == dm.l and dm.l % 2 == 0:
-        out["D_split"] = [m.to_dict() for m in d_split(dm.l)]
-    _print(out, args.json)
+    _print(Knot(args.k, args.l).section("models"), args.json)
     return 0
 
 
 def cmd_tracefield(args):
-    tf = trace_field_report(args.k, args.l)
-    out = {"k": tf.k, "l": tf.l, "bound": tf.bound,
-           "poly_degree": tf.poly_degree,
-           "squarefree_degree": tf.squarefree_degree,
-           "analysis": _analysis_dict(tf.analysis),
-           "empirical": tf.empirical}
-    _print(out, args.json)
+    _print(Knot(args.k, args.l).section("trace_field"), args.json)
     return 0
 
 
@@ -194,10 +177,7 @@ def cmd_newton(args):
 
 
 def cmd_commensurability(args):
-    cert = commensurability_certificate(args.k, args.l)
-    out = {"k": cert.k, "l": cert.l, "verdict": cert.verdict,
-           "witness": cert.witness}
-    _print(out, args.json)
+    _print(Knot(args.k, args.l).section("commensurability"), args.json)
     return 0
 
 

@@ -143,12 +143,13 @@ def d_model(k, l):
                       tuple(notes))
 
 
-def d_split(l):
+def d_split(l, model=None):
     """Split D(l, l) into the diagonal D0 and the residual curve D1
-    by exact division by (t - r)."""
+    by exact division by (t - r).  `model` is D(l, l), if the caller
+    already built it."""
     if l % 2 or l == 0:
         raise ExactError("d_split needs a nonzero even parameter, got %r" % (l,))
-    base = d_model(l, l)
+    base = model if model is not None else d_model(l, l)
     diag = BiPoly([-_R, UniPoly.const(1, "r")], "t", "r")  # t - r
     from .poly import bipoly_divexact
     try:

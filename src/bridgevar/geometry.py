@@ -223,16 +223,20 @@ class SmoothnessCertificate(NamedTuple):
                 and self.infinity is not None and self.infinity.transversal)
 
 
-def smoothness_certificate(k, l):
+def smoothness_certificate(k, l, model=None, split=None):
     """Smoothness of D(k,l) (or of D1(l,l) when k = l), with the
-    D0/D1 intersection points reported separately in the equal case."""
-    model = d_model(k, l)
+    D0/D1 intersection points reported separately in the equal case.
+
+    `model` is D(k,l) and `split` its `d_split` when k = l, if the caller
+    already built them."""
+    if model is None:
+        model = d_model(k, l)
     if model.state != STATE_CURVE:
         return SmoothnessCertificate(model, None, None,
                                      _degenerate_reason(model), None, {})
     k2, l2 = model.k, model.l
     if k2 == l2:
-        _d0, d1 = d_split(l2)
+        _d0, d1 = split if split is not None else d_split(l2, model)
         aff = affine_singular_locus(d1.equation)
         inf = infinity_transversality(d1)
         F = model.equation
@@ -266,22 +270,23 @@ class ComponentCount(NamedTuple):
     degenerate: Optional[str]
 
 
-def component_count(k, l):
+def component_count(k, l, certificate=None):
     """1 for hyperbolic J(k,l) with k != l, 2 for k = l (|l| > 2),
     a typed description in the degenerate cases."""
-    model = d_model(k, l)
-    if model.state != STATE_CURVE:
-        return ComponentCount(None, _degenerate_reason(model))
-    cert = smoothness_certificate(model.k, model.l)
+    cert = (certificate if certificate is not None
+            else smoothness_certificate(k, l))
+    if cert.refusal is not None:
+        return ComponentCount(None, cert.refusal)
+    target = cert.target      # D(k,l), or D1(l,l) when k = l
     if not cert.smooth:
         raise AssertionError(
             "component count needs the smoothness certificate; it failed "
-            "for (%d, %d)" % (model.k, model.l))
-    a, b = cert.target.bidegree
+            "for (%d, %d)" % (target.k, target.l))
+    a, b = target.bidegree
     if not (a > 0 and b > 0):
         raise AssertionError("positive bidegree expected after degeneracy "
                              "screen, got (%d, %d)" % (a, b))
-    return ComponentCount(2 if model.k == model.l else 1, None)
+    return ComponentCount(2 if target.k == target.l else 1, None)
 
 
 # ---------------------------------------------------------------------------
@@ -354,15 +359,20 @@ def _check(cond, msg):
         raise AssertionError(msg)
 
 
-def odd_point_report(k, l, component="whole"):
+def odd_point_report(k, l, component="whole", model=None, certificate=None):
     """Count the points where the cover-defining function has odd
     valuation: closed form and from-scratch root counting, asserted equal.
+
+    `model` is D(k,l) and `certificate` its smoothness certificate, if
+    the caller already built them; the certificate's infinity verdict is
+    reused when it was made on the same model (k != l).
     """
     k, l, _sw = _swap_if_needed(k, l)
     if l % 2:
         raise ExactError("odd point count needs an even twist parameter")
-    if k * l == 0 or abs(k) == 1 or (k == l and abs(k) == 2):
+    if model is None:
         model = d_model(k, l)
+    if k * l == 0 or abs(k) == 1 or (k == l and abs(k) == 2):
         raise DegenerateModel(_degenerate_reason(model))
     if component not in ("whole", "D0", "D1"):
         raise ExactError("component must be whole, D0 or D1")
@@ -370,8 +380,11 @@ def odd_point_report(k, l, component="whole"):
         raise ExactError("component split requires k = l")
     n = l // 2
     m = k // 2  # floor division on purpose: k = 2m or k = 2m+1
-    model = d_model(k, l)
-    inf_verdict = infinity_transversality(model)
+    if (certificate is not None and certificate.infinity is not None
+            and certificate.target == model):
+        inf_verdict = certificate.infinity
+    else:
+        inf_verdict = infinity_transversality(model)
     _check(inf_verdict.transversal,
            "infinity transversality failed for (%d,%d)" % (k, l))
     inf_count = (inf_verdict.r_line[0] + inf_verdict.t_line[0]
@@ -469,25 +482,30 @@ class GenusXReport(NamedTuple):
     entries: tuple
 
 
-def genus_X(k, l):
+def genus_X(k, l, genus_y=None, odd_points=None):
     """Genus of the double-cover components: Riemann-Hurwitz route
-    2 g(D) - 1 + a/2 against the closed form."""
+    2 g(D) - 1 + a/2 against the closed form.
+
+    `genus_y` is the `genus_Y` report and `odd_points` the whole
+    `odd_point_report` of (k,l), if the caller already built them."""
     k, l, _sw = _swap_if_needed(k, l)
-    gy = genus_Y(k, l)      # includes the smoothness certificate
+    gy = genus_y if genus_y is not None else genus_Y(k, l)
     k2, l2 = gy.k, gy.l
+    rep = (odd_points if odd_points is not None
+           else odd_point_report(k2, l2, "whole"))
     n = l2 // 2
     m = k2 // 2
     if k2 == l2:
-        rep0 = odd_point_report(k2, l2, "D0")
-        rep1 = odd_point_report(k2, l2, "D1")
-        g0_rh = 2 * 0 - 1 + rep0.count // 2
-        g1_rh = 2 * gy.entries[1].genus_bidegree - 1 + rep1.count // 2
+        # D0 is the diagonal r = t; D1 carries the other odd points
+        count0 = rep.diagonal
+        count1 = rep.count - rep.diagonal
+        g0_rh = 2 * 0 - 1 + count0 // 2
+        g1_rh = 2 * gy.entries[1].genus_bidegree - 1 + count1 // 2
         g0_form = abs(n) - 1
         g1_form = 3 * n * n - 7 * abs(n) + 5
-        entries = (GenusXEntry("X0", g0_rh, g0_form, rep0.count),
-                   GenusXEntry("X1", g1_rh, g1_form, rep1.count))
+        entries = (GenusXEntry("X0", g0_rh, g0_form, count0),
+                   GenusXEntry("X1", g1_rh, g1_form, count1))
     else:
-        rep = odd_point_report(k2, l2, "whole")
         g_rh = 2 * gy.entries[0].genus_bidegree - 1 + rep.count // 2
         a = 4 if (k2 % 2 and k2 < 0) else 1
         if k2 % 2 and k2 < 0 < l2:

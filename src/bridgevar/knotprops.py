@@ -110,19 +110,26 @@ def two_bridge_params(k, l):
 
 _FOURPLAT_ROWS = (
     (lambda k, l: k > 2 and l > 2, lambda k, l: (1, k - 2, 1, l - 2, 1)),
+    # the first row with its zero term folded away: (1, 0, 1, l-2, 1)
+    # and (1, k-2, 1, 0, 1) collapse to these
+    (lambda k, l: k == 2 and l > 2, lambda k, l: (2, l - 2, 1)),
+    (lambda k, l: k > 2 and l == 2, lambda k, l: (1, k - 2, 2)),
     (lambda k, l: k > 1 and l < 0, lambda k, l: (1, k - 1, -l)),
     (lambda k, l: k < 0 and l > 1, lambda k, l: (-k, l - 1, 1)),
     (lambda k, l: k < -1 and l < -1, lambda k, l: (-k - 1, 1, -l - 1)),
 )
 
 
-def fourplat_sequence(k, l):
+def fourplat_sequence(k, l, form=None):
     """Plat description of J(k,l) from the sign-pattern table; its
-    continued-fraction value is checked against the normal form."""
+    continued-fraction value is checked against the normal form `form`
+    (computed when not given)."""
     for test, build in _FOURPLAT_ROWS:
         if test(k, l):
             seq = build(k, l)
-            if _cf_value(seq) != two_bridge_params(k, l).value():
+            if form is None:
+                form = two_bridge_params(k, l)
+            if _cf_value(seq) != form.value():
                 raise AssertionError(
                     "plat table value off at (%d,%d)" % (k, l))
             return seq
@@ -156,23 +163,25 @@ def alexander(k, l):
     return poly
 
 
-def is_fibered(k, l):
-    """Monic Alexander polynomial (both extreme coefficients units)."""
+def is_fibered(k, l, poly=None):
+    """Monic Alexander polynomial (both extreme coefficients units);
+    `poly` is the Alexander polynomial, if the caller already has it."""
     if k * l == 0:
         return True
-    a = alexander(k, l)
+    a = poly if poly is not None else alexander(k, l)
     return abs(a.lead) == 1 and abs(a.coeff(0)) == 1
 
 
 # ---------------------------------------------------------------------------
 # trace field
 
-def trace_field_poly(k, l, canonical=False):
+def trace_field_poly(k, l, canonical=False, model=None):
     """The y = 2 slice whose root generates the trace field.
 
     For k = l with canonical=True the slice is taken on the canonical
     component r = Phi_{-k}(r) Psi_k(r) (y - r) + 2 instead, with the
-    spurious factor r - 2 removed."""
+    spurious factor r - 2 removed.  `model` is C(k,l), if the caller
+    already built it."""
     k, l, _sw = _swap_if_needed(k, l)
     if k % 2 and l % 2:
         raise ExactError("not a knot (kl odd)")
@@ -182,7 +191,9 @@ def trace_field_poly(k, l, canonical=False):
         poly = phi(-k, "r") * psi(k, "r") + 1
         expected = abs(l) - 1
     else:
-        poly = c_model(k, l).equation.eval_outer(2)
+        if model is None:
+            model = c_model(k, l)
+        poly = model.equation.eval_outer(2)
         expected = -(k * l) // 2 if k * l < 0 else (k * l) // 2 - 1
     if poly.degree != expected:
         raise AssertionError("trace slice degree %s at (%d,%d), expected %d"
@@ -200,9 +211,10 @@ class TraceFieldReport(NamedTuple):
     empirical: dict
 
 
-def trace_field_report(k, l):
+def trace_field_report(k, l, model=None):
     """Degree bound, exact slice degree, and factor-degree evidence;
-    the degree-equality observation is reported, never asserted."""
+    the degree-equality observation is reported, never asserted.
+    `model` is C(k,l), if the caller already built it."""
     cls = classify(k, l)
     if cls != HYPERBOLIC:
         raise ExactError("trace-field report needs a hyperbolic knot, got %s"
@@ -214,7 +226,7 @@ def trace_field_report(k, l):
         bound = abs(l2) - 1
     else:
         bound = (k2 * l2) // 2 - 1
-    poly = trace_field_poly(k2, l2, canonical=True)
+    poly = trace_field_poly(k2, l2, canonical=True, model=model)
     sf = squarefree_part(poly)
     analysis = irreducibility_analysis(sf)
     observed = None
@@ -241,21 +253,26 @@ class CommensurabilityCertificate(NamedTuple):
     witness: Optional[dict]
 
 
-def commensurability_certificate(k, l):
+def commensurability_certificate(k, l, model=None, fibered=None):
     """Certificate that a nonfibered J(k,l) complement is not
     commensurable to a fibered knot complement: a nonintegral reducible
     character on the r = 2 slice of C(k,l), certified by exact
-    valuations."""
+    valuations.  `model` is C(k,l) and `fibered` the value of
+    `is_fibered(k, l)`, if the caller already has them."""
     cls = classify(k, l)
     if cls != HYPERBOLIC:
         raise ExactError(
             "commensurability certificate needs a hyperbolic knot, got %s"
             % cls)
-    if is_fibered(k, l):
+    if fibered is None:
+        fibered = is_fibered(k, l)
+    if fibered:
         return CommensurabilityCertificate(k, l, "Fibered", None)
     k, l, _sw = _swap_if_needed(k, l)
     n = l // 2
-    slice_eq = c_model(k, l).equation.eval_inner(2)
+    if model is None:
+        model = c_model(k, l)
+    slice_eq = model.equation.eval_inner(2)
     if k % 2 == 0:
         m = k // 2
         y0 = 2 - Fraction(1, m * n)

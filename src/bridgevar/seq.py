@@ -83,32 +83,6 @@ def big_h(n, var="u"):
     return p if var == "u" else p.relabel(var)
 
 
-_TAGS = ("F", "G", "PHI", "PSI", "DELTA", "BIGG", "BIGF", "BIGH")
-
-_DISPATCH = {
-    "F": f_poly,
-    "G": g_poly,
-    "PHI": phi,
-    "PSI": psi,
-    "DELTA": delta,
-    "BIGG": big_g,
-    "BIGF": big_f,
-    "BIGH": big_h,
-}
-
-
-class SeqKind(NamedTuple):
-    tag: str
-    index: int
-
-
-def seq_poly(kind, var="u"):
-    """Dispatch a SeqKind to its polynomial."""
-    if kind.tag not in _TAGS:
-        raise ExactError("unknown sequence tag %r" % (kind.tag,))
-    return _DISPATCH[kind.tag](kind.index, var)
-
-
 # ---------------------------------------------------------------------------
 # identity suite
 

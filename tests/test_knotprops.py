@@ -118,6 +118,16 @@ def test_fourplat_matches_continued_fraction_value():
         fourplat_sequence(1, 6)
 
 
+def test_fourplat_covers_every_hyperbolic_knot():
+    # each sequence is checked against two_bridge_params inside the call
+    for k in range(-16, 17):
+        for l in range(-16, 17):
+            if classify(k, l) == HYPERBOLIC:
+                assert fourplat_sequence(k, l), (k, l)
+    assert fourplat_sequence(2, 5) == (2, 3, 1)
+    assert fourplat_sequence(7, 2) == (1, 5, 2)
+
+
 # --- Alexander polynomial ----------------------------------------------------
 
 def test_alexander_matches_minkus_oracle_on_grid():

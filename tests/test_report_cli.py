@@ -6,10 +6,13 @@ parsed output checked against the library API directly.
 """
 
 import json
+import sys
 
 import pytest
 
+from bridgevar import curves, geometry, report
 from bridgevar.cli import main
+from bridgevar.geometry import genus_Y
 from bridgevar.knotprops import HYPERBOLIC, TREFOIL, UNKNOT
 from bridgevar.report import build_report, render_text, to_json
 
@@ -66,6 +69,55 @@ def test_report_split_models_for_k_equals_l():
     assert rep["smoothness"]["component_intersection"]["count"] == 2
 
 
+def count_calls(monkeypatch, fns):
+    """Count the calls of `fns` wherever a bridgevar module binds them."""
+    counts = dict.fromkeys((fn.__name__ for fn in fns), 0)
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            counts[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for fn in fns:
+        wrapper = counted(fn)
+        for name, mod in list(sys.modules.items()):
+            if name == "bridgevar" or name.startswith("bridgevar."):
+                for attr, obj in list(vars(mod).items()):
+                    if obj is fn:
+                        monkeypatch.setattr(mod, attr, wrapper)
+    return counts
+
+
+@pytest.mark.parametrize("k,l", [(4, 4), (6, -8), (3, -4), (2, 2)])
+def test_report_computes_each_artifact_once(monkeypatch, k, l):
+    counts = count_calls(monkeypatch, [
+        geometry.smoothness_certificate, curves.c_model,
+        geometry.odd_point_report, curves.d_model])
+    build_report(k, l)
+    assert counts["smoothness_certificate"] <= 1, counts
+    assert counts["c_model"] <= 1, counts
+    assert counts["odd_point_report"] <= 1, counts
+    assert counts["d_model"] == 1, counts
+
+
+def test_invariant_failure_is_not_unavailable(monkeypatch, capsys):
+    def genus_Y_off_by_one(k, l, certificate=None):
+        gy = genus_Y(k, l, certificate=certificate)
+        return gy._replace(entries=tuple(
+            e._replace(genus_bidegree=e.genus_bidegree + 1)
+            for e in gy.entries))
+
+    monkeypatch.setattr(report, "genus_Y", genus_Y_off_by_one)
+    code, _, err = run(capsys, "analyze", "-k", "2", "-l", "-2")
+    assert code == 1 and "invariant failure" in err
+    code, out, _ = run(capsys, "sweep", "--kmax", "2", "--lmax", "2",
+                       "--jobs", "1")
+    assert code == 1
+    rows = {(r["k"], r["l"]): r for r in map(json.loads, out.splitlines())}
+    assert "X-genus mismatch" in rows[(2, -2)]["error"]
+
+
 def test_render_text_contains_key_lines():
     text = render_text(build_report(2, -2))
     assert "classification: Hyperbolic" in text
@@ -91,6 +143,24 @@ def test_cli_analyze_text_mode(capsys):
     code, out, _ = run(capsys, "analyze", "-k", "2", "-l", "-2")
     assert code == 0
     assert out == render_text(build_report(2, -2))
+
+
+def test_cli_analyze_json_inconclusive_trace_field(capsys):
+    code, out, _ = run(capsys, "analyze", "-k", "-8", "-l", "-6", "--json")
+    assert code == 0
+    analysis = json.loads(out)["trace_field"]["analysis"]
+    assert analysis["verdict"] == "inconclusive"
+    assert analysis["degree_sums"] == sorted(analysis["degree_sums"])
+
+
+@pytest.mark.parametrize("command,section", [
+    ("model", "models"), ("tracefield", "trace_field"),
+    ("commensurability", "commensurability")])
+@pytest.mark.parametrize("k,l", [(4, 4), (3, -4)])
+def test_cli_commands_print_report_sections(capsys, command, section, k, l):
+    code, out, _ = run(capsys, command, "-k", str(k), "-l", str(l), "--json")
+    assert code == 0
+    assert json.loads(out) == json.loads(to_json(build_report(k, l)))[section]
 
 
 def test_cli_exit_codes(capsys):
