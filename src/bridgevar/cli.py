@@ -29,6 +29,19 @@ def cmd_analyze(args):
     return 0
 
 
+def _unavailable_paths(section, prefix=""):
+    """Dotted paths of the report sections, at any depth, that are
+    unavailable, such as "two_bridge.fourplat"."""
+    paths = []
+    for key, v in section.items():
+        if isinstance(v, dict):
+            if "unavailable" in v:
+                paths.append(prefix + key)
+            else:
+                paths += _unavailable_paths(v, prefix + key + ".")
+    return paths
+
+
 def _sweep_row(pair):
     k, l = pair
     try:
@@ -44,10 +57,9 @@ def _sweep_row(pair):
         row["components"] = cc.get("count", cc.get("degenerate"))
         alex = rep.get("alexander", {})
         row["fibered"] = alex.get("fibered")
-        disagreements = [key for key, v in rep.items()
-                         if isinstance(v, dict) and "unavailable" in v
-                         and rep["classification"] == HYPERBOLIC]
-        row["disagreements"] = disagreements
+        row["disagreements"] = (_unavailable_paths(rep)
+                                if rep["classification"] == HYPERBOLIC
+                                else [])
         return row
     except Exception as e:  # a failed row must not kill the sweep
         return {"k": k, "l": l, "error": "%s: %s" % (type(e).__name__, e)}

@@ -55,22 +55,6 @@ class AffineVerdict(NamedTuple):
     trace: dict
 
 
-def _require_reduced(F):
-    cont = F.content_inner()
-    if cont.degree > 0 and not is_separable(cont):
-        raise ExactError("non-reduced input: repeated factor %s" % cont)
-    Ft = F.deriv_outer()
-    if not Ft.is_zero:
-        prim = BiPoly([c.divexact(cont) for c in F.cs], F.outer, F.inner) \
-            if cont.degree > 0 else F
-        from .poly import bipoly_gcd
-        g = bipoly_gcd(prim, prim.deriv_outer())
-        if int(g.degree_outer) > 0:
-            raise ExactError("non-reduced input: repeated factor %s" % g)
-    elif not is_separable(F.cs[0]):
-        raise ExactError("non-reduced input: repeated factor in %s" % F.cs[0])
-
-
 def affine_singular_locus(F, delta_filter=None):
     """Singular locus of the affine curve F = 0.
 
@@ -84,15 +68,23 @@ def affine_singular_locus(F, delta_filter=None):
     a, b = int(F.degree_inner or 0), int(F.degree_outer or 0)
     if a <= 0 and b <= 0:
         raise ExactError("affine_singular_locus needs a nonconstant polynomial")
-    _require_reduced(F)
+    cont = F.content_inner()
+    if cont.degree > 0 and not is_separable(cont):
+        raise ExactError("non-reduced input: repeated factor %s" % cont)
+    # In characteristic 0, Res_t(F, F_t) = 0 exactly when F has a repeated
+    # factor of positive t-degree; repeated factors in r alone divide the
+    # content, checked above.
+    if b:
+        Ft = F.deriv_outer()
+        R1 = resultant(F, Ft, F.outer)
+        if R1.is_zero:
+            raise ExactError("non-reduced input: Res_t(F, F_t) = 0")
     trace = {}
     if b == 0 or a == 0:
         # a separable union of parallel lines is smooth
         trace["note"] = "single-variable polynomial; separable, hence smooth"
         return AffineVerdict("Empty", (), trace)
-    Ft = F.deriv_outer()
     Fr = F.deriv_inner()
-    R1 = resultant(F, Ft, F.outer)
     R2 = resultant(F, Fr, F.outer)
     G = poly_gcd(R1, R2)
     S1 = resultant(F, Ft, F.inner)

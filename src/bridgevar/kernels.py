@@ -1,28 +1,10 @@
-"""Kernel selection: compiled extension if present, pure Python otherwise.
+"""The polynomial kernels of `bridgevar._kernels` under their public names.
 
-Set BRIDGEVAR_PURE=1 to force the pure-Python kernels (used by the
-benchmark and handy when debugging).
+`BACKEND` names the kernel implementation, which is always the pure
+Python one.
 """
 
-import os
+from ._kernels import (poly_gcd_p, poly_mul, poly_mul_p, poly_powmod_p,
+                       poly_rem_p, trim)
 
-if os.environ.get("BRIDGEVAR_PURE") == "1":
-    from . import _kernels as _impl
-
-    BACKEND = "pure"
-else:
-    try:
-        from . import _speedups as _impl  # type: ignore[attr-defined]
-
-        BACKEND = "compiled"
-    except ImportError:
-        from . import _kernels as _impl
-
-        BACKEND = "pure"
-
-trim = _impl.trim
-poly_mul = _impl.poly_mul
-poly_mul_p = _impl.poly_mul_p
-poly_rem_p = _impl.poly_rem_p
-poly_gcd_p = _impl.poly_gcd_p
-poly_powmod_p = _impl.poly_powmod_p
+BACKEND = "pure"

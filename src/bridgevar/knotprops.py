@@ -266,9 +266,9 @@ def commensurability_certificate(k, l, model=None, fibered=None):
             % cls)
     if fibered is None:
         fibered = is_fibered(k, l)
+    k, l, _sw = _swap_if_needed(k, l)
     if fibered:
         return CommensurabilityCertificate(k, l, "Fibered", None)
-    k, l, _sw = _swap_if_needed(k, l)
     n = l // 2
     if model is None:
         model = c_model(k, l)

@@ -824,27 +824,6 @@ def resultant(f, g, eliminate):
     return res
 
 
-def bipoly_gcd(f, g):
-    """gcd of two BiPoly over Q, primitive over Z, sign-normalized."""
-    if f.is_zero:
-        return g.primitive()
-    if g.is_zero:
-        return f.primitive()
-    f = f.primitive()
-    g = g.primitive()
-    cont = poly_gcd(f.content_inner(), g.content_inner())
-    fp = BiPoly([c.divexact(f.content_inner()) for c in f.cs], f.outer, f.inner)
-    gp = BiPoly([c.divexact(g.content_inner()) for c in g.cs], g.outer, g.inner)
-    A = list(fp.cs)
-    B = list(gp.cs)
-    d = _gcd_lists(A, B)
-    h = BiPoly(d, f.outer, f.inner)
-    hc = h.content_inner()
-    h = BiPoly([c.divexact(hc) for c in h.cs], f.outer, f.inner)
-    out = h * BiPoly.from_inner(cont, f.outer)
-    return out.primitive()
-
-
 def bipoly_divexact(f, g):
     """Exact division of BiPoly by BiPoly (error if not exact)."""
     if g.is_zero:

@@ -52,9 +52,12 @@ def test_smooth_parabola_certifies_empty():
 
 
 def test_non_reduced_input_rejected():
-    F = (T - RB) ** 2
-    with pytest.raises(ExactError, match="non-reduced"):
-        affine_singular_locus(F)
+    for F in ((T - RB) ** 2,
+              (T * RB + RB + 1) ** 2 * (T - RB ** 2),  # square in r and t
+              (RB - 1) ** 2 * (T - RB ** 2),           # squared content
+              (T - 1) ** 2 * (T + 2)):                 # square in t alone
+        with pytest.raises(ExactError, match="non-reduced"):
+            affine_singular_locus(F)
 
 
 def test_resultant_trace_recorded():

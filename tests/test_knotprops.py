@@ -216,6 +216,15 @@ def test_fibered_knots_get_fibered_verdict():
     assert commensurability_certificate(2, -2).verdict == "Fibered"
 
 
+def test_certificate_names_the_normalized_knot():
+    # (4, 3) is fibered and (4, 5) is not; both certificates name the
+    # (odd, even) orientation that normalize_knot gives.
+    for k, l in ((4, 3), (4, 5), (3, 4), (-4, 3)):
+        cert = commensurability_certificate(k, l)
+        norm = normalize_knot(k, l)
+        assert (cert.k, cert.l) == (norm.k, norm.l), (k, l)
+
+
 def test_reducible_point_witness_reverified():
     cert = commensurability_certificate(2, 4)
     assert cert.verdict == "NotCommensurable"

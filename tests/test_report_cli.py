@@ -14,6 +14,7 @@ from bridgevar import curves, geometry, report
 from bridgevar.cli import main
 from bridgevar.geometry import genus_Y
 from bridgevar.knotprops import HYPERBOLIC, TREFOIL, UNKNOT
+from bridgevar.poly import ExactError
 from bridgevar.report import build_report, render_text, to_json
 
 SECTIONS = ("knot", "classification", "models", "two_bridge", "smoothness",
@@ -249,6 +250,19 @@ def test_sweep_rows_deterministic_serial_vs_parallel(tmp_path, capsys):
     assert by_kl[(2, -2)]["fibered"] is True
     assert by_kl[(2, 2)]["classification"] == TREFOIL
     assert all(not r.get("disagreements") and "error" not in r for r in rows)
+
+
+def test_sweep_flags_nested_unavailable_section(monkeypatch, capsys):
+    def no_fourplat(k, l, form=None):
+        raise ExactError("no four-plat sequence")
+
+    monkeypatch.setattr(report, "fourplat_sequence", no_fourplat)
+    code, out, _ = run(capsys, "sweep", "--kmax", "2", "--lmax", "2",
+                       "--jobs", "1")
+    assert code == 1
+    rows = {(r["k"], r["l"]): r for r in map(json.loads, out.splitlines())}
+    assert rows[(2, -2)]["disagreements"] == ["two_bridge.fourplat"]
+    assert not rows[(2, 2)]["disagreements"]   # trefoil: not hyperbolic
 
 
 def test_sweep_stdout_mode(capsys):
