@@ -9,6 +9,12 @@ reduces each product by a Barrett step built from the series inverse of
 the reversed modulus (von zur Gathen & Gerhard, Modern Computer Algebra,
 ch. 9), so that its reductions are Kronecker products too.
 
+`frobenius_rows_p` and `frobenius_apply_p` apply the Frobenius map
+a -> a**p of GF(p)[x]/(m) as a GF(p)-linear map (von zur Gathen & Shoup,
+Comput. Complexity 2 (1992)): the rows x**(i*p) mod m are built once,
+each packed into one int of slots, and every later p-th power is one sum
+of small-int multiples of those ints.
+
 All functions return *normalized* lists (no trailing zeros); the zero
 polynomial is the empty list.
 """
@@ -40,10 +46,23 @@ def poly_mul(a, b):
     return trim(out)
 
 
+def _slot_width(count, p):
+    """Bytes per slot that hold a sum of count products of two residues
+    mod p, that is count * (p - 1)**2, so that slots never carry."""
+    return ((count * (p - 1) ** 2).bit_length() + 7) // 8
+
+
 def _pack(a, p, w):
     """The coefficients of a, reduced mod p, as one int of w-byte slots."""
     return int.from_bytes(b"".join([(c % p).to_bytes(w, "little") for c in a]),
                           "little")
+
+
+def _unpack(z, w, p):
+    """The w-byte slots of the bytes z, reduced mod p, as a normalized
+    coefficient list."""
+    return trim([int.from_bytes(z[i:i + w], "little") % p
+                 for i in range(0, len(z), w)])
 
 
 def poly_mul_p(a, b, p):
@@ -51,14 +70,12 @@ def poly_mul_p(a, b, p):
     na, nb = len(a), len(b)
     if na == 0 or nb == 0:
         return []
-    # A product coefficient is a sum of at most min(na, nb) terms below p**2,
-    # so slots of w bytes never carry into each other.
-    w = ((min(na, nb) * (p - 1) ** 2).bit_length() + 7) // 8
+    # A product coefficient is a sum of at most min(na, nb) products.
+    w = _slot_width(min(na, nb), p)
     x = _pack(a, p, w)
     z = (x * x if a is b else x * _pack(b, p, w)).to_bytes(
         (na + nb - 1) * w, "little")
-    return trim([int.from_bytes(z[i:i + w], "little") % p
-                 for i in range(0, len(z), w)])
+    return _unpack(z, w, p)
 
 
 def poly_rem_p(a, m, p):
@@ -115,13 +132,21 @@ def _barrett_rem(a, n, m_low, m_inv, p):
     return trim([(a[i] - qm[i]) % p for i in range(n)])
 
 
-def poly_powmod_p(base, e, m, p):
-    """base**e modulo (m, p) by square and multiply.  The leading
-    coefficient of m must be nonzero mod p."""
+def _barrett_setup(m, p):
+    """(n, m_low, m_inv) of `_barrett_rem` for reducing modulo (m, p): the
+    degree n of m, the low coefficients of m made monic, and the series
+    inverse of their reversal.  The leading coefficient of m must be
+    nonzero mod p."""
     n = len(m) - 1
     inv = pow(m[n] % p, p - 2, p)
     m_low = [(c * inv) % p for c in m[:n]]
-    m_inv = _series_inverse([1] + m_low[::-1], n - 1, p)
+    return n, m_low, _series_inverse([1] + m_low[::-1], n - 1, p)
+
+
+def poly_powmod_p(base, e, m, p):
+    """base**e modulo (m, p) by square and multiply.  The leading
+    coefficient of m must be nonzero mod p."""
+    n, m_low, m_inv = _barrett_setup(m, p)
     result = [1]
     acc = poly_rem_p(base, m, p)
     while e:
@@ -133,3 +158,30 @@ def poly_powmod_p(base, e, m, p):
             acc = _barrett_rem(poly_mul_p(acc, acc, p),
                                n, m_low, m_inv, p)
     return result
+
+
+def frobenius_rows_p(h, m, p):
+    """The Frobenius map of GF(p)[x]/(m), for h = x**p reduced modulo
+    (m, p), as the argument of `frobenius_apply_p`.
+
+    Row i is x**(i*p) = h**i mod (m, p) for i < n = deg m, built by n - 2
+    Barrett products that share one series inverse, and packed into one
+    int of w-byte slots.  A slot holds n * (p - 1)**2, so a sum of the n
+    rows times coefficients below p never carries between slots.
+    """
+    n, m_low, m_inv = _barrett_setup(m, p)
+    w = _slot_width(n, p)
+    rows = [[1], h][:n]
+    while len(rows) < n:
+        rows.append(_barrett_rem(poly_mul_p(rows[-1], h, p),
+                                 n, m_low, m_inv, p))
+    return w, [_pack(row, p, w) for row in rows]
+
+
+def frobenius_apply_p(frob, a, p):
+    """a**p = a(x**p) modulo (m, p) for a reduced modulo m, where frob is
+    `frobenius_rows_p(h, m, p)`: the sum of a[i] times row i."""
+    w, rows = frob
+    z = sum([(c % p) * row for c, row in zip(a, rows) if c]).to_bytes(
+        len(rows) * w, "little")
+    return _unpack(z, w, p)

@@ -22,7 +22,8 @@ error -- no floats anywhere except `complex_roots`.
 from fractions import Fraction
 from math import gcd as int_gcd, isqrt
 
-from .kernels import poly_mul, poly_mul_p, poly_rem_p, poly_gcd_p, poly_powmod_p, trim
+from .kernels import (frobenius_apply_p, frobenius_rows_p, poly_gcd_p,
+                      poly_mul, poly_mul_p, poly_powmod_p, trim)
 
 NEG_INF = float("-inf")
 
@@ -1239,8 +1240,24 @@ def modp_degree_pattern(f, p):
     """Sorted degrees of the irreducible factors of f mod p, or BAD_PRIME.
 
     A prime is bad when it divides the leading coefficient or when f mod p
-    is not squarefree.  Distinct-degree factorization; since only degree
-    *patterns* are needed, no equal-degree splitting is performed.
+    is not squarefree.  Distinct-degree factorization: the product of the
+    irreducible factors of degree d is gcd(x**(p**d) - x, v), where v is
+    what is left of f after the factors of lower degree are divided out.
+    Since only degree *patterns* are needed, no equal-degree splitting is
+    performed.
+
+    The iterates x**(p**d) are kept modulo f itself, which leaves those
+    gcds unchanged because v divides f.  That makes the Frobenius map
+    a -> a**p of GF(p)[x]/(f) one fixed linear map: x**p is computed once
+    by `poly_powmod_p`, the rows x**(i*p) mod f are built from it once, and
+    each further degree step applies them (von zur Gathen & Shoup, Comput.
+    Complexity 2 (1992)).
+
+    Degree patterns at several primes also prove irreducibility over Q
+    (Musser, J. ACM 25 (1978)): the degrees of a factor over Q add up, at
+    every good prime, to a sum of a subset of that prime's pattern, so an
+    empty intersection of those proper subset sums leaves no room for a
+    factor.  `irreducibility_analysis` applies that rule.
     """
     if not is_prime(p):
         raise ExactError("%r is not prime" % (p,))
@@ -1256,16 +1273,21 @@ def modp_degree_pattern(f, p):
         return BAD_PRIME
     # monicize
     inv = pow(a[-1], p - 2, p)
-    v = [(x * inv) % p for x in a]
+    v = m = [(x * inv) % p for x in a]
     pattern = []
-    xp = [0, 1]  # running x**(p**d) mod v
+    xp = [0, 1]  # running x**(p**d) mod m
     d = 0
     while len(v) - 1 >= 1:
         d += 1
         if 2 * d > len(v) - 1:
             pattern.append(len(v) - 1)
             break
-        xp = poly_powmod_p(xp, p, v, p)
+        if d == 1:
+            xp = poly_powmod_p(xp, p, m, p)
+        else:
+            if d == 2:
+                frob = frobenius_rows_p(xp, m, p)  # xp is x**p here
+            xp = frobenius_apply_p(frob, xp, p)
         diff = list(xp)
         if len(diff) < 2:
             diff += [0] * (2 - len(diff))
@@ -1275,12 +1297,10 @@ def modp_degree_pattern(f, p):
         if dg > 0:
             pattern.extend([d] * (dg // d))
             v = _divexact_p(v, g, p)
-            xp = poly_rem_p(xp, v, p)
     return sorted(pattern)
 
 
 def _divexact_p(a, b, p):
-    q = []
     r = list(a)
     db = len(b) - 1
     inv = pow(b[-1], p - 2, p)
@@ -1301,14 +1321,20 @@ def _divexact_p(a, b, p):
 # three-valued irreducibility
 
 class Irreducible:
-    def __init__(self, witness_prime, degree):
-        self.witness_prime = witness_prime
+    """f is irreducible over Q.  The witness is the sampled good primes
+    and their degree `patterns`, whose proper subset sums have no common
+    element (a single prime keeping f irreducible has the pattern [n]);
+    degree 1 needs no prime."""
+
+    def __init__(self, degree, sampled_primes, patterns):
         self.degree = degree
+        self.sampled_primes = sampled_primes
+        self.patterns = patterns
 
     verdict = "irreducible"
 
     def __repr__(self):
-        return "Irreducible(p=%d)" % self.witness_prime
+        return "Irreducible(primes=%s)" % (list(self.sampled_primes),)
 
 
 class Reducible:
@@ -1338,13 +1364,25 @@ def _iroot4(n):
     return isqrt(isqrt(abs(n)))
 
 
+def _proper_degree_sums(pattern, n):
+    """The degrees 0 < s < n that a factor over Q of a degree-n polynomial
+    could have, given its degree pattern mod a good prime: the sums of
+    subsets of the pattern."""
+    sums = {0}
+    for d in pattern:
+        sums |= {s + d for s in sums}
+    return sums - {0, n}
+
+
 def irreducibility_analysis(f, prime_budget=6):
     """Three-valued irreducibility over Q for a squarefree f.
 
-    Irreducible only via a full-degree mod-p pattern; Reducible only via
-    an exact rational root; otherwise Inconclusive carrying the
-    intersection of achievable proper factor-degree sums across the
-    sampled good primes.
+    Irreducible via Musser's degree sets: once the proper factor-degree
+    sums achievable at the sampled good primes have an empty intersection,
+    no factor over Q fits them all (a full-degree pattern empties it at
+    once).  Reducible only via an exact rational root.  Otherwise
+    Inconclusive carrying that intersection (every proper degree when no
+    good prime was found).
     """
     if f.degree < 1:
         raise ExactError("irreducibility of a constant")
@@ -1354,14 +1392,15 @@ def irreducibility_analysis(f, prime_budget=6):
     if rr:
         root = rr[0][0]
         if n == 1:
-            return Irreducible(None, 1)
+            return Irreducible(1, (), ())
         return Reducible(root, (1, n - 1))
     if n == 1:
-        return Irreducible(None, 1)
+        return Irreducible(1, (), ())
     start = max(50, _iroot4(fz.lead * fz.constant))
     p = start
     good = []
     patterns = []
+    achievable = set(range(1, n))
     attempts = 0
     while len(good) < prime_budget and attempts < 40 * prime_budget:
         p = next_prime(p)
@@ -1371,16 +1410,10 @@ def irreducibility_analysis(f, prime_budget=6):
             continue
         good.append(p)
         patterns.append(pat)
-        if pat == [n]:
-            return Irreducible(p, n)
-    achievable = None
-    for pat in patterns:
-        sums = {0}
-        for d in pat:
-            sums |= {s + d for s in sums}
-        sums -= {0, n}
-        achievable = sums if achievable is None else (achievable & sums)
-    return Inconclusive(frozenset(achievable or ()), tuple(good))
+        achievable &= _proper_degree_sums(pat, n)
+        if not achievable:
+            return Irreducible(n, tuple(good), tuple(patterns))
+    return Inconclusive(frozenset(achievable), tuple(good))
 
 
 # ---------------------------------------------------------------------------

@@ -57,8 +57,8 @@ def _cert_dict(cert):
 
 def _analysis_dict(a):
     out = {"verdict": a.verdict}
-    for field in ("witness_prime", "degree", "factor_degrees", "root",
-                  "degree_sums", "sampled_primes"):
+    for field in ("degree", "factor_degrees", "root", "degree_sums",
+                  "sampled_primes", "patterns"):
         if hasattr(a, field):
             v = getattr(a, field)
             if field == "root":

@@ -234,3 +234,53 @@ def test_powmod_long_moduli(mod, p):
         for e in (0, 1, 2, 7, rng.randrange(8, 1000)):
             assert mod.poly_powmod_p(base, e, m, p) == \
                 ref_powmod_p(base, e, m, p), (n, e)
+
+
+# --- Frobenius map -----------------------------------------------------
+
+def pack_slots(c, w):
+    return sum(x << (8 * w * j) for j, x in enumerate(c))
+
+
+def unpack_slots(v, w, n):
+    mask = (1 << (8 * w)) - 1
+    out = [(v >> (8 * w * j)) & mask for j in range(n)]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 101] + BIG_PRIMES)
+def test_frobenius_rows_are_powers_of_x(mod, p):
+    rng = random.Random(p)
+    for n in (1, 2, 3, 8, 19, 30):
+        m = [rng.randint(-p, p) for _ in range(n)] + [rng.randrange(1, p)]
+        h = mod.poly_powmod_p([0, 1], p, m, p)
+        w, rows = mod.frobenius_rows_p(h, m, p)
+        assert 256 ** w > n * (p - 1) ** 2 and len(rows) == n
+        for i, row in enumerate(rows):
+            assert unpack_slots(row, w, n) == \
+                mod.poly_powmod_p([0, 1], i * p, m, p), (n, i)
+        for _ in range(3):
+            a = [rng.randrange(p) for _ in range(rng.randrange(n + 1))]
+            assert mod.frobenius_apply_p((w, rows), mod.trim(a), p) == \
+                mod.poly_powmod_p(a, p, m, p), n
+
+
+@pytest.mark.parametrize("p", [2, 3, 101] + BIG_PRIMES)
+def test_frobenius_apply_matches_matrix_product(mod, p):
+    # All-(p - 1) rows and coefficients fill every slot to n*(p-1)**2,
+    # the bound the width of frobenius_rows_p is sized for.
+    rng = random.Random(p)
+    for n in (1, 2, 5, 17, 40, 70):
+        w = mod._slot_width(n, p)
+        for rows, a in (([[p - 1] * n] * n, [p - 1] * n),
+                        ([[rng.randrange(p) for _ in range(n)]
+                          for _ in range(n)],
+                         [rng.randrange(p) for _ in range(n)])):
+            want = [sum(a[i] * rows[i][j] for i in range(n)) % p
+                    for j in range(n)]
+            while want and want[-1] == 0:
+                want.pop()
+            frob = (w, [pack_slots(r, w) for r in rows])
+            assert mod.frobenius_apply_p(frob, a, p) == want, n

@@ -3,14 +3,19 @@
 Oracles (defined before any test that uses them):
   * sylvester_resultant -- Fraction determinant of the Sylvester matrix,
   * euclid_gcd -- monic remainder sequence over Q, made primitive,
-  * brute_modp_roots -- trial evaluation over GF(p).
+  * brute_modp_roots -- trial evaluation over GF(p),
+  * powmod_ddf_pattern -- distinct-degree factorization with one powmod
+    x**(p**d) per degree, re-reduced modulo what is left of f.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bridgevar.kernels import poly_gcd_p, poly_mul_p, poly_powmod_p, poly_rem_p
+from bridgevar.knotprops import trace_field_poly
 from bridgevar.poly import (BAD_PRIME, BiPoly, ExactError, QuadElem, UniPoly,
                             complex_roots, irreducibility_analysis, factorint,
                             is_prime, is_separable, modp_degree_pattern,
@@ -100,6 +105,48 @@ def brute_modp_roots(f, p):
     fz = f.clear_denominators()
     return sorted(x for x in range(p)
                   if sum(c * pow(x, i, p) for i, c in enumerate(fz.c)) % p == 0)
+
+
+def exact_quotient_p(a, b, p):
+    """a / b over GF(p) by long division; the remainder must be zero."""
+    r = [x % p for x in a]
+    inv = pow(b[-1], -1, p)
+    q = [0] * (len(r) - len(b) + 1)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = r[i + len(b) - 1] * inv % p
+        for j, bj in enumerate(b):
+            r[i + j] = (r[i + j] - c * bj) % p
+    assert not any(r)
+    return q
+
+
+def powmod_ddf_pattern(f, p):
+    """Degree pattern of f mod p, or BAD_PRIME: x**(p**d) by one powmod
+    per degree d, modulo the part v of f still left, and gcd with v."""
+    c = [x % p for x in f.clear_denominators().c]
+    if not c[-1]:
+        return BAD_PRIME
+    if len(c) < 2:
+        return []
+    dc = [(i * x) % p for i, x in enumerate(c)][1:]
+    if len(poly_gcd_p(c, dc, p)) > 1:
+        return BAD_PRIME
+    v = poly_gcd_p(c, c, p)  # c made monic
+    pattern, xp, d = [], [0, 1], 0
+    while len(v) > 1:
+        d += 1
+        if 2 * d > len(v) - 1:
+            pattern.append(len(v) - 1)
+            break
+        xp = poly_powmod_p(xp, p, v, p)
+        diff = xp + [0] * (2 - len(xp))
+        diff[1] -= 1
+        g = poly_gcd_p(diff, v, p)
+        if len(g) > 1:
+            pattern += [d] * ((len(g) - 1) // d)
+            v = exact_quotient_p(v, g, p)
+            xp = poly_rem_p(xp, v, p)
+    return sorted(pattern)
 
 
 U = UniPoly.gen("u")
@@ -279,15 +326,110 @@ def test_modp_pattern_bad_prime():
     assert modp_degree_pattern(g, 7) == BAD_PRIME   # not squarefree
 
 
+DDF_PRIMES = [2, 3, 5, 53, 101, 2 ** 31 - 1]
+
+
+def random_squarefree_mod_p(rng, n, p):
+    """Coefficients of a random degree-n polynomial, squarefree mod p."""
+    while True:
+        c = [rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)]
+        dc = [(i * x) % p for i, x in enumerate(c)][1:]
+        if len(poly_gcd_p(c, dc, p)) == 1:
+            return c
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=st.sampled_from(DDF_PRIMES), n=st.integers(1, 70),
+       seed=st.integers(0, 2 ** 32))
+def test_modp_pattern_matches_powmod_ddf(p, n, seed):
+    f = mk(random_squarefree_mod_p(random.Random(seed), n, p), "x")
+    pat = modp_degree_pattern(f, p)
+    assert pat == powmod_ddf_pattern(f, p)
+    assert sum(pat) == n
+
+
+@pytest.mark.parametrize("p,planted", [
+    (2, [1, 1, 2, 3, 3, 4, 4, 5]),
+    (3, [1, 2, 2, 3, 6, 7]),
+    (53, [1, 1, 1, 4, 4, 9, 12]),
+    (101, [2, 3, 5, 8, 13]),
+    (2 ** 31 - 1, [1, 2, 2, 6, 11])])
+def test_modp_pattern_of_planted_irreducible_factors(p, planted):
+    rng = random.Random(p)
+    factors = []
+    for d in planted:
+        while True:
+            g = [rng.randrange(p) for _ in range(d)] + [1]
+            if g not in factors and \
+                    powmod_ddf_pattern(mk(g, "x"), p) == [d]:
+                factors.append(g)
+                break
+    prod = [1]
+    for g in factors:
+        prod = poly_mul_p(prod, g, p)
+    assert modp_degree_pattern(mk(prod, "x"), p) == sorted(planted)
+
+
+@pytest.mark.parametrize("p", DDF_PRIMES)
+def test_modp_pattern_bad_primes_match_powmod_ddf(p):
+    for f in (p * X ** 5 + X + 1,                        # kills the lead
+              (X - 1) ** 2 * (X ** 3 + 2) + p * X,       # square mod p only
+              (X ** 2 + X + 1) ** 2 * (X - 2)):          # square over Q
+        assert modp_degree_pattern(f, p) == BAD_PRIME
+        assert powmod_ddf_pattern(f, p) == BAD_PRIME
+
+
+@pytest.mark.parametrize("k,l", [(2, -2), (4, -6), (-8, -6), (5, 8),
+                                 (13, -10), (-14, -9)])
+def test_modp_pattern_of_trace_field_polys(k, l):
+    f = squarefree_part(trace_field_poly(k, l, canonical=True))
+    p = 53
+    for _ in range(4):
+        assert modp_degree_pattern(f, p) == powmod_ddf_pattern(f, p)
+        p = next_prime(p)
+
+
 def test_irreducibility_three_verdicts():
     a = irreducibility_analysis(U ** 2 + 1)
     assert a.verdict == "irreducible"
+    # -1 is a square mod 53 but not mod 59, where one prime is a witness
+    assert a.sampled_primes == (53, 59)
+    assert a.patterns == ([1, 1], [2])
+    lin = irreducibility_analysis(2 * U + 3)
+    assert lin.verdict == "irreducible"
+    assert lin.sampled_primes == () and lin.patterns == ()
     b = irreducibility_analysis(U ** 2 - Fraction(1, 4))
     assert b.verdict == "reducible"
     # x^4+1 is irreducible over Q but reducible mod every prime
     c = irreducibility_analysis(X ** 4 + 1)
     assert c.verdict == "inconclusive"
     assert 2 in c.degree_sums
+
+
+def test_irreducible_by_degree_sets():
+    # Galois group A4: no prime keeps it irreducible, but a factor would
+    # need degree 2 mod 53 and degree 1 or 3 mod 59.
+    f = U ** 4 + 8 * U + 12
+    a = irreducibility_analysis(f)
+    assert a.verdict == "irreducible"
+    assert a.sampled_primes == (53, 59)
+    assert a.patterns == ([2, 2], [1, 3])
+    assert [modp_degree_pattern(f, p) for p in a.sampled_primes] == \
+        list(a.patterns)
+
+
+def test_no_good_prime_leaves_every_degree_open():
+    # Every one of the 40 primes after 50 divides D, and f = (x - 1)**2 *
+    # (x + 2) mod each of them, so no good prime is found.
+    D, p = 1, 50
+    for _ in range(40):
+        p = next_prime(p)
+        D *= p
+    f = X ** 3 + (D - 3) * X + 2
+    a = irreducibility_analysis(f, prime_budget=1)
+    assert a.verdict == "inconclusive"
+    assert a.sampled_primes == ()
+    assert a.degree_sums == {1, 2}
 
 
 def test_primes_and_factorint():

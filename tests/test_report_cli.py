@@ -13,8 +13,9 @@ import pytest
 from bridgevar import curves, geometry, report
 from bridgevar.cli import main
 from bridgevar.geometry import genus_Y
-from bridgevar.knotprops import HYPERBOLIC, TREFOIL, UNKNOT
-from bridgevar.poly import ExactError
+from bridgevar.knotprops import (HYPERBOLIC, TREFOIL, UNKNOT, classify,
+                                 trace_field_poly)
+from bridgevar.poly import ExactError, modp_degree_pattern, squarefree_part
 from bridgevar.report import build_report, render_text, to_json
 
 SECTIONS = ("knot", "classification", "models", "two_bridge", "smoothness",
@@ -152,6 +153,42 @@ def test_cli_analyze_json_inconclusive_trace_field(capsys):
     analysis = json.loads(out)["trace_field"]["analysis"]
     assert analysis["verdict"] == "inconclusive"
     assert analysis["degree_sums"] == sorted(analysis["degree_sums"])
+
+
+def subset_sums(pattern):
+    sums = {0}
+    for d in pattern:
+        sums |= {s + d for s in sums}
+    return sums
+
+
+def test_irreducibility_witnesses_recheck_from_json():
+    # Each listed prime gives the listed degree pattern of the trace-field
+    # polynomial, and no proper degree is a subset sum of every pattern.
+    seen = 0
+    for k in range(-8, 9):
+        for l in range(-8, 9):
+            if k % 2 and l % 2 or classify(k, l) != HYPERBOLIC:
+                continue
+            knot = report.Knot(k, l)
+            section = json.loads(json.dumps(knot.section("trace_field")))
+            analysis = section["analysis"]
+            if analysis["verdict"] != "irreducible":
+                continue
+            seen += 1
+            tf = knot.trace_field
+            f = squarefree_part(trace_field_poly(tf.k, tf.l, canonical=True))
+            f = f.clear_denominators().primitive()
+            n = analysis["degree"]
+            assert n == f.degree == section["squarefree_degree"]
+            assert [modp_degree_pattern(f, p)
+                    for p in analysis["sampled_primes"]] == \
+                analysis["patterns"]
+            left = set(range(1, n))
+            for pattern in analysis["patterns"]:
+                left &= subset_sums(pattern)
+            assert not left, (k, l)
+    assert seen == 140
 
 
 @pytest.mark.parametrize("command,section", [
