@@ -162,9 +162,13 @@ def cmd_verify(args):
         ok = _verify_newton(args, lines) and ok
     if args.suite in ("riley", "all"):
         ok = _verify_riley(args, lines) and ok
-    width = max(len(name) for name, _ in lines)
-    for name, good in lines:
-        print("%-*s  %s" % (width, name, "pass" if good else "FAIL"))
+    if args.json:
+        _print({"checks": [{"name": name, "ok": good} for name, good in lines],
+                "ok": ok}, True)
+    else:
+        width = max(len(name) for name, _ in lines)
+        for name, good in lines:
+            print("%-*s  %s" % (width, name, "pass" if good else "FAIL"))
     return 0 if ok else 1
 
 

@@ -8,7 +8,8 @@ Everything downstream works with four representations:
 * BiPoly    -- polynomial in an *outer* variable whose coefficients are
                UniPoly in an *inner* variable.
 * LaurentPoly -- Laurent polynomial in an abstract unit `L` whose
-               coefficients are UniPoly in r (the 2x2-matrix entry ring).
+               coefficients are UniPoly in r (the ring of the entries
+               of a word's 2x2 matrix, unpacked by `riley`).
 * QuadElem  -- a + b*w with w^2 = -1 or w^2 = 3, exact.
 
 plus a small RatPoly wrapper for quotients of UniPoly.

@@ -1,15 +1,40 @@
-"""Symbolic 2x2 matrices over Z[L^{±1}, r] and Riley polynomials.
+"""Words in the bridge generators, their 2x2 matrices over Z[L^{±1}, r],
+and Riley polynomials.
 
 The parabolic representation sends the two bridge generators to
 
     A = [[L, 1], [0, L^-1]]        B = [[L, 0], [2-r, L^-1]]
 
-(so that tr(A B^-1) = r).  Words in a, b evaluate to LaurentMat2; the
-Riley polynomial of a two-bridge word is the matrix-entry combination
-W11 + (L^-1 - L) W12, rewritten in the subring generated by r and
-y = L^2 + L^-2.  For the J(k, l) family there is also the closed form
-built from the Phi/Psi sequences; both paths live here so each can
-oracle the other.
+(so that tr(A B^-1) = r).  The Riley polynomial of a two-bridge word is
+the matrix-entry combination W11 + (L^-1 - L) W12, rewritten in the
+subring generated by r and y = L^2 + L^-2.  For the J(k, l) family there
+is also the closed form built from the Phi/Psi sequences; both paths
+live here so each can oracle the other.
+
+A word of N letters is evaluated as L^N W, whose entries are
+polynomials in L of degree at most 2N, each packed into one int by
+Kronecker substitution (Harvey, J. Symbolic Comput. 44 (2009)):
+r = 2^(8w) and L = 2^(4wR).  Every generator, times L, has even
+diagonal and odd off-diagonal entries in L, and so has L^N W; within
+one entry, L^2 steps over a whole block of R signed w-byte slots, one
+slot per power of r.  Each letter right-multiplies the rows (m1, m2) of
+L^t W by L A^{±1} or L B^{±1}, which is shifts and adds; with c = 2 - r
+and c X = 2X - (X << 8w):
+
+    a:      m1 <- L^2 m1,             m2 <- L m1 + m2
+    a^-1:                             m2 <- L^2 m2 - L m1
+    b:      m1 <- L^2 m1 + L c m2
+    b^-1:   m1 <- m1 - L c m2,        m2 <- L^2 m2
+
+The slots are sized from the word before any arithmetic.  Only b
+letters raise the degree in r, so R = (number of b letters) + 1.  The
+l1 norms of the two columns are at most b1, b2, which start at 1 and
+follow the word: a^{±1} sets b2 <- b1 + b2 and b^{±1} sets
+b1 <- b1 + 3 b2.  The entry combinations the Riley routes take have l1
+norm at most 3 max(b1, b2), and w leaves room for that plus a sign bit.
+A packed result, made even in L by dividing an odd one by L (an exact
+right shift), is read back as balanced base-2^(8w) digits, with one
+`to_bytes` per entry or combination.
 """
 
 from fractions import Fraction
@@ -100,11 +125,10 @@ def schubert_word(p, q):
 
 
 # ---------------------------------------------------------------------------
-# matrices
+# packed word evaluation
 
 _R = UniPoly.gen("r")
-_ZERO = LaurentPoly.zero()
-_ONE = LaurentPoly.unit(0)
+_ZERO_R = UniPoly.zero("r")
 
 
 class LaurentMat2(NamedTuple):
@@ -113,61 +137,93 @@ class LaurentMat2(NamedTuple):
     a21: LaurentPoly
     a22: LaurentPoly
 
-    def __mul__(self, other):
-        return LaurentMat2(
-            self.a11 * other.a11 + self.a12 * other.a21,
-            self.a11 * other.a12 + self.a12 * other.a22,
-            self.a21 * other.a11 + self.a22 * other.a21,
-            self.a21 * other.a12 + self.a22 * other.a22,
-        )
 
-    def det(self):
-        return self.a11 * self.a22 - self.a12 * self.a21
+class _PackedWord(NamedTuple):
+    """The entries of L^N W for a word W of N letters, each evaluated at
+    r = 2**(8w) and L = 2**shift with shift = 4wR.  The diagonal entries
+    are even in L and the others odd, so within one entry the coefficient
+    of L^(2i+p) r^j is the signed w-byte slot i*R + j of m >> (p*shift)."""
+    m11: int
+    m12: int
+    m21: int
+    m22: int
+    letters: int
+    w: int
+    R: int
 
-    def trace(self):
-        return self.a11 + self.a22
-
-    def inverse(self):
-        if self.det() != _ONE:
-            raise ExactError("inverse requires determinant 1")
-        return LaurentMat2(self.a22, -self.a12, -self.a21, self.a11)
-
-    def eval(self, lam, r):
-        """Exact numeric 2x2 matrix at L = lam, r = r."""
-        return tuple(tuple(Fraction(e.eval(lam, r)) for e in row)
-                     for row in ((self.a11, self.a12), (self.a21, self.a22)))
+    @property
+    def shift(self):
+        return 4 * self.w * self.R
 
 
-MAT_IDENTITY = LaurentMat2(_ONE, _ZERO, _ZERO, _ONE)
+def _pack_word(word):
+    """Evaluate a word letter by letter as right multiplications of the
+    two rows of L^t W by L A^{±1} or L B^{±1}, shifts and adds only."""
+    letters = b_letters = 0
+    b1 = b2 = 1  # l1-norm bounds of the columns of L^t W
+    for gen, exp in word:
+        n = abs(exp)
+        letters += n
+        if gen == "a":
+            for _ in range(n):
+                b2 += b1
+        else:
+            b_letters += n
+            for _ in range(n):
+                b1 += 3 * b2
+    # Room for the entry combinations of the Riley routes (l1 norm at
+    # most 3 max(b1, b2)) and a sign bit; only b letters raise the
+    # degree in r.
+    w = ((3 * max(b1, b2)).bit_length() + 8) // 8
+    R = b_letters + 1
+    rs, L1 = 8 * w, 4 * w * R
+    L2 = 2 * L1
+    rows = []
+    for x, y in ((1, 0), (0, 1)):
+        for gen, exp in word:
+            for _ in range(abs(exp)):
+                if gen == "a":
+                    if exp > 0:
+                        x, y = x << L2, (x << L1) + y
+                    else:
+                        y = (y << L2) - (x << L1)
+                else:
+                    cy = ((y << 1) - (y << rs)) << L1  # L (2 - r) y
+                    if exp > 0:
+                        x = (x << L2) + cy
+                    else:
+                        x, y = x - cy, y << L2
+        rows += (x, y)
+    return _PackedWord(*rows, letters, w, R)
 
 
-def gen_matrices():
-    A = LaurentMat2(LaurentPoly.unit(1), _ONE, _ZERO, LaurentPoly.unit(-1))
-    B = LaurentMat2(LaurentPoly.unit(1), _ZERO,
-                    LaurentPoly.unit(0, 2 - _R), LaurentPoly.unit(-1))
-    return A, B
-
-
-def mat_power(M, n):
-    if n < 0:
-        return mat_power(M.inverse(), -n)
-    result = MAT_IDENTITY
-    base = M
-    while n:
-        if n & 1:
-            result = result * base
-        n >>= 1
-        if n:
-            base = base * base
-    return result
+def _unpack(z, low, pw):
+    """The Laurent polynomial L^low Z, where z packs Z, even in L and of
+    degree at most 2N, in the slots of pw."""
+    w, R = pw.w, pw.R
+    count = (pw.letters + 1) * R
+    # Balanced digits: adding 0x80.. to every slot makes each one
+    # nonnegative, and xor-ing it back leaves each slot in two's complement.
+    bias = int.from_bytes((bytes(w - 1) + b"\x80") * count, "little")
+    raw = ((z + bias) ^ bias).to_bytes(count * w, "little")
+    cs = [_ZERO_R] * (2 * pw.letters + 1)
+    for e, i in enumerate(range(0, len(raw), R * w)):
+        top = i + len(raw[i:i + R * w].rstrip(b"\0"))  # past the last nonzero
+        if top > i:
+            cs[2 * e] = UniPoly([int.from_bytes(raw[j:j + w], "little",
+                                                signed=True)
+                                 for j in range(i, top, w)], "r")
+    return LaurentPoly(low, cs)
 
 
 def eval_word(word):
-    A, B = gen_matrices()
-    out = MAT_IDENTITY
-    for gen, exp in word:
-        out = out * mat_power(A if gen == "a" else B, exp)
-    return out
+    """The word as a matrix in the generators A, B."""
+    pw = _pack_word(word)
+    low, s = -pw.letters, pw.shift
+    return LaurentMat2(_unpack(pw.m11, low, pw),
+                       _unpack(pw.m12 >> s, low + 1, pw),
+                       _unpack(pw.m21 >> s, low + 1, pw),
+                       _unpack(pw.m22, low, pw))
 
 
 # ---------------------------------------------------------------------------
@@ -221,16 +277,18 @@ def riley_poly_J(k, n):
 
 def riley_poly_matrix(k, n):
     """F_{k,n} extracted from W = W_k^n as (L - L^-1) W12 + W22."""
-    W = mat_power(eval_word(w_k_word(k)), n)
-    lam_minus = LaurentPoly.unit(1) - LaurentPoly.unit(-1)
-    return laurent_to_ry(lam_minus * W.a12 + W.a22)
+    pw = _pack_word(word_power(w_k_word(k), n))
+    # L^N ((L - L^-1) W12 + W22) = (L - L^-1) M12 + M22, with M12 odd
+    z = (pw.m12 << pw.shift) - (pw.m12 >> pw.shift) + pw.m22
+    return laurent_to_ry(_unpack(z, -pw.letters, pw))
 
 
 def riley_poly_pq(p, q):
     """Riley polynomial of the (p, q) two-bridge word: W11 + (L^-1 - L) W12."""
-    W = eval_word(schubert_word(p, q))
-    lam_minus = LaurentPoly.unit(-1) - LaurentPoly.unit(1)
-    return laurent_to_ry(W.a11 + lam_minus * W.a12)
+    pw = _pack_word(schubert_word(p, q))
+    # L^N (W11 + (L^-1 - L) W12) = M11 + (L^-1 - L) M12, with M12 odd
+    z = pw.m11 + (pw.m12 >> pw.shift) - (pw.m12 << pw.shift)
+    return laurent_to_ry(_unpack(z, -pw.letters, pw))
 
 
 def normalize_unit(F):
@@ -258,14 +316,15 @@ def trace_formula_check(k, samples, seed=""):
     """Exact-rational spot check of tr W_k = Phi_{-k} Psi_k (y - r) + 2."""
     if samples < 1:
         raise ExactError("samples must be >= 1")
-    W = eval_word(w_k_word(k))
+    pw = _pack_word(w_k_word(k))
+    trace = _unpack(pw.m11 + pw.m22, -pw.letters, pw)
     closed = trace_wk(k)
     rng = Random("%strace-formula-%d" % (seed, k))
     for _ in range(samples):
         lam = _rand_fraction(rng, nonzero=True, exclude=(1, -1))
         r0 = _rand_fraction(rng)
         y0 = lam ** 2 + lam ** -2
-        got = W.a11.eval(lam, r0) + W.a22.eval(lam, r0)
+        got = trace.eval(lam, r0)
         want = closed.eval_point(r0, y0)
         if got != want:
             return False
@@ -278,11 +337,10 @@ def ideal_generator_check(k, n, samples, seed=""):
     entries equals the specialized F_{k,n} up to a nonzero rational."""
     if samples < 1:
         raise ExactError("samples must be >= 1")
-    A, B = gen_matrices()
-    W = mat_power(eval_word(w_k_word(k)), n)
-    M = A * W
-    N = W * B
-    entries = [M[i] - N[i] for i in range(4)]
+    word = word_power(w_k_word(k), n)
+    M = eval_word(word_concat((("a", 1),), word))
+    N = eval_word(word_concat(word, (("b", 1),)))
+    entries = [x - y for x, y in zip(M, N)]
     F = riley_poly_J(k, n)
     rng = Random("%sideal-%d-%d" % (seed, k, n))
     for _ in range(samples):

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from bridgevar import curves, geometry, report
+from bridgevar import cli, curves, geometry, report
 from bridgevar.cli import main
 from bridgevar.geometry import genus_Y
 from bridgevar.knotprops import (HYPERBOLIC, TREFOIL, UNKNOT, classify,
@@ -257,6 +257,25 @@ def test_cli_verify_suites_pass(capsys):
     code, out, _ = run(capsys, "verify", "riley", "--kmax", "3",
                        "--nmax", "2", "--seed", "7")
     assert code == 0 and "FAIL" not in out
+
+
+def test_cli_verify_json(capsys, monkeypatch):
+    code, out, _ = run(capsys, "verify", "riley", "--kmax", "2",
+                       "--nmax", "1", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["ok"] is True
+    assert [c["name"] for c in data["checks"]] == [
+        "trace closed form |k|<=2", "word-vs-matrix and normal-form grid",
+        "vanishing-ideal generator spot checks"]
+    assert all(c["ok"] is True for c in data["checks"])
+
+    monkeypatch.setattr(cli, "trace_formula_check", lambda *a, **kw: False)
+    code, out, _ = run(capsys, "verify", "riley", "--kmax", "2",
+                       "--nmax", "1", "--json")
+    assert code == 1
+    data = json.loads(out)
+    assert data["ok"] is False and data["checks"][0]["ok"] is False
 
 
 def test_cli_verify_seed_env_override(capsys, monkeypatch):

@@ -1,9 +1,11 @@
 """Riley polynomials: word calculus, matrix path, closed form.
 
-Oracle: plain 2x2 matrices with Fraction entries.  Words are evaluated
-at exact random (lambda, r) samples completely independently of the
+Oracles: plain 2x2 matrices with Fraction entries, and the general
+product of 2x2 matrices over Z[L^{±1}, r].  Words are evaluated at exact
+random (lambda, r) samples completely independently of the
 Laurent-polynomial machinery, and every symbolic claim is compared
-against those numbers.
+against those numbers; the packed word evaluation is also compared
+entry by entry with the general product.
 """
 
 from fractions import Fraction
@@ -11,10 +13,10 @@ from random import Random
 
 import pytest
 
-from bridgevar.poly import ExactError, LaurentPoly
-from bridgevar.riley import (TraceSubringError, eval_word,
+from bridgevar.poly import ExactError, LaurentPoly, UniPoly
+from bridgevar.riley import (LaurentMat2, TraceSubringError, eval_word,
                              ideal_generator_check, laurent_to_ry,
-                             mat_power, normalize_unit, riley_poly_J,
+                             normalize_unit, riley_poly_J,
                              riley_poly_matrix, riley_poly_pq, schubert_word,
                              trace_formula_check, trace_wk, w_k_word,
                              word_concat, word_inverse, word_normalize,
@@ -46,6 +48,43 @@ def num_word(word, lam, r):
             M, exp = minv(M), -exp
         for _ in range(exp):
             out = mmul(out, M)
+    return out
+
+
+# --- oracle: the general product of Laurent 2x2 matrices -----------------
+
+ONE = LaurentPoly.unit(0)
+ZERO = LaurentPoly.zero()
+IDENTITY = LaurentMat2(ONE, ZERO, ZERO, ONE)
+GENERATORS = {
+    "a": LaurentMat2(LaurentPoly.unit(1), ONE, ZERO, LaurentPoly.unit(-1)),
+    "b": LaurentMat2(LaurentPoly.unit(1), ZERO,
+                     LaurentPoly.unit(0, 2 - UniPoly.gen("r")),
+                     LaurentPoly.unit(-1)),
+}
+
+
+def mat_mul(X, Y):
+    return LaurentMat2(X.a11 * Y.a11 + X.a12 * Y.a21,
+                       X.a11 * Y.a12 + X.a12 * Y.a22,
+                       X.a21 * Y.a11 + X.a22 * Y.a21,
+                       X.a21 * Y.a12 + X.a22 * Y.a22)
+
+
+def mat_power(M, n):
+    if n < 0:
+        assert M.a11 * M.a22 - M.a12 * M.a21 == ONE
+        M, n = LaurentMat2(M.a22, -M.a12, -M.a21, M.a11), -n
+    out = IDENTITY
+    for _ in range(n):
+        out = mat_mul(out, M)
+    return out
+
+
+def product_word(word):
+    out = IDENTITY
+    for gen, exp in word:
+        out = mat_mul(out, mat_power(GENERATORS[gen], exp))
     return out
 
 
@@ -125,6 +164,35 @@ def test_mat_power_matches_numeric_oracle():
             assert P.a22.eval(lam, r) == num[1][1]
 
 
+def random_word(rng, length):
+    return tuple((rng.choice("ab"), rng.randint(-3, 3)) for _ in range(length))
+
+
+def test_packed_eval_word_matches_general_product():
+    rng = Random("packed-words")
+    words = [()] + [random_word(rng, rng.randint(0, 40)) for _ in range(30)]
+    # Words whose largest entry coefficient fills all but five bits of
+    # its two-byte slot.
+    words += [(("a", 3), ("b", 3), ("a", 2), ("b", -3), ("a", -2), ("b", 2)),
+              (("b", -3), ("a", -3), ("b", -3), ("a", -3), ("b", -3),
+               ("a", -1))]
+    for word in words:
+        assert eval_word(word) == product_word(word), word
+
+
+def test_eval_word_wide_coefficients_match_numeric_oracle():
+    # The entries' coefficients reach 130 bits: no 64-bit slot holds them.
+    word = schubert_word(151, 55)
+    W = eval_word(word)
+    top = max(abs(c) for entry in W for _, u in entry.terms() for c in u.c)
+    assert top.bit_length() > 64
+    for lam, r in sample_points(2, "wide"):
+        num = num_word(word, lam, r)
+        for sym, want in zip(W, (num[0][0], num[0][1],
+                                 num[1][0], num[1][1])):
+            assert sym.eval(lam, r) == want
+
+
 # --- trace rewrite -------------------------------------------------------
 
 def test_trace_wk_matches_numeric_trace():
@@ -169,8 +237,8 @@ def test_riley_word_entry_combination_numeric():
 
 
 def test_riley_closed_form_equals_matrix_form():
-    for k in range(-5, 6):
-        for n in range(-3, 4):
+    for k in range(-10, 11):
+        for n in range(-6, 7):
             if n == 0:
                 continue
             a = normalize_unit(riley_poly_J(k, n))
@@ -181,7 +249,9 @@ def test_riley_closed_form_equals_matrix_form():
 def test_riley_pq_matches_J_form():
     # J(k, 2n) <-> two-bridge (p, q); compare through the normal form
     from bridgevar.knotprops import two_bridge_params
-    for k, n in ((2, 1), (2, -1), (3, 1), (-3, 2), (4, 2), (5, -1)):
+    cells = [(k, n) for k in range(-10, 11) if abs(k) >= 2
+             for n in range(-6, 7) if n]
+    for k, n in cells:
         tb = two_bridge_params(k, 2 * n)
         if tb.p == 1:
             continue
