@@ -15,6 +15,9 @@ Comput. Complexity 2 (1992)): the rows x**(i*p) mod m are built once,
 each packed into one int of slots, and every later p-th power is one sum
 of small-int multiples of those ints.
 
+`poly_resultant_p` is the resultant over GF(p) by a Euclidean remainder
+sequence; `poly.resultant_mod_p` interpolates bivariate resultants from it.
+
 All functions return *normalized* lists (no trailing zeros); the zero
 polynomial is the empty list.
 """
@@ -105,6 +108,46 @@ def poly_gcd_p(a, b, p):
         inv = pow(a[-1], p - 2, p)
         a = [(x * inv) % p for x in a]
     return a
+
+
+def poly_resultant_p(a, b, p):
+    """Res(a, b) mod p: the Sylvester determinant, rows of a first, of a
+    and b with their formal degrees len(a) - 1 and len(b) - 1, so that it
+    equals the integer resultant reduced mod p even where a leading
+    coefficient vanishes mod p.  0 if a or b is empty.
+
+    A Euclidean remainder sequence: Res(a, b) = (-1)**(m*n) *
+    lc(b)**(m - deg r) * Res(b, r) for r = a mod b, m = deg a, n = deg b.
+    """
+    m, n = len(a) - 1, len(b) - 1
+    if m < 0 or n < 0:
+        return 0
+    if n == 0:
+        return pow(b[0], m, p)
+    if m == 0:
+        return pow(a[0], n, p)
+    a = trim([x % p for x in a])
+    b = trim([x % p for x in b])
+    da, db = len(a) - 1, len(b) - 1
+    if da < 0 or db < 0 or (da < m and db < n):
+        return 0      # a zero block of rows, or a zero first column
+    # a formal degree above the true one mod p: expand along the columns
+    # that the missing leading coefficients leave with one entry
+    res = 1
+    if da < m:
+        res = pow(b[db], m - da, p) * (-1 if (m - da) * n & 1 else 1)
+    elif db < n:
+        res = pow(a[da], n - db, p)
+    while db:
+        r = poly_rem_p(a, b, p)
+        if not r:
+            return 0
+        if da & db & 1:
+            res = -res
+        res = res * pow(b[db], da - len(r) + 1, p) % p
+        a, b = b, r
+        da, db = db, len(r) - 1
+    return res * pow(b[0], da, p) % p
 
 
 def _series_inverse(f, k, p):

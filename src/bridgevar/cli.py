@@ -202,19 +202,28 @@ def _add_kl(sp):
     sp.add_argument("-l", type=int, required=True)
 
 
-def build_parser():
+def _common_options(suppress):
+    """The options accepted before and after the subcommand.  The
+    subparsers' copies (`suppress`) have no default, so that they set an
+    option only when it is given after the subcommand and do not
+    overwrite what the top-level parser read."""
+    kw = {"default": argparse.SUPPRESS} if suppress else {}
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit JSON")
-    common.add_argument("--jobs", type=int, default=None,
-                        help="worker processes for sweeps")
-    common.add_argument("--seed", default=None,
-                        help="seed label for randomized spot checks "
-                             "(BRIDGEVAR_SEED overrides)")
+    common.add_argument("--json", action="store_true", help="emit JSON", **kw)
+    common.add_argument("--jobs", type=int, help="worker processes for sweeps",
+                        **kw)
+    common.add_argument("--seed", help="seed label for randomized spot checks "
+                                       "(BRIDGEVAR_SEED overrides)", **kw)
+    return common
+
+
+def build_parser():
+    common = _common_options(suppress=True)
     ap = argparse.ArgumentParser(
         prog="bridgevar",
         description="Exact character-variety models and invariants of "
                     "the double twist knots J(k,l).",
-        parents=[common])
+        parents=[_common_options(suppress=False)])
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("analyze", help="full report for one knot",

@@ -1,11 +1,14 @@
 """Smoothness certificates, component counts and genus computations.
 
-Everything here is certified by exact elimination:
+Everything here is certified exactly, by elimination or by counting:
 
 * affine smoothness: the resultants Res_t(F, F_t) and Res_t(F, F_r)
   both lie in the elimination ideal, so a constant gcd proves the
-  affine singular locus empty; candidates surviving the gcd are pushed
-  through the Delta_k / Delta_l filter and verified pointwise.
+  affine singular locus empty.  The proof is first tried modulo one
+  61-bit prime (`modular_smoothness_trace`, whose trace is the
+  witness); where it does not go through, the exact subresultant route
+  (`exact_singular_locus`) pushes the candidates surviving the gcd
+  through the Delta_k / Delta_l filter and verifies them pointwise.
 * smoothness at infinity: a line of bidegree (1,0) meets a curve of
   bidegree (a,b) in exactly b points counted with multiplicity, so
   finding b distinct points proves every one of them is a transversal
@@ -17,8 +20,10 @@ Everything here is certified by exact elimination:
 
 from typing import NamedTuple, Optional
 
+from .kernels import poly_gcd_p
 from .poly import (UniPoly, BiPoly, ExactError, poly_gcd, resultant,
-                   squarefree_part, is_separable, rational_roots)
+                   resultant_mod_p, squarefree_part, is_separable,
+                   rational_roots)
 from .seq import f_poly, g_poly, delta, big_g
 from .curves import (d_model, d_split, _swap_if_needed,
                      STATE_CURVE, STATE_EMPTY, STATE_FULL_PLANE,
@@ -55,13 +60,19 @@ class AffineVerdict(NamedTuple):
     trace: dict
 
 
+# The primes of the modular certificate, tried in this order.
+CERTIFICATE_PRIMES = (2 ** 61 - 1, 2 ** 61 - 31, 2 ** 61 - 45)
+
+
 def affine_singular_locus(F, delta_filter=None):
     """Singular locus of the affine curve F = 0.
 
     Returns Empty when a constant gcd of eliminants (optionally sharpened
     by the (Delta_k, Delta_l) filter) proves there is none; otherwise a
     list of candidate points, exactly verified where rational and
-    cross-checked through both projections otherwise.
+    cross-checked through both projections otherwise.  The proof of
+    Empty is tried mod p first (`modular_smoothness_trace`); every other
+    verdict, and every error, comes from `exact_singular_locus`.
     """
     if F.is_zero:
         raise ExactError("affine_singular_locus needs a nonzero polynomial")
@@ -71,6 +82,68 @@ def affine_singular_locus(F, delta_filter=None):
     cont = F.content_inner()
     if cont.degree > 0 and not is_separable(cont):
         raise ExactError("non-reduced input: repeated factor %s" % cont)
+    if a > 0 and b > 0:
+        trace = modular_smoothness_trace(
+            F, None if delta_filter is None else delta_filter[0])
+        if trace is not None:
+            return AffineVerdict("Empty", (), trace)
+    return exact_singular_locus(F, delta_filter)
+
+
+def modular_smoothness_trace(F, delta_r=None):
+    """The witness that F = 0 has no affine singular point, from the
+    resultants mod one prime of `CERTIFICATE_PRIMES`, or None when no
+    listed prime gives a proof.
+
+    F has positive degree in both variables, integer coefficients and a
+    separable content.  Let G be the gcd over Q of R1 = Res_t(F, F_t),
+    R2 = Res_t(F, F_r) and, when given, the filter delta_r = Delta_k(r).
+    Every singular point has its r-coordinate among the roots of G, so a
+    constant G proves the locus empty; that is the exact route's rule
+    ``gcd_r_degree <= 0``.  Taking G primitive, G divides each of them in
+    Z[r] (Gauss), so lc(G) divides lc(delta_r) and lc(R1).  Hence G mod p
+    keeps the degree of G when p does not divide lc(delta_r), or when
+    R1 mod p reaches the Sylvester bound on deg R1 (then lc(R1) is
+    nonzero mod p).  In either case G mod p divides the gcd mod p of the
+    eliminants computed, so a constant gcd mod p proves G constant.
+    R2 is computed only when the gcd of the others is not constant.
+    A zero R1 mod p proves nothing; the exact route rejects R1 = 0.
+
+    The trace holds the prime, the degrees of the resultants mod p,
+    the Sylvester bound on deg R1, whether delta_r was used, and the
+    degree 0 of the gcd mod p.
+    """
+    Ft = F.deriv_outer()
+    for p in CERTIFICATE_PRIMES:
+        R1, bound = resultant_mod_p(F, Ft, p)
+        if not R1:
+            continue
+        trace = {"prime": p, "degree_bound": bound,
+                 "res_degrees_mod_p": {"Res_t(F,Ft)": len(R1) - 1}}
+        kept = len(R1) - 1 == bound
+        G = R1
+        if delta_r is not None and delta_r.lead % p:
+            G = poly_gcd_p(R1, list(delta_r.c), p)
+            trace["delta_filter"] = True
+            kept = True
+        if not kept:
+            continue
+        if len(G) > 1:
+            R2, _ = resultant_mod_p(F, F.deriv_inner(), p)
+            trace["res_degrees_mod_p"]["Res_t(F,Fr)"] = (
+                len(R2) - 1 if R2 else "-inf")
+            G = poly_gcd_p(G, R2, p)
+        if len(G) == 1:
+            trace["gcd_r_degree"] = 0
+            return trace
+    return None
+
+
+def exact_singular_locus(F, delta_filter=None):
+    """`affine_singular_locus` by exact subresultant PRS eliminants over
+    Z, for F already screened there; the route of every Points verdict
+    and of the R1 = 0 error."""
+    a, b = int(F.degree_inner or 0), int(F.degree_outer or 0)
     # In characteristic 0, Res_t(F, F_t) = 0 exactly when F has a repeated
     # factor of positive t-degree; repeated factors in r alone divide the
     # content, checked above.

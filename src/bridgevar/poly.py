@@ -12,11 +12,10 @@ Everything downstream works with four representations:
                of a word's 2x2 matrix, unpacked by `riley`).
 * QuadElem  -- a + b*w with w^2 = -1 or w^2 = 3, exact.
 
-plus a small RatPoly wrapper for quotients of UniPoly.
-
 Resultants and gcds run a subresultant polynomial remainder sequence
-over the integers (no modular arithmetic, no CRT); the mod-p machinery
-exists only for factor-degree patterns.  Division is always exact or an
+over the integers.  The mod-p machinery serves factor-degree patterns
+and `resultant_mod_p`, a bivariate resultant reduced mod one prime by
+evaluation and interpolation (no CRT).  Division is always exact or an
 error -- no floats anywhere except `complex_roots`.
 """
 
@@ -24,7 +23,8 @@ from fractions import Fraction
 from math import gcd as int_gcd, isqrt
 
 from .kernels import (frobenius_apply_p, frobenius_rows_p, poly_gcd_p,
-                      poly_mul, poly_mul_p, poly_powmod_p, trim)
+                      poly_mul, poly_mul_p, poly_powmod_p, poly_resultant_p,
+                      trim)
 
 NEG_INF = float("-inf")
 
@@ -170,6 +170,17 @@ class UniPoly:
         if isinstance(other, (int, Fraction)):
             if not other:
                 raise ZeroDivisionError("division by zero")
+            if isinstance(other, int):
+                out = []
+                for v in self.c:
+                    if not isinstance(v, int):
+                        break
+                    q, r = divmod(v, other)
+                    if r:
+                        break
+                    out.append(q)
+                else:
+                    return UniPoly(out, self.var)
             out = []
             for v in self.c:
                 q = Fraction(v, other) if isinstance(v, int) and isinstance(other, int) else v / Fraction(other)
@@ -826,6 +837,64 @@ def resultant(f, g, eliminate):
     return res
 
 
+def _eval_p(c, x, p):
+    """c(x) mod p for an int coefficient list c."""
+    acc = 0
+    for v in reversed(c):
+        acc = (acc * x + v) % p
+    return acc
+
+
+def _interpolate_p(values, p):
+    """The coefficient list, mod p, of the polynomial of degree below
+    len(values) that takes values[x] at x = 0, 1, 2, ...: Newton divided
+    differences, whose level-j denominators are all j because the points
+    are consecutive, then the Newton form expanded by Horner's rule."""
+    n = len(values)
+    inv = [0, 1]
+    for i in range(2, n):
+        inv.append((p - p // i) * inv[p % i] % p)
+    c = list(values)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) * inv[j] % p
+    out = []
+    for i in range(n - 1, -1, -1):
+        # out <- out * (x - i) + c[i]
+        out = [(hi - i * lo) % p
+               for hi, lo in zip([0] + out, out + [0])]
+        out[0] = (out[0] + c[i]) % p
+    return trim(out)
+
+
+def resultant_mod_p(f, g, p):
+    """`resultant(f, g, f.outer)` reduced mod the prime p, as a coefficient
+    list in the inner variable, with the Sylvester bound on its degree:
+    the pair (coefficients, bound).  f and g have int coefficients.  The
+    bound is (deg_outer f + deg_outer g) * max(deg_inner f, deg_inner g),
+    the size of the Sylvester matrix times the degree of its entries.
+
+    The resultant is evaluated at inner = 0, 1, ..., bound by
+    `poly_resultant_p` and interpolated.  The kernel keeps the formal
+    outer degrees, so each value is the integer resultant's value mod p
+    even where a leading coefficient vanishes there.
+    """
+    if (f.outer, f.inner) != (g.outer, g.inner):
+        raise ExactError("BiPoly variable mismatch")
+    if f.is_zero or g.is_zero:
+        return [], 0
+    fc = [list(c.c) for c in f.cs]
+    gc = [list(c.c) for c in g.cs]
+    bound = (len(fc) + len(gc) - 2) * max(len(c) - 1 for c in fc + gc)
+    if bound >= p:
+        raise ExactError("too few evaluation points mod %d" % p)
+    # Res(g, f) in the Sylvester order is the sign convention of `resultant`
+    values = [poly_resultant_p([_eval_p(c, x, p) for c in gc],
+                               [_eval_p(c, x, p) for c in fc], p)
+              for x in range(bound + 1)]
+    return _interpolate_p(values, p), bound
+
+
 def bipoly_divexact(f, g):
     """Exact division of BiPoly by BiPoly (error if not exact)."""
     if g.is_zero:
@@ -962,34 +1031,6 @@ class LaurentPoly:
             return "LaurentPoly(0)"
         ts = ", ".join("L^%d:(%s)" % (e, c) for e, c in self.terms())
         return "LaurentPoly(%s)" % ts
-
-
-# ---------------------------------------------------------------------------
-# RatPoly
-
-class RatPoly:
-    """Quotient of two UniPoly, normalized so gcd(num, den) is constant."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den):
-        if den.is_zero:
-            raise ZeroDivisionError("RatPoly with zero denominator")
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num = num.divexact(g)
-            den = den.divexact(g)
-        self.num = num
-        self.den = den
-
-    def __call__(self, value):
-        d = self.den(value)
-        if isinstance(d, (int, Fraction)):
-            return Fraction(self.num(value), d)
-        return self.num(value) / d
-
-    def __repr__(self):
-        return "RatPoly((%s)/(%s))" % (self.num, self.den)
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,12 @@ formula computed by hand.
 import pytest
 
 from bridgevar.curves import d_model
-from bridgevar.geometry import (DegenerateModel, affine_singular_locus,
-                                component_count, genus_X, genus_Y,
-                                infinity_transversality, odd_point_count,
+from bridgevar.geometry import (CERTIFICATE_PRIMES, DegenerateModel,
+                                affine_singular_locus, component_count,
+                                genus_X, genus_Y, infinity_transversality,
+                                modular_smoothness_trace, odd_point_count,
                                 odd_point_report, smoothness_certificate)
-from bridgevar.poly import BiPoly, ExactError, UniPoly
+from bridgevar.poly import BiPoly, ExactError, UniPoly, resultant
 
 R = UniPoly.gen("r")
 T = BiPoly.gen_outer("t", "r")
@@ -64,6 +65,34 @@ def test_resultant_trace_recorded():
     v = affine_singular_locus(T - RB ** 2)
     assert "res_degrees" in v.trace
     assert v.trace["gcd_r_degree"] == 0
+
+
+def test_singular_and_unproved_inputs_reach_the_exact_route():
+    node = T ** 2 - RB ** 2 * (RB + 1)
+    cusp = (T - 1) ** 2 - (RB - 2) ** 3
+    # deg_r Res_t(F, F_t) is 0 here, below the Sylvester bound 2, and no
+    # filter bounds the gcd: no proof mod p, Empty from the exact route
+    parabola = T - RB ** 2
+    for F in (node, cusp, node.eval_outer(T + 3), parabola):
+        assert modular_smoothness_trace(F) is None
+        assert "res_degrees" in affine_singular_locus(F).trace
+    # a filter that keeps the node's r = 0 does not hide it
+    u = UniPoly.gen("u")
+    assert modular_smoothness_trace(node, u) is None
+    v = affine_singular_locus(node, delta_filter=(u, u))
+    assert v.kind == "Points" and v.points[0]["point"] == ("0", "0")
+
+
+def test_modular_trace_without_a_filter():
+    # D1(6, 6): k = l has no Delta filter, so the proof needs deg R1 mod p
+    # at the Sylvester bound a(2b - 1) = 6, and R2 = Res_t(F, F_r)
+    F = smoothness_certificate(6, 6).target.equation
+    assert resultant(F, F.deriv_outer(), "t").degree == 6
+    assert resultant(F, F.deriv_inner(), "t").degree == 4
+    assert modular_smoothness_trace(F) == {
+        "prime": CERTIFICATE_PRIMES[0], "degree_bound": 6,
+        "res_degrees_mod_p": {"Res_t(F,Ft)": 6, "Res_t(F,Fr)": 4},
+        "gcd_r_degree": 0}
 
 
 # --- transversality at infinity ------------------------------------------

@@ -14,13 +14,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bridgevar.kernels import poly_gcd_p, poly_mul_p, poly_powmod_p, poly_rem_p
+from bridgevar.kernels import (poly_gcd_p, poly_mul, poly_mul_p,
+                               poly_powmod_p, poly_rem_p, poly_resultant_p,
+                               trim)
 from bridgevar.knotprops import trace_field_poly
 from bridgevar.poly import (BAD_PRIME, BiPoly, ExactError, QuadElem, UniPoly,
                             complex_roots, irreducibility_analysis, factorint,
                             is_prime, is_separable, modp_degree_pattern,
                             next_prime, parse_poly, poly_gcd, rational_roots,
-                            resultant, squarefree_part)
+                            resultant, resultant_mod_p, squarefree_part)
 
 
 # --- oracles -----------------------------------------------------------
@@ -186,6 +188,21 @@ def test_divexact_and_failure():
         (U + 1).divexact(U - 1)
 
 
+def test_divexact_by_int_keeps_the_coefficient_type():
+    exact = mk([6, -4, 2]).divexact(-2)
+    assert exact == mk([-3, 2, -1])
+    assert all(type(v) is int for v in exact.c)
+    half = mk([6, -3, 2]).divexact(2)
+    assert half.c == (3, Fraction(-3, 2), 1)
+    assert all(type(v) is Fraction for v in half.c)
+    mixed = mk([Fraction(3, 2), 3]).divexact(3)
+    assert mixed.c == (Fraction(1, 2), 1)
+    assert all(type(v) is Fraction for v in mixed.c)
+    assert mk([Fraction(4, 3), 4]).divexact(Fraction(2, 3)).c == (2, 6)
+    with pytest.raises(ZeroDivisionError):
+        mk([1, 2]).divexact(0)
+
+
 def test_primitive_sign_convention():
     assert mk([2, -4]).primitive() == mk([-1, 2])
     assert mk([-2, 4]).primitive() == mk([-1, 2])
@@ -262,6 +279,62 @@ def test_resultant_matches_sylvester(a, b):
             continue  # lead collapsed: specialization != resultant here
         # row order pinned by Res_t(r-t, r+t) = +2r: second poly on top
         assert got(r0) == sylvester_resultant(bv, av)
+
+
+RESULTANT_PRIMES = [2, 3, 101, 2 ** 31 - 1, 2 ** 61 - 1]
+
+
+@pytest.mark.parametrize("p", RESULTANT_PRIMES)
+def test_resultant_p_matches_sylvester(p):
+    rng = random.Random(p)
+
+    def draw(n, keep_lead=True):
+        """n + 1 coefficients; the last is a nonzero multiple of p unless
+        keep_lead, so that the degree drops mod p."""
+        c = [rng.randrange(-3 * p, 3 * p) for _ in range(n + 1)]
+        c[-1] = (rng.choice([1, -1]) * rng.randrange(1, p) + 3 * p
+                 if keep_lead else rng.randrange(1, 5) * p)
+        return c
+
+    cases = [([5], [7]), ([5], [1, 2, 3]), ([1, 2, 3], [p]), ([p], [1, 2]),
+             ([p, 2 * p], [1, 1]), ([1, p], [3, p])]
+    for _ in range(60):
+        m, n = rng.randrange(0, 8), rng.randrange(0, 8)
+        a, b = draw(m, rng.random() < 0.7), draw(n, rng.random() < 0.7)
+        cases.append((a, b))
+        common = draw(rng.randrange(1, 3))
+        cases.append((poly_mul(a, common), poly_mul(b, common)))
+    drops = zeros = 0
+    for a, b in cases:
+        want = int(sylvester_resultant(a, b)) % p
+        assert poly_resultant_p(a, b, p) == want, (a, b)
+        drops += bool(a[-1] % p == 0 or b[-1] % p == 0)
+        zeros += want == 0
+    assert drops > 10 and zeros > 10
+    assert poly_resultant_p([], [1, 2], p) == 0
+
+
+@pytest.mark.parametrize("p", [101, 2 ** 61 - 1])
+def test_resultant_mod_p_matches_exact_resultant(p):
+    rng = random.Random(p)
+    r = BiPoly.from_inner(UniPoly.gen("r"), "t")
+    t = BiPoly.gen_outer("t", "r")
+    # leading t-coefficients that vanish at evaluation points
+    pairs = [(r * (r - 1) * t ** 2 + t - 3, (r - 2) * t + r ** 2),
+             (t ** 3 - r, t ** 3 + r)]
+    for _ in range(20):
+        f, g = (BiPoly([UniPoly([rng.randint(-9, 9) for _ in range(3)], "r")
+                        for _ in range(rng.randint(1, 4))], "t", "r")
+                for _ in range(2))
+        if not f.is_zero and not g.is_zero:
+            pairs.append((f, g))
+    for f, g in pairs:
+        got, bound = resultant_mod_p(f, g, p)
+        exact = resultant(f, g, "t")
+        assert exact.degree <= bound
+        assert got == trim([c % p for c in exact.c]), (f, g)
+    with pytest.raises(ExactError, match="too few"):
+        resultant_mod_p((t - r) ** 40, t + r ** 3, 101)
 
 
 def test_resultant_vanishes_iff_common_factor():

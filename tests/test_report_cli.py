@@ -6,16 +6,21 @@ parsed output checked against the library API directly.
 """
 
 import json
+import re
 import sys
 
 import pytest
 
 from bridgevar import cli, curves, geometry, report
 from bridgevar.cli import main
-from bridgevar.geometry import genus_Y
+from bridgevar.geometry import exact_singular_locus, genus_Y
+from bridgevar.kernels import poly_gcd_p
 from bridgevar.knotprops import (HYPERBOLIC, TREFOIL, UNKNOT, classify,
                                  trace_field_poly)
-from bridgevar.poly import ExactError, modp_degree_pattern, squarefree_part
+from bridgevar.poly import (BiPoly, ExactError, UniPoly, is_prime,
+                            modp_degree_pattern, resultant_mod_p,
+                            squarefree_part)
+from bridgevar.seq import delta
 from bridgevar.report import build_report, render_text, to_json
 
 SECTIONS = ("knot", "classification", "models", "two_bridge", "smoothness",
@@ -191,6 +196,90 @@ def test_irreducibility_witnesses_recheck_from_json():
     assert seen == 140
 
 
+# The knots of the benchmark's `grid` (|k|, |l| <= 8, kl even) and `large`
+# workloads.
+GRID_KNOTS = [(k, l) for k in range(-8, 9) for l in range(-8, 9)
+              if (k % 2 == 0 or l % 2 == 0) and classify(k, l) == HYPERBOLIC]
+LARGE_KNOTS = [(14, 14), (13, -10), (-11, -12), (12, -10), (-14, -9)]
+
+
+@pytest.fixture(scope="module")
+def smoothness_sections():
+    return [json.loads(json.dumps(report.Knot(k, l).section("smoothness")))
+            for k, l in GRID_KNOTS + LARGE_KNOTS]
+
+
+def parse_bipoly(text):
+    """The BiPoly in t over r of a report equation such as r*t^2-t+1."""
+    terms = {}
+    for sign, body in re.findall(r"([+-]?)([^+-]+)", text):
+        coef, i, j = 1, 0, 0
+        for factor in body.split("*"):
+            var, _, exp = factor.partition("^")
+            if var == "r":
+                i = int(exp or 1)
+            elif var == "t":
+                j = int(exp or 1)
+            else:
+                coef = int(var)
+        terms[i, j] = -coef if sign == "-" else coef
+    a = max(i for i, _ in terms)
+    b = max(j for _, j in terms)
+    F = BiPoly([UniPoly([terms.get((i, j), 0) for i in range(a + 1)], "r")
+                for j in range(b + 1)], "t", "r")
+    assert str(F) == text
+    return F
+
+
+def test_smoothness_witnesses_recheck_from_json(smoothness_sections):
+    # R1 = Res_t(F, F_t) and R2 = Res_t(F, F_r) mod the recorded prime
+    # have the recorded degrees and a constant gcd with Delta_k, and either
+    # p misses lc(Delta_k) or deg R1 mod p is the Sylvester bound.
+    assert len(smoothness_sections) == 158 + 5
+    for section in smoothness_sections:
+        target, trace = section["target"], section["affine"]["trace"]
+        F = parse_bipoly(target["equation"])
+        a, b = target["bidegree"]
+        assert (F.degree_inner, F.degree_outer) == (a, b)
+        p = trace["prime"]
+        assert is_prime(p) and p.bit_length() == 61
+        assert trace["degree_bound"] == a * (2 * b - 1)
+        R1, _ = resultant_mod_p(F, F.deriv_outer(), p)
+        degrees = {"Res_t(F,Ft)": len(R1) - 1}
+        G = R1
+        if "delta_filter" in section["method"]:
+            assert trace["delta_filter"] is True
+            dr = delta(target["k"])
+            assert dr.lead % p
+            G = poly_gcd_p(G, list(dr.c), p)
+        else:
+            assert "delta_filter" not in trace
+            assert len(R1) - 1 == a * (2 * b - 1)
+        if "Res_t(F,Fr)" in trace["res_degrees_mod_p"]:
+            R2, _ = resultant_mod_p(F, F.deriv_inner(), p)
+            degrees["Res_t(F,Fr)"] = len(R2) - 1
+            G = poly_gcd_p(G, R2, p)
+        assert trace["res_degrees_mod_p"] == degrees, target
+        assert len(G) == 1 and trace["gcd_r_degree"] == 0, target
+        assert section["smooth"] is True
+
+
+def test_modular_and_exact_routes_agree(smoothness_sections):
+    # The exact subresultant route, run on the same equations, proves
+    # the same knots smooth.
+    for section in smoothness_sections:
+        target, trace = section["target"], section["affine"]["trace"]
+        F = parse_bipoly(target["equation"])
+        filt = None
+        if "delta_filter" in section["method"]:
+            filt = (delta(target["k"]), delta(target["l"]))
+        exact = exact_singular_locus(F, filt)
+        assert exact.kind == "Empty", target
+        assert exact.trace["gcd_r_degree"] == 0, target
+        assert (exact.trace["res_degrees"]["Res_t(F,Ft)"]
+                >= trace["res_degrees_mod_p"]["Res_t(F,Ft)"])
+
+
 @pytest.mark.parametrize("command,section", [
     ("model", "models"), ("tracefield", "trace_field"),
     ("commensurability", "commensurability")])
@@ -276,6 +365,20 @@ def test_cli_verify_json(capsys, monkeypatch):
     assert code == 1
     data = json.loads(out)
     assert data["ok"] is False and data["checks"][0]["ok"] is False
+
+
+@pytest.mark.parametrize("argv", [("analyze", "-k", "2", "-l", "4"),
+                                  ("verify", "riley", "--kmax", "2",
+                                   "--nmax", "1")])
+def test_cli_common_options_before_or_after_the_command(capsys, argv):
+    before = run(capsys, "--json", *argv)
+    assert before == run(capsys, *argv, "--json")
+    assert before[0] == 0
+    json.loads(before[1])
+    args = cli.build_parser().parse_args(["--jobs", "3", "--seed", "s", *argv])
+    assert (args.json, args.jobs, args.seed) == (False, 3, "s")
+    args = cli.build_parser().parse_args(["--jobs", "3", *argv, "--jobs", "4"])
+    assert (args.jobs, args.seed) == (4, None)
 
 
 def test_cli_verify_seed_env_override(capsys, monkeypatch):
