@@ -4,10 +4,15 @@ Dense little-endian coefficient lists.  These are the hot inner loops of
 the whole package (bigint convolution; arithmetic mod p for degree
 patterns).  Products mod p use Kronecker substitution: the coefficients
 are packed into one Python int, so that CPython's bigint multiply does
-the convolution (Harvey, J. Symbolic Comput. 44 (2009)).  `poly_powmod_p`
-reduces each product by a Barrett step built from the series inverse of
-the reversed modulus (von zur Gathen & Gerhard, Modern Computer Algebra,
-ch. 9), so that its reductions are Kronecker products too.
+the convolution (Harvey, J. Symbolic Comput. 44 (2009)).
+
+Products modulo a monic m of degree n use its reduction table
+(`reduction_table_p`): the rows x**(n + j) mod m for j < n - 1, each
+packed into one int of slots wide enough for (2n - 1) (p - 1)**2.  A
+product mod m is one Kronecker product of the packed operands, the n - 1
+high slots read mod p, their multiples of the rows added to the n low
+slots without unpacking, and one unpack.  `poly_powmod_p` squares on the
+table, and when the base is x its multiplies are one-slot shifts.
 
 `frobenius_rows_p` and `frobenius_apply_p` apply the Frobenius map
 a -> a**p of GF(p)[x]/(m) as a GF(p)-linear map (von zur Gathen & Shoup,
@@ -21,6 +26,8 @@ sequence; `poly.resultant_mod_p` interpolates bivariate resultants from it.
 All functions return *normalized* lists (no trailing zeros); the zero
 polynomial is the empty list.
 """
+
+from functools import lru_cache
 
 
 def trim(c):
@@ -150,75 +157,96 @@ def poly_resultant_p(a, b, p):
     return res * pow(b[0], da, p) % p
 
 
-def _series_inverse(f, k, p):
-    """g with f * g = 1 mod (x**k, p), for f[0] = 1, by Newton iteration."""
-    g = [1]
-    n = 1
-    while n < k:
-        n = min(2 * n, k)
-        h = poly_mul_p(f[:n], g, p)[:n]
-        g = poly_mul_p(g, [1] + [-c for c in h[1:]], p)[:n]  # g * (2 - h)
-    return g
+def reduction_table_p(m, p):
+    """The reduction table of the modulus (m, p): (n, w, rows), where n is
+    the degree of m, w = `_slot_width(2n - 1, p)` and row j is
+    x**(n + j) mod (m, p), for j < n - 1, packed into one int of w-byte
+    slots.  The leading coefficient of m must be nonzero mod p.
+
+    Row 0 is minus the low coefficients of m made monic; row j + 1 is x
+    times row j, whose top coefficient c folds back as c times row 0.
+    The last table built is kept, because a degree pattern asks for the
+    table of one modulus three times in a row.
+    """
+    return _reduction_table(tuple(m), p)
 
 
-def _barrett_rem(a, n, m_low, m_inv, p):
-    """a mod (m, p) for a reduced a of length at most 2n - 1, where m is
-    monic of degree n, m_low its n low coefficients and m_inv the inverse
-    of its reversal modulo x**(n - 1)."""
-    k = len(a) - n  # number of quotient coefficients
-    if k <= 0:
-        return a
-    rev_q = poly_mul_p(a[n:][::-1], m_inv[:k], p)[:k]
-    q = [0] * (k - len(rev_q)) + rev_q[::-1]
-    qm = poly_mul_p(q, m_low, p)
-    qm += [0] * (n - len(qm))
-    return trim([(a[i] - qm[i]) % p for i in range(n)])
-
-
-def _barrett_setup(m, p):
-    """(n, m_low, m_inv) of `_barrett_rem` for reducing modulo (m, p): the
-    degree n of m, the low coefficients of m made monic, and the series
-    inverse of their reversal.  The leading coefficient of m must be
-    nonzero mod p."""
+@lru_cache(maxsize=1)
+def _reduction_table(m, p):
     n = len(m) - 1
-    inv = pow(m[n] % p, p - 2, p)
-    m_low = [(c * inv) % p for c in m[:n]]
-    return n, m_low, _series_inverse([1] + m_low[::-1], n - 1, p)
+    inv = p - pow(m[n] % p, p - 2, p)
+    t0 = [(c * inv) % p for c in m[:n]]
+    rows = [t0][:n - 1]
+    while len(rows) < n - 1:
+        c = rows[-1][-1]
+        rows.append([(s + c * u) % p
+                     for s, u in zip([0] + rows[-1][:-1], t0)])
+    w = _slot_width(2 * n - 1, p)
+    return n, w, tuple([_pack(t, p, w) for t in rows])
+
+
+def _reduce_packed(z, table, p):
+    """z mod (m, p) as a coefficient list, where table is
+    `reduction_table_p(m, p)` and z is packed in its slots: at most
+    2n - 1 slots, each at most n (p - 1)**2.
+
+    The high slots of z, read mod p, are added back as multiples of the
+    rows to its n low slots.  A low slot then holds at most
+    n (p - 1)**2 + (n - 1) (p - 1)**2, so no slot carries.
+    """
+    n, w, rows = table
+    bits = 8 * w * n
+    hi = z >> bits
+    hi = hi.to_bytes((hi.bit_length() + 7) // 8, "little")
+    z &= (1 << bits) - 1
+    z += sum([(int.from_bytes(hi[i:i + w], "little") % p) * row
+              for i, row in zip(range(0, len(hi), w), rows)])
+    return _unpack(z.to_bytes(bits // 8, "little"), w, p)
+
+
+def poly_mulmod_p(a, b, table, p):
+    """a * b mod (m, p) for a and b reduced mod (m, p), where table is
+    `reduction_table_p(m, p)`: one Kronecker product in the table's
+    slots, then `_reduce_packed`."""
+    w = table[1]
+    return _reduce_packed(_pack(a, p, w) * _pack(b, p, w), table, p)
 
 
 def poly_powmod_p(base, e, m, p):
-    """base**e modulo (m, p) by square and multiply.  The leading
-    coefficient of m must be nonzero mod p."""
-    n, m_low, m_inv = _barrett_setup(m, p)
-    result = [1]
-    acc = poly_rem_p(base, m, p)
-    while e:
-        if e & 1:
-            result = _barrett_rem(poly_mul_p(result, acc, p),
-                                  n, m_low, m_inv, p)
-        e >>= 1
-        if e:
-            acc = _barrett_rem(poly_mul_p(acc, acc, p),
-                               n, m_low, m_inv, p)
-    return result
+    """base**e modulo (m, p) by left-to-right square and multiply on the
+    reduction table of (m, p).  When base reduces to x, each multiply is a
+    shift by one slot, and only that one high slot is folded back.  The
+    leading coefficient of m must be nonzero mod p."""
+    if not e:
+        return [1]
+    table = reduction_table_p(m, p)
+    w = table[1]
+    r = poly_rem_p(base, m, p)
+    y = _pack(r, p, w)
+    for bit in bin(e)[3:]:
+        x = _pack(r, p, w)
+        r = _reduce_packed(x * x, table, p)
+        if bit == "1":
+            r = _reduce_packed(_pack(r, p, w) * y, table, p)
+    return r
 
 
 def frobenius_rows_p(h, m, p):
     """The Frobenius map of GF(p)[x]/(m), for h = x**p reduced modulo
     (m, p), as the argument of `frobenius_apply_p`.
 
-    Row i is x**(i*p) = h**i mod (m, p) for i < n = deg m, built by n - 2
-    Barrett products that share one series inverse, and packed into one
-    int of w-byte slots.  A slot holds n * (p - 1)**2, so a sum of the n
-    rows times coefficients below p never carries between slots.
+    Row i is x**(i*p) = h**i mod (m, p) for i < n = deg m: row i + 1 is
+    the product of row i and h on the reduction table of (m, p), and the
+    rows are packed in that table's w-byte slots.  A slot holds
+    (2n - 1) (p - 1)**2, so a sum of the n rows times coefficients below
+    p never carries between slots.
     """
-    n, m_low, m_inv = _barrett_setup(m, p)
-    w = _slot_width(n, p)
-    rows = [[1], h][:n]
+    table = n, w, _ = reduction_table_p(m, p)
+    y = _pack(h, p, w)
+    rows = [1, y][:n]
     while len(rows) < n:
-        rows.append(_barrett_rem(poly_mul_p(rows[-1], h, p),
-                                 n, m_low, m_inv, p))
-    return w, [_pack(row, p, w) for row in rows]
+        rows.append(_pack(_reduce_packed(rows[-1] * y, table, p), p, w))
+    return w, rows
 
 
 def frobenius_apply_p(frob, a, p):

@@ -20,11 +20,12 @@ error -- no floats anywhere except `complex_roots`.
 """
 
 from fractions import Fraction
+from itertools import islice
 from math import gcd as int_gcd, isqrt
 
 from .kernels import (frobenius_apply_p, frobenius_rows_p, poly_gcd_p,
-                      poly_mul, poly_mul_p, poly_powmod_p, poly_resultant_p,
-                      trim)
+                      poly_mul, poly_mul_p, poly_mulmod_p, poly_powmod_p,
+                      poly_resultant_p, reduction_table_p, trim)
 
 NEG_INF = float("-inf")
 
@@ -1288,12 +1289,23 @@ def modp_degree_pattern(f, p):
     Since only degree *patterns* are needed, no equal-degree splitting is
     performed.
 
-    The iterates x**(p**d) are kept modulo f itself, which leaves those
-    gcds unchanged because v divides f.  That makes the Frobenius map
-    a -> a**p of GF(p)[x]/(f) one fixed linear map: x**p is computed once
-    by `poly_powmod_p`, the rows x**(i*p) mod f are built from it once, and
-    each further degree step applies them (von zur Gathen & Shoup, Comput.
-    Complexity 2 (1992)).
+    The gcds are batched over blocks of degrees [d0, d1] with
+    d1 = min(2*d0 - 1, deg v // 2) (von zur Gathen & Shoup, Comput.
+    Complexity 2 (1992); Kaltofen & Shoup, Math. Comp. 67 (1998)): one
+    gcd(P, v) with P the product of x**(p**d) - x over the block.  v has
+    no factor of degree below d0, and a factor of degree e >= d0 divides
+    x**(p**d) - x iff e divides d, which for d < 2e means e = d; so the
+    gcd is the product of the factors of v with degrees in [d0, d1].  Its
+    degree often splits into parts from [d0, d1] in one way only, which
+    then is the pattern of that block; otherwise one gcd per degree
+    splits it.  When 2*d0 exceeds deg v, v is irreducible.
+
+    The iterates x**(p**d) and P are kept modulo f itself, which leaves
+    those gcds unchanged because v divides f.  That makes the Frobenius
+    map a -> a**p of GF(p)[x]/(f) one fixed linear map: x**p is computed
+    once by `poly_powmod_p`, the rows x**(i*p) mod f are built from it
+    once, and each further degree step applies them.  The products that
+    make P use the reduction table of f.
 
     Degree patterns at several primes also prove irreducibility over Q
     (Musser, J. ACM 25 (1978)): the degrees of a factor over Q add up, at
@@ -1316,30 +1328,46 @@ def modp_degree_pattern(f, p):
     # monicize
     inv = pow(a[-1], p - 2, p)
     v = m = [(x * inv) % p for x in a]
+    table = reduction_table_p(m, p)
     pattern = []
-    xp = [0, 1]  # running x**(p**d) mod m
-    d = 0
-    while len(v) - 1 >= 1:
-        d += 1
-        if 2 * d > len(v) - 1:
-            pattern.append(len(v) - 1)
-            break
-        if d == 1:
-            xp = poly_powmod_p(xp, p, m, p)
-        else:
+    xp = poly_powmod_p([0, 1], p, m, p)  # running x**(p**d) mod m
+    d0 = 1
+    while 2 * d0 <= len(v) - 1:
+        d1 = min(2 * d0 - 1, (len(v) - 1) // 2)
+        diffs = []  # x**(p**d) - x for d in [d0, d1]
+        for d in range(d0, d1 + 1):
             if d == 2:
                 frob = frobenius_rows_p(xp, m, p)  # xp is x**p here
-            xp = frobenius_apply_p(frob, xp, p)
-        diff = list(xp)
-        if len(diff) < 2:
-            diff += [0] * (2 - len(diff))
-        diff[1] = (diff[1] - 1) % p
-        g = poly_gcd_p(diff, v, p)
-        dg = len(g) - 1
-        if dg > 0:
-            pattern.extend([d] * (dg // d))
+            if d > 1:
+                xp = frobenius_apply_p(frob, xp, p)
+            diff = xp + [0] * (2 - len(xp))
+            diff[1] = (diff[1] - 1) % p
+            diffs.append(trim(diff))
+        prod = diffs[0]
+        for diff in diffs[1:]:
+            prod = poly_mulmod_p(prod, diff, table, p)
+        g = poly_gcd_p(prod, v, p)
+        if len(g) > 1:
+            splits = list(islice(_part_lists(len(g) - 1, d0, d1), 2))
+            if len(splits) == 1:
+                pattern += splits[0]
+            else:
+                for d, diff in zip(range(d0, d1 + 1), diffs):
+                    pattern += [d] * ((len(poly_gcd_p(diff, g, p)) - 1) // d)
             v = _divexact_p(v, g, p)
+        d0 = d1 + 1
+    if len(v) > 1:
+        pattern.append(len(v) - 1)
     return sorted(pattern)
+
+
+def _part_lists(s, lo, hi):
+    """The nondecreasing lists of parts from [lo, hi] that sum to s."""
+    if not s:
+        yield []
+    for d in range(lo, min(hi, s) + 1):
+        for rest in _part_lists(s - d, d, hi):
+            yield [d] + rest
 
 
 def _divexact_p(a, b, p):

@@ -284,3 +284,48 @@ def test_frobenius_apply_matches_matrix_product(mod, p):
                 want.pop()
             frob = (w, [pack_slots(r, w) for r in rows])
             assert mod.frobenius_apply_p(frob, a, p) == want, n
+
+
+# --- reduction table ---------------------------------------------------
+
+@pytest.mark.parametrize("p", [2, 3, 101] + BIG_PRIMES)
+def test_reduction_table_rows_are_powers_of_x(mod, p):
+    rng = random.Random(p)
+    for n in (1, 2, 3, 5, 17, 40, 81):
+        m = [rng.randint(-p, p) for _ in range(n)] + [rng.randrange(1, p)]
+        deg, w, rows = mod.reduction_table_p(m, p)
+        assert deg == n and len(rows) == n - 1
+        assert 256 ** w > (2 * n - 1) * (p - 1) ** 2
+        for j, row in enumerate(rows):
+            assert unpack_slots(row, w, n) == \
+                ref_divmod_p([0] * (n + j) + [1], m, p)[1], (n, j)
+
+
+@pytest.mark.parametrize("p", [2, 3, 101] + BIG_PRIMES)
+def test_table_product_matches_reference(mod, p):
+    # All-(p - 1) operands fill the low product slots to n (p - 1)**2, and
+    # m = 1 + x + ... + x**n makes row 0 all p - 1.
+    rng = random.Random(p)
+    for n in range(1, 82):
+        for m in ([1] * (n + 1),
+                  [rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)]):
+            table = mod.reduction_table_p(m, p)
+            for a, b in (([p - 1] * n, [p - 1] * n),
+                         ([rng.randrange(p) for _ in range(n)],
+                          [rng.randrange(p) for _ in range(n)])):
+                a, b = mod.trim(a), mod.trim(b)
+                want = ref_divmod_p(ref_mul(a, b), m, p)[1]
+                assert mod.poly_mulmod_p(a, b, table, p) == want, (n, m)
+
+
+@pytest.mark.parametrize("p", [2, 3, 101] + BIG_PRIMES)
+def test_table_reduction_fills_slots_to_the_bound(mod, p):
+    # Low slots at n (p - 1)**2, the most a product slot holds, high slots
+    # p - 1 and rows of all p - 1 sum to (2n - 1) (p - 1)**2 in every low
+    # slot, the bound the width of the table is sized for.
+    for n in range(1, 82):
+        w = mod._slot_width(2 * n - 1, p)
+        rows = (pack_slots([p - 1] * n, w),) * (n - 1)
+        z = pack_slots([n * (p - 1) ** 2] * n + [p - 1] * (n - 1), w)
+        want = mod.trim([(2 * n - 1) * (p - 1) ** 2 % p] * n)
+        assert mod._reduce_packed(z, (n, w, rows), p) == want, n

@@ -5,7 +5,9 @@ Oracles (defined before any test that uses them):
   * euclid_gcd -- monic remainder sequence over Q, made primitive,
   * brute_modp_roots -- trial evaluation over GF(p),
   * powmod_ddf_pattern -- distinct-degree factorization with one powmod
-    x**(p**d) per degree, re-reduced modulo what is left of f.
+    x**(p**d) per degree and one gcd per degree, re-reduced modulo what is
+    left of f; its powmod (square_multiply_powmod_p) reduces by schoolbook
+    division, not by the reduction table of the production powmod.
 """
 
 import random
@@ -14,9 +16,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bridgevar.kernels import (poly_gcd_p, poly_mul, poly_mul_p,
-                               poly_powmod_p, poly_rem_p, poly_resultant_p,
-                               trim)
+from bridgevar.kernels import (poly_gcd_p, poly_mul, poly_mul_p, poly_rem_p,
+                               poly_resultant_p, trim)
 from bridgevar.knotprops import trace_field_poly
 from bridgevar.poly import (BAD_PRIME, BiPoly, ExactError, QuadElem, UniPoly,
                             complex_roots, irreducibility_analysis, factorint,
@@ -122,6 +123,18 @@ def exact_quotient_p(a, b, p):
     return q
 
 
+def square_multiply_powmod_p(base, e, m, p):
+    """base**e mod (m, p) by right-to-left square and multiply, each
+    product reduced by schoolbook division."""
+    result, acc = [1], poly_rem_p(base, m, p)
+    while e:
+        if e & 1:
+            result = poly_rem_p(poly_mul_p(result, acc, p), m, p)
+        e >>= 1
+        acc = poly_rem_p(poly_mul_p(acc, acc, p), m, p)
+    return result
+
+
 def powmod_ddf_pattern(f, p):
     """Degree pattern of f mod p, or BAD_PRIME: x**(p**d) by one powmod
     per degree d, modulo the part v of f still left, and gcd with v."""
@@ -140,7 +153,7 @@ def powmod_ddf_pattern(f, p):
         if 2 * d > len(v) - 1:
             pattern.append(len(v) - 1)
             break
-        xp = poly_powmod_p(xp, p, v, p)
+        xp = square_multiply_powmod_p(xp, p, v, p)
         diff = xp + [0] * (2 - len(xp))
         diff[1] -= 1
         g = poly_gcd_p(diff, v, p)
@@ -399,7 +412,7 @@ def test_modp_pattern_bad_prime():
     assert modp_degree_pattern(g, 7) == BAD_PRIME   # not squarefree
 
 
-DDF_PRIMES = [2, 3, 5, 53, 101, 2 ** 31 - 1]
+DDF_PRIMES = [2, 3, 5, 53, 101, 2 ** 31 - 1, 2 ** 61 - 1]
 
 
 def random_squarefree_mod_p(rng, n, p):
@@ -421,13 +434,9 @@ def test_modp_pattern_matches_powmod_ddf(p, n, seed):
     assert sum(pat) == n
 
 
-@pytest.mark.parametrize("p,planted", [
-    (2, [1, 1, 2, 3, 3, 4, 4, 5]),
-    (3, [1, 2, 2, 3, 6, 7]),
-    (53, [1, 1, 1, 4, 4, 9, 12]),
-    (101, [2, 3, 5, 8, 13]),
-    (2 ** 31 - 1, [1, 2, 2, 6, 11])])
-def test_modp_pattern_of_planted_irreducible_factors(p, planted):
+def planted_product(p, planted):
+    """A product over GF(p) of distinct random monic irreducible factors
+    of the planted degrees."""
     rng = random.Random(p)
     factors = []
     for d in planted:
@@ -440,6 +449,43 @@ def test_modp_pattern_of_planted_irreducible_factors(p, planted):
     prod = [1]
     for g in factors:
         prod = poly_mul_p(prod, g, p)
+    return prod
+
+
+@pytest.mark.parametrize("p,planted", [
+    (2, [1, 1, 2, 3, 3, 4, 4, 5]),
+    (3, [1, 2, 2, 3, 6, 7]),
+    (53, [1, 1, 1, 4, 4, 9, 12]),
+    (101, [2, 3, 5, 8, 13]),
+    (2 ** 31 - 1, [1, 2, 2, 6, 11])])
+def test_modp_pattern_of_planted_irreducible_factors(p, planted):
+    prod = planted_product(p, planted)
+    assert modp_degree_pattern(mk(prod, "x"), p) == sorted(planted)
+
+
+# Degree blocks [d0, d1], d1 = min(2*d0 - 1, deg v // 2), are [1, 1],
+# [2, 3], [4, 7], ... while v is large enough.
+@pytest.mark.parametrize("planted", [
+    [2, 2, 2, 3, 3],  # P = 0 mod f, and 12 = 2*6 = 3*4 too: split
+    [2, 3],           # block [2, 2], cut short by deg v // 2
+    [2, 3, 7],        # block [2, 3] takes degree 5 = 2 + 3 only
+    [4, 7, 8],        # d0, 2*d0 - 1 and 2*d0 of block [4, 7]: 11 = 5 + 6
+    [2, 2, 3],        # P = 0 mod f, and 7 = 2 + 2 + 3 only
+    [2, 3, 3],        # P = 0 mod f, and 8 = 2 + 2 + 2 + 2 too: split
+], ids=["ambiguous", "short-block", "unique", "block-edges", "zero-unique",
+        "zero-split"])
+@pytest.mark.parametrize("p", [3, 53, 2 ** 61 - 1])
+def test_modp_pattern_at_block_edges(p, planted):
+    prod = planted_product(p, planted)
+    if max(planted) <= 3 and len(prod) - 1 >= 6:
+        # block [2, 3] holds every factor, so its P is zero mod f
+        P = [1]
+        for d in (2, 3):
+            diff = square_multiply_powmod_p([0, 1], p ** d, prod, p)
+            diff += [0] * (2 - len(diff))
+            diff[1] -= 1
+            P = poly_rem_p(poly_mul_p(P, diff, p), prod, p)
+        assert P == []
     assert modp_degree_pattern(mk(prod, "x"), p) == sorted(planted)
 
 

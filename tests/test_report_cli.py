@@ -2,7 +2,8 @@
 
 Oracle: reports are rebuilt from scratch and compared byte-for-byte,
 and every CLI path is driven through ``main`` with exit codes and
-parsed output checked against the library API directly.
+parsed output checked against the library API directly.  Degree-pattern
+witnesses are recomputed by the distinct-degree oracle of test_poly.
 """
 
 import json
@@ -18,10 +19,10 @@ from bridgevar.kernels import poly_gcd_p
 from bridgevar.knotprops import (HYPERBOLIC, TREFOIL, UNKNOT, classify,
                                  trace_field_poly)
 from bridgevar.poly import (BiPoly, ExactError, UniPoly, is_prime,
-                            modp_degree_pattern, resultant_mod_p,
-                            squarefree_part)
+                            resultant_mod_p, squarefree_part)
 from bridgevar.seq import delta
 from bridgevar.report import build_report, render_text, to_json
+from test_poly import powmod_ddf_pattern
 
 SECTIONS = ("knot", "classification", "models", "two_bridge", "smoothness",
             "component_count", "genus_Y", "genus_X", "odd_points",
@@ -167,40 +168,38 @@ def subset_sums(pattern):
     return sums
 
 
-def test_irreducibility_witnesses_recheck_from_json():
-    # Each listed prime gives the listed degree pattern of the trace-field
-    # polynomial, and no proper degree is a subset sum of every pattern.
-    seen = 0
-    for k in range(-8, 9):
-        for l in range(-8, 9):
-            if k % 2 and l % 2 or classify(k, l) != HYPERBOLIC:
-                continue
-            knot = report.Knot(k, l)
-            section = json.loads(json.dumps(knot.section("trace_field")))
-            analysis = section["analysis"]
-            if analysis["verdict"] != "irreducible":
-                continue
-            seen += 1
-            tf = knot.trace_field
-            f = squarefree_part(trace_field_poly(tf.k, tf.l, canonical=True))
-            f = f.clear_denominators().primitive()
-            n = analysis["degree"]
-            assert n == f.degree == section["squarefree_degree"]
-            assert [modp_degree_pattern(f, p)
-                    for p in analysis["sampled_primes"]] == \
-                analysis["patterns"]
-            left = set(range(1, n))
-            for pattern in analysis["patterns"]:
-                left &= subset_sums(pattern)
-            assert not left, (k, l)
-    assert seen == 140
-
-
 # The knots of the benchmark's `grid` (|k|, |l| <= 8, kl even) and `large`
 # workloads.
 GRID_KNOTS = [(k, l) for k in range(-8, 9) for l in range(-8, 9)
               if (k % 2 == 0 or l % 2 == 0) and classify(k, l) == HYPERBOLIC]
 LARGE_KNOTS = [(14, 14), (13, -10), (-11, -12), (12, -10), (-14, -9)]
+
+
+def test_irreducibility_witnesses_recheck_from_json():
+    # Each listed prime gives the listed degree pattern of the trace-field
+    # polynomial, recomputed by the test oracle, and no proper degree is a
+    # subset sum of every pattern.
+    seen = 0
+    for k, l in GRID_KNOTS + LARGE_KNOTS:
+        knot = report.Knot(k, l)
+        section = json.loads(json.dumps(knot.section("trace_field")))
+        analysis = section["analysis"]
+        if analysis["verdict"] != "irreducible":
+            continue
+        seen += 1
+        tf = knot.trace_field
+        f = squarefree_part(trace_field_poly(tf.k, tf.l, canonical=True))
+        f = f.clear_denominators().primitive()
+        n = analysis["degree"]
+        assert n == f.degree == section["squarefree_degree"]
+        assert [powmod_ddf_pattern(f, p)
+                for p in analysis["sampled_primes"]] == \
+            analysis["patterns"]
+        left = set(range(1, n))
+        for pattern in analysis["patterns"]:
+            left &= subset_sums(pattern)
+        assert not left, (k, l)
+    assert seen == 140 + 5  # the five large knots too
 
 
 @pytest.fixture(scope="module")
