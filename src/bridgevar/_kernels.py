@@ -3,31 +3,41 @@
 Dense little-endian coefficient lists.  These are the hot inner loops of
 the whole package (bigint convolution; arithmetic mod p for degree
 patterns).  Products mod p use Kronecker substitution: the coefficients
-are packed into one Python int, so that CPython's bigint multiply does
-the convolution (Harvey, J. Symbolic Comput. 44 (2009)).
+are packed into one Python int of w-byte slots, so that CPython's bigint
+multiply does the convolution (Harvey, J. Symbolic Comput. 44 (2009)).
 
-Products modulo a monic m of degree n use its reduction table
-(`reduction_table_p`): the rows x**(n + j) mod m for j < n - 1, each
-packed into one int of slots wide enough for (2n - 1) (p - 1)**2.  A
-product mod m is one Kronecker product of the packed operands, the n - 1
-high slots read mod p, their multiples of the rows added to the n low
-slots without unpacking, and one unpack.  `poly_powmod_p` squares on the
-table, and when the base is x its multiplies are one-slot shifts.
+`_red` reduces every slot of a packed int mod p at once, in five bigint
+operations: a division by the invariant integer p (Granlund &
+Montgomery, PLDI 1994) whose quotients land in disjoint bit fields.
+Its docstring proves the quotients exact and gives the slot width they
+need.
+
+`ring_p(m, p)` is GF(p)[x]/(m) on packed ints: an element of degree
+below n = deg m is one int of n slots, each below p.  A product
+(`poly_mulmod_p`) is one Kronecker product and a Barrett division by m
+made monic, with the quotient M = x**(2n - 2) // m precomputed per ring
+(von zur Gathen & Gerhard, *Modern Computer Algebra*, 9.1): two products
+by packed constants and three calls of `_red`, with no unpacking.
+`poly_powmod_p` squares and multiplies in the ring.
 
 `frobenius_rows_p` and `frobenius_apply_p` apply the Frobenius map
 a -> a**p of GF(p)[x]/(m) as a GF(p)-linear map (von zur Gathen & Shoup,
-Comput. Complexity 2 (1992)): the rows x**(i*p) mod m are built once,
-each packed into one int of slots, and every later p-th power is one sum
-of small-int multiples of those ints.
+Comput. Complexity 2 (1992)): the rows x**(i*p) mod m are built once as
+ring elements, and every later p-th power is one sum of small-int
+multiples of those ints.
+
+`poly_gcd_p` runs Euclid's algorithm on packed operands whose slots are
+wide enough for the coefficients to grow unreduced for many steps.
 
 `poly_resultant_p` is the resultant over GF(p) by a Euclidean remainder
 sequence; `poly.resultant_mod_p` interpolates bivariate resultants from it.
 
-All functions return *normalized* lists (no trailing zeros); the zero
-polynomial is the empty list.
+All list functions return *normalized* lists (no trailing zeros); the
+zero polynomial is the empty list.
 """
 
 from functools import lru_cache
+from operator import mul
 
 
 def trim(c):
@@ -68,11 +78,17 @@ def _pack(a, p, w):
                           "little")
 
 
-def _unpack(z, w, p):
-    """The w-byte slots of the bytes z, reduced mod p, as a normalized
-    coefficient list."""
+def _unpack(z, count, w, p):
+    """The first count w-byte slots of the int z, reduced mod p, as a
+    normalized coefficient list."""
+    z = z.to_bytes(count * w, "little")
     return trim([int.from_bytes(z[i:i + w], "little") % p
-                 for i in range(0, len(z), w)])
+                 for i in range(0, count * w, w)])
+
+
+def _repeat(v, w, count):
+    """count w-byte slots that each hold v."""
+    return int.from_bytes(v.to_bytes(w, "little") * count, "little")
 
 
 def poly_mul_p(a, b, p):
@@ -83,17 +99,16 @@ def poly_mul_p(a, b, p):
     # A product coefficient is a sum of at most min(na, nb) products.
     w = _slot_width(min(na, nb), p)
     x = _pack(a, p, w)
-    z = (x * x if a is b else x * _pack(b, p, w)).to_bytes(
-        (na + nb - 1) * w, "little")
-    return _unpack(z, w, p)
+    return _unpack(x * x if a is b else x * _pack(b, p, w), na + nb - 1, w, p)
 
 
 def poly_rem_p(a, m, p):
-    """Remainder of a modulo m over GF(p).  m must be nonzero mod p."""
+    """Remainder of a modulo m over GF(p).  The leading coefficient of m
+    must be nonzero mod p; if it is not, ValueError is raised."""
     r = [x % p for x in a]
     trim(r)
     dm = len(m) - 1
-    inv = pow(m[dm] % p, p - 2, p)
+    inv = pow(m[dm], -1, p)
     while len(r) - 1 >= dm and r:
         c = (r[-1] * inv) % p
         shift = len(r) - 1 - dm
@@ -105,16 +120,175 @@ def poly_rem_p(a, m, p):
     return r
 
 
+class _Slots:
+    """Packed ints of up to count slots of w bytes, each slot below 2**k,
+    and the constants that `_red` reduces them with mod p."""
+
+    def __init__(self, p, k, count):
+        self.p = p
+        self.k = k
+        self.w = w = (2 * k + 8) // 8          # 8w >= 2k + 1
+        self.s = s = k + p.bit_length()
+        self.mu = -(-(1 << s) // p)
+        self.qmask = _repeat((1 << (8 * w - s)) - 1, w, count)
+
+
+def _red(x, sl):
+    """x with every slot reduced mod p, for x packed in the slots of sl,
+    a `_Slots`.
+
+    Let l be the bit length of p, s = k + l and mu = ceil(2**s / p) =
+    (2**s + e) / p with 0 <= e < p.  For 0 <= v < 2**k,
+    v * mu / 2**s = v / p + v * e / (p * 2**s), and the last term is below
+    2**(k - s) = 2**-l < 1/p, so it cannot reach the next integer above
+    v / p: q = (v * mu) >> s is exactly v // p.  As p >= 2**(l - 1),
+    mu <= 2**(k + 1) and v * mu < 2**(2k + 1) <= 2**(8w): the slots of
+    x * mu hold the products v * mu without overlap.  Shifted right by s,
+    each slot has its q in its low 8w - s bits and the low bits of the next
+    slot above them, which `qmask` clears.  x - q * p then holds
+    v - (v // p) * p in every slot, with no borrow.
+    """
+    return x - ((x * sl.mu >> sl.s) & sl.qmask) * sl.p
+
+
+class _Ring(_Slots):
+    """GF(p)[x]/(m) on packed ints; see `ring_p` and `poly_mulmod_p`."""
+
+    def __init__(self, m, p):
+        self.n = n = len(m) - 1
+        inv = pow(m[n], -1, p)
+        f = [c * inv % p for c in m]
+        # off is the least multiple of p at or above (n - 1) (p - 1)**2;
+        # the largest slot `_red` sees is n (p - 1)**2 + off.
+        off = -(-(n - 1) * (p - 1) ** 2 // p) * p
+        super().__init__(p, (n * (p - 1) ** 2 + off).bit_length(), n)
+        w = self.w
+        # M = x**(2n - 2) // f: its reversal is 1 / rev(f) mod t**(n - 1).
+        rf = f[::-1]
+        g = [1][:n - 1]
+        for j in range(1, n - 1):
+            g.append(-sum(map(mul, rf[1:j + 1], reversed(g))) % p)
+        self.quo = _pack(g[::-1], p, w)
+        self.low = _pack(f[:n], p, w)
+        self.off = _repeat(off, w, n)
+        self.hi = 8 * w * n
+        self.mid = 8 * w * max(n - 2, 0)
+        self.lomask = (1 << self.hi) - 1
+
+
+def ring_p(m, p):
+    """The ring GF(p)[x]/(m), for a list m of degree n >= 1 whose leading
+    coefficient is nonzero mod p.  Its elements are ints of n slots of
+    `ring.w` bytes, each slot below p (`ring_pack`).  The last ring built
+    is kept, because a degree pattern asks for the ring of one modulus
+    three times in a row."""
+    return _ring(tuple(m), p)
+
+
+@lru_cache(maxsize=1)
+def _ring(m, p):
+    return _Ring(m, p)
+
+
+def ring_pack(a, ring):
+    """The ring element of a list a of degree below n."""
+    return _pack(a, ring.p, ring.w)
+
+
+def ring_unpack(x, ring):
+    """The coefficient list of the ring element x."""
+    return _unpack(x, ring.n, ring.w, ring.p)
+
+
+def poly_mulmod_p(a, b, ring):
+    """a * b for ring elements a and b of ring = `ring_p(m, p)`.
+
+    Barrett division by f = m / lc(m), monic of degree n: with
+    z = a * b = z1 * x**n + z0, deg z0 < n, deg z1 <= n - 2, and
+    x**(2n - 2) = M f + r_M, the quotient q = z // f = (z1 M) // x**(n - 2),
+    since (z1 M - q x**(n - 2)) f = (r - z0) x**(n - 2) - z1 r_M has degree
+    at most 2n - 3 (r = z mod f).  Then z mod f = z0 - (q (f - x**n) mod x**n).
+
+    Slot bounds: z has at most n (p - 1)**2 in a slot, z1 M at most
+    (n - 1) (p - 1)**2 and so does q (f - x**n), whose low slots are
+    subtracted from z0 plus `off`, a multiple of p in each slot at least
+    that large, so that no slot borrows.  The last `_red` sees at most
+    n (p - 1)**2 + off, the bound the ring's slots are sized for.
+    """
+    z = a * b
+    q = _red(_red(z >> ring.hi, ring) * ring.quo >> ring.mid, ring)
+    return _red((z & ring.lomask) + ring.off - (q * ring.low & ring.lomask),
+                ring)
+
+
 def poly_gcd_p(a, b, p):
-    """Monic gcd over GF(p)."""
+    """Monic gcd over GF(p) of two int-coefficient lists.
+
+    Euclid's algorithm on a and b packed into slots of `_gcd_bits(p)`
+    bits, whose coefficients grow unreduced.  Each step reads the exact
+    top slot t of the dividend, removes it, and adds (p - c) times the
+    rest of the divisor, c = t / lc(divisor) mod p, shifted under it; then
+    it drops every further top slot that is 0 mod p, so that each top slot
+    read is nonzero mod p.  The largest slot value of each operand is
+    tracked, and an operand is reduced by `_red` only when the next step
+    could pass 2**k.
+    """
     a = trim([x % p for x in a])
     b = trim([x % p for x in b])
-    while b:
-        a, b = b, poly_rem_p(a, b, p)
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [(x * inv) % p for x in a]
-    return a
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        return [1]
+    if not b:
+        if not a:
+            return []
+        inv = pow(a[-1], -1, p)
+        return [x * inv % p for x in a]
+    sl = _Slots(p, _gcd_bits(p), len(a))
+    w8 = 8 * sl.w
+    cap = 1 << sl.k
+    x, y = _pack(a, p, sl.w), _pack(b, p, sl.w)
+    dx, dy = len(a) - 1, len(b) - 1
+    t = a[-1]           # the top slot of x
+    bx = by = p - 1     # the largest slot value of x and of y
+    while dy:
+        ytop = y >> dy * w8
+        inv = pow(ytop, -1, p)
+        ylow = y ^ (ytop << dy * w8)
+        while dx >= dy:
+            if bx + (p - 1) * by >= cap:
+                if by >= p:
+                    y = _red(y, sl)
+                    by = p - 1
+                    ytop = y >> dy * w8
+                    ylow = y ^ (ytop << dy * w8)
+                if bx + (p - 1) * by >= cap:
+                    x = _red(x, sl)
+                    bx = p - 1
+                    t = x >> dx * w8
+            x ^= t << dx * w8
+            x += (p - t * inv % p) * ylow << (dx - dy) * w8
+            bx += (p - 1) * by
+            while x:
+                dx = (x.bit_length() - 1) // w8
+                t = x >> dx * w8
+                if t % p:
+                    break
+                x ^= t << dx * w8
+            else:
+                y = _unpack(y, dy + 1, sl.w, p)
+                inv = pow(y[-1], -1, p)
+                return [c * inv % p for c in y]
+        x, y, dx, dy, bx, by = y, x, dy, dx, by, bx
+        t = ytop
+    return [1]
+
+
+def _gcd_bits(p):
+    """k of the slots of `poly_gcd_p` mod p.  With a reduced divisor a
+    step adds less than p**2 to a slot, so about 2**16 steps fit between
+    two reductions; an unreduced divisor is reduced when it would not."""
+    return 2 * p.bit_length() + 16
 
 
 def poly_resultant_p(a, b, p):
@@ -157,102 +331,42 @@ def poly_resultant_p(a, b, p):
     return res * pow(b[0], da, p) % p
 
 
-def reduction_table_p(m, p):
-    """The reduction table of the modulus (m, p): (n, w, rows), where n is
-    the degree of m, w = `_slot_width(2n - 1, p)` and row j is
-    x**(n + j) mod (m, p), for j < n - 1, packed into one int of w-byte
-    slots.  The leading coefficient of m must be nonzero mod p.
-
-    Row 0 is minus the low coefficients of m made monic; row j + 1 is x
-    times row j, whose top coefficient c folds back as c times row 0.
-    The last table built is kept, because a degree pattern asks for the
-    table of one modulus three times in a row.
-    """
-    return _reduction_table(tuple(m), p)
-
-
-@lru_cache(maxsize=1)
-def _reduction_table(m, p):
-    n = len(m) - 1
-    inv = p - pow(m[n] % p, p - 2, p)
-    t0 = [(c * inv) % p for c in m[:n]]
-    rows = [t0][:n - 1]
-    while len(rows) < n - 1:
-        c = rows[-1][-1]
-        rows.append([(s + c * u) % p
-                     for s, u in zip([0] + rows[-1][:-1], t0)])
-    w = _slot_width(2 * n - 1, p)
-    return n, w, tuple([_pack(t, p, w) for t in rows])
-
-
-def _reduce_packed(z, table, p):
-    """z mod (m, p) as a coefficient list, where table is
-    `reduction_table_p(m, p)` and z is packed in its slots: at most
-    2n - 1 slots, each at most n (p - 1)**2.
-
-    The high slots of z, read mod p, are added back as multiples of the
-    rows to its n low slots.  A low slot then holds at most
-    n (p - 1)**2 + (n - 1) (p - 1)**2, so no slot carries.
-    """
-    n, w, rows = table
-    bits = 8 * w * n
-    hi = z >> bits
-    hi = hi.to_bytes((hi.bit_length() + 7) // 8, "little")
-    z &= (1 << bits) - 1
-    z += sum([(int.from_bytes(hi[i:i + w], "little") % p) * row
-              for i, row in zip(range(0, len(hi), w), rows)])
-    return _unpack(z.to_bytes(bits // 8, "little"), w, p)
-
-
-def poly_mulmod_p(a, b, table, p):
-    """a * b mod (m, p) for a and b reduced mod (m, p), where table is
-    `reduction_table_p(m, p)`: one Kronecker product in the table's
-    slots, then `_reduce_packed`."""
-    w = table[1]
-    return _reduce_packed(_pack(a, p, w) * _pack(b, p, w), table, p)
-
-
 def poly_powmod_p(base, e, m, p):
-    """base**e modulo (m, p) by left-to-right square and multiply on the
-    reduction table of (m, p).  When base reduces to x, each multiply is a
-    shift by one slot, and only that one high slot is folded back.  The
-    leading coefficient of m must be nonzero mod p."""
+    """base**e modulo (m, p) by left-to-right square and multiply in
+    `ring_p(m, p)`.  The leading coefficient of m must be nonzero mod p
+    (else ValueError)."""
     if not e:
         return [1]
-    table = reduction_table_p(m, p)
-    w = table[1]
-    r = poly_rem_p(base, m, p)
-    y = _pack(r, p, w)
+    ring = ring_p(m, p)
+    y = x = ring_pack(poly_rem_p(base, m, p), ring)
     for bit in bin(e)[3:]:
-        x = _pack(r, p, w)
-        r = _reduce_packed(x * x, table, p)
+        x = poly_mulmod_p(x, x, ring)
         if bit == "1":
-            r = _reduce_packed(_pack(r, p, w) * y, table, p)
-    return r
+            x = poly_mulmod_p(x, y, ring)
+    return ring_unpack(x, ring)
 
 
 def frobenius_rows_p(h, m, p):
     """The Frobenius map of GF(p)[x]/(m), for h = x**p reduced modulo
-    (m, p), as the argument of `frobenius_apply_p`.
+    (m, p), as the argument of `frobenius_apply_p`: (w, rows).
 
-    Row i is x**(i*p) = h**i mod (m, p) for i < n = deg m: row i + 1 is
-    the product of row i and h on the reduction table of (m, p), and the
-    rows are packed in that table's w-byte slots.  A slot holds
-    (2n - 1) (p - 1)**2, so a sum of the n rows times coefficients below
-    p never carries between slots.
+    Row i is x**(i*p) = h**i mod (m, p) for i < n = deg m, the ring
+    element of `ring_p(m, p)` (slots of w bytes, each below p); row
+    i + 1 is the ring product of row i and h.  A sum of the rows times
+    coefficients below p holds at most n (p - 1)**2 in a slot, which
+    the ring's slots hold without carry.
     """
-    table = n, w, _ = reduction_table_p(m, p)
-    y = _pack(h, p, w)
-    rows = [1, y][:n]
-    while len(rows) < n:
-        rows.append(_pack(_reduce_packed(rows[-1] * y, table, p), p, w))
-    return w, rows
+    ring = ring_p(m, p)
+    y = ring_pack(h, ring)
+    rows = [1, y][:ring.n]
+    while len(rows) < ring.n:
+        rows.append(poly_mulmod_p(rows[-1], y, ring))
+    return ring.w, rows
 
 
 def frobenius_apply_p(frob, a, p):
     """a**p = a(x**p) modulo (m, p) for a reduced modulo m, where frob is
     `frobenius_rows_p(h, m, p)`: the sum of a[i] times row i."""
     w, rows = frob
-    z = sum([(c % p) * row for c, row in zip(a, rows) if c]).to_bytes(
-        len(rows) * w, "little")
-    return _unpack(z, w, p)
+    return _unpack(sum([(c % p) * row for c, row in zip(a, rows) if c]),
+                   len(rows), w, p)

@@ -25,7 +25,7 @@ from math import gcd as int_gcd, isqrt
 
 from .kernels import (frobenius_apply_p, frobenius_rows_p, poly_gcd_p,
                       poly_mul, poly_mul_p, poly_mulmod_p, poly_powmod_p,
-                      poly_resultant_p, reduction_table_p, trim)
+                      poly_resultant_p, ring_p, ring_pack, ring_unpack, trim)
 
 NEG_INF = float("-inf")
 
@@ -523,21 +523,49 @@ def poly_gcd(f, g):
     return UniPoly(d, f.var).primitive()
 
 
+_SQUAREFREE_PRIME = 2 ** 61 - 1
+
+
+def _squarefree_mod_q(fz):
+    """True when the integer polynomial fz of degree >= 1 is proved
+    squarefree over Q by its reduction mod the prime q = 2**61 - 1:
+    q does not divide lc(fz) and gcd(fz mod q, fz' mod q) = 1.
+
+    Proof: if fz = h**2 g with h of degree >= 1, h and g can be taken in
+    Z[x] (Gauss).  q does not divide lc(fz) = lc(h)**2 lc(g), so h mod q
+    keeps the degree of h, and h mod q divides both fz mod q and
+    fz' mod q = (2 h' g + h g') h mod q: their gcd is not 1.  False means
+    only "not proved"; the exact PRS then decides.
+    """
+    q = _SQUAREFREE_PRIME
+    c = list(fz.c)
+    return c[-1] % q != 0 and len(poly_gcd_p(
+        c, [i * v for i, v in enumerate(c)][1:], q)) == 1
+
+
 def squarefree_part(f):
-    """f / gcd(f, f') as a primitive polynomial (positive lead)."""
+    """f / gcd(f, f') as a primitive polynomial (positive lead).  f is
+    returned made primitive at once when `_squarefree_mod_q` proves it
+    squarefree; only the other inputs run the exact gcd."""
     if f.is_zero:
         raise ExactError("squarefree part of zero")
     fz = f.clear_denominators().primitive()
     if fz.degree <= 0:
         return UniPoly.const(1, f.var)
+    if _squarefree_mod_q(fz):
+        return fz
     g = poly_gcd(fz, fz.deriv())
     return fz.divexact(g).clear_denominators().primitive()
 
 
 def is_separable(f):
+    """f has no repeated factor: proved mod 2**61 - 1 by
+    `_squarefree_mod_q` when it can be, else decided by the exact gcd."""
     if f.is_zero:
         raise ExactError("separability of zero polynomial")
     if f.degree <= 0:
+        return True
+    if _squarefree_mod_q(f.clear_denominators()):
         return True
     return poly_gcd(f, f.deriv()).degree == 0
 
@@ -1304,8 +1332,11 @@ def modp_degree_pattern(f, p):
     those gcds unchanged because v divides f.  That makes the Frobenius
     map a -> a**p of GF(p)[x]/(f) one fixed linear map: x**p is computed
     once by `poly_powmod_p`, the rows x**(i*p) mod f are built from it
-    once, and each further degree step applies them.  The products that
-    make P use the reduction table of f.
+    once, and each further degree step applies them.  The factors
+    x**(p**d) - x of P are packed into the ring `ring_p(f, p)` and
+    multiplied there without unpacking (packed Barrett products); P is
+    unpacked only for its gcd with v, and a factor only when the block
+    is split.
 
     Degree patterns at several primes also prove irreducibility over Q
     (Musser, J. ACM 25 (1978)): the degrees of a factor over Q add up, at
@@ -1326,15 +1357,15 @@ def modp_degree_pattern(f, p):
     if len(poly_gcd_p(a, dA, p)) - 1 != 0:
         return BAD_PRIME
     # monicize
-    inv = pow(a[-1], p - 2, p)
+    inv = pow(a[-1], -1, p)
     v = m = [(x * inv) % p for x in a]
-    table = reduction_table_p(m, p)
+    ring = ring_p(m, p)
     pattern = []
     xp = poly_powmod_p([0, 1], p, m, p)  # running x**(p**d) mod m
     d0 = 1
     while 2 * d0 <= len(v) - 1:
         d1 = min(2 * d0 - 1, (len(v) - 1) // 2)
-        diffs = []  # x**(p**d) - x for d in [d0, d1]
+        diffs = []  # x**(p**d) - x for d in [d0, d1], packed in the ring
         for d in range(d0, d1 + 1):
             if d == 2:
                 frob = frobenius_rows_p(xp, m, p)  # xp is x**p here
@@ -1342,17 +1373,18 @@ def modp_degree_pattern(f, p):
                 xp = frobenius_apply_p(frob, xp, p)
             diff = xp + [0] * (2 - len(xp))
             diff[1] = (diff[1] - 1) % p
-            diffs.append(trim(diff))
+            diffs.append(ring_pack(diff, ring))
         prod = diffs[0]
         for diff in diffs[1:]:
-            prod = poly_mulmod_p(prod, diff, table, p)
-        g = poly_gcd_p(prod, v, p)
+            prod = poly_mulmod_p(prod, diff, ring)
+        g = poly_gcd_p(ring_unpack(prod, ring), v, p)
         if len(g) > 1:
             splits = list(islice(_part_lists(len(g) - 1, d0, d1), 2))
             if len(splits) == 1:
                 pattern += splits[0]
             else:
                 for d, diff in zip(range(d0, d1 + 1), diffs):
+                    diff = ring_unpack(diff, ring)
                     pattern += [d] * ((len(poly_gcd_p(diff, g, p)) - 1) // d)
             v = _divexact_p(v, g, p)
         d0 = d1 + 1
@@ -1373,7 +1405,7 @@ def _part_lists(s, lo, hi):
 def _divexact_p(a, b, p):
     r = list(a)
     db = len(b) - 1
-    inv = pow(b[-1], p - 2, p)
+    inv = pow(b[-1], -1, p)
     q = [0] * (len(a) - db)
     while len(r) - 1 >= db and r:
         c = (r[-1] * inv) % p

@@ -56,6 +56,18 @@ def ref_divmod_p(a, m, p):
     return list(reversed(q)), list(reversed(A))
 
 
+def ref_gcd_p(a, b, p):
+    """Monic gcd over GF(p) by the reference division."""
+    # a and b reduced mod p are their quotients by 1
+    a, b = ref_divmod_p(a, [1], p)[0], ref_divmod_p(b, [1], p)[0]
+    while b:
+        a, b = b, ref_divmod_p(a, b, p)[1]
+    if not a:
+        return []
+    inv = pow(a[-1], -1, p)
+    return [x * inv % p for x in a]
+
+
 def ref_is_zero_mod(a, m, p):
     return ref_divmod_p(a, m, p)[1] == []
 
@@ -286,46 +298,159 @@ def test_frobenius_apply_matches_matrix_product(mod, p):
             assert mod.frobenius_apply_p(frob, a, p) == want, n
 
 
-# --- reduction table ---------------------------------------------------
+# --- packed slots mod p ------------------------------------------------
 
 @pytest.mark.parametrize("p", [2, 3, 101] + BIG_PRIMES)
-def test_reduction_table_rows_are_powers_of_x(mod, p):
+def test_red_reduces_every_slot(mod, p):
+    # 0, p - 1, p, 2**k - 1 (the largest value _red takes) and values
+    # -1 mod p near 2**k (where the quotient estimate errs most), alone, in
+    # neighbouring slots and mixed with random values below 2**k, on the
+    # slots of a ring and on those of poly_gcd_p.
+    rng = random.Random(p)
+    for n in (1, 2, 7, 40):
+        for sl in (mod.ring_p([1] * (n + 1), p),
+                   mod._Slots(p, mod._gcd_bits(p), n)):
+            k, w = sl.k, sl.w
+            assert 8 * w >= 2 * k + 1
+            top = 2 ** k // p
+            values = [0, p - 1, p, 2 ** k - 1, top * p - 1] + [
+                rng.randrange(max(1, top // 2), top + 1) * p - 1
+                for _ in range(20)]
+            for c in [[v] * n for v in values] + [
+                    [rng.choice(values + [rng.randrange(2 ** k)])
+                     for _ in range(n)] for _ in range(5)]:
+                want = mod.trim([v % p for v in c])
+                assert unpack_slots(mod._red(pack_slots(c, w), sl), w, n) \
+                    == want, (n, k, c)
+
+
+# --- ring products mod (m, p) --------------------------------------------
+
+def ring_mulmod(mod, a, b, ring):
+    return mod.ring_unpack(mod.poly_mulmod_p(
+        mod.ring_pack(a, ring), mod.ring_pack(b, ring), ring), ring)
+
+
+@pytest.mark.parametrize("p", [2, 3, 101] + BIG_PRIMES)
+def test_ring_barrett_constants(mod, p):
+    # quo is x**(2n - 2) // f and low is f - x**n for f = m made monic;
+    # off is the least multiple of p at or above (n - 1) (p - 1)**2, and
+    # n (p - 1)**2 + off, the largest slot _red sees, fits in k bits.
     rng = random.Random(p)
     for n in (1, 2, 3, 5, 17, 40, 81):
         m = [rng.randint(-p, p) for _ in range(n)] + [rng.randrange(1, p)]
-        deg, w, rows = mod.reduction_table_p(m, p)
-        assert deg == n and len(rows) == n - 1
-        assert 256 ** w > (2 * n - 1) * (p - 1) ** 2
-        for j, row in enumerate(rows):
-            assert unpack_slots(row, w, n) == \
-                ref_divmod_p([0] * (n + j) + [1], m, p)[1], (n, j)
+        ring = mod.ring_p(m, p)
+        inv = pow(m[-1], -1, p)
+        f = [c * inv % p for c in m]
+        w = ring.w
+        assert ring.n == n
+        assert unpack_slots(ring.quo, w, n) == \
+            ref_divmod_p([0] * (2 * n - 2) + [1], f, p)[0], n
+        assert unpack_slots(ring.low, w, n) == mod.trim(f[:n]), n
+        off = unpack_slots(ring.off, w, n)
+        off = off[0] if off else 0
+        assert unpack_slots(ring.off, w, n) == mod.trim([off] * n)
+        assert off % p == 0 and off - p < (n - 1) * (p - 1) ** 2 <= off
+        assert n * (p - 1) ** 2 + off < 2 ** ring.k
 
 
 @pytest.mark.parametrize("p", [2, 3, 101] + BIG_PRIMES)
-def test_table_product_matches_reference(mod, p):
-    # All-(p - 1) operands fill the low product slots to n (p - 1)**2, and
-    # m = 1 + x + ... + x**n makes row 0 all p - 1.
+def test_ring_product_matches_reference(mod, p):
+    # All-(p - 1) operands fill the product slots to n (p - 1)**2;
+    # m = 1 + x + ... + x**n and m = x**n - 1 - x - ... - x**(n - 1)
+    # make f - x**n all 1 and all p - 1.
     rng = random.Random(p)
     for n in range(1, 82):
-        for m in ([1] * (n + 1),
+        for m in ([1] * (n + 1), [p - 1] * n + [1],
                   [rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)]):
-            table = mod.reduction_table_p(m, p)
+            ring = mod.ring_p(m, p)
             for a, b in (([p - 1] * n, [p - 1] * n),
                          ([rng.randrange(p) for _ in range(n)],
                           [rng.randrange(p) for _ in range(n)])):
                 a, b = mod.trim(a), mod.trim(b)
                 want = ref_divmod_p(ref_mul(a, b), m, p)[1]
-                assert mod.poly_mulmod_p(a, b, table, p) == want, (n, m)
+                assert ring_mulmod(mod, a, b, ring) == want, (n, m)
 
 
 @pytest.mark.parametrize("p", [2, 3, 101] + BIG_PRIMES)
-def test_table_reduction_fills_slots_to_the_bound(mod, p):
-    # Low slots at n (p - 1)**2, the most a product slot holds, high slots
-    # p - 1 and rows of all p - 1 sum to (2n - 1) (p - 1)**2 in every low
-    # slot, the bound the width of the table is sized for.
+def test_ring_product_fills_slots_to_the_bound(mod, p):
+    # f - x**n all p - 1, and z = a * x**(n - 1) whose quotient by f is
+    # q = all p - 1 while the n - 1 low slots of z are 0: a low slot of
+    # q (f - x**n) reaches (n - 1) (p - 1)**2 and is taken from off alone.
+    # Then _red of n (p - 1)**2 + off, the documented bound, in every slot.
     for n in range(1, 82):
-        w = mod._slot_width(2 * n - 1, p)
-        rows = (pack_slots([p - 1] * n, w),) * (n - 1)
-        z = pack_slots([n * (p - 1) ** 2] * n + [p - 1] * (n - 1), w)
-        want = mod.trim([(2 * n - 1) * (p - 1) ** 2 % p] * n)
-        assert mod._reduce_packed(z, (n, w, rows), p) == want, n
+        m = [p - 1] * n + [1]
+        ring = mod.ring_p(m, p)
+        q = [p - 1] * (n - 1)
+        a = mod.trim([c % p for c in ref_mul(q, m)][n - 1:])
+        xn1 = [0] * (n - 1) + [1]
+        assert ref_divmod_p(ref_mul(a, xn1), m, p)[0] == q
+        want = ref_divmod_p(ref_mul(a, xn1), m, p)[1]
+        assert ring_mulmod(mod, a, xn1, ring) == want, n
+        off = -(-(n - 1) * (p - 1) ** 2 // p) * p
+        bound = n * (p - 1) ** 2 + off
+        got = mod._red(pack_slots([bound] * n, ring.w), ring)
+        assert unpack_slots(got, ring.w, n) == \
+            mod.trim([bound % p] * n), n
+
+
+# --- packed gcd ----------------------------------------------------------
+
+def test_gcd_p_edge_cases_match_reference(mod):
+    p = 5
+    cases = [
+        # x**2 + 2x + 3 by x + 2: the next top slot is 10, zero mod 5 but
+        # not 0, and the degree drops by 2
+        ([3, 2, 1], [2, 1]),
+        ([1, 2, 3, 4], [4, 3, 2, 1]),          # equal degrees
+        ([1, 2, 3], [2, 4, 6]),                # equal degrees, b = 2a
+        ([], [1, 2, 3]), ([1, 2, 3], []),      # a zero operand
+        ([5, 10], [1, 2, 3]), ([1, 2, 3], [0, 5, 25]),   # zero mod p
+        ([], []), ([3], [0, 1]), ([0, 1], [3]),          # constants
+    ]
+    rng = random.Random(5)
+    for _ in range(300):
+        # over GF(2) and GF(3) the top slots often vanish mod p
+        q = rng.choice([2, 3, 5])
+        g = [rng.randrange(q) for _ in range(rng.randrange(3))] + [1]
+        a = ref_mul([rng.randrange(q) for _ in range(rng.randrange(12))], g)
+        b = ref_mul([rng.randrange(q) for _ in range(rng.randrange(12))], g)
+        cases.append((a, b, q))
+    for case in cases:
+        a, b, q = case if len(case) == 3 else case + (p,)
+        assert mod.poly_gcd_p(a, b, q) == ref_gcd_p(a, b, q), case
+        assert mod.poly_gcd_p(b, a, q) == ref_gcd_p(a, b, q), case
+
+
+@pytest.mark.parametrize("p", [2, 3, 101] + BIG_PRIMES)
+def test_gcd_p_rereduces_before_the_slot_bound(mod, p, monkeypatch):
+    # Long remainder sequences let the unreduced slots grow until poly_gcd_p
+    # must reduce an operand; every _red it makes sees slots below 2**k.
+    seen = []
+    real = mod._red
+
+    def checked(x, sl):
+        n = (x.bit_length() + 8 * sl.w - 1) // (8 * sl.w)
+        assert max(unpack_slots(x, sl.w, n) or [0]) < 2 ** sl.k
+        seen.append(sl.k)
+        return real(x, sl)
+
+    monkeypatch.setattr(mod, "_red", checked)
+    rng = random.Random(p)
+    for n in (1, 2, 9, 40, 81):
+        g = [rng.randrange(p) for _ in range(rng.randrange(4))] + [1]
+        for a, b in (([p - 1] * (n + 1), [p - 1] * n),
+                     ([rng.randrange(p) for _ in range(n + 1)],
+                      [rng.randrange(p) for _ in range(n)]),
+                     (ref_mul([rng.randrange(p) for _ in range(n)], g),
+                      ref_mul([rng.randrange(p) for _ in range(n)], g))):
+            assert mod.poly_gcd_p(a, b, p) == ref_gcd_p(a, b, p), (n, a, b)
+    assert seen
+
+
+def test_zero_leading_coefficient_mod_p_raises(mod):
+    # The divisor's leading coefficient has no inverse mod p.
+    with pytest.raises(ValueError):
+        mod.poly_rem_p([1, 2, 3], [1, 5], 5)
+    with pytest.raises(ValueError):
+        mod.poly_powmod_p([0, 1], 3, [1, 2, 7], 7)

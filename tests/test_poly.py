@@ -7,7 +7,7 @@ Oracles (defined before any test that uses them):
   * powmod_ddf_pattern -- distinct-degree factorization with one powmod
     x**(p**d) per degree and one gcd per degree, re-reduced modulo what is
     left of f; its powmod (square_multiply_powmod_p) reduces by schoolbook
-    division, not by the reduction table of the production powmod.
+    division, not by the packed Barrett products of the production powmod.
 """
 
 import random
@@ -16,6 +16,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bridgevar import poly
 from bridgevar.kernels import (poly_gcd_p, poly_mul, poly_mul_p, poly_rem_p,
                                poly_resultant_p, trim)
 from bridgevar.knotprops import trace_field_poly
@@ -261,6 +262,30 @@ def test_gcd_of_derivative_detects_square():
     assert squarefree_part(f) == (U - 1) * (U + 3)
     assert not is_separable(f)
     assert is_separable((U - 1) * (U + 3))
+
+
+def test_squarefree_mod_q_and_its_fallbacks(monkeypatch):
+    # Squarefree mod q = 2**61 - 1 proves squarefree over Q without the
+    # exact gcd; a repeated factor, q | disc and q | lc run the exact gcd.
+    q = 2 ** 61 - 1
+    calls = []
+    real = poly.poly_gcd
+
+    def counted(f, g):
+        calls.append(f)
+        return real(f, g)
+
+    monkeypatch.setattr(poly, "poly_gcd", counted)
+    f = (X - 1) * (X + 3) * (X ** 2 + 5)
+    assert squarefree_part(f) == f and is_separable(f) and not calls
+    assert squarefree_part(f * Fraction(-2, 3)) == f and not calls
+    cases = [((X - 1) ** 2 * (X + 3), (X - 1) * (X + 3), False),
+             ((X - 1) * (X - 1 - q), (X - 1) * (X - 1 - q), True),
+             (q * X ** 2 + X + 1, q * X ** 2 + X + 1, True)]
+    for g, part, separable in cases:
+        del calls[:]
+        assert squarefree_part(g) == part and len(calls) == 1
+        assert is_separable(g) == separable and len(calls) == 2
 
 
 # --- resultants against the Sylvester oracle ---------------------------

@@ -6,6 +6,7 @@ parsed output checked against the library API directly.  Degree-pattern
 witnesses are recomputed by the distinct-degree oracle of test_poly.
 """
 
+import hashlib
 import json
 import re
 import sys
@@ -173,6 +174,18 @@ def subset_sums(pattern):
 GRID_KNOTS = [(k, l) for k in range(-8, 9) for l in range(-8, 9)
               if (k % 2 == 0 or l % 2 == 0) and classify(k, l) == HYPERBOLIC]
 LARGE_KNOTS = [(14, 14), (13, -10), (-11, -12), (12, -10), (-14, -9)]
+
+
+def test_canonical_outputs_are_pinned():
+    # The canonical JSON and text of every knot |k|, |l| <= 8 with kl even
+    # (k the outer loop), then of the large knots, as first recorded.
+    digest = hashlib.sha256()
+    for k, l in [(k, l) for k in range(-8, 9) for l in range(-8, 9)
+                 if k * l % 2 == 0] + LARGE_KNOTS:
+        r = build_report(k, l)
+        digest.update((to_json(r) + render_text(r)).encode())
+    assert digest.hexdigest() == \
+        "e398f86c30360de9a02a8a7f9bbe4411eedaf34bc360726dc932d1fee6c6a740"
 
 
 def test_irreducibility_witnesses_recheck_from_json():
