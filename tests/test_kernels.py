@@ -355,7 +355,9 @@ def test_ring_barrett_constants(mod, p):
 
 
 @pytest.mark.parametrize("p", [2, 3, 101] + BIG_PRIMES)
-def test_ring_product_matches_reference(mod, p):
+def test_table_product_matches_reference(mod, p):
+    # The name is kept from the reduction-table product this test first
+    # checked; poly_mulmod_p now runs on the ring's Barrett constants.
     # All-(p - 1) operands fill the product slots to n (p - 1)**2;
     # m = 1 + x + ... + x**n and m = x**n - 1 - x - ... - x**(n - 1)
     # make f - x**n all 1 and all p - 1.
