@@ -231,7 +231,9 @@ def poly_gcd_p(a, b, p):
     it drops every further top slot that is 0 mod p, so that each top slot
     read is nonzero mod p.  The largest slot value of each operand is
     tracked, and an operand is reduced by `_red` only when the next step
-    could pass 2**k.
+    could pass 2**k.  A step that leaves anything at or above the top slot
+    it cleared raises ArithmeticError, so that a wrong slot bound cannot
+    keep the degree from falling and the loop always ends.
     """
     a = trim([x % p for x in a])
     b = trim([x % p for x in b])
@@ -269,6 +271,10 @@ def poly_gcd_p(a, b, p):
             x ^= t << dx * w8
             x += (p - t * inv % p) * ylow << (dx - dy) * w8
             bx += (p - 1) * by
+            if x.bit_length() > dx * w8:
+                # a slot carried: only a wrong slot bound can do this
+                raise ArithmeticError("poly_gcd_p: slot %d not cleared mod %d"
+                                      % (dx, p))
             while x:
                 dx = (x.bit_length() - 1) // w8
                 t = x >> dx * w8

@@ -589,7 +589,7 @@ class BiPoly:
                 raise ExactError("BiPoly coefficients must be UniPoly")
             if v.c and v.var != inner:
                 raise ExactError("coefficient in %s, expected %s" % (v.var, inner))
-            cs.append(UniPoly(v.c, inner))
+            cs.append(v if v.var == inner else UniPoly(v.c, inner))
         n = len(cs)
         while n and cs[n - 1].is_zero:
             n -= 1
@@ -811,6 +811,15 @@ class BiPoly:
         coefficient (outer degree, then inner degree) is positive."""
         if self.is_zero:
             return self
+        flat = [v for c in self.cs for v in c.c]
+        if all(isinstance(v, int) for v in flat):
+            g = int_gcd(*flat)
+            if self.lead_outer.lead < 0:
+                g = -g
+            if g == 1:
+                return self
+            return BiPoly([UniPoly([v // g for v in c.c], self.inner)
+                           for c in self.cs], self.outer, self.inner)
         f = self.clear_denominators()
         g = f.content_int()
         f = BiPoly([c.divexact(g) for c in f.cs], self.outer, self.inner)
@@ -960,11 +969,8 @@ class LaurentPoly:
     __slots__ = ("low", "cs")
 
     def __init__(self, low, coeffs):
-        cs = []
-        for v in coeffs:
-            if isinstance(v, (int, Fraction)):
-                v = UniPoly.const(v, "r")
-            cs.append(v)
+        cs = [v if isinstance(v, UniPoly) else UniPoly.const(v, "r")
+              for v in coeffs]
         # canonical: strip zero coefficients at both ends
         lo = 0
         while lo < len(cs) and cs[lo].is_zero:

@@ -34,7 +34,22 @@ b1 <- b1 + 3 b2.  The entry combinations the Riley routes take have l1
 norm at most 3 max(b1, b2), and w leaves room for that plus a sign bit.
 A packed result, made even in L by dividing an odd one by L (an exact
 right shift), is read back as balanced base-2^(8w) digits, with one
-`to_bytes` per entry or combination.
+`to_bytes` per entry or combination (`_digits`).
+
+The closed form F_{k,n} = f_n(t) F_{k,1} - f_{n-1}(t), with
+t = A (y - r) + 2 and F_{k,1} = 1 - B (y - r) for A = Phi_{-k} Psi_k and
+B = Phi_{-k} Phi_{k-1}, is evaluated the same way: A and B are packed at
+r = 2^(8w), y = 2^(8wR), and Horner's rule for f_n(t) and f_{n-1}(t)
+runs on those ints.  Evaluation at an integer point is a ring
+homomorphism Z[y, r] -> Z, so the final int is F_{k,n}(2^(8wR), 2^(8w))
+whatever the intermediate ints look like: only the coefficients of
+F_{k,n} need to fit in a slot, and the intermediates may carry freely.
+Its r-degree is below R = max(d_n len A + len B, d_{n-1} len A) + 1 and
+its y-degree at most max(d_n + 1, d_{n-1}), with d_j = deg f_j.  With
+T = 2 ||A||_1 + 2 >= ||t||_1, its l1 norm is at most
+sum |f_{n,i}| T^i (2 ||B||_1 + 1) + sum |f_{n-1,i}| T^i, and w holds
+that bound and a sign bit, so the balanced digits of the result are the
+coefficients of F_{k,n}.
 """
 
 from fractions import Fraction
@@ -156,6 +171,12 @@ class _PackedWord(NamedTuple):
         return 4 * self.w * self.R
 
 
+def _slot_bytes(bound):
+    """The fewest bytes w of a signed slot that holds every integer of
+    absolute value at most bound: bound < 2**(8w - 1), a sign bit spare."""
+    return (bound.bit_length() + 8) // 8
+
+
 def _pack_word(word):
     """Evaluate a word letter by letter as right multiplications of the
     two rows of L^t W by L A^{±1} or L B^{±1}, shifts and adds only."""
@@ -174,7 +195,7 @@ def _pack_word(word):
     # Room for the entry combinations of the Riley routes (l1 norm at
     # most 3 max(b1, b2)) and a sign bit; only b letters raise the
     # degree in r.
-    w = ((3 * max(b1, b2)).bit_length() + 8) // 8
+    w = _slot_bytes(3 * max(b1, b2))
     R = b_letters + 1
     rs, L1 = 8 * w, 4 * w * R
     L2 = 2 * L1
@@ -197,22 +218,30 @@ def _pack_word(word):
     return _PackedWord(*rows, letters, w, R)
 
 
-def _unpack(z, low, pw):
-    """The Laurent polynomial L^low Z, where z packs Z, even in L and of
-    degree at most 2N, in the slots of pw."""
-    w, R = pw.w, pw.R
-    count = (pw.letters + 1) * R
+def _digits(z, w, R, blocks):
+    """The balanced base-2**(8w) digits of z, blocks * R of them, as one
+    int list per block of R digits, each without its zero top digits.
+    Every digit of z must lie in [-2**(8w - 1), 2**(8w - 1))."""
+    count = blocks * R
     # Balanced digits: adding 0x80.. to every slot makes each one
     # nonnegative, and xor-ing it back leaves each slot in two's complement.
     bias = int.from_bytes((bytes(w - 1) + b"\x80") * count, "little")
     raw = ((z + bias) ^ bias).to_bytes(count * w, "little")
-    cs = [_ZERO_R] * (2 * pw.letters + 1)
-    for e, i in enumerate(range(0, len(raw), R * w)):
+    rows = []
+    for i in range(0, len(raw), R * w):
         top = i + len(raw[i:i + R * w].rstrip(b"\0"))  # past the last nonzero
-        if top > i:
-            cs[2 * e] = UniPoly([int.from_bytes(raw[j:j + w], "little",
-                                                signed=True)
-                                 for j in range(i, top, w)], "r")
+        rows.append([int.from_bytes(raw[j:j + w], "little", signed=True)
+                     for j in range(i, top, w)])
+    return rows
+
+
+def _unpack(z, low, pw):
+    """The Laurent polynomial L^low Z, where z packs Z, even in L and of
+    degree at most 2N, in the slots of pw."""
+    cs = [_ZERO_R] * (2 * pw.letters + 1)
+    for e, row in enumerate(_digits(z, pw.w, pw.R, pw.letters + 1)):
+        if row:
+            cs[2 * e] = UniPoly(row, "r")
     return LaurentPoly(low, cs)
 
 
@@ -229,31 +258,44 @@ def eval_word(word):
 # ---------------------------------------------------------------------------
 # the trace-parameter rewrite: L^{2j} + L^{-2j} = D_j(y)
 
-_D_memo = [UniPoly.const(2, "y"), UniPoly.gen("y")]
+_D_memo = [(2,), (0, 1)]
 
 
-def _dpoly(j):
+def _dcoeffs(j):
+    """The coefficients of D_j(y): D_0 = 2, D_1 = y and
+    D_{j+1} = y D_j - D_{j-1}."""
     while len(_D_memo) <= j:
-        _D_memo.append(UniPoly.gen("y") * _D_memo[-1] - _D_memo[-2])
+        c = [0] + list(_D_memo[-1])
+        for i, v in enumerate(_D_memo[-2]):
+            c[i] -= v
+        _D_memo.append(tuple(c))
     return _D_memo[j]
 
 
 def laurent_to_ry(F):
     """Rewrite a Laurent polynomial (in L, coeffs in r) as a BiPoly in
-    (r, y), y = L^2 + L^-2.  Requires even, palindromic exponents."""
+    (r, y), y = L^2 + L^-2.  Requires even, palindromic exponents.
+
+    Each term pair c_e (L^e + L^-e), e > 0, adds c_e D_{e/2}(y), and c_0
+    adds itself, into int rows indexed by the power of y; the BiPoly is
+    built once."""
     terms = dict(F.terms())
     for e, c in terms.items():
         if e % 2:
             raise TraceSubringError(e, c)
-        if terms.get(-e, UniPoly.zero("r")) != c:
+        if terms.get(-e, _ZERO_R) != c:
             raise TraceSubringError(e, c)
-    out = BiPoly.zero("y", "r")
+    rows = [[] for _ in range(F.high // 2 + 1)]
     for e, c in terms.items():
-        if e > 0:
-            out = out + BiPoly.from_inner(c, "y") * _dpoly(e // 2)
-        elif e == 0:
-            out = out + BiPoly.from_inner(c, "y")
-    return out
+        if e < 0:
+            continue
+        for i, d in enumerate(_dcoeffs(e // 2) if e else (1,)):
+            if d:
+                row = rows[i]
+                row.extend([0] * (len(c.c) - len(row)))
+                for m, v in enumerate(c.c):
+                    row[m] += d * v
+    return BiPoly([UniPoly(row, "r") for row in rows], "y", "r")
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +308,32 @@ def trace_wk(k):
     return BiPoly.from_inner(coeff, "y") * y_minus_r + 2
 
 
+def _l1_at(c, T):
+    """sum |c_i| T^i: a bound on the l1 norm of c(t) when ||t||_1 <= T."""
+    return sum(abs(v) * T ** i for i, v in enumerate(c))
+
+
 def riley_poly_J(k, n):
     """Closed-form F_{k,n} in Z[r, y] (outer y, inner r):
-    f_n(t) * F_{k,1} - f_{n-1}(t) with t = tr W_k."""
-    y_minus_r = BiPoly([-_R, UniPoly.const(1, "r")], "y", "r")
-    f_k1 = -BiPoly.from_inner(phi(-k, "r") * phi(k - 1, "r"), "y") * y_minus_r + 1
-    t = trace_wk(k)
-    return f_poly(n, "t")(t) * f_k1 - f_poly(n - 1, "t")(t)
+    f_n(t) * F_{k,1} - f_{n-1}(t) with t = tr W_k, evaluated on packed ints
+    (see the module docstring)."""
+    a = (phi(-k) * psi(k)).c
+    b = (phi(-k) * phi(k - 1)).c
+    fn, fm = f_poly(n), f_poly(n - 1)
+    dn, dm = max(fn.degree, 0), max(fm.degree, 0)
+    R = max(dn * len(a) + len(b), dm * len(a)) + 1
+    T = 2 * sum(map(abs, a)) + 2
+    bound = (_l1_at(fn.c, T) * (2 * sum(map(abs, b)) + 1)
+             + _l1_at(fm.c, T))
+    w = _slot_bytes(bound)
+    rs, ys = 8 * w, 8 * w * R
+    A = sum(v << rs * i for i, v in enumerate(a))
+    B = sum(v << rs * i for i, v in enumerate(b))
+    t = (A << ys) - (A << rs) + 2
+    z = fn(t) * (1 - (B << ys) + (B << rs)) - fm(t)
+    return BiPoly([UniPoly(row, "r")
+                   for row in _digits(z, w, R, max(dn + 1, dm) + 1)],
+                  "y", "r")
 
 
 def riley_poly_matrix(k, n):

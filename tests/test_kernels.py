@@ -5,6 +5,7 @@ divmod-style division) so that agreement actually means something.
 """
 
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -424,6 +425,18 @@ def test_gcd_p_edge_cases_match_reference(mod):
         assert mod.poly_gcd_p(b, a, q) == ref_gcd_p(a, b, q), case
 
 
+def long_gcd_cases(p):
+    """Operand pairs of degree up to 81 with long remainder sequences."""
+    rng = random.Random(p)
+    for n in (1, 2, 9, 40, 81):
+        g = [rng.randrange(p) for _ in range(rng.randrange(4))] + [1]
+        yield from (([p - 1] * (n + 1), [p - 1] * n),
+                    ([rng.randrange(p) for _ in range(n + 1)],
+                     [rng.randrange(p) for _ in range(n)]),
+                    (ref_mul([rng.randrange(p) for _ in range(n)], g),
+                     ref_mul([rng.randrange(p) for _ in range(n)], g)))
+
+
 @pytest.mark.parametrize("p", [2, 3, 101] + BIG_PRIMES)
 def test_gcd_p_rereduces_before_the_slot_bound(mod, p, monkeypatch):
     # Long remainder sequences let the unreduced slots grow until poly_gcd_p
@@ -438,16 +451,34 @@ def test_gcd_p_rereduces_before_the_slot_bound(mod, p, monkeypatch):
         return real(x, sl)
 
     monkeypatch.setattr(mod, "_red", checked)
-    rng = random.Random(p)
-    for n in (1, 2, 9, 40, 81):
-        g = [rng.randrange(p) for _ in range(rng.randrange(4))] + [1]
-        for a, b in (([p - 1] * (n + 1), [p - 1] * n),
-                     ([rng.randrange(p) for _ in range(n + 1)],
-                      [rng.randrange(p) for _ in range(n)]),
-                     (ref_mul([rng.randrange(p) for _ in range(n)], g),
-                      ref_mul([rng.randrange(p) for _ in range(n)], g))):
-            assert mod.poly_gcd_p(a, b, p) == ref_gcd_p(a, b, p), (n, a, b)
+    for a, b in long_gcd_cases(p):
+        assert mod.poly_gcd_p(a, b, p) == ref_gcd_p(a, b, p), (a, b)
     assert seen
+
+
+@pytest.mark.parametrize("p", [2, 3, 101] + BIG_PRIMES)
+def test_gcd_p_raises_when_a_slot_overflows(mod, p, monkeypatch):
+    # With _red a no-op the slots outgrow their bound and carry.  A carry
+    # into the top slot a step has just cleared must raise at once, where
+    # it used to keep the degree from falling and loop for ever; the alarm
+    # turns such a loop into a failure.
+    def stalled(signum, frame):
+        raise AssertionError("poly_gcd_p did not end")
+
+    monkeypatch.setattr(mod, "_red", lambda x, sl: x)
+    previous = signal.signal(signal.SIGALRM, stalled)
+    signal.alarm(20)
+    raised = 0
+    try:
+        for a, b in long_gcd_cases(p):
+            try:
+                assert mod.poly_gcd_p(a, b, p) == ref_gcd_p(a, b, p), (a, b)
+            except ArithmeticError:
+                raised += 1
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert raised or p == 2   # GF(2) slots do not overflow on these cases
 
 
 def test_zero_leading_coefficient_mod_p_raises(mod):

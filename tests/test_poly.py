@@ -223,6 +223,42 @@ def test_primitive_sign_convention():
     assert mk([0]).primitive().is_zero
 
 
+def bipoly_primitive_oracle(F):
+    """Clear denominators, divide by the integer content, fix the sign."""
+    if F.is_zero:
+        return F
+    f = F.clear_denominators()
+    g = f.content_int()
+    f = BiPoly([c.divexact(g) for c in f.cs], F.outer, F.inner)
+    return -f if f.lead_outer.lead < 0 else f
+
+
+def test_bipoly_primitive_matches_oracle():
+    def bi(*rows):
+        return BiPoly([mk(c, "r") for c in rows], "y", "r")
+
+    already = bi([1, -2], [], [3, 0, 5])
+    cases = [
+        bi([6, -4], [], [2, 8]),              # content 2
+        bi([6, -4], [0, 3], [-9, 0, -12]),    # content 3, negative lead
+        bi([1, 2], [-1]),                     # primitive, negative lead
+        already,
+        bi([Fraction(1, 2), 3], [Fraction(-5, 6)]),
+        bi([Fraction(4, 3), Fraction(-2, 3)], [Fraction(-8, 3)]),
+        bi([7]), bi([-7]), bi([]), BiPoly.zero("y", "r"),
+    ]
+    rng = random.Random("primitive")
+    for _ in range(50):
+        g = rng.choice([1, 2, 6, -1, -15])
+        cases.append(bi(*[[g * rng.randint(-9, 9) for _ in range(rng.randint(0, 4))]
+                          for _ in range(rng.randint(1, 4))]))
+    for F in cases:
+        got = F.primitive()
+        assert got == bipoly_primitive_oracle(F), F
+        assert all(isinstance(v, int) for c in got.cs for v in c.c), F
+    assert already.primitive() is already
+
+
 def test_parse_poly_round_trip():
     f = -3 * U ** 4 + U ** 2 - 7
     assert parse_poly(str(f), "u") == f

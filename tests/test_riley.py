@@ -1,11 +1,13 @@
 """Riley polynomials: word calculus, matrix path, closed form.
 
-Oracles: plain 2x2 matrices with Fraction entries, and the general
-product of 2x2 matrices over Z[L^{±1}, r].  Words are evaluated at exact
-random (lambda, r) samples completely independently of the
-Laurent-polynomial machinery, and every symbolic claim is compared
-against those numbers; the packed word evaluation is also compared
-entry by entry with the general product.
+Oracles: plain 2x2 matrices with Fraction entries, the general product
+of 2x2 matrices over Z[L^{±1}, r], and the closed form and the trace
+rewrite in BiPoly arithmetic (Horner's rule and sums).  Words are
+evaluated at exact random (lambda, r) samples completely independently
+of the Laurent-polynomial machinery, and every symbolic claim is
+compared against those numbers; the packed word evaluation is also
+compared entry by entry with the general product, and the packed closed
+form and int-row rewrite with their BiPoly versions.
 """
 
 from fractions import Fraction
@@ -13,14 +15,16 @@ from random import Random
 
 import pytest
 
-from bridgevar.poly import ExactError, LaurentPoly, UniPoly
-from bridgevar.riley import (LaurentMat2, TraceSubringError, eval_word,
+from bridgevar.poly import BiPoly, ExactError, LaurentPoly, UniPoly
+from bridgevar.riley import (LaurentMat2, TraceSubringError, _digits,
+                             _slot_bytes, eval_word,
                              ideal_generator_check, laurent_to_ry,
                              normalize_unit, riley_poly_J,
                              riley_poly_matrix, riley_poly_pq, schubert_word,
                              trace_formula_check, trace_wk, w_k_word,
                              word_concat, word_inverse, word_normalize,
                              word_power)
+from bridgevar.seq import f_poly, phi
 
 # --- oracle: numeric 2x2 matrices ---------------------------------------
 
@@ -85,6 +89,36 @@ def product_word(word):
     out = IDENTITY
     for gen, exp in word:
         out = mat_mul(out, mat_power(GENERATORS[gen], exp))
+    return out
+
+
+# --- oracle: the closed form and the trace rewrite on BiPoly --------------
+
+R = UniPoly.gen("r")
+Y_MINUS_R = BiPoly([-R, UniPoly.const(1, "r")], "y", "r")
+
+
+def closed_form_bipoly(k, n):
+    """f_n(t) F_{k,1} - f_{n-1}(t) by Horner's rule on BiPoly, with
+    t = tr W_k and F_{k,1} = 1 - Phi_{-k} Phi_{k-1} (y - r)."""
+    f_k1 = 1 - BiPoly.from_inner(phi(-k, "r") * phi(k - 1, "r"), "y") * Y_MINUS_R
+    t = trace_wk(k)
+    return f_poly(n, "t")(t) * f_k1 - f_poly(n - 1, "t")(t)
+
+
+def laurent_to_ry_bipoly(F):
+    """sum_e c_e L^e as a BiPoly: c_0 + sum_{e > 0} c_e D_{e/2}(y), with
+    D_0 = 2, D_1 = y, D_{j+1} = y D_j - D_{j-1}, for an even palindromic F."""
+    y = UniPoly.gen("y")
+    D = [UniPoly.const(2, "y"), y]
+    out = BiPoly.zero("y", "r")
+    for e, c in F.terms():
+        if e == 0:
+            out = out + BiPoly.from_inner(c, "y")
+        elif e > 0:
+            while len(D) <= e // 2:
+                D.append(y * D[-1] - D[-2])
+            out = out + BiPoly.from_inner(c, "y") * D[e // 2]
     return out
 
 
@@ -180,6 +214,18 @@ def test_packed_eval_word_matches_general_product():
         assert eval_word(word) == product_word(word), word
 
 
+def test_slot_bytes_keep_a_sign_bit_and_digits_round_trip():
+    for bits in range(1, 70):
+        for bound in (2 ** bits - 1, 2 ** bits):
+            w = _slot_bytes(bound)
+            assert bound < 2 ** (8 * w - 1), bound
+            assert w == 1 or bound >= 2 ** (8 * w - 9), bound  # the fewest
+            digits = [bound, -bound, 0, -bound, bound]
+            z = sum(d << 8 * w * i for i, d in enumerate(digits))
+            assert _digits(z, w, 2, 3) == [[bound, -bound], [0, -bound],
+                                           [bound]], bound
+
+
 def test_eval_word_wide_coefficients_match_numeric_oracle():
     # The entries' coefficients reach 130 bits: no 64-bit slot holds them.
     word = schubert_word(151, 55)
@@ -216,6 +262,27 @@ def test_laurent_to_ry_rejects_odd_powers():
         laurent_to_ry(LaurentPoly.unit(1))
 
 
+def test_laurent_to_ry_rejects_even_but_not_palindromic():
+    with pytest.raises(TraceSubringError):
+        laurent_to_ry(LaurentPoly.unit(2))
+    with pytest.raises(TraceSubringError):
+        laurent_to_ry(LaurentPoly(-2, [1, 0, 0, 0, 2]))
+
+
+def test_laurent_to_ry_matches_bipoly_sum():
+    r = UniPoly.gen("r")
+    cases = [LaurentPoly.zero(), LaurentPoly.unit(0, 3 - r),
+             LaurentPoly(-4, [r, 0, Fraction(1, 2), 0, 7, 0, Fraction(1, 2),
+                              0, r]),
+             LaurentPoly(-6, [1, 0, r, 0, 0, 0, 0, 0, 0, 0, r, 0, 1])]
+    for k, n in ((2, 1), (-3, 2), (5, -3), (8, 4)):
+        W = eval_word(word_power(w_k_word(k), n))
+        cases.append((LaurentPoly.unit(1) - LaurentPoly.unit(-1)) * W.a12
+                     + W.a22)
+    for F in cases:
+        assert laurent_to_ry(F) == laurent_to_ry_bipoly(F), F
+
+
 def test_trace_formula_check_runs_and_seeds_differ():
     assert trace_formula_check(5, 10)
     assert trace_formula_check(5, 10, seed="other")
@@ -234,6 +301,13 @@ def test_riley_word_entry_combination_numeric():
             want = (lam - 1 / lam) * num[0][1] + num[1][1]
             y0 = lam ** 2 + lam ** -2
             assert F.eval_point(r, y0) == want
+
+
+def test_packed_closed_form_matches_bipoly_horner():
+    for k in range(-12, 13):
+        for n in range(-8, 9):
+            assert riley_poly_J(k, n) == closed_form_bipoly(k, n), (k, n)
+    assert riley_poly_J(3, 0) == 1 and riley_poly_J(0, 4) == 1
 
 
 def test_riley_closed_form_equals_matrix_form():
