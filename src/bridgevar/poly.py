@@ -778,15 +778,6 @@ class BiPoly:
             acc = acc * outer_val + cj(inner_val)
         return acc
 
-    def content_int(self):
-        g = 0
-        for c in self.cs:
-            cc = c.content()
-            if isinstance(cc, Fraction):
-                raise ExactError("integer content of a rational polynomial")
-            g = int_gcd(g, cc)
-        return g
-
     def content_inner(self):
         """gcd (UniPoly in inner) of the outer-coefficients."""
         g = UniPoly.zero(self.inner)
@@ -811,21 +802,16 @@ class BiPoly:
         coefficient (outer degree, then inner degree) is positive."""
         if self.is_zero:
             return self
-        flat = [v for c in self.cs for v in c.c]
-        if all(isinstance(v, int) for v in flat):
-            g = int_gcd(*flat)
-            if self.lead_outer.lead < 0:
-                g = -g
-            if g == 1:
-                return self
-            return BiPoly([UniPoly([v // g for v in c.c], self.inner)
-                           for c in self.cs], self.outer, self.inner)
-        f = self.clear_denominators()
-        g = f.content_int()
-        f = BiPoly([c.divexact(g) for c in f.cs], self.outer, self.inner)
+        f = self
+        if not all(isinstance(v, int) for c in self.cs for v in c.c):
+            f = self.clear_denominators()
+        g = int_gcd(*(v for c in f.cs for v in c.c))
         if f.lead_outer.lead < 0:
-            f = -f
-        return f
+            g = -g
+        if g == 1:
+            return f
+        return BiPoly([UniPoly([v // g for v in c.c], self.inner)
+                       for c in f.cs], self.outer, self.inner)
 
     def relabel(self, outer, inner):
         return BiPoly([UniPoly(c.c, inner) for c in self.cs], outer, inner)

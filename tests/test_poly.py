@@ -10,6 +10,7 @@ Oracles (defined before any test that uses them):
     division, not by the packed Barrett products of the production powmod.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -228,7 +229,9 @@ def bipoly_primitive_oracle(F):
     if F.is_zero:
         return F
     f = F.clear_denominators()
-    g = f.content_int()
+    g = 0
+    for c in f.cs:
+        g = math.gcd(g, c.content())
     f = BiPoly([c.divexact(g) for c in f.cs], F.outer, F.inner)
     return -f if f.lead_outer.lead < 0 else f
 
