@@ -72,7 +72,9 @@ def cmd_sweep(args):
              for k in range(-args.kmax, args.kmax + 1)
              for l in range(-args.lmax, args.lmax + 1)
              if k % 2 == 0 or l % 2 == 0]
-    jobs = args.jobs or os.cpu_count() or 1
+    # The pool forks all its workers up front: no more than the cores.
+    cpus = os.cpu_count() or 1
+    jobs = min(args.jobs or cpus, cpus)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_row, pairs, chunksize=8))

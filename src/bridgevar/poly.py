@@ -1,16 +1,16 @@
 """Exact polynomial arithmetic kernel.
 
-Everything downstream works with four representations:
+Everything downstream works with three representations:
 
 * UniPoly   -- dense univariate polynomial, exact integer (or Fraction)
                coefficients, little-endian storage, canonical form
                (no trailing zeros).
 * BiPoly    -- polynomial in an *outer* variable whose coefficients are
                UniPoly in an *inner* variable.
-* LaurentPoly -- Laurent polynomial in an abstract unit `L` whose
-               coefficients are UniPoly in r (the ring of the entries
-               of a word's 2x2 matrix, unpacked by `riley`).
 * QuadElem  -- a + b*w with w^2 = -1 or w^2 = 3, exact.
+
+(A word's 2x2 matrix over Z[L^{±1}, r] never becomes a polynomial
+object: `riley` keeps it packed in ints and decodes it into int rows.)
 
 Resultants and gcds run a subresultant polynomial remainder sequence
 over the integers.  The mod-p machinery serves factor-degree patterns
@@ -271,12 +271,6 @@ class UniPoly:
 
     def relabel(self, var):
         return UniPoly(self.c, var)
-
-    def shift_mul(self, k):
-        """Multiply by var**k."""
-        if self.is_zero:
-            return self
-        return UniPoly((0,) * k + self.c, self.var)
 
     # -- text form --------------------------------------------------------
     def __str__(self):
@@ -559,15 +553,10 @@ def squarefree_part(f):
 
 
 def is_separable(f):
-    """f has no repeated factor: proved mod 2**61 - 1 by
-    `_squarefree_mod_q` when it can be, else decided by the exact gcd."""
+    """f has no repeated factor: its squarefree part keeps its degree."""
     if f.is_zero:
         raise ExactError("separability of zero polynomial")
-    if f.degree <= 0:
-        return True
-    if _squarefree_mod_q(f.clear_denominators()):
-        return True
-    return poly_gcd(f, f.deriv()).degree == 0
+    return squarefree_part(f).degree == f.degree
 
 
 # ---------------------------------------------------------------------------
@@ -770,7 +759,7 @@ class BiPoly:
 
     def eval_inner(self, value):
         """Substitute a scalar for the inner variable -> coefficients list."""
-        return UniPoly([c(value) for c in self.cs], _other_var(self.outer, self.inner))
+        return UniPoly([c(value) for c in self.cs], self.outer)
 
     def eval_point(self, inner_val, outer_val):
         acc = 0
@@ -821,10 +810,6 @@ class BiPoly:
 
     def __repr__(self):
         return "BiPoly(%s)" % _format_bipoly(self)
-
-
-def _other_var(outer, inner):
-    return outer
 
 
 def resultant(f, g, eliminate):
@@ -947,114 +932,6 @@ def bipoly_divexact(f, g):
 
 
 # ---------------------------------------------------------------------------
-# LaurentPoly: Laurent in an abstract unit, coefficients UniPoly in r
-
-class LaurentPoly:
-    """sum coeffs[i] * L**(low+i); coeffs are UniPoly in r."""
-
-    __slots__ = ("low", "cs")
-
-    def __init__(self, low, coeffs):
-        cs = [v if isinstance(v, UniPoly) else UniPoly.const(v, "r")
-              for v in coeffs]
-        # canonical: strip zero coefficients at both ends
-        lo = 0
-        while lo < len(cs) and cs[lo].is_zero:
-            lo += 1
-        hi = len(cs)
-        while hi > lo and cs[hi - 1].is_zero:
-            hi -= 1
-        self.cs = tuple(cs[lo:hi])
-        self.low = low + lo if self.cs else 0
-
-    @classmethod
-    def zero(cls):
-        return cls(0, ())
-
-    @classmethod
-    def unit(cls, e, coeff=1):
-        return cls(e, (coeff,))
-
-    @property
-    def is_zero(self):
-        return not self.cs
-
-    @property
-    def high(self):
-        return self.low + len(self.cs) - 1 if self.cs else 0
-
-    def coeff(self, e):
-        i = e - self.low
-        return self.cs[i] if 0 <= i < len(self.cs) else UniPoly.zero("r")
-
-    def terms(self):
-        return [(self.low + i, c) for i, c in enumerate(self.cs) if not c.is_zero]
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.low == other.low and self.cs == other.cs
-
-    def __hash__(self):
-        return hash((self.low, self.cs))
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, UniPoly)):
-            other = LaurentPoly(0, (other,))
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        lo = min(self.low, other.low)
-        hi = max(self.high, other.high)
-        out = [UniPoly.zero("r")] * (hi - lo + 1)
-        for e, c in self.terms():
-            out[e - lo] = out[e - lo] + c
-        for e, c in other.terms():
-            out[e - lo] = out[e - lo] + c
-        return LaurentPoly(lo, out)
-
-    def __neg__(self):
-        return LaurentPoly(self.low, [-c for c in self.cs])
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, UniPoly)):
-            other = LaurentPoly(0, (other,))
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, UniPoly)):
-            other = LaurentPoly(0, (other,))
-        if self.is_zero or other.is_zero:
-            return LaurentPoly.zero()
-        out = [UniPoly.zero("r")] * (len(self.cs) + len(other.cs) - 1)
-        for i, a in enumerate(self.cs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.cs):
-                if b.is_zero:
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return LaurentPoly(self.low + other.low, out)
-
-    __rmul__ = __mul__
-
-    def eval(self, lam, r):
-        """Exact evaluation at scalar lam (nonzero) and r."""
-        acc = 0
-        L = Fraction(lam) if not isinstance(lam, (int, Fraction)) else lam
-        for e, c in self.terms():
-            acc += c(r) * (L ** e)
-        return acc
-
-    def __repr__(self):
-        if self.is_zero:
-            return "LaurentPoly(0)"
-        ts = ", ".join("L^%d:(%s)" % (e, c) for e, c in self.terms())
-        return "LaurentPoly(%s)" % ts
-
-
-# ---------------------------------------------------------------------------
 # QuadElem: a + b*w, w^2 = disc (disc in {-1, 3})
 
 class QuadElem:
@@ -1120,9 +997,6 @@ class QuadElem:
 
     def norm(self):
         return self.a * self.a - self.disc * self.b * self.b
-
-    def conj(self):
-        return QuadElem(self.a, -self.b, self.disc)
 
     @property
     def is_zero(self):

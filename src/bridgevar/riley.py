@@ -1,5 +1,5 @@
-"""Words in the bridge generators, their 2x2 matrices over Z[L^{±1}, r],
-and Riley polynomials.
+"""Words in the bridge generators, their 2x2 matrices over Z[L^{±1}, r]
+(packed into ints), and Riley polynomials.
 
 The parabolic representation sends the two bridge generators to
 
@@ -11,7 +11,7 @@ subring generated by r and y = L^2 + L^-2.  For the J(k, l) family there
 is also the closed form built from the Phi/Psi sequences; both paths
 live here so each can oracle the other.
 
-A word of N letters is evaluated as L^N W, whose entries are
+A word of N letters is evaluated as L^N W (`eval_word`), whose entries are
 polynomials in L of degree at most 2N, each packed into one int by
 Kronecker substitution (Harvey, J. Symbolic Comput. 44 (2009)):
 r = 2^(8w) and L = 2^(4wR).  Every generator, times L, has even
@@ -34,7 +34,10 @@ b1 <- b1 + 3 b2.  The entry combinations the Riley routes take have l1
 norm at most 3 max(b1, b2), and w leaves room for that plus a sign bit.
 A packed result, made even in L by dividing an odd one by L (an exact
 right shift), is read back as balanced base-2^(8w) digits, with one
-`to_bytes` per entry or combination (`_digits`).
+`to_bytes` per entry or combination (`_digits`): one int row in r per
+even power of L.  This one decoder gives the only unpacked form of a
+word's matrix: the Riley routes rewrite its rows in (r, y) (`_to_ry`),
+and both spot checks evaluate them at exact points.
 
 The closed form F_{k,n} = f_n(t) F_{k,1} - f_{n-1}(t), with
 t = A (y - r) + 2 and F_{k,1} = 1 - B (y - r) for A = Phi_{-k} Psi_k and
@@ -57,7 +60,7 @@ from math import gcd as int_gcd
 from random import Random
 from typing import NamedTuple
 
-from .poly import UniPoly, BiPoly, LaurentPoly, ExactError, poly_gcd
+from .poly import UniPoly, BiPoly, ExactError, poly_gcd
 from .seq import f_poly, phi, psi
 
 
@@ -143,14 +146,6 @@ def schubert_word(p, q):
 # packed word evaluation
 
 _R = UniPoly.gen("r")
-_ZERO_R = UniPoly.zero("r")
-
-
-class LaurentMat2(NamedTuple):
-    a11: LaurentPoly
-    a12: LaurentPoly
-    a21: LaurentPoly
-    a22: LaurentPoly
 
 
 class _PackedWord(NamedTuple):
@@ -170,6 +165,12 @@ class _PackedWord(NamedTuple):
     def shift(self):
         return 4 * self.w * self.R
 
+    def rows(self, z):
+        """The int rows in r of z, which packs a polynomial in L, even and
+        of degree at most 2N, in these slots: row e is its coefficient of
+        L^(2e)."""
+        return _digits(z, self.w, self.R, self.letters + 1)
+
 
 def _slot_bytes(bound):
     """The fewest bytes w of a signed slot that holds every integer of
@@ -177,9 +178,10 @@ def _slot_bytes(bound):
     return (bound.bit_length() + 8) // 8
 
 
-def _pack_word(word):
-    """Evaluate a word letter by letter as right multiplications of the
-    two rows of L^t W by L A^{±1} or L B^{±1}, shifts and adds only."""
+def eval_word(word):
+    """The word W as the packed entries of L^N W: evaluated letter by
+    letter as right multiplications of the two rows of L^t W by L A^{±1}
+    or L B^{±1}, shifts and adds only."""
     letters = b_letters = 0
     b1 = b2 = 1  # l1-norm bounds of the columns of L^t W
     for gen, exp in word:
@@ -235,26 +237,6 @@ def _digits(z, w, R, blocks):
     return rows
 
 
-def _unpack(z, low, pw):
-    """The Laurent polynomial L^low Z, where z packs Z, even in L and of
-    degree at most 2N, in the slots of pw."""
-    cs = [_ZERO_R] * (2 * pw.letters + 1)
-    for e, row in enumerate(_digits(z, pw.w, pw.R, pw.letters + 1)):
-        if row:
-            cs[2 * e] = UniPoly(row, "r")
-    return LaurentPoly(low, cs)
-
-
-def eval_word(word):
-    """The word as a matrix in the generators A, B."""
-    pw = _pack_word(word)
-    low, s = -pw.letters, pw.shift
-    return LaurentMat2(_unpack(pw.m11, low, pw),
-                       _unpack(pw.m12 >> s, low + 1, pw),
-                       _unpack(pw.m21 >> s, low + 1, pw),
-                       _unpack(pw.m22, low, pw))
-
-
 # ---------------------------------------------------------------------------
 # the trace-parameter rewrite: L^{2j} + L^{-2j} = D_j(y)
 
@@ -272,30 +254,38 @@ def _dcoeffs(j):
     return _D_memo[j]
 
 
-def laurent_to_ry(F):
-    """Rewrite a Laurent polynomial (in L, coeffs in r) as a BiPoly in
-    (r, y), y = L^2 + L^-2.  Requires even, palindromic exponents.
+def _add_multiple(acc, s, row):
+    """acc += s * row on int rows; acc grows as needed."""
+    acc.extend([0] * (len(row) - len(acc)))
+    for m, v in enumerate(row):
+        acc[m] += s * v
 
-    Each term pair c_e (L^e + L^-e), e > 0, adds c_e D_{e/2}(y), and c_0
-    adds itself, into int rows indexed by the power of y; the BiPoly is
-    built once."""
-    terms = dict(F.terms())
-    for e, c in terms.items():
-        if e % 2:
-            raise TraceSubringError(e, c)
-        if terms.get(-e, _ZERO_R) != c:
-            raise TraceSubringError(e, c)
-    rows = [[] for _ in range(F.high // 2 + 1)]
-    for e, c in terms.items():
-        if e < 0:
+
+def _to_ry(z, pw):
+    """Rewrite Z = L^-N z, where z packs an even polynomial in L of degree
+    at most 2N in the slots of pw, as a BiPoly in (r, y), y = L^2 + L^-2.
+    Z must have even, palindromic exponents.
+
+    Row e of z is the coefficient c_e of L^(2e - N) in Z.  Each pair
+    c_e (L^(2e-N) + L^(N-2e)), 2e > N, adds c_e D_{e-N/2}(y), and the
+    middle row adds itself, into int rows indexed by the power of y; the
+    BiPoly is built once."""
+    N = pw.letters
+    rows = pw.rows(z)
+    for e, c in enumerate(rows):
+        if c and N % 2 or c != rows[N - e]:
+            if not c:
+                e, c = N - e, rows[N - e]
+            raise TraceSubringError(2 * e - N, UniPoly(c, "r"))
+    out = [[] for _ in range(N // 2 + 1)]
+    for e in range(N // 2, N + 1):
+        c = rows[e]
+        if not c:
             continue
-        for i, d in enumerate(_dcoeffs(e // 2) if e else (1,)):
+        for i, d in enumerate(_dcoeffs(e - N // 2) if 2 * e > N else (1,)):
             if d:
-                row = rows[i]
-                row.extend([0] * (len(c.c) - len(row)))
-                for m, v in enumerate(c.c):
-                    row[m] += d * v
-    return BiPoly([UniPoly(row, "r") for row in rows], "y", "r")
+                _add_multiple(out[i], d, c)
+    return BiPoly([UniPoly(row, "r") for row in out], "y", "r")
 
 
 # ---------------------------------------------------------------------------
@@ -338,18 +328,16 @@ def riley_poly_J(k, n):
 
 def riley_poly_matrix(k, n):
     """F_{k,n} extracted from W = W_k^n as (L - L^-1) W12 + W22."""
-    pw = _pack_word(word_power(w_k_word(k), n))
+    pw = eval_word(word_power(w_k_word(k), n))
     # L^N ((L - L^-1) W12 + W22) = (L - L^-1) M12 + M22, with M12 odd
-    z = (pw.m12 << pw.shift) - (pw.m12 >> pw.shift) + pw.m22
-    return laurent_to_ry(_unpack(z, -pw.letters, pw))
+    return _to_ry((pw.m12 << pw.shift) - (pw.m12 >> pw.shift) + pw.m22, pw)
 
 
 def riley_poly_pq(p, q):
     """Riley polynomial of the (p, q) two-bridge word: W11 + (L^-1 - L) W12."""
-    pw = _pack_word(schubert_word(p, q))
+    pw = eval_word(schubert_word(p, q))
     # L^N (W11 + (L^-1 - L) W12) = M11 + (L^-1 - L) M12, with M12 odd
-    z = pw.m11 + (pw.m12 >> pw.shift) - (pw.m12 << pw.shift)
-    return laurent_to_ry(_unpack(z, -pw.letters, pw))
+    return _to_ry(pw.m11 + (pw.m12 >> pw.shift) - (pw.m12 << pw.shift), pw)
 
 
 def normalize_unit(F):
@@ -373,19 +361,30 @@ def _rand_fraction(rng, nonzero=False, exclude=()):
         return q
 
 
+def _at(row, x):
+    """The int row in r, a polynomial, at r = x."""
+    acc = 0
+    for v in reversed(row):
+        acc = acc * x + v
+    return acc
+
+
 def trace_formula_check(k, samples, seed=""):
     """Exact-rational spot check of tr W_k = Phi_{-k} Psi_k (y - r) + 2."""
     if samples < 1:
         raise ExactError("samples must be >= 1")
-    pw = _pack_word(w_k_word(k))
-    trace = _unpack(pw.m11 + pw.m22, -pw.letters, pw)
+    pw = eval_word(w_k_word(k))
+    N = pw.letters
+    # row e of L^N tr W_k: the coefficient of L^(2e - N) in tr W_k
+    rows = pw.rows(pw.m11 + pw.m22)
     closed = trace_wk(k)
     rng = Random("%strace-formula-%d" % (seed, k))
     for _ in range(samples):
         lam = _rand_fraction(rng, nonzero=True, exclude=(1, -1))
         r0 = _rand_fraction(rng)
         y0 = lam ** 2 + lam ** -2
-        got = trace.eval(lam, r0)
+        got = sum(_at(row, r0) * lam ** (2 * e - N)
+                  for e, row in enumerate(rows) if row)
         want = closed.eval_point(r0, y0)
         if got != want:
             return False
@@ -395,22 +394,33 @@ def trace_formula_check(k, samples, seed=""):
 def ideal_generator_check(k, n, samples, seed=""):
     """Randomized check that the four entries of A W^n - W^n B cut out the
     same locus as F_{k,n}: at random L = lam0 the gcd of the specialized
-    entries equals the specialized F_{k,n} up to a nonzero rational."""
+    entries equals the specialized F_{k,n} up to a nonzero rational.
+
+    Both words have N + 1 letters, so the entries are L^-(N+1) times the
+    differences of the packed ones.  At lam0 = a/b each entry is taken
+    times the unit (ab)^(N+1), which makes it an int row in r:
+    sum_i c_i a^i b^(2N+2-i) over the coefficients c_i of L^i."""
     if samples < 1:
         raise ExactError("samples must be >= 1")
     word = word_power(w_k_word(k), n)
-    M = eval_word(word_concat((("a", 1),), word))
-    N = eval_word(word_concat(word, (("b", 1),)))
-    entries = [x - y for x, y in zip(M, N)]
+    pws = (eval_word(word_concat((("a", 1),), word)),
+           eval_word(word_concat(word, (("b", 1),))))
+    top = 2 * pws[0].letters
+    # per word, per entry: (parity in L, rows); the off-diagonal entries
+    # are odd in L
+    entries = [[(0, pw.rows(pw.m11)), (1, pw.rows(pw.m12 >> pw.shift)),
+                (1, pw.rows(pw.m21 >> pw.shift)), (0, pw.rows(pw.m22))]
+               for pw in pws]
     F = riley_poly_J(k, n)
     rng = Random("%sideal-%d-%d" % (seed, k, n))
     for _ in range(samples):
         lam = _rand_fraction(rng, nonzero=True, exclude=(1, -1))
         y0 = lam ** 2 + lam ** -2
-        spec = [_eval_unit(e, lam) for e in entries]
+        a, b = lam.numerator, lam.denominator
         g = UniPoly.zero("r")
-        for s in spec:
-            g = poly_gcd(g, s)
+        for x, y in zip(*entries):
+            g = poly_gcd(g, _scaled_at(x, top, a, b)
+                         - _scaled_at(y, top, a, b))
         f_spec = F.eval_outer(y0)
         if g.degree <= 0 and f_spec.degree <= 0:
             if f_spec.is_zero:
@@ -423,9 +433,13 @@ def ideal_generator_check(k, n, samples, seed=""):
     return True
 
 
-def _eval_unit(lp, lam):
-    """Specialize the Laurent unit to an exact rational, keep r symbolic."""
-    acc = UniPoly.zero("r")
-    for e, c in lp.terms():
-        acc = acc + c * (Fraction(lam) ** e)
-    return acc
+def _scaled_at(entry, top, a, b):
+    """sum_i c_i a^i b^(top - i) over the coefficients c_i of L^i of a
+    packed entry (parity, rows): b^top times the entry at L = a/b."""
+    p, rows = entry
+    out = []
+    for e, row in enumerate(rows):
+        if row:
+            i = 2 * e + p
+            _add_multiple(out, a ** i * b ** (top - i), row)
+    return UniPoly(out, "r")

@@ -423,6 +423,33 @@ def test_sweep_rows_deterministic_serial_vs_parallel(tmp_path, capsys):
     assert all(not r.get("disagreements") and "error" not in r for r in rows)
 
 
+def test_sweep_pool_is_capped_at_the_core_count(monkeypatch, capsys):
+    # A pool forks every worker up front; the fake records its size and
+    # maps serially, so that no process starts.
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    argv = ("sweep", "--kmax", "2", "--lmax", "2")
+    code, out, _ = run(capsys, *argv, "--jobs", "100000")
+    assert code == 0 and sizes == [3]
+    assert (code, out) == run(capsys, *argv, "--jobs", "1")[:2]
+    assert sizes == [3]
+
+
 def test_sweep_flags_nested_unavailable_section(monkeypatch, capsys):
     def no_fourplat(k, l, form=None):
         raise ExactError("no four-plat sequence")

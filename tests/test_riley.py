@@ -1,13 +1,14 @@
 """Riley polynomials: word calculus, matrix path, closed form.
 
 Oracles: plain 2x2 matrices with Fraction entries, the general product
-of 2x2 matrices over Z[L^{±1}, r], and the closed form and the trace
-rewrite in BiPoly arithmetic (Horner's rule and sums).  Words are
-evaluated at exact random (lambda, r) samples completely independently
-of the Laurent-polynomial machinery, and every symbolic claim is
-compared against those numbers; the packed word evaluation is also
-compared entry by entry with the general product, and the packed closed
-form and int-row rewrite with their BiPoly versions.
+of 2x2 matrices over Z[L^{±1}, r] (entries are dicts {power of L:
+UniPoly in r}), and the closed form and the trace rewrite in BiPoly
+arithmetic (Horner's rule and sums).  Words are evaluated at exact
+random (lambda, r) samples completely independently of the packed
+machinery, and every symbolic claim is compared against those numbers;
+the packed word evaluation, decoded through `_digits`, is also compared
+entry by entry with the general product, and the packed closed form and
+int-row rewrite with their BiPoly versions.
 """
 
 from fractions import Fraction
@@ -15,10 +16,11 @@ from random import Random
 
 import pytest
 
-from bridgevar.poly import BiPoly, ExactError, LaurentPoly, UniPoly
-from bridgevar.riley import (LaurentMat2, TraceSubringError, _digits,
-                             _slot_bytes, eval_word,
-                             ideal_generator_check, laurent_to_ry,
+from bridgevar import riley
+from bridgevar.poly import BiPoly, ExactError, UniPoly
+from bridgevar.riley import (TraceSubringError, _PackedWord, _digits,
+                             _slot_bytes, _to_ry, eval_word,
+                             ideal_generator_check,
                              normalize_unit, riley_poly_J,
                              riley_poly_matrix, riley_poly_pq, schubert_word,
                              trace_formula_check, trace_wk, w_k_word,
@@ -55,30 +57,55 @@ def num_word(word, lam, r):
     return out
 
 
-# --- oracle: the general product of Laurent 2x2 matrices -----------------
+# --- oracle: the general product of 2x2 matrices over Z[L^{±1}, r] --------
+# An entry is a dict {power of L: nonzero UniPoly in r}, a matrix the
+# tuple (a11, a12, a21, a22) of its entries.
 
-ONE = LaurentPoly.unit(0)
-ZERO = LaurentPoly.zero()
-IDENTITY = LaurentMat2(ONE, ZERO, ZERO, ONE)
+R = UniPoly.gen("r")
+R1 = UniPoly.const(1, "r")
+
+
+def lp_add(*fs):
+    out = {}
+    for f in fs:
+        for e, c in f.items():
+            out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if not c.is_zero}
+
+
+def lp_neg(f):
+    return {e: -c for e, c in f.items()}
+
+
+def lp_mul(f, g):
+    return lp_add(*({e1 + e2: c1 * c2} for e1, c1 in f.items()
+                    for e2, c2 in g.items()))
+
+
+def lp_eval(f, lam, r):
+    return sum(c(r) * lam ** e for e, c in f.items())
+
+
+ONE = {0: R1}
+ZERO = {}
+IDENTITY = (ONE, ZERO, ZERO, ONE)
 GENERATORS = {
-    "a": LaurentMat2(LaurentPoly.unit(1), ONE, ZERO, LaurentPoly.unit(-1)),
-    "b": LaurentMat2(LaurentPoly.unit(1), ZERO,
-                     LaurentPoly.unit(0, 2 - UniPoly.gen("r")),
-                     LaurentPoly.unit(-1)),
+    "a": ({1: R1}, ONE, ZERO, {-1: R1}),
+    "b": ({1: R1}, ZERO, {0: 2 - R}, {-1: R1}),
 }
 
 
 def mat_mul(X, Y):
-    return LaurentMat2(X.a11 * Y.a11 + X.a12 * Y.a21,
-                       X.a11 * Y.a12 + X.a12 * Y.a22,
-                       X.a21 * Y.a11 + X.a22 * Y.a21,
-                       X.a21 * Y.a12 + X.a22 * Y.a22)
+    return (lp_add(lp_mul(X[0], Y[0]), lp_mul(X[1], Y[2])),
+            lp_add(lp_mul(X[0], Y[1]), lp_mul(X[1], Y[3])),
+            lp_add(lp_mul(X[2], Y[0]), lp_mul(X[3], Y[2])),
+            lp_add(lp_mul(X[2], Y[1]), lp_mul(X[3], Y[3])))
 
 
 def mat_power(M, n):
     if n < 0:
-        assert M.a11 * M.a22 - M.a12 * M.a21 == ONE
-        M, n = LaurentMat2(M.a22, -M.a12, -M.a21, M.a11), -n
+        assert lp_add(lp_mul(M[0], M[3]), lp_neg(lp_mul(M[1], M[2]))) == ONE
+        M, n = (M[3], lp_neg(M[1]), lp_neg(M[2]), M[0]), -n
     out = IDENTITY
     for _ in range(n):
         out = mat_mul(out, M)
@@ -92,10 +119,32 @@ def product_word(word):
     return out
 
 
+def decode(z, pw, odd=0):
+    """The entry L^-N z as a dict, where z packs a polynomial in L of
+    degree at most 2N and parity odd in the slots of pw."""
+    rows = _digits(z >> pw.shift * odd, pw.w, pw.R, pw.letters + 1)
+    return {2 * e + odd - pw.letters: UniPoly(row, "r")
+            for e, row in enumerate(rows) if row}
+
+
+def decoded_word(word):
+    """eval_word(word), decoded entry by entry into the oracle's type."""
+    pw = eval_word(word)
+    return tuple(decode(m, pw, odd) for m, odd in zip(pw[:4], (0, 1, 1, 0)))
+
+
+def pack(f, N, w=2, per_block=3):
+    """The dict f, all of whose powers of L lie in [-N, N] and have the
+    parity of N, packed as L^N f in w-byte slots, per_block of them to a
+    power of L^2, as eval_word packs an entry."""
+    z = sum(v << 8 * w * ((e + N) // 2 * per_block + j)
+            for e, c in f.items() for j, v in enumerate(c.c))
+    return z, _PackedWord(0, 0, 0, 0, N, w, per_block)
+
+
 # --- oracle: the closed form and the trace rewrite on BiPoly --------------
 
-R = UniPoly.gen("r")
-Y_MINUS_R = BiPoly([-R, UniPoly.const(1, "r")], "y", "r")
+Y_MINUS_R = BiPoly([-R, R1], "y", "r")
 
 
 def closed_form_bipoly(k, n):
@@ -108,11 +157,12 @@ def closed_form_bipoly(k, n):
 
 def laurent_to_ry_bipoly(F):
     """sum_e c_e L^e as a BiPoly: c_0 + sum_{e > 0} c_e D_{e/2}(y), with
-    D_0 = 2, D_1 = y, D_{j+1} = y D_j - D_{j-1}, for an even palindromic F."""
+    D_0 = 2, D_1 = y, D_{j+1} = y D_j - D_{j-1}, for an even palindromic
+    dict F."""
     y = UniPoly.gen("y")
     D = [UniPoly.const(2, "y"), y]
     out = BiPoly.zero("y", "r")
-    for e, c in F.terms():
+    for e, c in sorted(F.items()):
         if e == 0:
             out = out + BiPoly.from_inner(c, "y")
         elif e > 0:
@@ -180,22 +230,22 @@ def test_schubert_word_pattern():
 def test_eval_word_matches_numeric_oracle():
     for k in (1, 2, 3, -2, 5):
         word = w_k_word(k)
-        W = eval_word(word)
+        W = decoded_word(word)
         for lam, r in sample_points(4, "eval-%d" % k):
             num = num_word(word, lam, r)
             for sym, want in zip(W, (num[0][0], num[0][1],
                                      num[1][0], num[1][1])):
-                assert sym.eval(lam, r) == want
+                assert lp_eval(sym, lam, r) == want
 
 
 def test_mat_power_matches_numeric_oracle():
-    W = eval_word(w_k_word(2))
+    W = decoded_word(w_k_word(2))
     for n in (-3, -1, 0, 2, 4):
         P = mat_power(W, n)
         for lam, r in sample_points(3, "pow-%d" % n):
             num = num_word(word_power(w_k_word(2), n), lam, r)
-            assert P.a11.eval(lam, r) == num[0][0]
-            assert P.a22.eval(lam, r) == num[1][1]
+            assert lp_eval(P[0], lam, r) == num[0][0]
+            assert lp_eval(P[3], lam, r) == num[1][1]
 
 
 def random_word(rng, length):
@@ -211,7 +261,7 @@ def test_packed_eval_word_matches_general_product():
               (("b", -3), ("a", -3), ("b", -3), ("a", -3), ("b", -3),
                ("a", -1))]
     for word in words:
-        assert eval_word(word) == product_word(word), word
+        assert decoded_word(word) == product_word(word), word
 
 
 def test_slot_bytes_keep_a_sign_bit_and_digits_round_trip():
@@ -229,14 +279,14 @@ def test_slot_bytes_keep_a_sign_bit_and_digits_round_trip():
 def test_eval_word_wide_coefficients_match_numeric_oracle():
     # The entries' coefficients reach 130 bits: no 64-bit slot holds them.
     word = schubert_word(151, 55)
-    W = eval_word(word)
-    top = max(abs(c) for entry in W for _, u in entry.terms() for c in u.c)
+    W = decoded_word(word)
+    top = max(abs(c) for entry in W for u in entry.values() for c in u.c)
     assert top.bit_length() > 64
     for lam, r in sample_points(2, "wide"):
         num = num_word(word, lam, r)
         for sym, want in zip(W, (num[0][0], num[0][1],
                                  num[1][0], num[1][1])):
-            assert sym.eval(lam, r) == want
+            assert lp_eval(sym, lam, r) == want
 
 
 # --- trace rewrite -------------------------------------------------------
@@ -258,29 +308,35 @@ def test_trace_wk_at_word_identity():
 
 
 def test_laurent_to_ry_rejects_odd_powers():
-    with pytest.raises(TraceSubringError):
-        laurent_to_ry(LaurentPoly.unit(1))
+    for f, N in (({1: R1}, 1), ({-1: R1, 1: R1}, 1), ({-3: R}, 3)):
+        with pytest.raises(TraceSubringError):
+            _to_ry(*pack(f, N))
 
 
 def test_laurent_to_ry_rejects_even_but_not_palindromic():
     with pytest.raises(TraceSubringError):
-        laurent_to_ry(LaurentPoly.unit(2))
+        _to_ry(*pack({2: R1}, 2))
     with pytest.raises(TraceSubringError):
-        laurent_to_ry(LaurentPoly(-2, [1, 0, 0, 0, 2]))
+        _to_ry(*pack({-2: R1, 2: 2 * R1}, 2))
 
 
 def test_laurent_to_ry_matches_bipoly_sum():
-    r = UniPoly.gen("r")
-    cases = [LaurentPoly.zero(), LaurentPoly.unit(0, 3 - r),
-             LaurentPoly(-4, [r, 0, Fraction(1, 2), 0, 7, 0, Fraction(1, 2),
-                              0, r]),
-             LaurentPoly(-6, [1, 0, r, 0, 0, 0, 0, 0, 0, 0, r, 0, 1])]
+    # Hand-packed digit rows, then the combination riley_poly_matrix
+    # takes of the packed words, against the oracle's product.
+    cases = [({}, 0), ({}, 2), ({0: 3 - R}, 0), ({0: 3 - R}, 4),
+             ({-4: R, -2: 1 - 5 * R ** 2, 0: 7 * R1,
+               2: 1 - 5 * R ** 2, 4: R}, 4),
+             ({-6: R1, -4: R, 4: R, 6: R1}, 8)]
+    for f, N in cases:
+        assert _to_ry(*pack(f, N)) == laurent_to_ry_bipoly(f), f
+    L_minus_inv = {1: R1, -1: -R1}
     for k, n in ((2, 1), (-3, 2), (5, -3), (8, 4)):
-        W = eval_word(word_power(w_k_word(k), n))
-        cases.append((LaurentPoly.unit(1) - LaurentPoly.unit(-1)) * W.a12
-                     + W.a22)
-    for F in cases:
-        assert laurent_to_ry(F) == laurent_to_ry_bipoly(F), F
+        word = word_power(w_k_word(k), n)
+        pw = eval_word(word)
+        z = (pw.m12 << pw.shift) - (pw.m12 >> pw.shift) + pw.m22
+        W = product_word(word)
+        F = lp_add(lp_mul(L_minus_inv, W[1]), W[3])
+        assert _to_ry(z, pw) == laurent_to_ry_bipoly(F), (k, n)
 
 
 def test_trace_formula_check_runs_and_seeds_differ():
@@ -288,6 +344,13 @@ def test_trace_formula_check_runs_and_seeds_differ():
     assert trace_formula_check(5, 10, seed="other")
     with pytest.raises(ExactError):
         trace_formula_check(5, 0)
+
+
+def test_trace_formula_check_fails_on_a_wrong_closed_form(monkeypatch):
+    real = riley.trace_wk
+    monkeypatch.setattr(riley, "trace_wk", lambda k: real(k) + 1)
+    assert not trace_formula_check(5, 3)
+    assert not trace_formula_check(-2, 3)
 
 
 # --- Riley polynomial, three ways ----------------------------------------
@@ -345,3 +408,12 @@ def test_ideal_generator_check_spot():
     assert ideal_generator_check(2, 1, 4)
     assert ideal_generator_check(3, -2, 4)
     assert ideal_generator_check(-4, 2, 3, seed="x")
+
+
+def test_ideal_generator_check_fails_on_a_wrong_generator(monkeypatch):
+    real = riley.riley_poly_J
+    r_minus_5 = BiPoly.from_inner(R - 5, "y")
+    monkeypatch.setattr(riley, "riley_poly_J",
+                        lambda k, n: real(k, n) * r_minus_5)
+    assert not ideal_generator_check(2, 1, 4)
+    assert not ideal_generator_check(3, -2, 4)
