@@ -1,21 +1,20 @@
 """Exact character-variety models and invariants of the double twist knots.
 
 Everything is integer/rational arithmetic -- no floating point enters any
-certified statement.  The only numerical routine (complex root finding)
-is used for a modulus *check* whose tolerance is explicit.
+certified statement or any check behind one.
 
 Quick tour::
 
     >>> from bridgevar import d_model, genus_X, alexander
     >>> d_model(2, -2).equation
-    'r*t-t-r'
+    BiPoly(r*t-t-r)
     >>> genus_X(2, -2).entries[0].genus_rh
     1
     >>> str(alexander(2, -2))
     '-t^2+3*t-1'
 """
 
-from .poly import (BiPoly, ExactError, QuadElem, UniPoly, complex_roots,
+from .poly import (BiPoly, ExactError, QuadElem, UniPoly,
                    irreducibility_analysis, is_prime, is_separable,
                    parse_poly, poly_gcd, rational_roots, resultant,
                    squarefree_part)
@@ -50,7 +49,7 @@ __all__ = [
     "STATE_LINE_UNION", "TORUS_NONHYPERBOLIC", "TREFOIL", "UNKNOT",
     "UniPoly", "alexander", "big_f", "big_g", "big_h", "binom_check",
     "build_report", "c_model", "classify", "commensurability_certificate",
-    "complex_roots", "complexabs_check", "component_count", "d_model",
+    "complexabs_check", "component_count", "d_model",
     "d_split", "delta", "expected_vertices", "f_poly", "fourplat_sequence",
     "g_poly", "genus_X", "genus_Y", "ideal_generator_check",
     "identity_suite", "infinity_transversality", "irreducibility_analysis",

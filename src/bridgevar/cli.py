@@ -72,16 +72,21 @@ def cmd_sweep(args):
              for k in range(-args.kmax, args.kmax + 1)
              for l in range(-args.lmax, args.lmax + 1)
              if k % 2 == 0 or l % 2 == 0]
-    # The pool forks all its workers up front: no more than the cores.
-    cpus = os.cpu_count() or 1
-    jobs = min(args.jobs or cpus, cpus)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_row, pairs, chunksize=8))
-    else:
-        rows = [_sweep_row(p) for p in pairs]
-    out = sys.stdout if args.out is None else open(args.out, "w")
+    # Open the output before any row is computed, so that a bad path
+    # fails at once.
     try:
+        out = sys.stdout if args.out is None else open(args.out, "w")
+    except OSError as e:
+        raise ValueError("cannot write %s: %s" % (args.out, e.strerror))
+    try:
+        # The pool forks all its workers up front: no more than the cores.
+        cpus = os.cpu_count() or 1
+        jobs = min(args.jobs or cpus, cpus)
+        if jobs > 1:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                rows = list(pool.map(_sweep_row, pairs, chunksize=8))
+        else:
+            rows = [_sweep_row(p) for p in pairs]
         for row in rows:
             out.write(json.dumps(row, sort_keys=True) + "\n")
     finally:
@@ -204,6 +209,13 @@ def _add_kl(sp):
     sp.add_argument("-l", type=int, required=True)
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
 def _common_options(suppress):
     """The options accepted before and after the subcommand.  The
     subparsers' copies (`suppress`) have no default, so that they set an
@@ -212,8 +224,8 @@ def _common_options(suppress):
     kw = {"default": argparse.SUPPRESS} if suppress else {}
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON", **kw)
-    common.add_argument("--jobs", type=int, help="worker processes for sweeps",
-                        **kw)
+    common.add_argument("--jobs", type=_positive_int,
+                        help="worker processes for sweeps", **kw)
     common.add_argument("--seed", help="seed label for randomized spot checks "
                                        "(BRIDGEVAR_SEED overrides)", **kw)
     return common

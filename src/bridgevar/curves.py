@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .poly import UniPoly, BiPoly, ExactError, poly_gcd, rational_roots
-from .seq import f_poly, phi, psi
+from .seq import phi, psi
 from .riley import riley_poly_J, trace_wk
 
 _R = UniPoly.gen("r")

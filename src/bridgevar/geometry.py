@@ -4,11 +4,9 @@ Everything here is certified exactly, by elimination or by counting:
 
 * affine smoothness: the resultants Res_t(F, F_t) and Res_t(F, F_r)
   both lie in the elimination ideal, so a constant gcd proves the
-  affine singular locus empty.  The proof is first tried modulo one
-  61-bit prime (`modular_smoothness_trace`, whose trace is the
-  witness); where it does not go through, the exact subresultant route
-  (`exact_singular_locus`) pushes the candidates surviving the gcd
-  through the Delta_k / Delta_l filter and verifies them pointwise.
+  affine singular locus empty.  The proof runs modulo one 61-bit prime
+  (`modular_smoothness_trace`, whose trace is the witness); a curve no
+  listed prime proves smooth is an invariant failure, not a verdict.
 * smoothness at infinity: a line of bidegree (1,0) meets a curve of
   bidegree (a,b) in exactly b points counted with multiplicity, so
   finding b distinct points proves every one of them is a transversal
@@ -22,12 +20,9 @@ from typing import NamedTuple, Optional
 
 from .kernels import poly_gcd_p
 from .poly import (UniPoly, BiPoly, ExactError, poly_gcd, resultant,
-                   resultant_mod_p, squarefree_part, is_separable,
-                   rational_roots)
+                   resultant_mod_p, squarefree_part, is_separable)
 from .seq import f_poly, g_poly, delta, big_g
-from .curves import (d_model, d_split, _swap_if_needed,
-                     STATE_CURVE, STATE_EMPTY, STATE_FULL_PLANE,
-                     STATE_LINE_UNION)
+from .curves import d_model, d_split, _swap_if_needed, STATE_CURVE
 
 _R = UniPoly.gen("r")
 
@@ -55,8 +50,8 @@ def _degenerate_reason(model):
 # affine singular locus
 
 class AffineVerdict(NamedTuple):
-    kind: str            # "Empty" | "Points"
-    points: tuple        # point descriptions (dicts)
+    kind: str            # always "Empty": a singular curve gets no verdict
+    points: tuple        # always ()
     trace: dict
 
 
@@ -65,14 +60,13 @@ CERTIFICATE_PRIMES = (2 ** 61 - 1, 2 ** 61 - 31, 2 ** 61 - 45)
 
 
 def affine_singular_locus(F, delta_filter=None):
-    """Singular locus of the affine curve F = 0.
+    """Proof that the affine curve F = 0 has no singular point.
 
-    Returns Empty when a constant gcd of eliminants (optionally sharpened
-    by the (Delta_k, Delta_l) filter) proves there is none; otherwise a
-    list of candidate points, exactly verified where rational and
-    cross-checked through both projections otherwise.  The proof of
-    Empty is tried mod p first (`modular_smoothness_trace`); every other
-    verdict, and every error, comes from `exact_singular_locus`.
+    Returns Empty with the `modular_smoothness_trace` witness, sharpened
+    by Delta_k from the (Delta_k, Delta_l) filter when given.  Zero,
+    constant and non-reduced F raise ExactError; a curve that no prime
+    of `CERTIFICATE_PRIMES` proves smooth, singular or not, raises
+    AssertionError.
     """
     if F.is_zero:
         raise ExactError("affine_singular_locus needs a nonzero polynomial")
@@ -87,7 +81,17 @@ def affine_singular_locus(F, delta_filter=None):
             F, None if delta_filter is None else delta_filter[0])
         if trace is not None:
             return AffineVerdict("Empty", (), trace)
-    return exact_singular_locus(F, delta_filter)
+    # In characteristic 0, Res_t(F, F_t) = 0 exactly when F has a repeated
+    # factor of positive t-degree; repeated factors in r alone divide the
+    # content, checked above.
+    if b and resultant(F, F.deriv_outer(), F.outer).is_zero:
+        raise ExactError("non-reduced input: Res_t(F, F_t) = 0")
+    if a == 0 or b == 0:
+        # a separable union of parallel lines is smooth
+        return AffineVerdict("Empty", (), {
+            "note": "single-variable polynomial; separable, hence smooth"})
+    raise AssertionError("no prime of CERTIFICATE_PRIMES proves %s = 0 "
+                         "smooth" % F)
 
 
 def modular_smoothness_trace(F, delta_r=None):
@@ -99,15 +103,16 @@ def modular_smoothness_trace(F, delta_r=None):
     separable content.  Let G be the gcd over Q of R1 = Res_t(F, F_t),
     R2 = Res_t(F, F_r) and, when given, the filter delta_r = Delta_k(r).
     Every singular point has its r-coordinate among the roots of G, so a
-    constant G proves the locus empty; that is the exact route's rule
-    ``gcd_r_degree <= 0``.  Taking G primitive, G divides each of them in
-    Z[r] (Gauss), so lc(G) divides lc(delta_r) and lc(R1).  Hence G mod p
-    keeps the degree of G when p does not divide lc(delta_r), or when
-    R1 mod p reaches the Sylvester bound on deg R1 (then lc(R1) is
-    nonzero mod p).  In either case G mod p divides the gcd mod p of the
-    eliminants computed, so a constant gcd mod p proves G constant.
+    constant G proves the locus empty.  Taking G primitive, G divides
+    each of them in Z[r] (Gauss), so lc(G) divides lc(delta_r) and
+    lc(R1).  Hence G mod p keeps the degree of G when p does not divide
+    lc(delta_r), or when R1 mod p reaches the Sylvester bound on deg R1
+    (then lc(R1) is nonzero mod p).  In either case G mod p divides the
+    gcd mod p of the eliminants computed, so a constant gcd mod p proves
+    G constant.
     R2 is computed only when the gcd of the others is not constant.
-    A zero R1 mod p proves nothing; the exact route rejects R1 = 0.
+    A zero R1 mod p proves nothing; `affine_singular_locus` rejects
+    R1 = 0.
 
     The trace holds the prime, the degrees of the resultants mod p,
     the Sylvester bound on deg R1, whether delta_r was used, and the
@@ -137,83 +142,6 @@ def modular_smoothness_trace(F, delta_r=None):
             trace["gcd_r_degree"] = 0
             return trace
     return None
-
-
-def exact_singular_locus(F, delta_filter=None):
-    """`affine_singular_locus` by exact subresultant PRS eliminants over
-    Z, for F already screened there; the route of every Points verdict
-    and of the R1 = 0 error."""
-    a, b = int(F.degree_inner or 0), int(F.degree_outer or 0)
-    # In characteristic 0, Res_t(F, F_t) = 0 exactly when F has a repeated
-    # factor of positive t-degree; repeated factors in r alone divide the
-    # content, checked above.
-    if b:
-        Ft = F.deriv_outer()
-        R1 = resultant(F, Ft, F.outer)
-        if R1.is_zero:
-            raise ExactError("non-reduced input: Res_t(F, F_t) = 0")
-    trace = {}
-    if b == 0 or a == 0:
-        # a separable union of parallel lines is smooth
-        trace["note"] = "single-variable polynomial; separable, hence smooth"
-        return AffineVerdict("Empty", (), trace)
-    Fr = F.deriv_inner()
-    R2 = resultant(F, Fr, F.outer)
-    G = poly_gcd(R1, R2)
-    S1 = resultant(F, Ft, F.inner)
-    S2 = resultant(F, Fr, F.inner)
-    H = poly_gcd(S1, S2)
-    trace["res_degrees"] = {
-        "Res_t(F,Ft)": _deg(R1), "Res_t(F,Fr)": _deg(R2),
-        "Res_r(F,Ft)": _deg(S1), "Res_r(F,Fr)": _deg(S2),
-    }
-    if delta_filter is not None:
-        dr, dt = delta_filter
-        G = poly_gcd(G, dr.relabel(F.inner))
-        H = poly_gcd(H, dt.relabel(F.outer))
-        trace["delta_filter"] = True
-    trace["gcd_r_degree"] = _deg(G)
-    trace["gcd_t_degree"] = _deg(H)
-    if G.degree <= 0 or H.degree <= 0:
-        return AffineVerdict("Empty", (), trace)
-    Gs = squarefree_part(G)
-    Hs = squarefree_part(H)
-    points = []
-    spurious = []
-    residual = Gs
-    for r0, _mult in rational_roots(Gs):
-        lin = UniPoly([-r0.numerator, r0.denominator], Gs.var)
-        residual = residual.divexact(lin).clear_denominators().primitive()
-        fiber = poly_gcd(poly_gcd(F.eval_inner(r0), Ft.eval_inner(r0)),
-                         Fr.eval_inner(r0))
-        if fiber.degree <= 0:
-            spurious.append(str(r0))
-            continue
-        leftover = fiber
-        for t0, _m in rational_roots(fiber):
-            lin_t = UniPoly([-t0.numerator, t0.denominator], fiber.var)
-            leftover = leftover.divexact(lin_t).clear_denominators().primitive()
-            points.append({"type": "rational", "point": (str(r0), str(t0)),
-                           "verified": F.eval_point(r0, t0) == 0})
-        if leftover.degree > 0:
-            points.append({"type": "algebraic-fiber", "r0": str(r0),
-                           "t_poly": str(leftover),
-                           "count_bound": leftover.degree})
-    if residual.degree > 0:
-        points.append({"type": "algebraic", "r_poly": str(residual),
-                       "t_poly": str(Hs),
-                       "verification": "resultant-consistency",
-                       "count_bound": residual.degree * Hs.degree})
-    if spurious:
-        trace["spurious_candidates"] = spurious
-    if not points:
-        return AffineVerdict("Empty", (), trace)
-    return AffineVerdict("Points", tuple(points), trace)
-
-
-def _deg(p):
-    d = p.degree
-    return int(d) if d == d and d != float("-inf") else "-inf"
 
 
 # ---------------------------------------------------------------------------

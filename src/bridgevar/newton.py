@@ -9,10 +9,11 @@ vertical segment from (0, infinity), i.e. roots of valuation infinity.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from typing import NamedTuple
 
-from .poly import ExactError, QuadElem, complex_roots, is_prime
+from .poly import (BiPoly, ExactError, QuadElem, UniPoly, is_prime, poly_gcd,
+                   resultant)
 from .seq import big_g, g_poly
 
 INFINITY = float("inf")
@@ -255,9 +256,46 @@ class ComplexAbsCheck(NamedTuple):
         return all(e["ok"] for e in self.entries)
 
 
-def complexabs_check(n_range, margin=1e-9, tol=1e-12):
+def _in_w(p):
+    """p(w) as a BiPoly in w (written u) over Z[z] (written x)."""
+    return BiPoly(list(p.c), "u", "x")
+
+
+_Z = BiPoly.from_inner(UniPoly.gen("x"), "u")
+
+
+def _roots_inside_unit_circle(c):
+    """Whether every root of sum c[i] z^i (ints, c[-1] the formal
+    leading coefficient) lies strictly inside the unit circle, by the
+    Schur-Cohn (Jury) recursion.
+
+    With |c_0| < |c_d|, p and (c_d p(z) - c_0 z^d p(1/z)) / z have the
+    same number of roots outside the open disk: Rouche's theorem on
+    |z| = 1, where |z^d p(1/z)| = |p(z)|, and a root on the circle is a
+    root of both.  With |c_0| >= |c_d| the roots' product has modulus at
+    least 1.  Dividing by the content keeps the coefficients small.
+    """
+    c = list(c)
+    while len(c) > 1:
+        a0, ad = c[0], c[-1]
+        if abs(a0) >= abs(ad):
+            return False
+        c = [ad * x - a0 * y for x, y in zip(c[1:], reversed(c[:-1]))]
+        g = gcd(*c)
+        c = [x // g for x in c]
+    return True
+
+
+def complexabs_check(n_range):
     """|g_{n+1}(w)/g_n(w)| > 1 at every root w of G_n for n > 0 (< 1 for
-    n < 0), with a safety margin around 1."""
+    n < 0), decided exactly.
+
+    Once gcd(G_n, g_n) = 1, Poisson's formula makes the ratios the roots
+    of h_n(z) = Res_w(G_n(w), z g_n(w) - g_{n+1}(w)), with multiplicity,
+    and deg h_n = deg G_n.  The Schur-Cohn test then asks whether the
+    roots of h_n (n < 0) or of its reversal (n > 0) all lie strictly
+    inside the unit circle.
+    """
     entries = []
     for n in n_range:
         if n == 0:
@@ -266,15 +304,12 @@ def complexabs_check(n_range, margin=1e-9, tol=1e-12):
         if gn.degree <= 0:
             entries.append({"n": n, "roots": 0, "vacuous": True, "ok": True})
             continue
-        roots = complex_roots(gn, tol=tol)
-        num, den = g_poly(n + 1), g_poly(n)
-        mods = [abs(complex(num(w)) / complex(den(w))) for w in roots]
-        if n > 0:
-            ok = all(m > 1 + margin for m in mods)
-            worst = min(mods)
-        else:
-            ok = all(m < 1 - margin for m in mods)
-            worst = max(mods)
-        entries.append({"n": n, "roots": len(roots), "vacuous": False,
-                        "ok": ok, "extreme_modulus": worst})
+        ok = poly_gcd(gn, g_poly(n)).degree == 0
+        if ok:
+            h = resultant(_in_w(gn),
+                          _Z * _in_w(g_poly(n)) - _in_w(g_poly(n + 1)), "u")
+            c = list(h.c) if n < 0 else list(reversed(h.c))
+            ok = h.degree == gn.degree and _roots_inside_unit_circle(c)
+        entries.append({"n": n, "roots": int(gn.degree), "vacuous": False,
+                        "ok": ok})
     return ComplexAbsCheck(tuple(entries))

@@ -16,7 +16,7 @@ Resultants and gcds run a subresultant polynomial remainder sequence
 over the integers.  The mod-p machinery serves factor-degree patterns
 and `resultant_mod_p`, a bivariate resultant reduced mod one prime by
 evaluation and interpolation (no CRT).  Division is always exact or an
-error -- no floats anywhere except `complex_roots`.
+error, and no coefficient is ever a float.
 """
 
 from fractions import Fraction
@@ -1382,83 +1382,3 @@ def irreducibility_analysis(f, prime_budget=6):
         if not achievable:
             return Irreducible(n, tuple(good), tuple(patterns))
     return Inconclusive(frozenset(achievable), tuple(good))
-
-
-# ---------------------------------------------------------------------------
-# simultaneous complex root finding (Aberth-Ehrlich)
-
-class RootFindingError(RuntimeError):
-    def __init__(self, msg, best):
-        super().__init__(msg)
-        self.best = best
-
-
-_ABERTH_CAP = 200
-
-
-def complex_roots(f, tol=1e-12):
-    """All complex roots of a separable f, Aberth-Ehrlich iteration.
-
-    Deterministic: seeds on a perturbed circle of radius
-    1 + max|a_i/a_n|, fixed angular offsets, output sorted by rounded
-    (real, imag).  Residual target: |f(z)| / ||f||_1 < tol.
-    """
-    import cmath
-
-    if f.degree < 1:
-        raise ExactError("complex roots of a constant")
-    cs = [complex(v) for v in f.c]
-    n = len(cs) - 1
-    lead = cs[-1]
-    mon = [v / lead for v in cs]
-    norm = sum(abs(v) for v in cs)
-
-    def val(z):
-        acc = 0j
-        for v in reversed(cs):
-            acc = acc * z + v
-        return acc
-
-    def valmon_and_deriv(z):
-        acc = 0j
-        dacc = 0j
-        for v in reversed(mon):
-            dacc = dacc * z + acc
-            acc = acc * z + v
-        return acc, dacc
-
-    radius = 1 + max(abs(v) for v in mon[:-1]) if n >= 1 else 1.0
-    z = [radius * cmath.exp(2j * cmath.pi * (k + 0.25) / n + 0.13j)
-         for k in range(n)]
-    if n == 1:
-        root = complex(-mon[0])
-        if abs(val(root)) / norm >= tol:
-            raise RootFindingError("linear root did not meet tolerance", [root])
-        return [root]
-    for _ in range(_ABERTH_CAP):
-        done = True
-        for k in range(n):
-            fk, dfk = valmon_and_deriv(z[k])
-            if fk == 0:
-                continue
-            if dfk == 0:
-                z[k] *= 1.0 + 1e-6
-                done = False
-                continue
-            newton = fk / dfk
-            s = 0j
-            for i in range(n):
-                if i != k:
-                    s += 1.0 / (z[k] - z[i])
-            denom = 1.0 - newton * s
-            step = newton / denom if denom != 0 else newton
-            z[k] = z[k] - step
-            if abs(step) > tol * max(1.0, abs(z[k])):
-                done = False
-        if done and max(abs(val(w)) for w in z) / norm < tol:
-            break
-    else:
-        if max(abs(val(w)) for w in z) / norm >= tol:
-            raise RootFindingError("Aberth iteration did not converge", z)
-    z.sort(key=lambda w: (round(w.real, 9), round(w.imag, 9)))
-    return z

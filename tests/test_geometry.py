@@ -1,9 +1,10 @@
 """Singular-locus certification and the two genus computations.
 
 Oracle: hand-planted plane curves with known singularities (a node and
-a cusp at chosen rational points) must be found exactly; known-smooth
-ones must certify Empty.  Genus values are pinned from the bidegree
-formula computed by hand.
+a cusp at chosen rational points) must be found exactly by the exact
+subresultant route of `smoothness_oracle`, and refused by the modular
+certificate; known-smooth ones must certify Empty.  Genus values are
+pinned from the bidegree formula computed by hand.
 """
 
 import pytest
@@ -14,7 +15,9 @@ from bridgevar.geometry import (CERTIFICATE_PRIMES, DegenerateModel,
                                 genus_X, genus_Y, infinity_transversality,
                                 modular_smoothness_trace, odd_point_count,
                                 odd_point_report, smoothness_certificate)
+from bridgevar.knotprops import HYPERBOLIC, classify
 from bridgevar.poly import BiPoly, ExactError, UniPoly, resultant
+from smoothness_oracle import exact_singular_locus
 
 R = UniPoly.gen("r")
 T = BiPoly.gen_outer("t", "r")
@@ -23,31 +26,38 @@ RB = BiPoly.from_inner(R, "t")
 
 # --- affine singular locus on planted curves ----------------------------
 
+NODE = T ** 2 - RB ** 2 * (RB + 1)
+CUSP = (T - 1) ** 2 - (RB - 2) ** 3
+
+
 def test_planted_node_is_found():
-    F = T ** 2 - RB ** 2 * (RB + 1)
-    v = affine_singular_locus(F)
+    v = exact_singular_locus(NODE)
     assert v.kind == "Points"
     assert [p["point"] for p in v.points] == [("0", "0")]
     assert all(p["verified"] for p in v.points)
+    with pytest.raises(AssertionError, match="no prime"):
+        affine_singular_locus(NODE)
 
 
 def test_planted_cusp_is_found():
-    F = (T - 1) ** 2 - (RB - 2) ** 3
-    v = affine_singular_locus(F)
+    v = exact_singular_locus(CUSP)
     assert v.kind == "Points"
     assert [p["point"] for p in v.points] == [("2", "1")]
+    with pytest.raises(AssertionError, match="no prime"):
+        affine_singular_locus(CUSP)
 
 
 def test_two_planted_singularities():
-    F = (T ** 2 - RB ** 2 * (RB + 1)) * 1
-    G = F.eval_outer(T + 3)          # move the node to (0, -3)
-    v = affine_singular_locus(G)
+    G = NODE.eval_outer(T + 3)       # move the node to (0, -3)
+    v = exact_singular_locus(G)
     assert [p["point"] for p in v.points] == [("0", "-3")]
+    with pytest.raises(AssertionError, match="no prime"):
+        affine_singular_locus(G)
 
 
 def test_smooth_parabola_certifies_empty():
     F = T - RB ** 2
-    v = affine_singular_locus(F)
+    v = exact_singular_locus(F)
     assert v.kind == "Empty"
     assert v.points == ()
 
@@ -61,26 +71,41 @@ def test_non_reduced_input_rejected():
             affine_singular_locus(F)
 
 
+def test_single_variable_curves_are_smooth_lines():
+    for F in ((T - 1) * (T + 2), RB ** 2 - 3):
+        v = affine_singular_locus(F)
+        assert v.kind == "Empty" and "single-variable" in v.trace["note"]
+
+
 def test_resultant_trace_recorded():
-    v = affine_singular_locus(T - RB ** 2)
+    v = exact_singular_locus(T - RB ** 2)
     assert "res_degrees" in v.trace
+    assert v.trace["gcd_r_degree"] == 0
+    # the production witness of the figure-eight model r t - t - r
+    v = affine_singular_locus(T * RB - T - RB)
+    assert v.trace["res_degrees_mod_p"] == {"Res_t(F,Ft)": 1,
+                                            "Res_t(F,Fr)": 0}
     assert v.trace["gcd_r_degree"] == 0
 
 
 def test_singular_and_unproved_inputs_reach_the_exact_route():
-    node = T ** 2 - RB ** 2 * (RB + 1)
-    cusp = (T - 1) ** 2 - (RB - 2) ** 3
-    # deg_r Res_t(F, F_t) is 0 here, below the Sylvester bound 2, and no
-    # filter bounds the gcd: no proof mod p, Empty from the exact route
+    # Only the exact route (the oracle) handles these.  deg_r Res_t(F, F_t)
+    # is 0 here, below the Sylvester bound 2, and no filter bounds the
+    # gcd: no proof mod p, so the certificate refuses even the smooth
+    # parabola, as an invariant failure.
     parabola = T - RB ** 2
-    for F in (node, cusp, node.eval_outer(T + 3), parabola):
+    for F in (NODE, CUSP, NODE.eval_outer(T + 3), parabola):
         assert modular_smoothness_trace(F) is None
-        assert "res_degrees" in affine_singular_locus(F).trace
+        assert "res_degrees" in exact_singular_locus(F).trace
+        with pytest.raises(AssertionError, match="no prime"):
+            affine_singular_locus(F)
     # a filter that keeps the node's r = 0 does not hide it
     u = UniPoly.gen("u")
-    assert modular_smoothness_trace(node, u) is None
-    v = affine_singular_locus(node, delta_filter=(u, u))
+    assert modular_smoothness_trace(NODE, u) is None
+    v = exact_singular_locus(NODE, delta_filter=(u, u))
     assert v.kind == "Points" and v.points[0]["point"] == ("0", "0")
+    with pytest.raises(AssertionError, match="no prime"):
+        affine_singular_locus(NODE, delta_filter=(u, u))
 
 
 def test_modular_trace_without_a_filter():
@@ -123,6 +148,23 @@ def test_certificate_smooth_for_hyperbolic_samples():
         assert cert.refusal is None
         assert cert.affine.kind == "Empty"
         assert cert.infinity.transversal
+
+
+def test_modular_proof_covers_equal_parameters_to_24():
+    # the only smoothness route: a knot it cannot prove is an invariant
+    # failure, so pin the range it is known to cover
+    for l in [s * m for m in range(4, 25, 2) for s in (1, -1)]:
+        cert = smoothness_certificate(l, l)
+        assert cert.smooth and "prime" in cert.affine.trace, l
+
+
+def test_modular_proof_covers_hyperbolic_knots_to_12():
+    knots = [(k, l) for k in range(-12, 13) for l in range(-12, 13, 2)
+             if classify(k, l) == HYPERBOLIC]
+    assert len(knots) == 262
+    for k, l in knots:
+        cert = smoothness_certificate(k, l)
+        assert cert.smooth and "prime" in cert.affine.trace, (k, l)
 
 
 def test_certificate_refuses_degenerate():

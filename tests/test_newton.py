@@ -12,11 +12,14 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bridgevar.newton import (GAUSS_INT, INFINITY, ROOT_THREE, binom_check,
+from bridgevar import newton
+from bridgevar.newton import (GAUSS_INT, INFINITY, ROOT_THREE,
+                              _roots_inside_unit_circle, binom_check,
                               complexabs_check, expected_vertices,
                               lemma_polynomial, poly_points, polygon,
                               root_valuations, val_quad, val_rat)
 from bridgevar.poly import ExactError, QuadElem, UniPoly
+from modulus_oracle import float_moduli
 
 X = UniPoly.gen("x")
 
@@ -219,5 +222,39 @@ def test_complexabs_check_margins():
     vac = {e["n"] for e in chk.entries if e.get("vacuous")}
     assert vac >= {-1, 1}                        # constant G_n: nothing to do
     real = [e for e in chk.entries if not e.get("vacuous")]
-    assert real and all(e["extreme_modulus"] > 1 + 1e-9 or
-                        e["extreme_modulus"] < 1 - 1e-9 for e in real)
+    assert real
+    for e in real:                   # the float oracle, on the same side of 1
+        mods = float_moduli(e["n"])
+        assert len(mods) == e["roots"]
+        assert mods[0] > 1 + 1e-9 if e["n"] > 0 else mods[-1] < 1 - 1e-9
+
+
+def test_complexabs_check_fails_with_the_ratio_inverted(monkeypatch):
+    # g_n / g_{n+1} has the reciprocal moduli, so every non-vacuous n fails
+    real_g = newton.g_poly
+    for n in (-5, -2, 2, 5):
+        monkeypatch.setattr(newton, "g_poly",
+                            lambda j, n=n: real_g(2 * n + 1 - j))
+        assert not complexabs_check([n]).ok
+
+
+def test_schur_cohn_rejects_roots_on_the_circle():
+    assert not _roots_inside_unit_circle([-1, 0, 1])       # z^2 - 1
+    assert not _roots_inside_unit_circle([1, 0, 1])        # z^2 + 1
+    assert _roots_inside_unit_circle([-1, 2])              # 2z - 1
+    assert not _roots_inside_unit_circle([1, 2, 0])        # formal degree 2
+    inside = (2 * X - 1) * (3 * X + 1) * (4 * X ** 2 + 1)
+    assert _roots_inside_unit_circle(inside.c)
+    assert not _roots_inside_unit_circle((inside * (X + 1)).c)
+    assert not _roots_inside_unit_circle((inside * (X ** 2 + 1)).c)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(-5, 5), st.integers(1, 5)),
+                min_size=1, max_size=6))
+def test_schur_cohn_matches_planted_rational_roots(roots):
+    f = UniPoly.const(1, "x")
+    for a, b in roots:
+        f = f * (b * X - a)                      # root a/b
+    assert (_roots_inside_unit_circle(f.c)
+            == all(abs(a) < b for a, b in roots))

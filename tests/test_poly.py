@@ -22,10 +22,11 @@ from bridgevar.kernels import (poly_gcd_p, poly_mul, poly_mul_p, poly_rem_p,
                                poly_resultant_p, trim)
 from bridgevar.knotprops import trace_field_poly
 from bridgevar.poly import (BAD_PRIME, BiPoly, ExactError, QuadElem, UniPoly,
-                            complex_roots, irreducibility_analysis, factorint,
-                            is_prime, is_separable, modp_degree_pattern,
-                            next_prime, parse_poly, poly_gcd, rational_roots,
-                            resultant, resultant_mod_p, squarefree_part)
+                            irreducibility_analysis, factorint, is_prime,
+                            is_separable, modp_degree_pattern, next_prime,
+                            parse_poly, poly_gcd, rational_roots, resultant,
+                            resultant_mod_p, squarefree_part)
+from modulus_oracle import complex_roots
 
 
 # --- oracles -----------------------------------------------------------
@@ -649,7 +650,7 @@ def test_quadelem_rejects_mixed_rings():
         QuadElem(1, 1, 5)
 
 
-# --- numerical root finder (the one non-exact routine) ------------------
+# --- the float root finder of the modulus-lemma oracle -----------------
 
 def test_complex_roots_known_values():
     roots = complex_roots(U ** 2 + 1)

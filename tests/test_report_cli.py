@@ -15,7 +15,7 @@ import pytest
 
 from bridgevar import cli, curves, geometry, report
 from bridgevar.cli import main
-from bridgevar.geometry import exact_singular_locus, genus_Y
+from bridgevar.geometry import genus_Y
 from bridgevar.kernels import poly_gcd_p
 from bridgevar.knotprops import (HYPERBOLIC, TREFOIL, UNKNOT, classify,
                                  trace_field_poly)
@@ -24,6 +24,7 @@ from bridgevar.poly import (BiPoly, ExactError, UniPoly, is_prime,
 from bridgevar.seq import delta
 from bridgevar.report import build_report, render_text, to_json
 from test_poly import powmod_ddf_pattern
+from smoothness_oracle import exact_singular_locus
 
 SECTIONS = ("knot", "classification", "models", "two_bridge", "smoothness",
             "component_count", "genus_Y", "genus_X", "odd_points",
@@ -461,6 +462,34 @@ def test_sweep_flags_nested_unavailable_section(monkeypatch, capsys):
     rows = {(r["k"], r["l"]): r for r in map(json.loads, out.splitlines())}
     assert rows[(2, -2)]["disagreements"] == ["two_bridge.fourplat"]
     assert not rows[(2, 2)]["disagreements"]   # trefoil: not hyperbolic
+
+
+def test_sweep_unwritable_out_fails_before_any_row(tmp_path, monkeypatch,
+                                                   capsys):
+    def no_row(pair):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(cli, "_sweep_row", no_row)
+    code, out, err = run(capsys, "sweep", "--kmax", "2", "--lmax", "2",
+                         "--jobs", "1",
+                         "--out", str(tmp_path / "missing" / "rows.jsonl"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write ")
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("before", [True, False])
+def test_sweep_refuses_jobs_below_one(monkeypatch, capsys, jobs, before):
+    def no_row(pair):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(cli, "_sweep_row", no_row)
+    argv = ["sweep", "--kmax", "2", "--lmax", "2"]
+    argv = ["--jobs", jobs] + argv if before else argv + ["--jobs", jobs]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
 
 
 def test_sweep_stdout_mode(capsys):
