@@ -161,6 +161,9 @@ def _verify_riley(args, lines):
 
 
 def cmd_verify(args):
+    if args.kmax < 2 or args.nmax < 1 or args.range < 1:
+        raise ExactError("verify bounds must be --kmax >= 2, --nmax >= 1 "
+                         "and --range >= 1")
     lines = []
     ok = True
     if args.suite in ("identities", "all"):

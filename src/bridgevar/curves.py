@@ -19,7 +19,8 @@ a positive coefficient.
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .poly import UniPoly, BiPoly, ExactError, poly_gcd, rational_roots
+from .poly import (UniPoly, BiPoly, ExactError, _prem, bipoly_divexact,
+                   poly_gcd, rational_roots)
 from .seq import phi, psi
 from .riley import riley_poly_J, trace_wk
 
@@ -151,7 +152,6 @@ def d_split(l, model=None):
         raise ExactError("d_split needs a nonzero even parameter, got %r" % (l,))
     base = model if model is not None else d_model(l, l)
     diag = BiPoly([-_R, UniPoly.const(1, "r")], "t", "r")  # t - r
-    from .poly import bipoly_divexact
     try:
         quot = bipoly_divexact(base.equation, diag)
     except ExactError as exc:
@@ -198,7 +198,6 @@ def sigma_containment_check(k, l):
     """Certify sigma(C(k,l)) lies on D(k,l) as a polynomial identity:
     the pullback D(r, tr W_k(r,y)) has pseudo-remainder 0 mod the
     C-equation (division in y over Z[r])."""
-    from .poly import _prem
     cm = c_model(k, l)
     dm = d_model(cm.k, cm.l)
     if cm.state != STATE_CURVE:
@@ -226,12 +225,9 @@ class SpecialPointsReport(NamedTuple):
 
 
 def _divisible_all_y_coeffs(F, d):
-    """Does d (UniPoly in r) divide every outer-coefficient of F?"""
-    for c in F.cs:
-        _q, rem = c.divmod_q(d)
-        if not rem.is_zero:
-            return False
-    return True
+    """Does d (UniPoly in r) divide every outer-coefficient of F over Q?
+    It does exactly when the pseudo-remainder is 0."""
+    return not any(_prem(list(c.c), list(d.c)) for c in F.cs)
 
 
 def special_points_check(k, l):

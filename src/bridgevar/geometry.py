@@ -309,25 +309,22 @@ def genus_Y(k, l, certificate=None):
     k2, l2 = cert.target.k, cert.target.l
     if l2 % 2:
         raise ExactError("genus formula needs an even twist parameter")
+    a, b = cert.target.bidegree
+    g_bi = (a - 1) * (b - 1)
     if k2 == l2:
-        n = abs(l2) // 2
-        d1_bi = (n - 2) ** 2
-        d1_form = (abs(l2) // 2 - 2) ** 2
-        a, b = cert.target.bidegree
-        if (a - 1) * (b - 1) != d1_bi:
-            raise AssertionError("D1 bidegree inconsistent with genus")
+        g_form = (abs(l2) // 2 - 2) ** 2
+    else:
+        g_form = (abs(k2) // 2 - 1) * (abs(l2) // 2 - 1)
+    if g_bi != g_form:
+        raise AssertionError(
+            "genus mismatch for (%d,%d): bidegree %d vs formula %d"
+            % (k2, l2, g_bi, g_form))
+    if k2 == l2:
         entries = (
             GenusYEntry("D0", 0, 0, True),
-            GenusYEntry("D1", d1_bi, d1_form, abs(l2) <= 6),
+            GenusYEntry("D1", g_bi, g_form, abs(l2) <= 6),
         )
     else:
-        a, b = cert.target.bidegree
-        g_bi = (a - 1) * (b - 1)
-        g_form = (abs(k2) // 2 - 1) * (abs(l2) // 2 - 1)
-        if g_bi != g_form:
-            raise AssertionError(
-                "genus mismatch for (%d,%d): bidegree %d vs formula %d"
-                % (k2, l2, g_bi, g_form))
         entries = (GenusYEntry("whole", g_bi, g_form, a <= 2 or b <= 2),)
     return GenusYReport(k2, l2, entries, cert)
 

@@ -175,19 +175,19 @@ def is_fibered(k, l, poly=None):
 # ---------------------------------------------------------------------------
 # trace field
 
-def trace_field_poly(k, l, canonical=False, model=None):
+def trace_field_poly(k, l, model=None):
     """The y = 2 slice whose root generates the trace field.
 
-    For k = l with canonical=True the slice is taken on the canonical
-    component r = Phi_{-k}(r) Psi_k(r) (y - r) + 2 instead, with the
-    spurious factor r - 2 removed.  `model` is C(k,l), if the caller
-    already built it."""
+    For k = l the slice is taken on the canonical component
+    r = Phi_{-k}(r) Psi_k(r) (y - r) + 2 instead, with the spurious
+    factor r - 2 removed.  `model` is C(k,l), if the caller already
+    built it."""
     k, l, _sw = _swap_if_needed(k, l)
     if k % 2 and l % 2:
         raise ExactError("not a knot (kl odd)")
     if k * l == 0:
         raise ExactError("trace field needs kl != 0")
-    if canonical and k == l:
+    if k == l:
         poly = phi(-k, "r") * psi(k, "r") + 1
         expected = abs(l) - 1
     else:
@@ -226,7 +226,7 @@ def trace_field_report(k, l, model=None):
         bound = abs(l2) - 1
     else:
         bound = (k2 * l2) // 2 - 1
-    poly = trace_field_poly(k2, l2, canonical=True, model=model)
+    poly = trace_field_poly(k2, l2, model=model)
     sf = squarefree_part(poly)
     analysis = irreducibility_analysis(sf)
     observed = None

@@ -120,7 +120,7 @@ def root_valuations(points):
 
 
 def poly_points(f, p):
-    """(index, v_p) points of a rational-coefficient polynomial."""
+    """(index, v_p) points of an integer-coefficient polynomial."""
     return tuple((i, val_rat(f.coeff(i), p)) for i in range(int(f.degree) + 1))
 
 

@@ -2,9 +2,9 @@
 
 Everything downstream works with three representations:
 
-* UniPoly   -- dense univariate polynomial, exact integer (or Fraction)
-               coefficients, little-endian storage, canonical form
-               (no trailing zeros).
+* UniPoly   -- dense univariate polynomial with integer coefficients,
+               little-endian storage, canonical form (no trailing
+               zeros).
 * BiPoly    -- polynomial in an *outer* variable whose coefficients are
                UniPoly in an *inner* variable.
 * QuadElem  -- a + b*w with w^2 = -1 or w^2 = 3, exact.
@@ -15,8 +15,9 @@ object: `riley` keeps it packed in ints and decodes it into int rows.)
 Resultants and gcds run a subresultant polynomial remainder sequence
 over the integers.  The mod-p machinery serves factor-degree patterns
 and `resultant_mod_p`, a bivariate resultant reduced mod one prime by
-evaluation and interpolation (no CRT).  Division is always exact or an
-error, and no coefficient is ever a float.
+evaluation and interpolation (no CRT).  Division is exact in Z[x] or an
+error.  Fractions appear only as values: rational roots and evaluation
+points, never as coefficients.
 """
 
 from fractions import Fraction
@@ -41,9 +42,9 @@ class ExactError(ValueError):
 # UniPoly
 
 def _as_coeff(v):
-    if isinstance(v, (int, Fraction)):
+    if isinstance(v, int):
         return v
-    raise ExactError("coefficient must be int or Fraction, got %r" % type(v))
+    raise ExactError("coefficient must be int, got %r" % type(v))
 
 
 class UniPoly:
@@ -98,7 +99,7 @@ class UniPoly:
         return bool(self.c)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = UniPoly.const(other, self.var)
         if not isinstance(other, UniPoly):
             return NotImplemented
@@ -111,7 +112,7 @@ class UniPoly:
 
     # -- ring structure -----------------------------------------------
     def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return UniPoly.const(other, self.var)
         if isinstance(other, UniPoly):
             if self.c and other.c and self.var != other.var:
@@ -167,56 +168,35 @@ class UniPoly:
         return result
 
     def divexact(self, other):
-        """Exact division; error if the remainder is nonzero."""
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                raise ZeroDivisionError("division by zero")
-            if isinstance(other, int):
-                out = []
-                for v in self.c:
-                    if not isinstance(v, int):
-                        break
-                    q, r = divmod(v, other)
-                    if r:
-                        break
-                    out.append(q)
-                else:
-                    return UniPoly(out, self.var)
-            out = []
-            for v in self.c:
-                q = Fraction(v, other) if isinstance(v, int) and isinstance(other, int) else v / Fraction(other)
-                out.append(q)
-            return UniPoly(_maybe_ints(out), self.var)
-        q, r = self.divmod_q(other)
-        if not r.is_zero:
-            raise ExactError("non-exact polynomial division")
-        return q
-
-    def divmod_q(self, other):
-        """Quotient/remainder over the rationals."""
-        other = self._coerce(other)
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero polynomial")
-        r = [Fraction(v) for v in self.c]
-        d = other.degree
-        lead = Fraction(other.lead)
-        q = [Fraction(0)] * max(len(self.c) - d, 0)
-        while len(trim(r)) - 1 >= d and r:
-            sh = len(r) - 1 - d
-            f = r[-1] / lead
-            q[sh] = f
-            for j in range(d + 1):
-                r[sh + j] -= f * other.c[j]
-        return (UniPoly(_maybe_ints(q), self.var),
-                UniPoly(_maybe_ints(r), self.var))
+        """Exact division in Z[x] by an int or a UniPoly; ExactError when
+        the quotient is not in Z[x]."""
+        divisor = self._coerce(other)
+        if divisor is None:
+            raise ExactError("cannot divide by %r" % type(other))
+        if divisor.is_zero:
+            raise ZeroDivisionError("division by zero")
+        d, lead = len(divisor.c) - 1, divisor.c[-1]
+        r = list(self.c)
+        q = [0] * max(len(r) - d, 0)
+        for sh in range(len(q) - 1, -1, -1):
+            c, m = divmod(r[sh + d], lead)
+            if m:
+                raise ExactError("non-exact division")
+            q[sh] = c
+            if c:
+                for j, v in enumerate(divisor.c):
+                    r[sh + j] -= c * v
+        if any(r[:d]):
+            raise ExactError("non-exact division")
+        return UniPoly(q, self.var)
 
     # -- calculus / evaluation ------------------------------------------
     def deriv(self):
         return UniPoly([i * v for i, v in enumerate(self.c)][1:], self.var)
 
     def __call__(self, value):
-        """Horner evaluation; value may be int, Fraction, complex, UniPoly
-        or BiPoly (composition)."""
+        """Horner evaluation; value may be int, Fraction, UniPoly or BiPoly
+        (composition)."""
         if isinstance(value, UniPoly):
             acc = UniPoly.zero(value.var)
             for v in reversed(self.c):
@@ -234,21 +214,8 @@ class UniPoly:
 
     # -- normal forms ---------------------------------------------------
     def content(self):
-        """gcd of integer coefficients (Fraction content if any Fraction)."""
-        if not self.c:
-            return 0
-        if all(isinstance(v, int) for v in self.c):
-            g = 0
-            for v in self.c:
-                g = int_gcd(g, abs(v))
-            return g
-        num = 0
-        den = 1
-        for v in self.c:
-            f = Fraction(v)
-            num = int_gcd(num, abs(f.numerator))
-            den = den * f.denominator // int_gcd(den, f.denominator)
-        return Fraction(num, den)
+        """gcd of the coefficients (0 for the zero polynomial)."""
+        return int_gcd(*self.c)
 
     def primitive(self):
         """Divide out the content and force a positive leading coefficient."""
@@ -259,16 +226,6 @@ class UniPoly:
             p = -p
         return p
 
-    def clear_denominators(self):
-        """Smallest positive integer multiple with integer coefficients."""
-        den = 1
-        for v in self.c:
-            if isinstance(v, Fraction):
-                den = den * v.denominator // int_gcd(den, v.denominator)
-        if den == 1:
-            return UniPoly([int(v) if isinstance(v, Fraction) else v for v in self.c], self.var)
-        return UniPoly([int(v * den) for v in (Fraction(x) for x in self.c)], self.var)
-
     def relabel(self, var):
         return UniPoly(self.c, var)
 
@@ -278,19 +235,6 @@ class UniPoly:
 
     def __repr__(self):
         return "UniPoly(%s)" % format_poly(self)
-
-
-def _maybe_ints(coeffs):
-    out = []
-    all_int = True
-    for v in coeffs:
-        if isinstance(v, Fraction):
-            if v.denominator == 1:
-                v = int(v)
-            else:
-                all_int = False
-        out.append(v)
-    return out if all_int else [Fraction(v) for v in out]
 
 
 # ---------------------------------------------------------------------------
@@ -440,10 +384,11 @@ def _prem(A, B):
 
 
 def _prs_tail(A, B):
-    """Run the subresultant PRS; yield (A, B, delta, sign_flip) states and
-    return the full sequence bookkeeping needed by both gcd and resultant."""
-    # not a generator: returns (last_nonzero, second_last, s, h) per the
-    # classical algorithm.  Degenerate inputs are handled by the callers.
+    """Run the subresultant PRS of A, B (deg A >= deg B >= 1) until the
+    remainder is zero or constant; return (A, B, s, h): the last two
+    elements, the sign of the degree swaps and the last subresultant
+    scale h, the bookkeeping both gcd and resultant need.  Degenerate
+    inputs are handled by the callers."""
     one = _ring_one(A[0])
     g = h = one
     s = 1
@@ -506,13 +451,13 @@ def poly_gcd(f, g):
     if f.is_zero and g.is_zero:
         return f
     if f.is_zero:
-        return g.clear_denominators().primitive()
+        return g.primitive()
     if g.is_zero:
-        return f.clear_denominators().primitive()
+        return f.primitive()
     if f.var != g.var:
         raise ExactError("variable mismatch: %s vs %s" % (f.var, g.var))
-    a = list(f.clear_denominators().primitive().c)
-    b = list(g.clear_denominators().primitive().c)
+    a = list(f.primitive().c)
+    b = list(g.primitive().c)
     d = _gcd_lists(a, b)
     return UniPoly(d, f.var).primitive()
 
@@ -543,13 +488,13 @@ def squarefree_part(f):
     squarefree; only the other inputs run the exact gcd."""
     if f.is_zero:
         raise ExactError("squarefree part of zero")
-    fz = f.clear_denominators().primitive()
+    fz = f.primitive()
     if fz.degree <= 0:
         return UniPoly.const(1, f.var)
     if _squarefree_mod_q(fz):
         return fz
     g = poly_gcd(fz, fz.deriv())
-    return fz.divexact(g).clear_denominators().primitive()
+    return fz.divexact(g).primitive()
 
 
 def is_separable(f):
@@ -572,10 +517,11 @@ class BiPoly:
             raise ExactError("bad variable pair (%r, %r)" % (outer, inner))
         cs = []
         for v in coeffs:
-            if isinstance(v, (int, Fraction)):
+            if isinstance(v, int):
                 v = UniPoly.const(v, inner)
             if not isinstance(v, UniPoly):
-                raise ExactError("BiPoly coefficients must be UniPoly")
+                raise ExactError("BiPoly coefficients must be int or UniPoly, "
+                                 "got %r" % type(v))
             if v.c and v.var != inner:
                 raise ExactError("coefficient in %s, expected %s" % (v.var, inner))
             cs.append(v if v.var == inner else UniPoly(v.c, inner))
@@ -626,7 +572,7 @@ class BiPoly:
         return self.cs[-1] if self.cs else UniPoly.zero(self.inner)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = BiPoly.const(other, self.outer, self.inner)
         if not isinstance(other, BiPoly):
             return NotImplemented
@@ -642,7 +588,7 @@ class BiPoly:
 
     # -- arithmetic --------------------------------------------------------
     def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return BiPoly.const(other, self.outer, self.inner)
         if isinstance(other, UniPoly):
             if other.c and other.var == self.outer:
@@ -774,33 +720,18 @@ class BiPoly:
             g = poly_gcd(g, c)
         return g
 
-    def clear_denominators(self):
-        den = 1
-        for c in self.cs:
-            for v in c.c:
-                if isinstance(v, Fraction):
-                    den = den * v.denominator // int_gcd(den, v.denominator)
-        if den == 1:
-            return BiPoly([c.clear_denominators() if any(isinstance(v, Fraction) for v in c.c) else c
-                           for c in self.cs], self.outer, self.inner)
-        return BiPoly([UniPoly([int(Fraction(v) * den) for v in c.c], self.inner)
-                       for c in self.cs], self.outer, self.inner)
-
     def primitive(self):
         """Remove integer content; sign so that the lexicographically top
         coefficient (outer degree, then inner degree) is positive."""
         if self.is_zero:
             return self
-        f = self
-        if not all(isinstance(v, int) for c in self.cs for v in c.c):
-            f = self.clear_denominators()
-        g = int_gcd(*(v for c in f.cs for v in c.c))
-        if f.lead_outer.lead < 0:
+        g = int_gcd(*(v for c in self.cs for v in c.c))
+        if self.lead_outer.lead < 0:
             g = -g
         if g == 1:
-            return f
+            return self
         return BiPoly([UniPoly([v // g for v in c.c], self.inner)
-                       for c in f.cs], self.outer, self.inner)
+                       for c in self.cs], self.outer, self.inner)
 
     def relabel(self, outer, inner):
         return BiPoly([UniPoly(c.c, inner) for c in self.cs], outer, inner)
@@ -1025,7 +956,7 @@ def is_prime(n):
     """Deterministic Miller-Rabin, valid far beyond any size used here."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -1123,7 +1054,7 @@ def rational_roots(f):
     (Fraction root, multiplicity)."""
     if f.is_zero:
         raise ExactError("rational roots of the zero polynomial")
-    g = f.clear_denominators().primitive()
+    g = f.primitive()
     roots = []
     # root 0
     v = 0
@@ -1147,24 +1078,15 @@ def rational_roots(f):
             continue
         mult = 0
         h = g
+        lin = UniPoly([-cand.numerator, cand.denominator], g.var)
         while h.degree >= 1 and h(cand) == 0:
-            h = _deflate(h, cand)
+            h = h.divexact(lin)
             mult += 1
         roots.append((cand, mult))
         g = h
         if g.degree <= 0:
             break
     return sorted(roots)
-
-
-def _deflate(f, root):
-    """Divide f by (x - root), root an exact root."""
-    out = [Fraction(0)] * f.degree
-    acc = Fraction(0)
-    for i in range(f.degree, 0, -1):
-        acc = acc * root + f.coeff(i)
-        out[i - 1] = acc
-    return UniPoly(_maybe_ints(out), f.var)
 
 
 # ---------------------------------------------------------------------------
@@ -1212,10 +1134,9 @@ def modp_degree_pattern(f, p):
     """
     if not is_prime(p):
         raise ExactError("%r is not prime" % (p,))
-    fz = f.clear_denominators()
-    if fz.lead % p == 0:
+    if f.lead % p == 0:
         return BAD_PRIME
-    a = trim([v % p for v in fz.c])
+    a = trim([v % p for v in f.c])
     da = len(a) - 1
     if da < 1:
         return []
@@ -1354,7 +1275,7 @@ def irreducibility_analysis(f, prime_budget=6):
     """
     if f.degree < 1:
         raise ExactError("irreducibility of a constant")
-    fz = f.clear_denominators().primitive()
+    fz = f.primitive()
     n = fz.degree
     rr = rational_roots(fz)
     if rr:

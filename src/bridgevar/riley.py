@@ -399,7 +399,9 @@ def ideal_generator_check(k, n, samples, seed=""):
     Both words have N + 1 letters, so the entries are L^-(N+1) times the
     differences of the packed ones.  At lam0 = a/b each entry is taken
     times the unit (ab)^(N+1), which makes it an int row in r:
-    sum_i c_i a^i b^(2N+2-i) over the coefficients c_i of L^i."""
+    sum_i c_i a^i b^(2N+2-i) over the coefficients c_i of L^i.  F_{k,n}
+    is taken at y0 = (a^4 + b^4)/(ab)^2 times (ab)^(2d), d = deg_y F:
+    sum_j F_j(r) (a^4 + b^4)^j (ab)^(2(d-j))."""
     if samples < 1:
         raise ExactError("samples must be >= 1")
     word = word_power(w_k_word(k), n)
@@ -412,23 +414,27 @@ def ideal_generator_check(k, n, samples, seed=""):
                 (1, pw.rows(pw.m21 >> pw.shift)), (0, pw.rows(pw.m22))]
                for pw in pws]
     F = riley_poly_J(k, n)
+    d = F.degree_outer
     rng = Random("%sideal-%d-%d" % (seed, k, n))
     for _ in range(samples):
         lam = _rand_fraction(rng, nonzero=True, exclude=(1, -1))
-        y0 = lam ** 2 + lam ** -2
         a, b = lam.numerator, lam.denominator
         g = UniPoly.zero("r")
         for x, y in zip(*entries):
             g = poly_gcd(g, _scaled_at(x, top, a, b)
                          - _scaled_at(y, top, a, b))
-        f_spec = F.eval_outer(y0)
+        num, den = a ** 4 + b ** 4, (a * b) ** 2
+        spec = []
+        for j, fj in enumerate(F.cs):
+            _add_multiple(spec, num ** j * den ** (d - j), fj.c)
+        f_spec = UniPoly(spec, "r")
         if g.degree <= 0 and f_spec.degree <= 0:
             if f_spec.is_zero:
                 return False
             continue  # both cut out the empty set: vacuous pass
         if g.degree != f_spec.degree:
             return False
-        if g.primitive() != f_spec.clear_denominators().primitive():
+        if g.primitive() != f_spec.primitive():
             return False
     return True
 

@@ -60,16 +60,16 @@ def exact_singular_locus(F, delta_filter=None):
     residual = Gs
     for r0, _mult in rational_roots(Gs):
         lin = UniPoly([-r0.numerator, r0.denominator], Gs.var)
-        residual = residual.divexact(lin).clear_denominators().primitive()
-        fiber = poly_gcd(poly_gcd(F.eval_inner(r0), Ft.eval_inner(r0)),
-                         Fr.eval_inner(r0))
+        residual = residual.divexact(lin).primitive()
+        fiber = poly_gcd(poly_gcd(_fiber(F, r0), _fiber(Ft, r0)),
+                         _fiber(Fr, r0))
         if fiber.degree <= 0:
             spurious.append(str(r0))
             continue
         leftover = fiber
         for t0, _m in rational_roots(fiber):
             lin_t = UniPoly([-t0.numerator, t0.denominator], fiber.var)
-            leftover = leftover.divexact(lin_t).clear_denominators().primitive()
+            leftover = leftover.divexact(lin_t).primitive()
             points.append({"type": "rational", "point": (str(r0), str(t0)),
                            "verified": F.eval_point(r0, t0) == 0})
         if leftover.degree > 0:
@@ -86,6 +86,15 @@ def exact_singular_locus(F, delta_filter=None):
     if not points:
         return AffineVerdict("Empty", (), trace)
     return AffineVerdict("Points", tuple(points), trace)
+
+
+def _fiber(F, r0):
+    """q^a F(p/q, t) for r0 = p/q and a = deg_r F: the restriction of F
+    to r = r0, with the same roots in t, as an integer polynomial."""
+    p, q = r0.numerator, r0.denominator
+    a = int(F.degree_inner)
+    return UniPoly([sum(v * p ** i * q ** (a - i) for i, v in enumerate(c.c))
+                    for c in F.cs], F.outer)
 
 
 def _deg(p):

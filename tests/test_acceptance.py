@@ -222,7 +222,7 @@ def test_criterion_10_trace_field_degrees():
         expected = -(k * l) // 2 if k * l < 0 else (k * l) // 2 - 1
         ok = ok and trace_field_poly(k, l).degree == expected
     for l in DIAG:
-        ok = ok and trace_field_poly(l, l, canonical=True).degree == abs(l) - 1
+        ok = ok and trace_field_poly(l, l).degree == abs(l) - 1
     fig8 = trace_field_report(2, -2)
     ok = ok and fig8.analysis.verdict == "irreducible" \
         and fig8.poly_degree == 2

@@ -84,9 +84,9 @@ def test_sigma_maps_c_points_onto_d():
     cm = c_model(2, -2)
     dm = d_model(2, -2)
     for r0 in (Fraction(3), Fraction(5, 2), Fraction(-1), Fraction(7, 3)):
-        fib = cm.equation.eval_inner(r0)       # linear in y
-        assert fib.degree == 1
-        y0 = -Fraction(fib.c[0], fib.c[1])
+        fib = [c(r0) for c in cm.equation.cs]  # linear in y
+        assert len(fib) == 2 and fib[1] != 0
+        y0 = -fib[0] / fib[1]
         assert cm.equation.eval_point(r0, y0) == 0
         r1, t1 = sigma_push(2, -2, (r0, y0))
         assert r1 == r0

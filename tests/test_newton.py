@@ -125,9 +125,8 @@ def test_polygon_is_lower_hull_property(vals):
                       min_size=1, max_size=5))
 def test_polygon_recovers_planted_valuations(roots):
     f = UniPoly.const(1, "x")
-    for r0 in roots:
-        f = f * (Fraction(r0.denominator if isinstance(r0, Fraction) else 1)
-                 * X - r0 * (r0.denominator if isinstance(r0, Fraction) else 1))
+    for r0 in map(Fraction, roots):
+        f = f * (r0.denominator * X - r0.numerator)
     got = {}
     for v, c in root_valuations(poly_points(f, 2)):
         got[v] = got.get(v, 0) + c

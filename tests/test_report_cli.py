@@ -202,8 +202,7 @@ def test_irreducibility_witnesses_recheck_from_json():
             continue
         seen += 1
         tf = knot.trace_field
-        f = squarefree_part(trace_field_poly(tf.k, tf.l, canonical=True))
-        f = f.clear_denominators().primitive()
+        f = squarefree_part(trace_field_poly(tf.k, tf.l))
         n = analysis["degree"]
         assert n == f.degree == section["squarefree_degree"]
         assert [powmod_ddf_pattern(f, p)
@@ -314,6 +313,15 @@ def test_cli_exit_codes(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "nosuchsuite"])
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ("riley", "--kmax", "-5"), ("riley", "--kmax", "1"),
+    ("riley", "--nmax", "0"), ("newton", "--range", "0"),
+    ("identities", "--range", "-1"), ("all", "--kmax", "1", "--json")])
+def test_cli_verify_refuses_vacuous_bounds(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == "" and "error:" in err
 
 
 def test_cli_model_and_tracefield(capsys):
