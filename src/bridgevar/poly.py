@@ -1049,6 +1049,17 @@ def _divisors(n):
 # ---------------------------------------------------------------------------
 # rational roots
 
+def _vanishes_at(c, p, q):
+    """Whether the polynomial with coefficients c (lowest first) vanishes
+    at p/q, q > 0: sum_i c_i p^i q^(n - i) = 0 for n = len(c) - 1, the
+    value times q^n, by homogeneous Horner's rule on ints."""
+    acc, qi = 0, 1
+    for v in reversed(c):
+        acc = acc * p + v * qi
+        qi *= q
+    return acc == 0
+
+
 def rational_roots(f):
     """All rational roots with multiplicity, as a sorted list of
     (Fraction root, multiplicity)."""
@@ -1074,12 +1085,13 @@ def rational_roots(f):
                 cands.add(Fraction(p, q))
                 cands.add(Fraction(-p, q))
     for cand in sorted(cands):
-        if g(cand) != 0:
+        p, q = cand.numerator, cand.denominator
+        if not _vanishes_at(g.c, p, q):
             continue
         mult = 0
         h = g
-        lin = UniPoly([-cand.numerator, cand.denominator], g.var)
-        while h.degree >= 1 and h(cand) == 0:
+        lin = UniPoly([-p, q], g.var)
+        while h.degree >= 1 and _vanishes_at(h.c, p, q):
             h = h.divexact(lin)
             mult += 1
         roots.append((cand, mult))

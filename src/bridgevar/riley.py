@@ -11,52 +11,83 @@ subring generated by r and y = L^2 + L^-2.  For the J(k, l) family there
 is also the closed form built from the Phi/Psi sequences; both paths
 live here so each can oracle the other.
 
-A word of N letters is evaluated as L^N W (`eval_word`), whose entries are
+A word of N letters is evaluated as L^N W, whose entries are
 polynomials in L of degree at most 2N, each packed into one int by
 Kronecker substitution (Harvey, J. Symbolic Comput. 44 (2009)):
 r = 2^(8w) and L = 2^(4wR).  Every generator, times L, has even
 diagonal and odd off-diagonal entries in L, and so has L^N W; within
 one entry, L^2 steps over a whole block of R signed w-byte slots, one
-slot per power of r.  Each letter right-multiplies the rows (m1, m2) of
-L^t W by L A^{±1} or L B^{±1}, which is shifts and adds; with c = 2 - r
-and c X = 2X - (X << 8w):
+slot per power of r.  Each route computes only the entries it reads,
+by one vector pass over the word: shifts and adds only, with c = 2 - r
+and c X = 2X - (X << 8w).  A row pass (`_row_pass`) reads the letters
+left to right and right-multiplies a row (m1, m2) by L A^{±1} or
+L B^{±1}:
 
     a:      m1 <- L^2 m1,             m2 <- L m1 + m2
     a^-1:                             m2 <- L^2 m2 - L m1
     b:      m1 <- L^2 m1 + L c m2
     b^-1:   m1 <- m1 - L c m2,        m2 <- L^2 m2
 
-The slots are sized from the word before any arithmetic.  Only b
-letters raise the degree in r, so R = (number of b letters) + 1.  The
-l1 norms of the two columns are at most b1, b2, which start at 1 and
+A column pass (`_col_pass`) reads them right to left and
+left-multiplies a column (u, v):
+
+    a:      u <- L^2 u + L v
+    a^-1:   u <- u - L v,             v <- L^2 v
+    b:      u <- L^2 u,               v <- L c u + v
+    b^-1:                             v <- L^2 v - L c u
+
+`riley_poly_pq` reads the first row, a row pass from (1, 0);
+`riley_poly_matrix` the second column, a column pass from (0, 1); and
+`eval_word`, which both spot checks use, runs two row passes for all
+four entries.  No route uses another's result or Cayley-Hamilton.
+
+The slots are sized from the word before any arithmetic (`_slots`).
+Only b letters raise the degree in r, so R = (number of b letters) + 1.
+The l1 norms of the two columns are at most b1, b2, which start at 1 and
 follow the word: a^{±1} sets b2 <- b1 + b2 and b^{±1} sets
 b1 <- b1 + 3 b2.  The entry combinations the Riley routes take have l1
 norm at most 3 max(b1, b2), and w leaves room for that plus a sign bit.
-A packed result, made even in L by dividing an odd one by L (an exact
-right shift), is read back as balanced base-2^(8w) digits, with one
-`to_bytes` per entry or combination (`_digits`): one int row in r per
-even power of L.  This one decoder gives the only unpacked form of a
-word's matrix: the Riley routes rewrite its rows in (r, y) (`_to_ry`),
-and both spot checks evaluate them at exact points.
+This bounds the final matrix whatever the order of evaluation, and the
+intermediate ints need no bound: they are values of polynomials at an
+integer point, a ring homomorphism, so only the final coefficients have
+to fit in their slots.  A packed result, made even in L by dividing an
+odd one by L (an exact right shift), is read back as balanced
+base-2^(8w) digits, with one `to_bytes` per entry or combination
+(`_digits`): one int row in r per even power of L.  The decoder
+converts only the window of blocks from the one holding the lowest set
+bit of the int to the block of its bit length; the blocks outside it are
+zero.  This one decoder gives the only unpacked form of a word's matrix:
+the Riley routes rewrite its rows in (r, y) (`_to_ry`), and both spot
+checks evaluate them at exact points.
 
 The closed form F_{k,n} = f_n(t) F_{k,1} - f_{n-1}(t), with
-t = A (y - r) + 2 and F_{k,1} = 1 - B (y - r) for A = Phi_{-k} Psi_k and
-B = Phi_{-k} Phi_{k-1}, is evaluated the same way: A and B are packed at
-r = 2^(8w), y = 2^(8wR), and Horner's rule for f_n(t) and f_{n-1}(t)
-runs on those ints.  Evaluation at an integer point is a ring
-homomorphism Z[y, r] -> Z, so the final int is F_{k,n}(2^(8wR), 2^(8w))
-whatever the intermediate ints look like: only the coefficients of
-F_{k,n} need to fit in a slot, and the intermediates may carry freely.
-Its r-degree is below R = max(d_n len A + len B, d_{n-1} len A) + 1 and
+t = A s + 2, s = y - r and F_{k,1} = 1 - B s for A = Phi_{-k} Psi_k and
+B = Phi_{-k} Phi_{k-1}, is expanded at t = 2.  With g_j and h_j the
+Taylor coefficients of f_n(2 + u) and f_{n-1}(2 + u), where
+f_n(2 + u) = sum_j C(n + j, 2j + 1) u^j for n >= 0 and f_{-n} = -f_n,
+
+    F_{k,n} = sum_j P_j s^j,   P_j = (g_j - h_j) A^j - g_{j-1} A^(j-1) B.
+
+A and B are packed at r = 2^(8w) and the P_j are int products; with
+y = 2^(8wR), Horner's rule in s is z <- (z << 8wR) - (z << 8w) + P_j,
+shifts and a subtraction.  By the ring homomorphism Z[y, r] -> Z the
+final int is F_{k,n}(2^(8wR), 2^(8w)) whatever the intermediate ints
+look like: only the coefficients of F_{k,n} need to fit in a slot.  Its
+r-degree is below R = max(d_n len A + len B, d_{n-1} len A) + 1 and
 its y-degree at most max(d_n + 1, d_{n-1}), with d_j = deg f_j.  With
 T = 2 ||A||_1 + 2 >= ||t||_1, its l1 norm is at most
 sum |f_{n,i}| T^i (2 ||B||_1 + 1) + sum |f_{n-1,i}| T^i, and w holds
 that bound and a sign bit, so the balanced digits of the result are the
 coefficients of F_{k,n}.
+
+The trace spot check (`trace_formula_check`) compares tr W_k with its
+closed form at random rational points on ints: both sides are scaled by
+powers of the denominators into integers, and the two ints are equal
+exactly when the two rational values are.
 """
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import comb, gcd as int_gcd
 from random import Random
 from typing import NamedTuple
 
@@ -148,15 +179,9 @@ def schubert_word(p, q):
 _R = UniPoly.gen("r")
 
 
-class _PackedWord(NamedTuple):
-    """The entries of L^N W for a word W of N letters, each evaluated at
-    r = 2**(8w) and L = 2**shift with shift = 4wR.  The diagonal entries
-    are even in L and the others odd, so within one entry the coefficient
-    of L^(2i+p) r^j is the signed w-byte slot i*R + j of m >> (p*shift)."""
-    m11: int
-    m12: int
-    m21: int
-    m22: int
+class _Slots(NamedTuple):
+    """The slot layout of a word of N letters: its entries, times L^N,
+    are evaluated at r = 2**(8w) and L = 2**shift with shift = 4wR."""
     letters: int
     w: int
     R: int
@@ -172,16 +197,31 @@ class _PackedWord(NamedTuple):
         return _digits(z, self.w, self.R, self.letters + 1)
 
 
+class _PackedWord(NamedTuple):
+    """The entries of L^N W for a word W of N letters, in the slots of
+    `_Slots`.  The diagonal entries are even in L and the others odd, so
+    within one entry the coefficient of L^(2i+p) r^j is the signed w-byte
+    slot i*R + j of m >> (p*shift)."""
+    m11: int
+    m12: int
+    m21: int
+    m22: int
+    letters: int
+    w: int
+    R: int
+
+    shift = _Slots.shift
+    rows = _Slots.rows
+
+
 def _slot_bytes(bound):
     """The fewest bytes w of a signed slot that holds every integer of
     absolute value at most bound: bound < 2**(8w - 1), a sign bit spare."""
     return (bound.bit_length() + 8) // 8
 
 
-def eval_word(word):
-    """The word W as the packed entries of L^N W: evaluated letter by
-    letter as right multiplications of the two rows of L^t W by L A^{±1}
-    or L B^{±1}, shifts and adds only."""
+def _slots(word):
+    """The slots of the word, sized before any arithmetic."""
     letters = b_letters = 0
     b1 = b2 = 1  # l1-norm bounds of the columns of L^t W
     for gen, exp in word:
@@ -197,43 +237,90 @@ def eval_word(word):
     # Room for the entry combinations of the Riley routes (l1 norm at
     # most 3 max(b1, b2)) and a sign bit; only b letters raise the
     # degree in r.
-    w = _slot_bytes(3 * max(b1, b2))
-    R = b_letters + 1
-    rs, L1 = 8 * w, 4 * w * R
+    return _Slots(letters, _slot_bytes(3 * max(b1, b2)), b_letters + 1)
+
+
+def _row_pass(word, slots, x, y):
+    """The row vector (x, y) times L^N W: the letters left to right, each
+    a right multiplication by L A^{±1} or L B^{±1}."""
+    rs, L1 = 8 * slots.w, slots.shift
     L2 = 2 * L1
-    rows = []
-    for x, y in ((1, 0), (0, 1)):
-        for gen, exp in word:
-            for _ in range(abs(exp)):
-                if gen == "a":
-                    if exp > 0:
-                        x, y = x << L2, (x << L1) + y
-                    else:
-                        y = (y << L2) - (x << L1)
+    for gen, exp in word:
+        for _ in range(abs(exp)):
+            if gen == "a":
+                if exp > 0:
+                    x, y = x << L2, (x << L1) + y
                 else:
-                    cy = ((y << 1) - (y << rs)) << L1  # L (2 - r) y
-                    if exp > 0:
-                        x = (x << L2) + cy
-                    else:
-                        x, y = x - cy, y << L2
-        rows += (x, y)
-    return _PackedWord(*rows, letters, w, R)
+                    y = (y << L2) - (x << L1)
+            else:
+                cy = ((y << 1) - (y << rs)) << L1  # L (2 - r) y
+                if exp > 0:
+                    x = (x << L2) + cy
+                else:
+                    x, y = x - cy, y << L2
+    return x, y
+
+
+def _col_pass(word, slots, u, v):
+    """L^N W times the column vector (u, v): the letters right to left,
+    each a left multiplication by L A^{±1} or L B^{±1}."""
+    rs, L1 = 8 * slots.w, slots.shift
+    L2 = 2 * L1
+    for gen, exp in reversed(word):
+        for _ in range(abs(exp)):
+            if gen == "a":
+                if exp > 0:
+                    u = (u << L2) + (v << L1)
+                else:
+                    u, v = u - (v << L1), v << L2
+            else:
+                cu = ((u << 1) - (u << rs)) << L1  # L (2 - r) u
+                if exp > 0:
+                    u, v = u << L2, cu + v
+                else:
+                    v = (v << L2) - cu
+    return u, v
+
+
+def eval_word(word):
+    """The word W as the packed entries of L^N W: its two rows, each by a
+    row pass, shifts and adds only."""
+    slots = _slots(word)
+    return _PackedWord(*_row_pass(word, slots, 1, 0),
+                       *_row_pass(word, slots, 0, 1), *slots)
 
 
 def _digits(z, w, R, blocks):
     """The balanced base-2**(8w) digits of z, blocks * R of them, as one
     int list per block of R digits, each without its zero top digits.
-    Every digit of z must lie in [-2**(8w - 1), 2**(8w - 1))."""
-    count = blocks * R
+    Every digit of z must lie in (-2**(8w - 1), 2**(8w - 1)).
+
+    Only the window of blocks that can be nonzero is converted, and every
+    block outside it is [].  With b = 8wR bits to a block, let lo be the
+    block holding the lowest set bit of z: z is divisible by 2**(b lo),
+    so every block below lo is zero.  The top nonzero block t is at most
+    z.bit_length() // b, also in the edge case of a top block of -1 over
+    positive lower blocks, where the highest set bit of |z| lies in block
+    t - 1.  Every digit is at most h = 2**(8w - 1) - 1 in absolute value,
+    so the t R digits below block t make up at most
+    h (2**(b t) - 1) / (2**(8w) - 1) < 2**(b t - 1) in absolute value,
+    while block t, being nonzero, makes up at least 2**(b t).  So
+    |z| > 2**(b t - 1), and the bit length of z is at least b t."""
+    rows = [[] for _ in range(blocks)]
+    if not z:
+        return rows
+    b = 8 * w * R
+    lo = ((z & -z).bit_length() - 1) // b
+    hi = min(z.bit_length() // b, blocks - 1)
+    count = (hi - lo + 1) * R
     # Balanced digits: adding 0x80.. to every slot makes each one
     # nonnegative, and xor-ing it back leaves each slot in two's complement.
     bias = int.from_bytes((bytes(w - 1) + b"\x80") * count, "little")
-    raw = ((z + bias) ^ bias).to_bytes(count * w, "little")
-    rows = []
-    for i in range(0, len(raw), R * w):
+    raw = (((z >> lo * b) + bias) ^ bias).to_bytes(count * w, "little")
+    for e, i in enumerate(range(0, len(raw), R * w), lo):
         top = i + len(raw[i:i + R * w].rstrip(b"\0"))  # past the last nonzero
-        rows.append([int.from_bytes(raw[j:j + w], "little", signed=True)
-                     for j in range(i, top, w)])
+        rows[e] = [int.from_bytes(raw[j:j + w], "little", signed=True)
+                   for j in range(i, top, w)]
     return rows
 
 
@@ -303,10 +390,16 @@ def _l1_at(c, T):
     return sum(abs(v) * T ** i for i, v in enumerate(c))
 
 
+def _taylor_at_2(n, j):
+    """The coefficient of u^j in f_n(2 + u): C(n + j, 2j + 1) for n >= 0,
+    and f_{-n} = -f_n."""
+    return comb(n + j, 2 * j + 1) if n >= 0 else -comb(j - n, 2 * j + 1)
+
+
 def riley_poly_J(k, n):
     """Closed-form F_{k,n} in Z[r, y] (outer y, inner r):
-    f_n(t) * F_{k,1} - f_{n-1}(t) with t = tr W_k, evaluated on packed ints
-    (see the module docstring)."""
+    f_n(t) * F_{k,1} - f_{n-1}(t) with t = tr W_k, expanded in s = y - r
+    and evaluated on packed ints (see the module docstring)."""
     a = (phi(-k) * psi(k)).c
     b = (phi(-k) * phi(k - 1)).c
     fn, fm = f_poly(n), f_poly(n - 1)
@@ -319,25 +412,41 @@ def riley_poly_J(k, n):
     rs, ys = 8 * w, 8 * w * R
     A = sum(v << rs * i for i, v in enumerate(a))
     B = sum(v << rs * i for i, v in enumerate(b))
-    t = (A << ys) - (A << rs) + 2
-    z = fn(t) * (1 - (B << ys) + (B << rs)) - fm(t)
-    return BiPoly([UniPoly(row, "r")
-                   for row in _digits(z, w, R, max(dn + 1, dm) + 1)],
+    top = max(dn + 1, dm)
+    # P_j = (g_j - h_j) A^j - g_{j-1} A^(j-1) B, with g_j and h_j the
+    # Taylor coefficients of f_n and f_{n-1} at 2
+    P = []
+    Aj, prev = 1, 0  # A^j and g_{j-1} A^(j-1) B
+    for j in range(top + 1):
+        g = _taylor_at_2(n, j)
+        P.append((g - _taylor_at_2(n - 1, j)) * Aj - prev)
+        prev = g * Aj * B
+        Aj *= A
+    z = 0
+    for Pj in reversed(P):  # Horner's rule in s: s z = (z << ys) - (z << rs)
+        z = (z << ys) - (z << rs) + Pj
+    return BiPoly([UniPoly(row, "r") for row in _digits(z, w, R, top + 1)],
                   "y", "r")
 
 
 def riley_poly_matrix(k, n):
-    """F_{k,n} extracted from W = W_k^n as (L - L^-1) W12 + W22."""
-    pw = eval_word(word_power(w_k_word(k), n))
+    """F_{k,n} extracted from W = W_k^n as (L - L^-1) W12 + W22: the second
+    column of L^N W by one column pass."""
+    word = word_power(w_k_word(k), n)
+    slots = _slots(word)
+    m12, m22 = _col_pass(word, slots, 0, 1)
     # L^N ((L - L^-1) W12 + W22) = (L - L^-1) M12 + M22, with M12 odd
-    return _to_ry((pw.m12 << pw.shift) - (pw.m12 >> pw.shift) + pw.m22, pw)
+    return _to_ry((m12 << slots.shift) - (m12 >> slots.shift) + m22, slots)
 
 
 def riley_poly_pq(p, q):
-    """Riley polynomial of the (p, q) two-bridge word: W11 + (L^-1 - L) W12."""
-    pw = eval_word(schubert_word(p, q))
+    """Riley polynomial of the (p, q) two-bridge word: W11 + (L^-1 - L) W12,
+    from the first row of L^N W by one row pass."""
+    word = schubert_word(p, q)
+    slots = _slots(word)
+    m11, m12 = _row_pass(word, slots, 1, 0)
     # L^N (W11 + (L^-1 - L) W12) = M11 + (L^-1 - L) M12, with M12 odd
-    return _to_ry(pw.m11 + (pw.m12 >> pw.shift) - (pw.m12 << pw.shift), pw)
+    return _to_ry(m11 + (m12 >> slots.shift) - (m12 << slots.shift), slots)
 
 
 def normalize_unit(F):
@@ -361,31 +470,47 @@ def _rand_fraction(rng, nonzero=False, exclude=()):
         return q
 
 
-def _at(row, x):
-    """The int row in r, a polynomial, at r = x."""
-    acc = 0
-    for v in reversed(row):
-        acc = acc * x + v
-    return acc
+def _dot(row, powers):
+    """sum_i row_i powers_i: with powers_i = a^i b^(D - i), b^D times the
+    int row in r, a polynomial of degree at most D, at r = a/b."""
+    return sum(v * x for v, x in zip(row, powers))
 
 
 def trace_formula_check(k, samples, seed=""):
-    """Exact-rational spot check of tr W_k = Phi_{-k} Psi_k (y - r) + 2."""
+    """Exact spot check of tr W_k = Phi_{-k} Psi_k (y - r) + 2 at random
+    rational points r0 = a/b, lam = c/d and y0 = lam^2 + lam^-2, on ints.
+
+    Both sides are taken times b^D (cd)^M, where D bounds their degrees
+    in r, N is the letter count of w_k and M = max(N, 2 deg_y).  Row e
+    of L^N tr W_k is its coefficient of lam^(2e - N), and
+    c^(2e) d^(2N - 2e) = (cd)^N lam^(2e - N), so the left side is
+    sum_e b^D row_e(r0) c^(2e) d^(2N - 2e) (cd)^(M - N).  With
+    y0 = (c^4 + d^4) / (cd)^2 the right side is
+    sum_i b^D C_i(r0) (c^4 + d^4)^i (cd)^(M - 2i) over the y-coefficients
+    C_i of `trace_wk(k)`.  The factor is not zero, so the two ints are
+    equal exactly when the two sides are."""
     if samples < 1:
         raise ExactError("samples must be >= 1")
     pw = eval_word(w_k_word(k))
     N = pw.letters
-    # row e of L^N tr W_k: the coefficient of L^(2e - N) in tr W_k
-    rows = pw.rows(pw.m11 + pw.m22)
-    closed = trace_wk(k)
+    left = [(e, row) for e, row in enumerate(pw.rows(pw.m11 + pw.m22))
+            if row]
+    right = [u.c for u in trace_wk(k).cs]
+    D = max(map(len, [row for _, row in left] + right), default=1) - 1
+    M = max(N, 2 * (len(right) - 1))
     rng = Random("%strace-formula-%d" % (seed, k))
     for _ in range(samples):
         lam = _rand_fraction(rng, nonzero=True, exclude=(1, -1))
         r0 = _rand_fraction(rng)
-        y0 = lam ** 2 + lam ** -2
-        got = sum(_at(row, r0) * lam ** (2 * e - N)
-                  for e, row in enumerate(rows) if row)
-        want = closed.eval_point(r0, y0)
+        a, b = r0.numerator, r0.denominator
+        c, d = lam.numerator, lam.denominator
+        powers = [a ** i * b ** (D - i) for i in range(D + 1)]
+        c2, d2, cd = c * c, d * d, c * d
+        got = sum(_dot(row, powers) * c2 ** e * d2 ** (N - e)
+                  for e, row in left) * cd ** (M - N)
+        y_num = c2 * c2 + d2 * d2
+        want = sum(_dot(ci, powers) * y_num ** i * cd ** (M - 2 * i)
+                   for i, ci in enumerate(right))
         if got != want:
             return False
     return True

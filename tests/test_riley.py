@@ -11,6 +11,7 @@ entry by entry with the general product, and the packed closed form and
 int-row rewrite with their BiPoly versions.
 """
 
+import hashlib
 from fractions import Fraction
 from random import Random
 
@@ -18,9 +19,10 @@ import pytest
 
 from bridgevar import riley
 from bridgevar.poly import BiPoly, ExactError, UniPoly
-from bridgevar.riley import (TraceSubringError, _PackedWord, _digits,
-                             _slot_bytes, _to_ry, eval_word,
-                             ideal_generator_check,
+from bridgevar.riley import (TraceSubringError, _PackedWord, _col_pass,
+                             _digits, _rand_fraction, _row_pass,
+                             _slot_bytes, _slots, _taylor_at_2, _to_ry,
+                             eval_word, ideal_generator_check,
                              normalize_unit, riley_poly_J,
                              riley_poly_matrix, riley_poly_pq, schubert_word,
                              trace_formula_check, trace_wk, w_k_word,
@@ -142,6 +144,21 @@ def pack(f, N, w=2, per_block=3):
     return z, _PackedWord(0, 0, 0, 0, N, w, per_block)
 
 
+def full_digits(z, w, R, blocks):
+    """The balanced base-2**(8w) digits of z, all blocks * R of them, as
+    one int list per block without its zero top digits: the decoder
+    before it skipped the zero blocks at both ends."""
+    count = blocks * R
+    bias = int.from_bytes((bytes(w - 1) + b"\x80") * count, "little")
+    raw = ((z + bias) ^ bias).to_bytes(count * w, "little")
+    rows = []
+    for i in range(0, len(raw), R * w):
+        top = i + len(raw[i:i + R * w].rstrip(b"\0"))
+        rows.append([int.from_bytes(raw[j:j + w], "little", signed=True)
+                     for j in range(i, top, w)])
+    return rows
+
+
 # --- oracle: the closed form and the trace rewrite on BiPoly --------------
 
 Y_MINUS_R = BiPoly([-R, R1], "y", "r")
@@ -170,6 +187,26 @@ def laurent_to_ry_bipoly(F):
                 D.append(y * D[-1] - D[-2])
             out = out + BiPoly.from_inner(c, "y") * D[e // 2]
     return out
+
+
+def fraction_trace_formula_check(k, samples, seed=""):
+    """trace_formula_check in Fractions: the same random points, the rows
+    of L^N tr W_k at r0 times lam^(2e - N) against riley.trace_wk(k) at
+    (r0, lam^2 + lam^-2)."""
+    pw = eval_word(w_k_word(k))
+    N = pw.letters
+    rows = pw.rows(pw.m11 + pw.m22)
+    closed = riley.trace_wk(k)
+    rng = Random("%strace-formula-%d" % (seed, k))
+    for _ in range(samples):
+        lam = _rand_fraction(rng, nonzero=True, exclude=(1, -1))
+        r0 = _rand_fraction(rng)
+        y0 = lam ** 2 + lam ** -2
+        got = sum(UniPoly(row, "r")(r0) * lam ** (2 * e - N)
+                  for e, row in enumerate(rows) if row)
+        if got != closed.eval_point(r0, y0):
+            return False
+    return True
 
 
 def sample_points(n, tag):
@@ -264,6 +301,35 @@ def test_packed_eval_word_matches_general_product():
         assert decoded_word(word) == product_word(word), word
 
 
+def pass_entries(word):
+    """The word's entries (m11, m12, m21, m22), decoded, once from its two
+    row passes and once from its two column passes."""
+    s = _slots(word)
+    (m11, m12), (m21, m22) = (_row_pass(word, s, 1, 0),
+                              _row_pass(word, s, 0, 1))
+    (c11, c21), (c12, c22) = (_col_pass(word, s, 1, 0),
+                              _col_pass(word, s, 0, 1))
+    return tuple(tuple(decode(z, s, odd) for z, odd in zip(m, (0, 1, 1, 0)))
+                 for m in ((m11, m12, m21, m22), (c11, c12, c21, c22)))
+
+
+def test_row_and_column_passes_match_general_product():
+    rng = Random("vector-passes")
+    words = [()] + [random_word(rng, rng.randint(1, 20)) for _ in range(25)]
+    for word in words:
+        assert sum(abs(e) for _, e in word) <= 60
+        W = product_word(word)
+        assert pass_entries(word) == (W, W), word
+
+
+def test_column_pass_matches_eval_word_on_riley_words():
+    for k in range(-10, 11):
+        for n in range(-4, 5):
+            word = word_power(w_k_word(k), n)
+            W = decoded_word(word)
+            assert pass_entries(word) == (W, W), (k, n)
+
+
 def test_slot_bytes_keep_a_sign_bit_and_digits_round_trip():
     for bits in range(1, 70):
         for bound in (2 ** bits - 1, 2 ** bits):
@@ -274,6 +340,34 @@ def test_slot_bytes_keep_a_sign_bit_and_digits_round_trip():
             z = sum(d << 8 * w * i for i, d in enumerate(digits))
             assert _digits(z, w, 2, 3) == [[bound, -bound], [0, -bound],
                                            [bound]], bound
+
+
+def test_windowed_digits_match_the_full_decoder():
+    rng = Random("windowed-digits")
+    for w in (1, 2, 3):
+        h = 2 ** (8 * w - 1) - 1  # the largest digit a slot holds
+        for _ in range(60):
+            R, blocks = rng.randint(1, 4), rng.randint(1, 9)
+            lo, hi = sorted(rng.randint(0, blocks) for _ in range(2))
+            digits = [rng.choice((h, -h, 0, rng.randint(-h, h)))
+                      if lo * R <= i < hi * R else 0
+                      for i in range(blocks * R)]
+            z = sum(d << 8 * w * i for i, d in enumerate(digits))
+            assert _digits(z, w, R, blocks) == full_digits(z, w, R, blocks)
+        for R in (1, 3):
+            assert _digits(0, w, R, 4) == [[], [], [], []]
+            b = 8 * w * R
+            for t in (1, 2, 3):
+                # A top block of -1 over positive lower blocks, and +1 over
+                # negative ones: the highest set bit of |z| lies in block
+                # t - 1.
+                lower = sum(h << 8 * w * i for i in range(t * R))
+                for z in (-(1 << b * t) + lower, (1 << b * t) - lower):
+                    assert z.bit_length() == b * t
+                    rows = _digits(z, w, R, t + 2)
+                    assert rows == full_digits(z, w, R, t + 2)
+                    assert rows[t] == [-1 if z < 0 else 1], (w, R, t)
+                    assert rows[t + 1] == []
 
 
 def test_eval_word_wide_coefficients_match_numeric_oracle():
@@ -353,6 +447,32 @@ def test_trace_formula_check_fails_on_a_wrong_closed_form(monkeypatch):
     assert not trace_formula_check(-2, 3)
 
 
+def test_integer_spot_check_matches_fraction_oracle(monkeypatch):
+    real = riley.trace_wk
+
+    def plus_one(k):
+        return real(k) + 1
+
+    def one_r_coefficient_changed(k):
+        # the top coefficient in r of y^0, plus 1: its r-degree is that
+        # of tr W_k, so the scaling must cover it
+        cs = list(real(k).cs)
+        cs[0] = cs[0] + R ** cs[0].degree
+        return BiPoly(cs, "y", "r")
+
+    ks = [k for k in range(-12, 13) if abs(k) >= 2]
+    for closed in (real, plus_one, one_r_coefficient_changed):
+        monkeypatch.setattr(riley, "trace_wk", closed)
+        verdicts = []
+        for k in ks:
+            for seed in range(50):
+                got = trace_formula_check(k, 2, seed=str(seed))
+                assert got == fraction_trace_formula_check(
+                    k, 2, seed=str(seed)), (closed.__name__, k, seed)
+                verdicts.append(got)
+        assert all(verdicts) == (closed is real), closed.__name__
+
+
 # --- Riley polynomial, three ways ----------------------------------------
 
 def test_riley_word_entry_combination_numeric():
@@ -371,6 +491,23 @@ def test_packed_closed_form_matches_bipoly_horner():
         for n in range(-8, 9):
             assert riley_poly_J(k, n) == closed_form_bipoly(k, n), (k, n)
     assert riley_poly_J(3, 0) == 1 and riley_poly_J(0, 4) == 1
+
+
+def test_taylor_coefficients_at_2_match_f_poly():
+    two_plus_u = UniPoly([2, 1], "u")
+    for n in range(-30, 31):
+        g = f_poly(n)(two_plus_u).c
+        assert [_taylor_at_2(n, j) for j in range(len(g) + 3)] \
+            == list(g) + [0, 0, 0], n
+
+
+def test_taylor_closed_form_on_large_cells():
+    for k, n in ((24, 2), (-23, 3), (19, -6), (-24, -1), (21, 5)):
+        assert riley_poly_J(k, n) == closed_form_bipoly(k, n), (k, n)
+    for k in (24, -24):
+        for n in (3, -3):
+            assert normalize_unit(riley_poly_J(k, n)) \
+                == normalize_unit(riley_poly_matrix(k, n)), (k, n)
 
 
 def test_riley_closed_form_equals_matrix_form():
@@ -417,3 +554,30 @@ def test_ideal_generator_check_fails_on_a_wrong_generator(monkeypatch):
                         lambda k, n: real(k, n) * r_minus_5)
     assert not ideal_generator_check(2, 1, 4)
     assert not ideal_generator_check(3, -2, 4)
+
+
+def test_riley_outputs_are_pinned():
+    # Every cell of the riley benchmark workload, 2 <= |k| <= 8 (outer)
+    # and 1 <= |n| <= 5: str() of J, matrix and, when p > 1, pq, one per
+    # line, normalized and raw.
+    from bridgevar.knotprops import two_bridge_params
+    want = {
+        True: "9c2c8bf20f64ca50126d5876c599b8b7"
+              "6e04e80f2dc7e4a78a41b3b209a1d314",
+        False: "ad10d64ac83ec7814d35fbc9b3d79af1"
+               "27febace69306fe1fe4f74c939b0fe83",
+    }
+    outputs = []
+    for k in range(-8, 9):
+        for n in range(-5, 6):
+            if abs(k) < 2 or not n:
+                continue
+            polys = [riley_poly_J(k, n), riley_poly_matrix(k, n)]
+            tb = two_bridge_params(k, 2 * n)
+            if tb.p > 1:
+                polys.append(riley_poly_pq(tb.p, tb.q))
+            outputs.append(polys)
+    for normalized, digest in want.items():
+        text = "".join(str(normalize_unit(F) if normalized else F) + "\n"
+                       for polys in outputs for F in polys)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, normalized
