@@ -5,10 +5,10 @@ certified statement or any check behind one.
 
 Quick tour::
 
-    >>> from bridgevar import d_model, genus_X, alexander
+    >>> from bridgevar import Knot, d_model, alexander
     >>> d_model(2, -2).equation
     BiPoly(r*t-t-r)
-    >>> genus_X(2, -2).entries[0].genus_rh
+    >>> Knot(2, -2).genus_X.entries[0].genus_rh
     1
     >>> str(alexander(2, -2))
     '-t^2+3*t-1'
@@ -28,8 +28,8 @@ from .curves import (CurveModel, STATE_CURVE, STATE_EMPTY, STATE_FULL_PLANE,
                      STATE_LINE_UNION, c_model, d_model, d_split,
                      sigma_containment_check, special_points_check, x_model)
 from .geometry import (DegenerateModel, component_count, genus_X, genus_Y,
-                       infinity_transversality, odd_point_count,
-                       odd_point_report, smoothness_certificate)
+                       infinity_transversality, odd_point_report,
+                       smoothness_certificate)
 from .newton import (GAUSS_INT, INFINITY, ROOT_THREE, binom_check,
                      complexabs_check, expected_vertices, lemma_polynomial,
                      polygon, root_valuations, val_quad, val_rat)
@@ -54,8 +54,8 @@ __all__ = [
     "g_poly", "genus_X", "genus_Y", "ideal_generator_check",
     "identity_suite", "infinity_transversality", "irreducibility_analysis",
     "is_fibered", "is_prime", "is_separable", "lemma_polynomial",
-    "normalize_knot", "normalize_unit", "odd_point_count",
-    "odd_point_report", "parse_poly", "phi", "poly_gcd", "polygon", "psi",
+    "normalize_knot", "normalize_unit", "odd_point_report", "parse_poly",
+    "phi", "poly_gcd", "polygon", "psi",
     "rational_roots", "render_text", "resultant", "riley_poly_J",
     "riley_poly_matrix", "riley_poly_pq", "root_valuations",
     "schubert_word", "sigma_containment_check", "smoothness_certificate",

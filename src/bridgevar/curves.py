@@ -144,16 +144,17 @@ def d_model(k, l):
                       tuple(notes))
 
 
-def d_split(l, model=None):
-    """Split D(l, l) into the diagonal D0 and the residual curve D1
-    by exact division by (t - r).  `model` is D(l, l), if the caller
-    already built it."""
+def d_split(model):
+    """Split the model D(l, l) into the diagonal D0 and the residual
+    curve D1 by exact division by (t - r)."""
+    k, l = model.k, model.l
+    if k != l:
+        raise ExactError("D(%d,%d) splits only when k = l" % (k, l))
     if l % 2 or l == 0:
         raise ExactError("d_split needs a nonzero even parameter, got %r" % (l,))
-    base = model if model is not None else d_model(l, l)
     diag = BiPoly([-_R, UniPoly.const(1, "r")], "t", "r")  # t - r
     try:
-        quot = bipoly_divexact(base.equation, diag)
+        quot = bipoly_divexact(model.equation, diag)
     except ExactError as exc:
         raise AssertionError(
             "D(%d,%d) is not divisible by t - r" % (l, l)) from exc

@@ -14,6 +14,9 @@ Everything here is certified exactly, by elimination or by counting:
   parts -- no numerics.
 * genus: bidegree route (a-1)(b-1) against the closed forms, and the
   X-cover via the odd-valuation point count a and g = 2g(D) - 1 + a/2.
+
+Each stage takes the artifacts it reads as arguments; `report.Knot`
+builds them once per knot.
 """
 
 from typing import NamedTuple, Optional
@@ -22,7 +25,7 @@ from .kernels import poly_gcd_p
 from .poly import (UniPoly, BiPoly, ExactError, poly_gcd, resultant,
                    resultant_mod_p, squarefree_part, is_separable)
 from .seq import f_poly, g_poly, delta, big_g
-from .curves import d_model, d_split, _swap_if_needed, STATE_CURVE
+from .curves import STATE_CURVE
 
 _R = UniPoly.gen("r")
 
@@ -50,22 +53,20 @@ def _degenerate_reason(model):
 # affine singular locus
 
 class AffineVerdict(NamedTuple):
-    kind: str            # always "Empty": a singular curve gets no verdict
-    points: tuple        # always ()
-    trace: dict
+    trace: dict          # the proof that the locus is empty
 
 
 # The primes of the modular certificate, tried in this order.
 CERTIFICATE_PRIMES = (2 ** 61 - 1, 2 ** 61 - 31, 2 ** 61 - 45)
 
 
-def affine_singular_locus(F, delta_filter=None):
+def affine_singular_locus(F, delta_r=None):
     """Proof that the affine curve F = 0 has no singular point.
 
-    Returns Empty with the `modular_smoothness_trace` witness, sharpened
-    by Delta_k from the (Delta_k, Delta_l) filter when given.  Zero,
-    constant and non-reduced F raise ExactError; a curve that no prime
-    of `CERTIFICATE_PRIMES` proves smooth, singular or not, raises
+    Returns the `modular_smoothness_trace` witness, sharpened by the
+    filter delta_r = Delta_k(r) when given.  Zero, constant and
+    non-reduced F raise ExactError; a curve that no prime of
+    `CERTIFICATE_PRIMES` proves smooth, singular or not, raises
     AssertionError.
     """
     if F.is_zero:
@@ -77,10 +78,9 @@ def affine_singular_locus(F, delta_filter=None):
     if cont.degree > 0 and not is_separable(cont):
         raise ExactError("non-reduced input: repeated factor %s" % cont)
     if a > 0 and b > 0:
-        trace = modular_smoothness_trace(
-            F, None if delta_filter is None else delta_filter[0])
+        trace = modular_smoothness_trace(F, delta_r)
         if trace is not None:
-            return AffineVerdict("Empty", (), trace)
+            return AffineVerdict(trace)
     # In characteristic 0, Res_t(F, F_t) = 0 exactly when F has a repeated
     # factor of positive t-degree; repeated factors in r alone divide the
     # content, checked above.
@@ -88,7 +88,7 @@ def affine_singular_locus(F, delta_filter=None):
         raise ExactError("non-reduced input: Res_t(F, F_t) = 0")
     if a == 0 or b == 0:
         # a separable union of parallel lines is smooth
-        return AffineVerdict("Empty", (), {
+        return AffineVerdict({
             "note": "single-variable polynomial; separable, hence smooth"})
     raise AssertionError("no prime of CERTIFICATE_PRIMES proves %s = 0 "
                          "smooth" % F)
@@ -211,25 +211,22 @@ class SmoothnessCertificate(NamedTuple):
 
     @property
     def smooth(self):
-        return (self.refusal is None and self.affine is not None
-                and self.affine.kind == "Empty"
-                and self.infinity is not None and self.infinity.transversal)
+        # an unrefused certificate holds an affine proof
+        return self.refusal is None and self.infinity.transversal
 
 
-def smoothness_certificate(k, l, model=None, split=None):
-    """Smoothness of D(k,l) (or of D1(l,l) when k = l), with the
+def smoothness_certificate(model, split):
+    """Smoothness of the model D(k,l), or of D1(l,l) when k = l, with the
     D0/D1 intersection points reported separately in the equal case.
 
-    `model` is D(k,l) and `split` its `d_split` when k = l, if the caller
-    already built them."""
-    if model is None:
-        model = d_model(k, l)
+    `split` is `d_split(model)` when the model is a curve with k = l,
+    and None otherwise."""
     if model.state != STATE_CURVE:
         return SmoothnessCertificate(model, None, None,
                                      _degenerate_reason(model), None, {})
     k2, l2 = model.k, model.l
     if k2 == l2:
-        _d0, d1 = split if split is not None else d_split(l2, model)
+        _d0, d1 = split
         aff = affine_singular_locus(d1.equation)
         inf = infinity_transversality(d1)
         F = model.equation
@@ -247,10 +244,9 @@ def smoothness_certificate(k, l, model=None, split=None):
         }
         method = {"split": "D0 * D1", "d1_bidegree": list(d1.bidegree)}
         return SmoothnessCertificate(d1, aff, inf, None, d0d1, method)
-    aff = affine_singular_locus(
-        model.equation, delta_filter=(delta(k2), delta(l2)))
+    aff = affine_singular_locus(model.equation, delta(k2))
     inf = infinity_transversality(model)
-    method = {"delta_filter": ["Delta_%d(r)" % k2, "Delta_%d(t)" % l2],
+    method = {"delta_filter": ["Delta_%d(r)" % k2],
               "bidegree": list(model.bidegree)}
     return SmoothnessCertificate(model, aff, inf, None, None, method)
 
@@ -263,11 +259,10 @@ class ComponentCount(NamedTuple):
     degenerate: Optional[str]
 
 
-def component_count(k, l, certificate=None):
-    """1 for hyperbolic J(k,l) with k != l, 2 for k = l (|l| > 2),
-    a typed description in the degenerate cases."""
-    cert = (certificate if certificate is not None
-            else smoothness_certificate(k, l))
+def component_count(cert):
+    """From the smoothness certificate `cert` of J(k,l): 1 for hyperbolic
+    J(k,l) with k != l, 2 for k = l (|l| > 2), a typed description in
+    the degenerate cases."""
     if cert.refusal is not None:
         return ComponentCount(None, cert.refusal)
     target = cert.target      # D(k,l), or D1(l,l) when k = l
@@ -299,9 +294,8 @@ class GenusYReport(NamedTuple):
     certificate: SmoothnessCertificate
 
 
-def genus_Y(k, l, certificate=None):
-    """Genus of the smooth model, by bidegree and by the closed form."""
-    cert = certificate if certificate is not None else smoothness_certificate(k, l)
+def genus_Y(cert):
+    """Genus of the model `cert` proves smooth: bidegree and closed form."""
     if cert.refusal is not None:
         raise DegenerateModel("genus undefined: %s" % cert.refusal)
     if not cert.smooth:
@@ -335,7 +329,6 @@ def genus_Y(k, l, certificate=None):
 class OddPointReport(NamedTuple):
     k: int
     l: int
-    component: str
     count: int
     count_formula: int
     affine: int
@@ -349,29 +342,21 @@ def _check(cond, msg):
         raise AssertionError(msg)
 
 
-def odd_point_report(k, l, component="whole", model=None, certificate=None):
-    """Count the points where the cover-defining function has odd
-    valuation: closed form and from-scratch root counting, asserted equal.
-
-    `model` is D(k,l) and `certificate` its smoothness certificate, if
-    the caller already built them; the certificate's infinity verdict is
-    reused when it was made on the same model (k != l).
+def odd_point_report(model, certificate):
+    """Count the points of the model D(k,l) where the cover-defining
+    function has odd valuation: closed form and from-scratch root
+    counting, asserted equal.  The infinity verdict of `certificate`,
+    the model's smoothness certificate, is reused when it was made on
+    the model itself (k != l).
     """
-    k, l, _sw = _swap_if_needed(k, l)
+    k, l = model.k, model.l
     if l % 2:
         raise ExactError("odd point count needs an even twist parameter")
-    if model is None:
-        model = d_model(k, l)
     if k * l == 0 or abs(k) == 1 or (k == l and abs(k) == 2):
         raise DegenerateModel(_degenerate_reason(model))
-    if component not in ("whole", "D0", "D1"):
-        raise ExactError("component must be whole, D0 or D1")
-    if component != "whole" and k != l:
-        raise ExactError("component split requires k = l")
     n = l // 2
     m = k // 2  # floor division on purpose: k = 2m or k = 2m+1
-    if (certificate is not None and certificate.infinity is not None
-            and certificate.target == model):
+    if certificate.target is model:
         inf_verdict = certificate.infinity
     else:
         inf_verdict = infinity_transversality(model)
@@ -442,18 +427,8 @@ def odd_point_report(k, l, component="whole", model=None, certificate=None):
         diagonal = Q.degree + 1   # corner exists since mn = n^2 > 0
         _check(diagonal == 2 * abs(n), "diagonal count should be 2|n|")
 
-    if component == "whole":
-        count = total
-    elif component == "D0":
-        count = diagonal
-    else:
-        count = total - diagonal
-    return OddPointReport(k, l, component, count, total_formula, affine,
-                          inf_count, case, diagonal)
-
-
-def odd_point_count(k, l, component="whole"):
-    return odd_point_report(k, l, component).count
+    return OddPointReport(k, l, total, total_formula, affine, inf_count,
+                          case, diagonal)
 
 
 # ---------------------------------------------------------------------------
@@ -472,31 +447,28 @@ class GenusXReport(NamedTuple):
     entries: tuple
 
 
-def genus_X(k, l, genus_y=None, odd_points=None):
+def genus_X(genus_y, odd_points):
     """Genus of the double-cover components: Riemann-Hurwitz route
     2 g(D) - 1 + a/2 against the closed form.
 
-    `genus_y` is the `genus_Y` report and `odd_points` the whole
-    `odd_point_report` of (k,l), if the caller already built them."""
-    k, l, _sw = _swap_if_needed(k, l)
-    gy = genus_y if genus_y is not None else genus_Y(k, l)
-    k2, l2 = gy.k, gy.l
-    rep = (odd_points if odd_points is not None
-           else odd_point_report(k2, l2, "whole"))
+    `genus_y` is the `genus_Y` report and `odd_points` the
+    `odd_point_report` of the same knot."""
+    k2, l2 = genus_y.k, genus_y.l
     n = l2 // 2
     m = k2 // 2
     if k2 == l2:
         # D0 is the diagonal r = t; D1 carries the other odd points
-        count0 = rep.diagonal
-        count1 = rep.count - rep.diagonal
+        count0 = odd_points.diagonal
+        count1 = odd_points.count - odd_points.diagonal
         g0_rh = 2 * 0 - 1 + count0 // 2
-        g1_rh = 2 * gy.entries[1].genus_bidegree - 1 + count1 // 2
+        g1_rh = 2 * genus_y.entries[1].genus_bidegree - 1 + count1 // 2
         g0_form = abs(n) - 1
         g1_form = 3 * n * n - 7 * abs(n) + 5
         entries = (GenusXEntry("X0", g0_rh, g0_form, count0),
                    GenusXEntry("X1", g1_rh, g1_form, count1))
     else:
-        g_rh = 2 * gy.entries[0].genus_bidegree - 1 + rep.count // 2
+        g_rh = (2 * genus_y.entries[0].genus_bidegree - 1
+                + odd_points.count // 2)
         a = 4 if (k2 % 2 and k2 < 0) else 1
         if k2 % 2 and k2 < 0 < l2:
             b = 2
@@ -507,7 +479,7 @@ def genus_X(k, l, genus_y=None, odd_points=None):
         else:
             b = 0
         g_form = 3 * abs(m * n) - abs(m) - a * abs(n) + b
-        entries = (GenusXEntry("X0", g_rh, g_form, rep.count),)
+        entries = (GenusXEntry("X0", g_rh, g_form, odd_points.count),)
     for e in entries:
         if e.genus_rh != e.genus_formula:
             raise AssertionError(

@@ -1,6 +1,7 @@
 """Classical invariants of the double-twist knots: normal forms,
 Alexander polynomial, fiberedness, trace-field data and the
-commensurability certificate."""
+commensurability certificate.  Each stage takes the artifacts it reads
+as arguments; `report.Knot` composes them."""
 
 from fractions import Fraction
 from math import gcd
@@ -9,7 +10,7 @@ from typing import NamedTuple, Optional
 from .poly import (UniPoly, ExactError, factorint, irreducibility_analysis,
                    squarefree_part)
 from .seq import f_poly, phi, psi
-from .curves import c_model, _swap_if_needed
+from .curves import _swap_if_needed
 from .newton import INFINITY, polygon, poly_points, val_rat
 
 UNKNOT = "Unknot"
@@ -30,6 +31,14 @@ def classify(k, l):
     if abs(k) == 1 or abs(l) == 1:
         return TORUS_NONHYPERBOLIC
     return HYPERBOLIC
+
+
+def require_hyperbolic(k, l, stage):
+    """Refuse J(k,l) unless it is hyperbolic: `stage`, named in the
+    message, needs a hyperbolic knot."""
+    cls = classify(k, l)
+    if cls != HYPERBOLIC:
+        raise ExactError("%s needs a hyperbolic knot, got %s" % (stage, cls))
 
 
 class KnotId(NamedTuple):
@@ -120,15 +129,13 @@ _FOURPLAT_ROWS = (
 )
 
 
-def fourplat_sequence(k, l, form=None):
+def fourplat_sequence(k, l, form):
     """Plat description of J(k,l) from the sign-pattern table; its
-    continued-fraction value is checked against the normal form `form`
-    (computed when not given)."""
+    continued-fraction value is checked against `form`, the normal form
+    `two_bridge_params(k, l)`."""
     for test, build in _FOURPLAT_ROWS:
         if test(k, l):
             seq = build(k, l)
-            if form is None:
-                form = two_bridge_params(k, l)
             if _cf_value(seq) != form.value():
                 raise AssertionError(
                     "plat table value off at (%d,%d)" % (k, l))
@@ -163,26 +170,23 @@ def alexander(k, l):
     return poly
 
 
-def is_fibered(k, l, poly=None):
-    """Monic Alexander polynomial (both extreme coefficients units);
-    `poly` is the Alexander polynomial, if the caller already has it."""
-    if k * l == 0:
-        return True
-    a = poly if poly is not None else alexander(k, l)
-    return abs(a.lead) == 1 and abs(a.coeff(0)) == 1
+def is_fibered(alexander_poly):
+    """Fiberedness of a two-bridge knot from its Alexander polynomial:
+    both extreme coefficients are units."""
+    return abs(alexander_poly.lead) == abs(alexander_poly.coeff(0)) == 1
 
 
 # ---------------------------------------------------------------------------
 # trace field
 
-def trace_field_poly(k, l, model=None):
-    """The y = 2 slice whose root generates the trace field.
+def trace_field_poly(model):
+    """The y = 2 slice of the model C(k,l) whose root generates the
+    trace field.
 
     For k = l the slice is taken on the canonical component
     r = Phi_{-k}(r) Psi_k(r) (y - r) + 2 instead, with the spurious
-    factor r - 2 removed.  `model` is C(k,l), if the caller already
-    built it."""
-    k, l, _sw = _swap_if_needed(k, l)
+    factor r - 2 removed."""
+    k, l = model.k, model.l
     if k % 2 and l % 2:
         raise ExactError("not a knot (kl odd)")
     if k * l == 0:
@@ -191,8 +195,6 @@ def trace_field_poly(k, l, model=None):
         poly = phi(-k, "r") * psi(k, "r") + 1
         expected = abs(l) - 1
     else:
-        if model is None:
-            model = c_model(k, l)
         poly = model.equation.eval_outer(2)
         expected = -(k * l) // 2 if k * l < 0 else (k * l) // 2 - 1
     if poly.degree != expected:
@@ -211,22 +213,19 @@ class TraceFieldReport(NamedTuple):
     empirical: dict
 
 
-def trace_field_report(k, l, model=None):
-    """Degree bound, exact slice degree, and factor-degree evidence;
-    the degree-equality observation is reported, never asserted.
-    `model` is C(k,l), if the caller already built it."""
-    cls = classify(k, l)
-    if cls != HYPERBOLIC:
-        raise ExactError("trace-field report needs a hyperbolic knot, got %s"
-                         % cls)
-    k2, l2, _sw = _swap_if_needed(k, l)
+def trace_field_report(model):
+    """Degree bound, exact slice degree, and factor-degree evidence from
+    the model C(k,l); the degree-equality observation is reported, never
+    asserted."""
+    k2, l2 = model.k, model.l
+    require_hyperbolic(k2, l2, "trace-field report")
     if k2 * l2 < 0:
         bound = -(k2 * l2) // 2
     elif k2 == l2:
         bound = abs(l2) - 1
     else:
         bound = (k2 * l2) // 2 - 1
-    poly = trace_field_poly(k2, l2, model=model)
+    poly = trace_field_poly(model)
     sf = squarefree_part(poly)
     analysis = irreducibility_analysis(sf)
     observed = None
@@ -253,25 +252,16 @@ class CommensurabilityCertificate(NamedTuple):
     witness: Optional[dict]
 
 
-def commensurability_certificate(k, l, model=None, fibered=None):
+def commensurability_certificate(model, fibered):
     """Certificate that a nonfibered J(k,l) complement is not
     commensurable to a fibered knot complement: a nonintegral reducible
-    character on the r = 2 slice of C(k,l), certified by exact
-    valuations.  `model` is C(k,l) and `fibered` the value of
-    `is_fibered(k, l)`, if the caller already has them."""
-    cls = classify(k, l)
-    if cls != HYPERBOLIC:
-        raise ExactError(
-            "commensurability certificate needs a hyperbolic knot, got %s"
-            % cls)
-    if fibered is None:
-        fibered = is_fibered(k, l)
-    k, l, _sw = _swap_if_needed(k, l)
+    character on the r = 2 slice of the model C(k,l), certified by exact
+    valuations.  `fibered` is whether J(k,l) is fibered."""
+    k, l = model.k, model.l
+    require_hyperbolic(k, l, "commensurability certificate")
     if fibered:
         return CommensurabilityCertificate(k, l, "Fibered", None)
     n = l // 2
-    if model is None:
-        model = c_model(k, l)
     slice_eq = model.equation.eval_inner(2)
     if k % 2 == 0:
         m = k // 2

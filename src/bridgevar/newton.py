@@ -219,17 +219,15 @@ class BinomCheck(NamedTuple):
         return all(e["exact_ok"] and e["strict_ok"] for e in self.entries)
 
 
-def binom_check(n, p, j_range=None):
+def binom_check(n, p):
     """v_p(C(n, p^j)) = e - j with e = v_p(n) for 0 <= j <= e, and
     v_p(C(n, k)) > e - j for 0 < k < p^j (trivially so once j > e);
     verified exhaustively."""
     if n < 1 or not is_prime(p) or n % p:
         raise ExactError("binom check needs n >= 1 with p | n")
     e = int(val_rat(n, p))
-    if j_range is None:
-        j_range = range(0, e + 2)
     entries = []
-    for j in j_range:
+    for j in range(0, e + 2):
         if p ** j > n:
             continue
         lhs = int(val_rat(comb(n, p ** j), p))

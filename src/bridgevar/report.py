@@ -1,37 +1,36 @@
 """Aggregate per-knot reports and their JSON/text rendering.
 
-`Knot(k, l)` is the invariant pipeline of one knot: each artifact (curve
-models, smoothness certificate, genera, odd points, trace field,
-commensurability) is computed at most once and handed to the stages that
-need it.  `build_report` and the CLI commands project their output from
-its sections.
+`Knot(k, l)` is the invariant pipeline of one knot and the only place
+that builds one artifact from another: each artifact (curve models,
+smoothness certificate, genera, odd points, trace field,
+commensurability) is computed at most once and passed to the stages
+that read it.  `build_report` and the CLI commands project their output
+from its sections.
 
 Every numeric claim carries a ``route`` tag: "formula" (closed form),
 "oracle" (independent computation), or "both-agree" (the two were
 computed separately and asserted equal before the report was built).
 JSON output is canonical: keys sorted, rationals as "num/den" strings,
-polynomials in their text form; the timing block is excluded from both
-JSON and text, so equal inputs give byte-identical output.
+polynomials in their text form, so equal inputs give byte-identical
+output.
 """
 
 import json
-import time
 
 from .poly import ExactError
 from .curves import c_model, d_model, d_split, STATE_CURVE
 from .geometry import (component_count, genus_X, genus_Y, odd_point_report,
                        smoothness_certificate)
-from .knotprops import (HYPERBOLIC, alexander, classify,
-                        commensurability_certificate, fourplat_sequence,
-                        is_fibered, normalize_knot, two_bridge_params,
+from .knotprops import (alexander, classify, commensurability_certificate,
+                        fourplat_sequence, is_fibered, normalize_knot,
+                        require_hyperbolic, two_bridge_params,
                         trace_field_report)
 
 SCHEMA = 1
 
 
 def _affine_dict(v):
-    return {"kind": v.kind, "points": [dict(p) for p in v.points],
-            "trace": v.trace}
+    return {"trace": v.trace}
 
 
 def _infinity_dict(v):
@@ -130,35 +129,30 @@ class Knot:
     @_once
     def D_split(self):
         """(D0, D1) of the D model, which needs k = l."""
-        dm = self.D
-        if dm.k != dm.l:
-            raise ExactError("D(%d,%d) splits only when k = l" % (dm.k, dm.l))
-        return d_split(dm.l, dm)
+        return d_split(self.D)
 
     @_once
     def certificate(self):
         dm = self.D
         split = (self.D_split if dm.state == STATE_CURVE and dm.k == dm.l
                  else None)
-        return smoothness_certificate(self.k, self.l, dm, split)
+        return smoothness_certificate(dm, split)
 
     @_once
     def component_count(self):
-        return component_count(self.k, self.l, self.certificate)
+        return component_count(self.certificate)
 
     @_once
     def genus_Y(self):
-        return genus_Y(self.k, self.l, certificate=self.certificate)
+        return genus_Y(self.certificate)
 
     @_once
     def odd_points(self):
-        """The whole odd-point report."""
-        return odd_point_report(self.k, self.l, model=self.D,
-                                certificate=self.certificate)
+        return odd_point_report(self.D, self.certificate)
 
     @_once
     def genus_X(self):
-        return genus_X(self.k, self.l, self.genus_Y, self.odd_points)
+        return genus_X(self.genus_Y, self.odd_points)
 
     @_once
     def two_bridge(self):
@@ -171,24 +165,20 @@ class Knot:
     @_once
     def fibered(self):
         # the unknot (kl = 0) is fibered and has no Alexander polynomial here
-        return is_fibered(self.k, self.l,
-                          self.alexander if self.k * self.l else None)
+        return self.k * self.l == 0 or is_fibered(self.alexander)
 
-    # The two stages below refuse a knot that is not hyperbolic before
-    # they read an artifact; it may have none (kl odd has no C model).
+    # The two stages below refuse a knot that is not hyperbolic; the knot
+    # is refused before C is read, which kl odd lacks.
 
     @_once
     def trace_field(self):
-        if self.classification != HYPERBOLIC:
-            return trace_field_report(self.k, self.l)
-        return trace_field_report(self.k, self.l, self.C)
+        require_hyperbolic(self.k, self.l, "trace-field report")
+        return trace_field_report(self.C)
 
     @_once
     def commensurability(self):
-        if self.classification != HYPERBOLIC:
-            return commensurability_certificate(self.k, self.l)
-        return commensurability_certificate(self.k, self.l, self.C,
-                                            self.fibered)
+        require_hyperbolic(self.k, self.l, "commensurability certificate")
+        return commensurability_certificate(self.C, self.fibered)
 
     def section(self, key):
         """The report section `key` (a key of `SECTIONS`); raises
@@ -297,7 +287,6 @@ SECTIONS = {
 def build_report(k, l):
     """Full invariant pipeline for one (k,l), degenerate-safe: a section
     whose artifacts raise ExactError is reported as unavailable."""
-    t0 = time.perf_counter()
     knot = Knot(k, l)
     rep = {"schema": SCHEMA}
     for key in SECTIONS:
@@ -305,19 +294,12 @@ def build_report(k, l):
             rep[key] = knot.section(key)
         except ExactError as e:
             rep[key] = {"unavailable": str(e)}
-    rep["timing"] = {"seconds": round(time.perf_counter() - t0, 3)}
     return rep
 
 
-def _untimed(rep):
-    """The report without its wall-clock timing block, so that both
-    renderings give the same output for the same input."""
-    return {k: v for k, v in rep.items() if k != "timing"}
-
-
 def to_json(rep):
-    """Canonical JSON: sorted keys, no timing block."""
-    return json.dumps(_untimed(rep), sort_keys=True, separators=(",", ": "),
+    """Canonical JSON: sorted keys."""
+    return json.dumps(rep, sort_keys=True, separators=(",", ": "),
                       indent=1) + "\n"
 
 
@@ -345,5 +327,5 @@ def _render(value, indent):
 
 
 def render_text(rep):
-    """Indented text in dict order, no timing block."""
-    return "\n".join(_render(_untimed(rep), 0)) + "\n"
+    """Indented text in dict order."""
+    return "\n".join(_render(rep, 0)) + "\n"

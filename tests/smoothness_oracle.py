@@ -6,9 +6,16 @@ prove smooth; this route finds the singular points themselves, so the
 planted-singularity tests check both against each other.
 """
 
-from bridgevar.geometry import AffineVerdict
+from typing import NamedTuple
+
 from bridgevar.poly import (ExactError, UniPoly, poly_gcd, rational_roots,
                             resultant, squarefree_part)
+
+
+class LocusVerdict(NamedTuple):
+    kind: str            # "Empty" or "Points"
+    points: tuple        # the candidate singular points
+    trace: dict
 
 
 def exact_singular_locus(F, delta_filter=None):
@@ -33,7 +40,7 @@ def exact_singular_locus(F, delta_filter=None):
     if b == 0 or a == 0:
         # a separable union of parallel lines is smooth
         trace["note"] = "single-variable polynomial; separable, hence smooth"
-        return AffineVerdict("Empty", (), trace)
+        return LocusVerdict("Empty", (), trace)
     Fr = F.deriv_inner()
     R2 = resultant(F, Fr, F.outer)
     G = poly_gcd(R1, R2)
@@ -52,7 +59,7 @@ def exact_singular_locus(F, delta_filter=None):
     trace["gcd_r_degree"] = _deg(G)
     trace["gcd_t_degree"] = _deg(H)
     if G.degree <= 0 or H.degree <= 0:
-        return AffineVerdict("Empty", (), trace)
+        return LocusVerdict("Empty", (), trace)
     Gs = squarefree_part(G)
     Hs = squarefree_part(H)
     points = []
@@ -84,8 +91,8 @@ def exact_singular_locus(F, delta_filter=None):
     if spurious:
         trace["spurious_candidates"] = spurious
     if not points:
-        return AffineVerdict("Empty", (), trace)
-    return AffineVerdict("Points", tuple(points), trace)
+        return LocusVerdict("Empty", (), trace)
+    return LocusVerdict("Points", tuple(points), trace)
 
 
 def _fiber(F, r0):

