@@ -53,8 +53,7 @@ def _sweep_row(pair):
         if isinstance(rep.get("genus_X"), list):
             row["genus_X"] = {e["component"]: e["genus"]
                               for e in rep["genus_X"]}
-        cc = rep.get("component_count", {})
-        row["components"] = cc.get("count", cc.get("degenerate"))
+        row["components"] = rep["component_count"].get("count")
         alex = rep.get("alexander", {})
         row["fibered"] = alex.get("fibered")
         row["disagreements"] = (_unavailable_paths(rep)

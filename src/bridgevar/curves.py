@@ -10,8 +10,9 @@ Three affine models of the same character variety:
              identically equal to Psi_k(r) Phi_{l-1}(t) - Phi_{k-1}(r) Psi_l(t).
 
 Degenerate shapes (empty, the full plane, finite unions of lines) are
-explicit states on the model, not errors; the geometry layer refuses
-them with typed verdicts.  Equations are stored primitive with the sign
+explicit states on the model, not errors.  They occur only for knots
+that are not hyperbolic, which the geometry stages refuse by their
+classification.  Equations are stored primitive with the sign
 chosen so the lexicographically leading monomial (r counted highest) has
 a positive coefficient.
 """

@@ -16,7 +16,10 @@ Everything here is certified exactly, by elimination or by counting:
   X-cover via the odd-valuation point count a and g = 2g(D) - 1 + a/2.
 
 Each stage takes the artifacts it reads as arguments; `report.Knot`
-builds them once per knot.
+builds them once per knot.  `smoothness_certificate` and
+`odd_point_report` refuse any model but D(k,l) of a hyperbolic J(k,l)
+through `knotprops.require_model`; the stages that take a certificate
+need no check of their own.
 """
 
 from typing import NamedTuple, Optional
@@ -26,35 +29,18 @@ from .poly import (UniPoly, BiPoly, ExactError, poly_gcd, resultant,
                    resultant_mod_p, squarefree_part, is_separable)
 from .seq import f_poly, g_poly, delta, big_g
 from .curves import STATE_CURVE
+from .knotprops import require_model
 
 _R = UniPoly.gen("r")
 
 
 class DegenerateModel(ExactError):
-    """Raised when an operation is asked about an empty / full-plane /
-    line-union model; carries the typed reason."""
-
-    def __init__(self, reason):
-        super().__init__(reason)
-        self.reason = reason
-
-
-def _degenerate_reason(model):
-    if (model.k, model.l) in ((2, 2), (-2, -2)):
-        return "line-union (trefoil)"
-    if model.k * model.l == 0:
-        return "%s (unknot)" % model.state
-    if abs(model.k) == 1 or abs(model.l) == 1:
-        return "%s (torus knot)" % model.state
-    return model.state
+    """Raised by `infinity_transversality` on a model that is not a
+    D-family curve of positive bidegree."""
 
 
 # ---------------------------------------------------------------------------
 # affine singular locus
-
-class AffineVerdict(NamedTuple):
-    trace: dict          # the proof that the locus is empty
-
 
 # The primes of the modular certificate, tried in this order.
 CERTIFICATE_PRIMES = (2 ** 61 - 1, 2 ** 61 - 31, 2 ** 61 - 45)
@@ -63,8 +49,8 @@ CERTIFICATE_PRIMES = (2 ** 61 - 1, 2 ** 61 - 31, 2 ** 61 - 45)
 def affine_singular_locus(F, delta_r=None):
     """Proof that the affine curve F = 0 has no singular point.
 
-    Returns the `modular_smoothness_trace` witness, sharpened by the
-    filter delta_r = Delta_k(r) when given.  Zero, constant and
+    Returns the `modular_smoothness_trace` witness dict, sharpened by
+    the filter delta_r = Delta_k(r) when given.  Zero, constant and
     non-reduced F raise ExactError; a curve that no prime of
     `CERTIFICATE_PRIMES` proves smooth, singular or not, raises
     AssertionError.
@@ -80,7 +66,7 @@ def affine_singular_locus(F, delta_r=None):
     if a > 0 and b > 0:
         trace = modular_smoothness_trace(F, delta_r)
         if trace is not None:
-            return AffineVerdict(trace)
+            return trace
     # In characteristic 0, Res_t(F, F_t) = 0 exactly when F has a repeated
     # factor of positive t-degree; repeated factors in r alone divide the
     # content, checked above.
@@ -88,8 +74,7 @@ def affine_singular_locus(F, delta_r=None):
         raise ExactError("non-reduced input: Res_t(F, F_t) = 0")
     if a == 0 or b == 0:
         # a separable union of parallel lines is smooth
-        return AffineVerdict({
-            "note": "single-variable polynomial; separable, hence smooth"})
+        return {"note": "single-variable polynomial; separable, hence smooth"}
     raise AssertionError("no prime of CERTIFICATE_PRIMES proves %s = 0 "
                          "smooth" % F)
 
@@ -203,27 +188,24 @@ def infinity_transversality(model):
 
 class SmoothnessCertificate(NamedTuple):
     target: object                 # CurveModel actually certified
-    affine: Optional[AffineVerdict]
-    infinity: Optional[InfinityVerdict]
-    refusal: Optional[str]
+    affine: dict                   # the `affine_singular_locus` proof
+    infinity: InfinityVerdict
     d0d1: Optional[dict]           # k = l: intersection of the components
     method: dict
 
     @property
     def smooth(self):
-        # an unrefused certificate holds an affine proof
-        return self.refusal is None and self.infinity.transversal
+        # a certificate is made only once the affine part is proved smooth
+        return self.infinity.transversal
 
 
 def smoothness_certificate(model, split):
-    """Smoothness of the model D(k,l), or of D1(l,l) when k = l, with the
-    D0/D1 intersection points reported separately in the equal case.
+    """Smoothness of the model D(k,l) of a hyperbolic J(k,l), or of
+    D1(l,l) when k = l, with the D0/D1 intersection points reported
+    separately in the equal case.
 
-    `split` is `d_split(model)` when the model is a curve with k = l,
-    and None otherwise."""
-    if model.state != STATE_CURVE:
-        return SmoothnessCertificate(model, None, None,
-                                     _degenerate_reason(model), None, {})
+    `split` is `d_split(model)` when k = l, and None otherwise."""
+    require_model(model, "D", "smoothness certificate")
     k2, l2 = model.k, model.l
     if k2 == l2:
         _d0, d1 = split
@@ -243,38 +225,30 @@ def smoothness_certificate(model, split):
             "on_diagonal": F.eval_outer(_R).is_zero,
         }
         method = {"split": "D0 * D1", "d1_bidegree": list(d1.bidegree)}
-        return SmoothnessCertificate(d1, aff, inf, None, d0d1, method)
+        return SmoothnessCertificate(d1, aff, inf, d0d1, method)
     aff = affine_singular_locus(model.equation, delta(k2))
     inf = infinity_transversality(model)
     method = {"delta_filter": ["Delta_%d(r)" % k2],
               "bidegree": list(model.bidegree)}
-    return SmoothnessCertificate(model, aff, inf, None, None, method)
+    return SmoothnessCertificate(model, aff, inf, None, method)
 
 
 # ---------------------------------------------------------------------------
 # components
 
 class ComponentCount(NamedTuple):
-    count: Optional[int]
-    degenerate: Optional[str]
+    count: int
 
 
 def component_count(cert):
-    """From the smoothness certificate `cert` of J(k,l): 1 for hyperbolic
-    J(k,l) with k != l, 2 for k = l (|l| > 2), a typed description in
-    the degenerate cases."""
-    if cert.refusal is not None:
-        return ComponentCount(None, cert.refusal)
+    """From the smoothness certificate `cert` of J(k,l): 1 for k != l,
+    2 for k = l."""
     target = cert.target      # D(k,l), or D1(l,l) when k = l
     if not cert.smooth:
         raise AssertionError(
             "component count needs the smoothness certificate; it failed "
             "for (%d, %d)" % (target.k, target.l))
-    a, b = target.bidegree
-    if not (a > 0 and b > 0):
-        raise AssertionError("positive bidegree expected after degeneracy "
-                             "screen, got (%d, %d)" % (a, b))
-    return ComponentCount(2 if target.k == target.l else 1, None)
+    return ComponentCount(2 if target.k == target.l else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +270,9 @@ class GenusYReport(NamedTuple):
 
 def genus_Y(cert):
     """Genus of the model `cert` proves smooth: bidegree and closed form."""
-    if cert.refusal is not None:
-        raise DegenerateModel("genus undefined: %s" % cert.refusal)
     if not cert.smooth:
         raise AssertionError("genus requested without a smoothness proof")
     k2, l2 = cert.target.k, cert.target.l
-    if l2 % 2:
-        raise ExactError("genus formula needs an even twist parameter")
     a, b = cert.target.bidegree
     g_bi = (a - 1) * (b - 1)
     if k2 == l2:
@@ -343,17 +313,14 @@ def _check(cond, msg):
 
 
 def odd_point_report(model, certificate):
-    """Count the points of the model D(k,l) where the cover-defining
-    function has odd valuation: closed form and from-scratch root
-    counting, asserted equal.  The infinity verdict of `certificate`,
-    the model's smoothness certificate, is reused when it was made on
-    the model itself (k != l).
+    """Count the points of the model D(k,l) of a hyperbolic J(k,l) where
+    the cover-defining function has odd valuation: closed form and
+    from-scratch root counting, asserted equal.  The infinity verdict of
+    `certificate`, the model's smoothness certificate, is reused when it
+    was made on the model itself (k != l).
     """
+    require_model(model, "D", "odd point count")
     k, l = model.k, model.l
-    if l % 2:
-        raise ExactError("odd point count needs an even twist parameter")
-    if k * l == 0 or abs(k) == 1 or (k == l and abs(k) == 2):
-        raise DegenerateModel(_degenerate_reason(model))
     n = l // 2
     m = k // 2  # floor division on purpose: k = 2m or k = 2m+1
     if certificate.target is model:

@@ -41,6 +41,15 @@ def require_hyperbolic(k, l, stage):
         raise ExactError("%s needs a hyperbolic knot, got %s" % (stage, cls))
 
 
+def require_model(model, kind, stage):
+    """Refuse `model` unless it is the `kind` model ("C" or "D") of a
+    hyperbolic knot: `stage`, named in the message, reads it."""
+    if model.kind != kind:
+        raise ExactError("%s needs a %s model, got %s"
+                         % (stage, kind, model.kind))
+    require_hyperbolic(model.k, model.l, stage)
+
+
 class KnotId(NamedTuple):
     k: int
     l: int
@@ -179,24 +188,27 @@ def is_fibered(alexander_poly):
 # ---------------------------------------------------------------------------
 # trace field
 
+def _degree_bound(k, l):
+    """The bound on the trace-field degree of hyperbolic J(k,l), l even."""
+    if k == l:
+        return abs(l) - 1
+    return -(k * l) // 2 if k * l < 0 else (k * l) // 2 - 1
+
+
 def trace_field_poly(model):
-    """The y = 2 slice of the model C(k,l) whose root generates the
-    trace field.
+    """The y = 2 slice of the model C(k,l) of a hyperbolic J(k,l) whose
+    root generates the trace field; its degree is the bound.
 
     For k = l the slice is taken on the canonical component
     r = Phi_{-k}(r) Psi_k(r) (y - r) + 2 instead, with the spurious
     factor r - 2 removed."""
+    require_model(model, "C", "trace-field polynomial")
     k, l = model.k, model.l
-    if k % 2 and l % 2:
-        raise ExactError("not a knot (kl odd)")
-    if k * l == 0:
-        raise ExactError("trace field needs kl != 0")
     if k == l:
         poly = phi(-k, "r") * psi(k, "r") + 1
-        expected = abs(l) - 1
     else:
         poly = model.equation.eval_outer(2)
-        expected = -(k * l) // 2 if k * l < 0 else (k * l) // 2 - 1
+    expected = _degree_bound(k, l)
     if poly.degree != expected:
         raise AssertionError("trace slice degree %s at (%d,%d), expected %d"
                              % (poly.degree, k, l, expected))
@@ -217,14 +229,9 @@ def trace_field_report(model):
     """Degree bound, exact slice degree, and factor-degree evidence from
     the model C(k,l); the degree-equality observation is reported, never
     asserted."""
+    require_model(model, "C", "trace-field report")
     k2, l2 = model.k, model.l
-    require_hyperbolic(k2, l2, "trace-field report")
-    if k2 * l2 < 0:
-        bound = -(k2 * l2) // 2
-    elif k2 == l2:
-        bound = abs(l2) - 1
-    else:
-        bound = (k2 * l2) // 2 - 1
+    bound = _degree_bound(k2, l2)
     poly = trace_field_poly(model)
     sf = squarefree_part(poly)
     analysis = irreducibility_analysis(sf)
@@ -257,8 +264,8 @@ def commensurability_certificate(model, fibered):
     commensurable to a fibered knot complement: a nonintegral reducible
     character on the r = 2 slice of the model C(k,l), certified by exact
     valuations.  `fibered` is whether J(k,l) is fibered."""
+    require_model(model, "C", "commensurability certificate")
     k, l = model.k, model.l
-    require_hyperbolic(k, l, "commensurability certificate")
     if fibered:
         return CommensurabilityCertificate(k, l, "Fibered", None)
     n = l // 2

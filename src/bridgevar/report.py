@@ -5,7 +5,8 @@ that builds one artifact from another: each artifact (curve models,
 smoothness certificate, genera, odd points, trace field,
 commensurability) is computed at most once and passed to the stages
 that read it.  `build_report` and the CLI commands project their output
-from its sections.
+from its sections.  A stage that needs a hyperbolic knot refuses any
+other with ExactError, which the report prints as "unavailable".
 
 Every numeric claim carries a ``route`` tag: "formula" (closed form),
 "oracle" (independent computation), or "both-agree" (the two were
@@ -18,19 +19,15 @@ output.
 import json
 
 from .poly import ExactError
-from .curves import c_model, d_model, d_split, STATE_CURVE
+from .curves import c_model, d_model, d_split
 from .geometry import (component_count, genus_X, genus_Y, odd_point_report,
                        smoothness_certificate)
-from .knotprops import (alexander, classify, commensurability_certificate,
-                        fourplat_sequence, is_fibered, normalize_knot,
-                        require_hyperbolic, two_bridge_params,
-                        trace_field_report)
+from .knotprops import (HYPERBOLIC, alexander, classify,
+                        commensurability_certificate, fourplat_sequence,
+                        is_fibered, normalize_knot, require_hyperbolic,
+                        two_bridge_params, trace_field_report)
 
 SCHEMA = 1
-
-
-def _affine_dict(v):
-    return {"trace": v.trace}
 
 
 def _infinity_dict(v):
@@ -42,11 +39,9 @@ def _infinity_dict(v):
 
 
 def _cert_dict(cert):
-    if cert.refusal is not None:
-        return {"refused": cert.refusal}
     out = {"smooth": cert.smooth, "route": "oracle",
            "target": cert.target.to_dict(),
-           "affine": _affine_dict(cert.affine),
+           "affine": {"trace": cert.affine},
            "infinity": _infinity_dict(cert.infinity),
            "method": cert.method}
     if cert.d0d1 is not None:
@@ -131,12 +126,14 @@ class Knot:
         """(D0, D1) of the D model, which needs k = l."""
         return d_split(self.D)
 
+    # The three stages that need a hyperbolic knot refuse any other before
+    # they read C (kl odd has none) or D_split (which needs l even).
+
     @_once
     def certificate(self):
-        dm = self.D
-        split = (self.D_split if dm.state == STATE_CURVE and dm.k == dm.l
-                 else None)
-        return smoothness_certificate(dm, split)
+        require_hyperbolic(self.k, self.l, "smoothness certificate")
+        split = self.D_split if self.k == self.l else None
+        return smoothness_certificate(self.D, split)
 
     @_once
     def component_count(self):
@@ -167,9 +164,6 @@ class Knot:
         # the unknot (kl = 0) is fibered and has no Alexander polynomial here
         return self.k * self.l == 0 or is_fibered(self.alexander)
 
-    # The two stages below refuse a knot that is not hyperbolic; the knot
-    # is refused before C is read, which kl odd lacks.
-
     @_once
     def trace_field(self):
         require_hyperbolic(self.k, self.l, "trace-field report")
@@ -199,9 +193,9 @@ def _models_section(knot):
     except ExactError as e:
         models["C"] = {"unavailable": str(e)}
     try:
-        dm = knot.D
-        models["D"] = dm.to_dict()
-        if dm.state == STATE_CURVE and dm.k == dm.l and dm.l % 2 == 0:
+        models["D"] = knot.D.to_dict()
+        # the knots whose certificate reads D_split
+        if knot.classification == HYPERBOLIC and knot.k == knot.l:
             models["D_split"] = [m.to_dict() for m in knot.D_split]
     except ExactError as e:
         models["D"] = {"unavailable": str(e)}
@@ -221,8 +215,7 @@ def _two_bridge_section(knot):
 
 def _component_count_section(knot):
     cc = knot.component_count
-    return {"count": cc.count, "degenerate": cc.degenerate,
-            "route": "both-agree"}
+    return {"count": cc.count, "route": "both-agree"}
 
 
 def _genus_Y_section(knot):
@@ -285,8 +278,9 @@ SECTIONS = {
 
 
 def build_report(k, l):
-    """Full invariant pipeline for one (k,l), degenerate-safe: a section
-    whose artifacts raise ExactError is reported as unavailable."""
+    """Full invariant pipeline for one (k,l), for any integers: a section
+    whose artifacts raise ExactError, such as a stage that refuses a knot
+    that is not hyperbolic, is reported as unavailable."""
     knot = Knot(k, l)
     rep = {"schema": SCHEMA}
     for key in SECTIONS:

@@ -9,12 +9,14 @@ pinned from the bidegree formula computed by hand.
 
 import pytest
 
-from bridgevar.curves import d_model
+from bridgevar.curves import STATE_CURVE, c_model, d_model
 from bridgevar.geometry import (CERTIFICATE_PRIMES, DegenerateModel,
                                 affine_singular_locus,
                                 infinity_transversality,
-                                modular_smoothness_trace)
-from bridgevar.knotprops import HYPERBOLIC, classify
+                                modular_smoothness_trace, odd_point_report,
+                                smoothness_certificate)
+from bridgevar.knotprops import (HYPERBOLIC, NOT_A_KNOT, TORUS_NONHYPERBOLIC,
+                                 TREFOIL, UNKNOT, classify)
 from bridgevar.poly import BiPoly, ExactError, UniPoly, resultant
 from bridgevar.report import Knot
 from smoothness_oracle import exact_singular_locus
@@ -74,7 +76,7 @@ def test_non_reduced_input_rejected():
 def test_single_variable_curves_are_smooth_lines():
     for F in ((T - 1) * (T + 2), RB ** 2 - 3):
         v = affine_singular_locus(F)
-        assert "single-variable" in v.trace["note"]
+        assert "single-variable" in v["note"]
 
 
 def test_resultant_trace_recorded():
@@ -83,9 +85,8 @@ def test_resultant_trace_recorded():
     assert v.trace["gcd_r_degree"] == 0
     # the production witness of the figure-eight model r t - t - r
     v = affine_singular_locus(T * RB - T - RB)
-    assert v.trace["res_degrees_mod_p"] == {"Res_t(F,Ft)": 1,
-                                            "Res_t(F,Fr)": 0}
-    assert v.trace["gcd_r_degree"] == 0
+    assert v["res_degrees_mod_p"] == {"Res_t(F,Ft)": 1, "Res_t(F,Fr)": 0}
+    assert v["gcd_r_degree"] == 0
 
 
 def test_singular_and_unproved_inputs_reach_the_exact_route():
@@ -145,8 +146,7 @@ def test_certificate_smooth_for_hyperbolic_samples():
     for k, l in ((2, -2), (4, 6), (-3, 4), (5, -6), (-6, 8)):
         cert = Knot(k, l).certificate
         assert cert.smooth, (k, l)
-        assert cert.refusal is None
-        assert cert.affine.trace["gcd_r_degree"] == 0
+        assert cert.affine["gcd_r_degree"] == 0
         assert cert.infinity.transversal
 
 
@@ -155,7 +155,7 @@ def test_modular_proof_covers_equal_parameters_to_24():
     # failure, so pin the range it is known to cover
     for l in [s * m for m in range(4, 25, 2) for s in (1, -1)]:
         cert = Knot(l, l).certificate
-        assert cert.smooth and "prime" in cert.affine.trace, l
+        assert cert.smooth and "prime" in cert.affine, l
 
 
 def test_modular_proof_covers_hyperbolic_knots_to_12():
@@ -164,15 +164,45 @@ def test_modular_proof_covers_hyperbolic_knots_to_12():
     assert len(knots) == 262
     for k, l in knots:
         cert = Knot(k, l).certificate
-        assert cert.smooth and "prime" in cert.affine.trace, (k, l)
+        assert cert.smooth and "prime" in cert.affine, (k, l)
+
+
+NOT_HYPERBOLIC = "smoothness certificate needs a hyperbolic knot, got %s"
 
 
 def test_certificate_refuses_degenerate():
-    cert = Knot(2, 2).certificate
-    assert not cert.smooth
-    assert cert.refusal == "line-union (trefoil)"
-    assert Knot(0, 0).certificate.refusal == "full-plane (unknot)"
-    assert Knot(1, 4).certificate.refusal == "line-union (torus knot)"
+    # the trefoil's D is a union of lines, the unknot's the full plane
+    # and the torus knot's a union of lines: each is refused by its class
+    for (k, l), cls in (((2, 2), TREFOIL), ((0, 0), UNKNOT),
+                        ((1, 4), TORUS_NONHYPERBOLIC)):
+        with pytest.raises(ExactError, match=NOT_HYPERBOLIC % cls):
+            Knot(k, l).certificate
+        # a direct call is refused by the same gate
+        with pytest.raises(ExactError, match=NOT_HYPERBOLIC % cls):
+            smoothness_certificate(d_model(k, l), None)
+
+
+def test_d_model_is_a_curve_exactly_for_hyperbolic_knots():
+    # the gate in front of the geometry stages asks `classify`, not the
+    # model's state: pin that the two agree wherever J(k, l) is a knot
+    for k in range(-12, 13):
+        for l in range(-12, 13):
+            if k * l % 2 == 0:
+                assert ((d_model(k, l).state == STATE_CURVE)
+                        == (classify(k, l) == HYPERBOLIC)), (k, l)
+
+
+def test_geometry_stages_refuse_a_model_of_the_wrong_kind():
+    cert = Knot(4, 6).certificate
+    with pytest.raises(ExactError, match="smoothness certificate needs a D "
+                                         "model, got C"):
+        smoothness_certificate(c_model(4, 6), None)
+    with pytest.raises(ExactError, match="odd point count needs a D model, "
+                                         "got C"):
+        odd_point_report(c_model(4, 6), cert)
+    with pytest.raises(ExactError, match="odd point count needs a "
+                                         "hyperbolic knot, got Trefoil"):
+        odd_point_report(d_model(2, 2), cert)
 
 
 def test_certificate_equal_parameters_splits():
@@ -195,10 +225,10 @@ def test_component_counts():
 
 
 def test_component_count_degenerate_typed():
-    assert Knot(2, 2).component_count.degenerate == "line-union (trefoil)"
-    assert Knot(0, 4).component_count.degenerate == "line-union (unknot)"
-    assert Knot(1, 4).component_count.degenerate == "line-union (torus knot)"
-    assert Knot(2, 2).component_count.count is None
+    for (k, l), cls in (((2, 2), TREFOIL), ((0, 4), UNKNOT),
+                        ((1, 4), TORUS_NONHYPERBOLIC)):
+        with pytest.raises(ExactError, match=NOT_HYPERBOLIC % cls):
+            Knot(k, l).component_count
 
 
 # --- genus on Y -----------------------------------------------------------
@@ -229,9 +259,9 @@ def test_genus_y_split_components():
 
 
 def test_genus_y_guards():
-    with pytest.raises(DegenerateModel):
+    with pytest.raises(ExactError, match=NOT_HYPERBOLIC % TREFOIL):
         Knot(2, 2).genus_Y
-    with pytest.raises(ExactError):
+    with pytest.raises(ExactError, match=NOT_HYPERBOLIC % NOT_A_KNOT):
         Knot(3, 5).genus_Y
 
 
@@ -291,5 +321,5 @@ def test_genus_x_double_entry_agrees():
 
 
 def test_genus_x_degenerate():
-    with pytest.raises(DegenerateModel):
+    with pytest.raises(ExactError, match=NOT_HYPERBOLIC % TREFOIL):
         Knot(2, 2).genus_X

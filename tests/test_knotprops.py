@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from bridgevar.curves import c_model
+from bridgevar.curves import c_model, d_model
 from bridgevar.knotprops import (HYPERBOLIC, NOT_A_KNOT, TORUS_NONHYPERBOLIC,
                                  TREFOIL, UNKNOT, alexander, classify,
                                  commensurability_certificate,
@@ -284,6 +284,20 @@ def test_direct_stage_calls_refuse_nonhyperbolic_models():
         with pytest.raises(ExactError, match="commensurability certificate "
                                              "needs a hyperbolic knot"):
             commensurability_certificate(c_model(k, l), False)
+
+
+def test_direct_stage_calls_refuse_a_model_of_the_wrong_kind():
+    # a D model of a hyperbolic knot is bad input to the C-model stages,
+    # refused before any work, not an invariant failure
+    with pytest.raises(ExactError, match="trace-field report needs a C "
+                                         "model, got D"):
+        trace_field_report(d_model(4, 6))
+    with pytest.raises(ExactError, match="trace-field polynomial needs a C "
+                                         "model, got D"):
+        trace_field_poly(d_model(4, 6))
+    with pytest.raises(ExactError, match="commensurability certificate "
+                                         "needs a C model, got D"):
+        commensurability_certificate(d_model(2, 4), False)
 
 
 def test_commensurability_grid_verdicts():

@@ -58,8 +58,10 @@ def test_report_json_is_deterministic_and_untimed():
 def test_report_degenerate_inputs_do_not_raise():
     trefoil = build_report(2, 2)
     assert trefoil["classification"] == TREFOIL
-    assert "refused" in trefoil["smoothness"]
-    assert trefoil["component_count"]["degenerate"]
+    refusal = {"unavailable": "smoothness certificate needs a hyperbolic "
+                              "knot, got Trefoil"}
+    assert trefoil["smoothness"] == refusal
+    assert trefoil["component_count"] == refusal
 
     unknot = build_report(0, 4)
     assert unknot["classification"] == UNKNOT
@@ -69,6 +71,20 @@ def test_report_degenerate_inputs_do_not_raise():
     not_knot = build_report(3, 3)
     assert "unavailable" in not_knot["two_bridge"]
     json.loads(to_json(not_knot))  # still serializes
+
+
+def test_reports_of_kl_odd_certify_nothing():
+    # D(3, 5) is a curve and D(5, 5) has no split, but neither pair is a
+    # knot: the geometry sections are refused, not certified
+    for k, l in ((3, 5), (5, 5)):
+        rep = build_report(k, l)
+        assert rep["classification"] == knotprops.NOT_A_KNOT
+        assert "smooth" not in rep["smoothness"]
+        assert "count" not in rep["component_count"]
+        for key in ("smoothness", "component_count", "genus_Y", "genus_X",
+                    "odd_points"):
+            assert rep[key] == {"unavailable": "smoothness certificate "
+                                "needs a hyperbolic knot, got NotAKnot"}
 
 
 def test_report_split_models_for_k_equals_l():
@@ -198,7 +214,7 @@ def test_canonical_outputs_are_pinned():
         r = build_report(k, l)
         digest.update((to_json(r) + render_text(r)).encode())
     assert digest.hexdigest() == \
-        "3cd239030a097300a96401ad14f26939afd495476512cd7289e6ee554b14336f"
+        "cd6ef6d2684e2de56c6caf7fefddfc7f85ebd2b0cfa44d7090a0e3020c4126f5"
 
 
 def test_irreducibility_witnesses_recheck_from_json():
@@ -441,6 +457,29 @@ def test_sweep_rows_deterministic_serial_vs_parallel(tmp_path, capsys):
     assert by_kl[(2, -2)]["fibered"] is True
     assert by_kl[(2, 2)]["classification"] == TREFOIL
     assert all(not r.get("disagreements") and "error" not in r for r in rows)
+
+
+def test_sweep_rows_agree_under_the_knot_symmetries():
+    # J(l, k) is J(k, l) and J(-k, -l) its mirror image: their rows agree
+    # on every invariant that mirroring keeps
+    def invariants(k, l):
+        row = cli._sweep_row((k, l))
+        sf_degree = None
+        if row["classification"] == HYPERBOLIC:
+            assert row["components"] in (1, 2)
+            sf_degree = report.Knot(k, l).trace_field.squarefree_degree
+        else:
+            assert row["components"] is None
+        return (row["classification"], row.get("p"),
+                sorted(row.get("genus_X", {}).values()), row["fibered"],
+                row["components"], sf_degree)
+
+    pairs = [(k, l) for k in range(-8, 9) for l in range(-8, 9)
+             if k * l % 2 == 0]
+    rows = {pair: invariants(*pair) for pair in pairs}
+    assert len(rows) == 225
+    for k, l in pairs:
+        assert rows[(k, l)] == rows[(l, k)] == rows[(-k, -l)], (k, l)
 
 
 def test_sweep_pool_is_capped_at_the_core_count(monkeypatch, capsys):
