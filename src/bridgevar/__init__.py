@@ -24,10 +24,9 @@ from .seq import (big_f, big_g, big_h, delta, f_poly, g_poly,
 from .riley import (ideal_generator_check, normalize_unit, riley_poly_J,
                     riley_poly_matrix, riley_poly_pq, schubert_word,
                     trace_formula_check, trace_wk)
-from .curves import (CurveModel, STATE_CURVE, STATE_EMPTY, STATE_FULL_PLANE,
-                     STATE_LINE_UNION, c_model, d_model, d_split,
+from .curves import (CurveModel, c_model, d_model, d_split,
                      sigma_containment_check, special_points_check, x_model)
-from .geometry import (DegenerateModel, component_count, genus_X, genus_Y,
+from .geometry import (component_count, genus_X, genus_Y,
                        infinity_transversality, odd_point_report,
                        smoothness_certificate)
 from .newton import (GAUSS_INT, INFINITY, ROOT_THREE, binom_check,
@@ -43,10 +42,9 @@ from .report import Knot, build_report, render_text, to_json
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND", "BiPoly", "CurveModel", "DegenerateModel", "ExactError",
-    "GAUSS_INT", "HYPERBOLIC", "INFINITY", "Knot", "NOT_A_KNOT", "QuadElem",
-    "ROOT_THREE", "STATE_CURVE", "STATE_EMPTY", "STATE_FULL_PLANE",
-    "STATE_LINE_UNION", "TORUS_NONHYPERBOLIC", "TREFOIL", "UNKNOT",
+    "BACKEND", "BiPoly", "CurveModel", "ExactError", "GAUSS_INT",
+    "HYPERBOLIC", "INFINITY", "Knot", "NOT_A_KNOT", "QuadElem", "ROOT_THREE",
+    "TORUS_NONHYPERBOLIC", "TREFOIL", "UNKNOT",
     "UniPoly", "alexander", "big_f", "big_g", "big_h", "binom_check",
     "build_report", "c_model", "classify", "commensurability_certificate",
     "complexabs_check", "component_count", "d_model",

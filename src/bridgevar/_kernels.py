@@ -32,7 +32,7 @@ wide enough for the coefficients to grow unreduced for many steps.
 `poly_resultant_p` is the resultant over GF(p) by a Euclidean remainder
 sequence; `poly.resultant_mod_p` interpolates bivariate resultants from it.
 
-All list functions return *normalized* lists (no trailing zeros); the
+All list functions return *trimmed* lists (no trailing zeros); the
 zero polynomial is the empty list.
 """
 
@@ -80,7 +80,7 @@ def _pack(a, p, w):
 
 def _unpack(z, count, w, p):
     """The first count w-byte slots of the int z, reduced mod p, as a
-    normalized coefficient list."""
+    trimmed coefficient list."""
     z = z.to_bytes(count * w, "little")
     return trim([int.from_bytes(z[i:i + w], "little") % p
                  for i in range(0, count * w, w)])

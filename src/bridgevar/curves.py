@@ -9,12 +9,13 @@ Three affine models of the same character variety:
 * D(k, l)  in (r, t): Phi_{k+1}(r) Phi_{l-1}(t) - Phi_{k-1}(r) Phi_{l+1}(t),
              identically equal to Psi_k(r) Phi_{l-1}(t) - Phi_{k-1}(r) Psi_l(t).
 
-Degenerate shapes (empty, the full plane, finite unions of lines) are
-explicit states on the model, not errors.  They occur only for knots
-that are not hyperbolic, which the geometry stages refuse by their
-classification.  Equations are stored primitive with the sign
-chosen so the lexicographically leading monomial (r counted highest) has
-a positive coefficient.
+A model is built for any (k, l) it is defined at, whether or not the
+curve is degenerate (empty, the full plane or a union of lines, which
+happens only for knots that are not hyperbolic); `knotprops.classify`
+is the one label of that, and the geometry stages refuse such knots by
+it.  Equations are stored primitive with the sign chosen so the
+lexicographically leading monomial (r counted highest) has a positive
+coefficient.
 """
 
 from fractions import Fraction
@@ -27,11 +28,6 @@ from .riley import riley_poly_J, trace_wk
 
 _R = UniPoly.gen("r")
 
-STATE_CURVE = "curve"
-STATE_EMPTY = "empty"
-STATE_FULL_PLANE = "full-plane"
-STATE_LINE_UNION = "line-union"
-
 
 class CurveModel(NamedTuple):
     kind: str                 # C, X, D, D0, D1
@@ -40,9 +36,7 @@ class CurveModel(NamedTuple):
     equation: BiPoly
     vars: tuple               # (r, y) / (r, x) / (r, t)
     bidegree: Optional[tuple]  # (deg_r, deg_t), D-kinds only
-    state: str = STATE_CURVE
     swapped: bool = False
-    notes: tuple = ()
 
     def to_dict(self):
         return {
@@ -51,10 +45,8 @@ class CurveModel(NamedTuple):
             "l": self.l,
             "vars": list(self.vars),
             "bidegree": list(self.bidegree) if self.bidegree else None,
-            "state": self.state,
             "equation": str(self.equation),
             "swapped": self.swapped,
-            "notes": list(self.notes),
         }
 
 
@@ -91,9 +83,7 @@ def c_model(k, l):
                          "got k=%d, l=%d with both odd" % (k, l))
     n = l // 2
     raw = -riley_poly_J(k, n)
-    eq = _normalize(raw)
-    state = STATE_EMPTY if k * l == 0 else STATE_CURVE
-    return CurveModel("C", k, l, eq, ("r", "y"), None, state, swapped)
+    return CurveModel("C", k, l, _normalize(raw), ("r", "y"), None, swapped)
 
 
 def x_model(k, l):
@@ -103,7 +93,7 @@ def x_model(k, l):
                   UniPoly.const(1, "r")], "x", "r")
     eq = _normalize(base.equation.eval_outer(sub))
     return CurveModel("X", base.k, base.l, eq, ("r", "x"), None,
-                      base.state, base.swapped)
+                      base.swapped)
 
 
 def d_model(k, l):
@@ -116,21 +106,11 @@ def d_model(k, l):
     if new != alt:
         raise AssertionError("the two defining forms of D(%d,%d) differ" % (k, l))
     eq = _normalize(new)
-    notes = []
     if eq.is_zero:
-        return CurveModel("D", k, l, eq, ("r", "t"), (0, 0),
-                          STATE_FULL_PLANE, swapped)
+        return CurveModel("D", k, l, eq, ("r", "t"), (0, 0), swapped)
     a = int(eq.degree_inner)
     b = int(eq.degree_outer)
-    if a == 0 and b == 0:
-        state = STATE_EMPTY
-    elif a == 0 or b == 0:
-        state = STATE_LINE_UNION
-    elif k == l and k in (2, -2):
-        state = STATE_LINE_UNION
-    else:
-        state = STATE_CURVE
-    if l % 2 == 0 and state in (STATE_CURVE, STATE_LINE_UNION):
+    if l % 2 == 0 and (a, b) != (0, 0):
         n = l // 2
         if k in (1, -1):
             expect = (0, k * n - 1) if k * n > 0 else (0, -k * n)
@@ -139,10 +119,7 @@ def d_model(k, l):
         if (a, b) != expect:
             raise AssertionError(
                 "D(%d,%d) bidegree (%d,%d) != expected %s" % (k, l, a, b, expect))
-    elif l % 2 and state in (STATE_CURVE, STATE_LINE_UNION):
-        notes.append("bidegree formula not applicable (odd twist)")
-    return CurveModel("D", k, l, eq, ("r", "t"), (a, b), state, swapped,
-                      tuple(notes))
+    return CurveModel("D", k, l, eq, ("r", "t"), (a, b), swapped)
 
 
 def d_split(model):
@@ -159,8 +136,7 @@ def d_split(model):
     except ExactError as exc:
         raise AssertionError(
             "D(%d,%d) is not divisible by t - r" % (l, l)) from exc
-    d0 = CurveModel("D0", l, l, _normalize(diag), ("r", "t"), (1, 1),
-                    STATE_CURVE)
+    d0 = CurveModel("D0", l, l, _normalize(diag), ("r", "t"), (1, 1))
     eq1 = _normalize(quot)
     if eq1.is_zero:
         raise AssertionError("zero quotient in d_split(%d)" % l)
@@ -170,8 +146,7 @@ def d_split(model):
     if (a, b) != (n - 1, n - 1):
         raise AssertionError(
             "D1(%d,%d) bidegree (%d,%d) != (%d,%d)" % (l, l, a, b, n - 1, n - 1))
-    state = STATE_EMPTY if (a, b) == (0, 0) else STATE_CURVE
-    d1 = CurveModel("D1", l, l, eq1, ("r", "t"), (a, b), state)
+    d1 = CurveModel("D1", l, l, eq1, ("r", "t"), (a, b))
     return d0, d1
 
 
@@ -202,8 +177,6 @@ def sigma_containment_check(k, l):
     C-equation (division in y over Z[r])."""
     cm = c_model(k, l)
     dm = d_model(cm.k, cm.l)
-    if cm.state != STATE_CURVE:
-        return dm.state in (STATE_EMPTY, STATE_CURVE, STATE_LINE_UNION)
     pullback = dm.equation.eval_outer(trace_wk(cm.k))
     if pullback.is_zero:
         return True
@@ -250,7 +223,7 @@ def special_points_check(k, l):
     checks = []
     instances = []
 
-    raw = -riley_poly_J(k, n)           # the C(k,l) equation, unnormalized
+    raw = -riley_poly_J(k, n)           # the C(k,l) equation, not made primitive
     psi_k = psi(k, "r")
     phi_mk = phi(-k, "r")
     phi_km1 = phi(k - 1, "r")

@@ -28,15 +28,9 @@ from .kernels import poly_gcd_p
 from .poly import (UniPoly, BiPoly, ExactError, poly_gcd, resultant,
                    resultant_mod_p, squarefree_part, is_separable)
 from .seq import f_poly, g_poly, delta, big_g
-from .curves import STATE_CURVE
 from .knotprops import require_model
 
 _R = UniPoly.gen("r")
-
-
-class DegenerateModel(ExactError):
-    """Raised by `infinity_transversality` on a model that is not a
-    D-family curve of positive bidegree."""
 
 
 # ---------------------------------------------------------------------------
@@ -50,33 +44,33 @@ def affine_singular_locus(F, delta_r=None):
     """Proof that the affine curve F = 0 has no singular point.
 
     Returns the `modular_smoothness_trace` witness dict, sharpened by
-    the filter delta_r = Delta_k(r) when given.  Zero, constant and
-    non-reduced F raise ExactError; a curve that no prime of
-    `CERTIFICATE_PRIMES` proves smooth, singular or not, raises
-    AssertionError.
+    the filter delta_r = Delta_k(r) when given.  F must have positive
+    degree in both variables and be reduced, or ExactError is raised; a
+    curve that no prime of `CERTIFICATE_PRIMES` proves smooth, singular
+    or not, raises AssertionError.
     """
-    if F.is_zero:
-        raise ExactError("affine_singular_locus needs a nonzero polynomial")
-    a, b = int(F.degree_inner or 0), int(F.degree_outer or 0)
-    if a <= 0 and b <= 0:
-        raise ExactError("affine_singular_locus needs a nonconstant polynomial")
+    if not _positive_bidegree(F):
+        raise ExactError("affine_singular_locus needs a polynomial of "
+                         "positive degree in both variables, got %s" % F)
     cont = F.content_inner()
     if cont.degree > 0 and not is_separable(cont):
         raise ExactError("non-reduced input: repeated factor %s" % cont)
-    if a > 0 and b > 0:
-        trace = modular_smoothness_trace(F, delta_r)
-        if trace is not None:
-            return trace
+    trace = modular_smoothness_trace(F, delta_r)
+    if trace is not None:
+        return trace
     # In characteristic 0, Res_t(F, F_t) = 0 exactly when F has a repeated
     # factor of positive t-degree; repeated factors in r alone divide the
     # content, checked above.
-    if b and resultant(F, F.deriv_outer(), F.outer).is_zero:
+    if resultant(F, F.deriv_outer(), F.outer).is_zero:
         raise ExactError("non-reduced input: Res_t(F, F_t) = 0")
-    if a == 0 or b == 0:
-        # a separable union of parallel lines is smooth
-        return {"note": "single-variable polynomial; separable, hence smooth"}
     raise AssertionError("no prime of CERTIFICATE_PRIMES proves %s = 0 "
                          "smooth" % F)
+
+
+def _positive_bidegree(F):
+    """Is the degree of F positive in both variables?  (The degrees of
+    the zero polynomial are -inf.)"""
+    return F.degree_inner >= 1 and F.degree_outer >= 1
 
 
 def modular_smoothness_trace(F, delta_r=None):
@@ -144,14 +138,11 @@ class InfinityVerdict(NamedTuple):
 def infinity_transversality(model):
     """Certify that both lines at infinity meet the closure of the model
     transversally in smooth points, by exact distinct-point counting."""
-    if model.kind not in ("D", "D0", "D1") or model.state not in (STATE_CURVE,):
-        raise DegenerateModel(
-            "infinity check needs a nondegenerate D-family model, got %s/%s"
-            % (model.kind, model.state))
     F = model.equation
+    if model.kind not in ("D", "D0", "D1") or not _positive_bidegree(F):
+        raise ExactError("infinity check needs a D-family model of positive "
+                         "bidegree, got %s: %s" % (model.kind, F))
     a, b = int(F.degree_inner), int(F.degree_outer)
-    if a < 1 or b < 1:
-        raise DegenerateModel("infinity check needs positive bidegree")
     # chart u = 1/r: the line u=0; F restricted there is A(t), the r-leading
     # profile; B(t) is the next coefficient (the u-derivative at u=0).
     A = UniPoly([c.coeff(a) for c in F.cs], F.outer)
@@ -236,10 +227,6 @@ def smoothness_certificate(model, split):
 # ---------------------------------------------------------------------------
 # components
 
-class ComponentCount(NamedTuple):
-    count: int
-
-
 def component_count(cert):
     """From the smoothness certificate `cert` of J(k,l): 1 for k != l,
     2 for k = l."""
@@ -248,7 +235,7 @@ def component_count(cert):
         raise AssertionError(
             "component count needs the smoothness certificate; it failed "
             "for (%d, %d)" % (target.k, target.l))
-    return ComponentCount(2 if target.k == target.l else 1)
+    return 2 if target.k == target.l else 1
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +327,8 @@ def odd_point_report(model, certificate):
         Fc = (BiPoly.from_inner(g_poly(m, "r"), "t") * g_poly(n + 1, "t")
               - BiPoly.from_inner(g_poly(m + 1, "r"), "t") * g_poly(n, "t"))
         P = Fc.eval_outer(T)
-        if not is_separable(P):
-            raise ExactError("separability failure in the even-parameter "
-                             "oracle at (%d,%d)" % (k, l))
+        _check(is_separable(P), "separability failure in the even-parameter "
+               "oracle at (%d,%d)" % (k, l))
         _check(P.degree == 2 * abs(m * n) + abs(m) + 1 - a_const,
                "oracle degree off at (%d,%d)" % (k, l))
         _check(P(2) == 0, "expected the r=2 root at (%d,%d)" % (k, l))
@@ -367,9 +353,8 @@ def odd_point_report(model, certificate):
         Fc = (BiPoly.from_inner(f_poly(m, "r"), "t") * g_poly(n + 1, "t")
               - BiPoly.from_inner(f_poly(m + 1, "r"), "t") * g_poly(n, "t"))
         P = Fc.eval_outer(T)
-        if not is_separable(P):
-            raise ExactError("separability failure in the odd-parameter "
-                             "oracle at (%d,%d)" % (k, l))
+        _check(is_separable(P), "separability failure in the odd-parameter "
+               "oracle at (%d,%d)" % (k, l))
         _check(P.degree == abs(2 * m + 1) * abs(n) + abs(m) - a_const,
                "oracle degree off at (%d,%d); the lemma case table may not "
                "cover this sign pattern" % (k, l))

@@ -53,14 +53,13 @@ def require_model(model, kind, stage):
 class KnotId(NamedTuple):
     k: int
     l: int
-    normalized: bool      # l even (a knot, in the model-ready orientation)
     moves: tuple          # normalization steps applied to the input
 
 
 def normalize_knot(k, l):
     """Track the (k,l) -> (l,k) symmetry used to make l even."""
     k2, l2, swapped = _swap_if_needed(k, l)
-    return KnotId(k2, l2, l2 % 2 == 0, ("swap",) if swapped else ())
+    return KnotId(k2, l2, ("swap",) if swapped else ())
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +155,7 @@ def fourplat_sequence(k, l, form):
 # Alexander polynomial and fiberedness
 
 def alexander(k, l):
-    """Alexander polynomial, lowest exponent normalized to 0."""
+    """Alexander polynomial, lowest exponent shifted to 0."""
     k, l, _sw = _swap_if_needed(k, l)
     if k % 2 and l % 2:
         raise ExactError("not a knot (kl odd)")
@@ -219,15 +218,15 @@ class TraceFieldReport(NamedTuple):
     k: int
     l: int
     bound: int
-    poly_degree: int
     squarefree_degree: int
     analysis: object          # Irreducible | Reducible | Inconclusive
     empirical: dict
 
 
 def trace_field_report(model):
-    """Degree bound, exact slice degree, and factor-degree evidence from
-    the model C(k,l); the degree-equality observation is reported, never
+    """Degree bound (the degree of the slice, which `trace_field_poly`
+    asserts), squarefree degree and factor-degree evidence from the
+    model C(k,l); the degree-equality observation is reported, never
     asserted."""
     require_model(model, "C", "trace-field report")
     k2, l2 = model.k, model.l
@@ -236,7 +235,7 @@ def trace_field_report(model):
     sf = squarefree_part(poly)
     analysis = irreducibility_analysis(sf)
     observed = None
-    if analysis.verdict == "irreducible" and sf.degree == poly.degree == bound:
+    if analysis.verdict == "irreducible" and sf.degree == bound:
         observed = True
     elif analysis.verdict == "reducible":
         observed = False
@@ -245,8 +244,8 @@ def trace_field_report(model):
         "equality_observed": observed,
         "note": "empirical observation only; nothing asserted",
     }
-    return TraceFieldReport(k2, l2, bound, int(poly.degree), int(sf.degree),
-                            analysis, empirical)
+    return TraceFieldReport(k2, l2, bound, int(sf.degree), analysis,
+                            empirical)
 
 
 # ---------------------------------------------------------------------------

@@ -183,7 +183,7 @@ class Knot:
 def _knot_section(knot):
     nid = normalize_knot(knot.k, knot.l)
     return {"k": knot.k, "l": knot.l, "model_k": nid.k, "model_l": nid.l,
-            "normalized": nid.normalized, "moves": list(nid.moves)}
+            "moves": list(nid.moves)}
 
 
 def _models_section(knot):
@@ -214,8 +214,7 @@ def _two_bridge_section(knot):
 
 
 def _component_count_section(knot):
-    cc = knot.component_count
-    return {"count": cc.count, "route": "both-agree"}
+    return {"count": knot.component_count, "route": "oracle"}
 
 
 def _genus_Y_section(knot):
@@ -249,8 +248,7 @@ def _alexander_section(knot):
 
 def _trace_field_section(knot):
     tf = knot.trace_field
-    return {"bound": tf.bound, "poly_degree": tf.poly_degree,
-            "squarefree_degree": tf.squarefree_degree,
+    return {"bound": tf.bound, "squarefree_degree": tf.squarefree_degree,
             "analysis": _analysis_dict(tf.analysis),
             "empirical": tf.empirical, "route": "both-agree"}
 

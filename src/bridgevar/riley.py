@@ -450,7 +450,7 @@ def riley_poly_pq(p, q):
 
 
 def normalize_unit(F):
-    """Content- and sign-normalized copy for up-to-unit comparisons
+    """Primitive copy with the sign fixed, for up-to-unit comparisons
     (positive coefficient at the top (y, r)-lexicographic monomial)."""
     return F.primitive()
 

@@ -20,27 +20,25 @@ class LocusVerdict(NamedTuple):
 
 def exact_singular_locus(F, delta_filter=None):
     """The affine singular locus of F = 0 by exact subresultant PRS
-    eliminants over Z, for F with a separable content.
+    eliminants over Z, for F of positive degree in both variables with a
+    separable content.
 
     Returns Empty when a constant gcd of eliminants (optionally sharpened
     by the (Delta_k, Delta_l) filter) proves there is none; otherwise a
     list of candidate points, exactly verified where rational and
     cross-checked through both projections otherwise.
     """
-    a, b = int(F.degree_inner or 0), int(F.degree_outer or 0)
+    if F.degree_inner < 1 or F.degree_outer < 1:
+        raise ExactError("the exact route needs positive degree in both "
+                         "variables")
     # In characteristic 0, Res_t(F, F_t) = 0 exactly when F has a repeated
     # factor of positive t-degree; repeated factors in r alone divide the
     # content, which the caller checks.
-    if b:
-        Ft = F.deriv_outer()
-        R1 = resultant(F, Ft, F.outer)
-        if R1.is_zero:
-            raise ExactError("non-reduced input: Res_t(F, F_t) = 0")
+    Ft = F.deriv_outer()
+    R1 = resultant(F, Ft, F.outer)
+    if R1.is_zero:
+        raise ExactError("non-reduced input: Res_t(F, F_t) = 0")
     trace = {}
-    if b == 0 or a == 0:
-        # a separable union of parallel lines is smooth
-        trace["note"] = "single-variable polynomial; separable, hence smooth"
-        return LocusVerdict("Empty", (), trace)
     Fr = F.deriv_inner()
     R2 = resultant(F, Fr, F.outer)
     G = poly_gcd(R1, R2)

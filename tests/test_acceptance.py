@@ -225,7 +225,7 @@ def test_criterion_10_trace_field_degrees():
         ok = ok and trace_field_poly(c_model(l, l)).degree == abs(l) - 1
     fig8 = Knot(2, -2).trace_field
     ok = ok and fig8.analysis.verdict == "irreducible" \
-        and fig8.poly_degree == 2
+        and fig8.squarefree_degree == 2
     # open questions stay empirical: reported, bounded by p < 100, no claim
     for k, l in grid_offdiag():
         if abs(1 - k * l) >= 100:

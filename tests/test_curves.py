@@ -1,4 +1,4 @@
-"""Curve models: frozen equations, states, bidegrees, and the map sigma.
+"""Curve models: frozen equations, bidegrees, and the map sigma.
 
 Oracle for the split: multiply the factors back and compare with the
 unsplit model.  Oracle for sigma: map exact rational points of C and
@@ -9,8 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from bridgevar.curves import (STATE_CURVE, STATE_EMPTY, STATE_FULL_PLANE,
-                              STATE_LINE_UNION, c_model, d_model, d_split,
+from bridgevar.curves import (c_model, d_model, d_split,
                               sigma_containment_check, sigma_pull, sigma_push,
                               special_points_check, x_model)
 from bridgevar.poly import ExactError
@@ -19,7 +18,7 @@ from bridgevar.poly import ExactError
 def test_figure_eight_equations_frozen():
     cm = c_model(2, -2)
     assert str(cm.equation) == "-r*y+y+r^2-r+1"
-    assert cm.vars == ("r", "y") and cm.state == STATE_CURVE
+    assert cm.vars == ("r", "y")
     dm = d_model(2, -2)
     assert str(dm.equation) == "r*t-t-r"
     assert dm.bidegree == (1, 1)
@@ -38,17 +37,20 @@ def test_c_model_rejects_two_odd_parameters():
     with pytest.raises(ExactError):
         c_model(3, 5)
     # but D exists there
-    assert d_model(3, 5).state == STATE_CURVE
+    assert d_model(3, 5).bidegree == (1, 2)
 
 
-def test_degenerate_states():
-    assert d_model(0, 0).state == STATE_FULL_PLANE
-    assert d_model(0, 4).state == STATE_LINE_UNION
-    assert d_model(1, 6).state == STATE_LINE_UNION
-    assert d_model(2, 2).state == STATE_LINE_UNION     # trefoil
-    assert d_model(-2, -2).state == STATE_LINE_UNION
-    assert c_model(0, 4).state == STATE_EMPTY
-    assert d_model(4, 6).state == STATE_CURVE
+def test_degenerate_models_are_built():
+    # the models of knots that are not hyperbolic exist; what they are is
+    # read from the equation, and `classify` labels the knot
+    assert d_model(0, 0).equation.is_zero                 # the full plane
+    assert d_model(0, 4).bidegree == (0, 2)               # lines t = 0, 2
+    assert str(d_model(0, 4).equation) == "t^2-2*t"
+    assert d_model(1, 6).bidegree == (0, 2)               # lines in t
+    for k in (2, -2):                                     # trefoil
+        assert str(d_model(k, k).equation) == "-t+r"      # the line t = r
+    assert str(c_model(0, 4).equation) == "1"             # 1 = 0: empty
+    assert d_model(4, 6).bidegree == (2, 3)
 
 
 def test_bidegree_is_floor_halves():
@@ -103,7 +105,8 @@ def test_sigma_pull_indeterminate_locus():
 
 
 def test_sigma_containment_certificates():
-    for k, l in ((2, -2), (2, 4), (3, 4), (-3, 6), (4, 4), (5, -4)):
+    # C(0, 0) is empty and D(0, 0) the whole plane: the containment holds
+    for k, l in ((2, -2), (2, 4), (3, 4), (-3, 6), (4, 4), (5, -4), (0, 0)):
         assert sigma_containment_check(k, l), (k, l)
 
 
@@ -122,5 +125,6 @@ def test_special_points_reports():
 def test_to_dict_round_trip_fields():
     d = d_model(4, 6).to_dict()
     assert d["kind"] == "D" and d["bidegree"] == [2, 3]
-    assert d["state"] == "curve" and d["swapped"] is False
-    assert isinstance(d["equation"], str) and d["notes"] == []
+    assert d["swapped"] is False and isinstance(d["equation"], str)
+    assert set(d) == {"kind", "k", "l", "vars", "bidegree", "equation",
+                      "swapped"}

@@ -9,9 +9,8 @@ pinned from the bidegree formula computed by hand.
 
 import pytest
 
-from bridgevar.curves import STATE_CURVE, c_model, d_model
-from bridgevar.geometry import (CERTIFICATE_PRIMES, DegenerateModel,
-                                affine_singular_locus,
+from bridgevar.curves import c_model, d_model
+from bridgevar.geometry import (CERTIFICATE_PRIMES, affine_singular_locus,
                                 infinity_transversality,
                                 modular_smoothness_trace, odd_point_report,
                                 smoothness_certificate)
@@ -67,16 +66,21 @@ def test_smooth_parabola_certifies_empty():
 def test_non_reduced_input_rejected():
     for F in ((T - RB) ** 2,
               (T * RB + RB + 1) ** 2 * (T - RB ** 2),  # square in r and t
-              (RB - 1) ** 2 * (T - RB ** 2),           # squared content
-              (T - 1) ** 2 * (T + 2)):                 # square in t alone
+              (RB - 1) ** 2 * (T - RB ** 2)):          # squared content
         with pytest.raises(ExactError, match="non-reduced"):
             affine_singular_locus(F)
 
 
-def test_single_variable_curves_are_smooth_lines():
-    for F in ((T - 1) * (T + 2), RB ** 2 - 3):
-        v = affine_singular_locus(F)
-        assert "single-variable" in v["note"]
+def test_affine_locus_refuses_a_polynomial_without_positive_bidegree():
+    # unions of parallel lines, reduced or not, a constant and zero: the
+    # certificate, and its oracle, take curves of positive degree in both
+    # variables only
+    for F in ((T - 1) * (T + 2), RB ** 2 - 3, (T - 1) ** 2 * (T + 2),
+              T ** 0, T - T):
+        with pytest.raises(ExactError, match="positive degree in both"):
+            affine_singular_locus(F)
+        with pytest.raises(ExactError, match="positive degree in both"):
+            exact_singular_locus(F)
 
 
 def test_resultant_trace_recorded():
@@ -134,10 +138,12 @@ def test_infinity_transversal_on_small_models():
 
 
 def test_infinity_rejects_degenerate_models():
-    with pytest.raises(DegenerateModel):
-        infinity_transversality(d_model(2, 2))
-    with pytest.raises(DegenerateModel):
-        infinity_transversality(d_model(0, 4))
+    # lines t = 0, 2; lines r = 0, 2; the full plane; a C model
+    for model in (d_model(0, 4), d_model(4, 0), d_model(0, 0),
+                  c_model(4, 6)):
+        with pytest.raises(ExactError, match="needs a D-family model of "
+                                             "positive bidegree"):
+            infinity_transversality(model)
 
 
 # --- the smoothness certificate -------------------------------------------
@@ -183,13 +189,23 @@ def test_certificate_refuses_degenerate():
 
 
 def test_d_model_is_a_curve_exactly_for_hyperbolic_knots():
-    # the gate in front of the geometry stages asks `classify`, not the
-    # model's state: pin that the two agree wherever J(k, l) is a knot
+    # the gate in front of the geometry stages asks `classify`: pin that a
+    # hyperbolic knot's D has bidegree (|k| // 2, |l| / 2) after the swap,
+    # both at least 1, and that of any other knot is zero, lines in one
+    # variable, or the trefoil's line t = r
     for k in range(-12, 13):
         for l in range(-12, 13):
-            if k * l % 2 == 0:
-                assert ((d_model(k, l).state == STATE_CURVE)
-                        == (classify(k, l) == HYPERBOLIC)), (k, l)
+            if k * l % 2:
+                continue
+            dm = d_model(k, l)
+            a, b = dm.bidegree
+            if classify(k, l) == HYPERBOLIC:
+                assert (a, b) == (abs(dm.k) // 2, abs(dm.l) // 2), (k, l)
+                assert a >= 1 and b >= 1, (k, l)
+            elif classify(k, l) == TREFOIL:
+                assert str(dm.equation) == "-t+r", (k, l)
+            else:
+                assert a == 0 or b == 0, (k, l)
 
 
 def test_geometry_stages_refuse_a_model_of_the_wrong_kind():
@@ -218,10 +234,10 @@ def test_certificate_equal_parameters_splits():
 # --- component count ------------------------------------------------------
 
 def test_component_counts():
-    assert Knot(4, 6).component_count.count == 1
-    assert Knot(2, -2).component_count.count == 1
-    assert Knot(4, 4).component_count.count == 2
-    assert Knot(-6, -6).component_count.count == 2
+    assert Knot(4, 6).component_count == 1
+    assert Knot(2, -2).component_count == 1
+    assert Knot(4, 4).component_count == 2
+    assert Knot(-6, -6).component_count == 2
 
 
 def test_component_count_degenerate_typed():

@@ -196,7 +196,7 @@ def test_trace_field_degrees():
 
 def test_trace_field_report_figure_eight():
     tf = Knot(2, -2).trace_field
-    assert tf.bound == 2 and tf.poly_degree == 2
+    assert tf.bound == 2 and tf.squarefree_degree == 2
     assert tf.analysis.verdict == "irreducible"
     assert tf.empirical["equality_observed"] is True
     assert "nothing asserted" in tf.empirical["note"]
@@ -205,7 +205,7 @@ def test_trace_field_report_figure_eight():
 def test_trace_field_report_never_asserts_equality():
     for k, l in ((2, 4), (-2, 4), (4, 4), (3, 4)):
         tf = Knot(k, l).trace_field
-        assert tf.poly_degree <= tf.bound
+        assert tf.squarefree_degree <= tf.bound
         assert isinstance(tf.empirical["equality_observed"], bool)
         assert "empirical" in tf.empirical["note"]
 

@@ -22,7 +22,7 @@ from bridgevar.knotprops import (HYPERBOLIC, TREFOIL, UNKNOT, classify,
 from bridgevar.poly import (BiPoly, ExactError, UniPoly, is_prime,
                             resultant_mod_p, squarefree_part)
 from bridgevar.seq import delta
-from bridgevar.report import build_report, render_text, to_json
+from bridgevar.report import Knot, build_report, render_text, to_json
 from test_poly import powmod_ddf_pattern
 from smoothness_oracle import exact_singular_locus
 
@@ -44,6 +44,8 @@ def test_report_sections_and_routes():
     assert rep["smoothness"]["route"] == "oracle"
     assert rep["alexander"]["route"] == "formula"
     assert rep["two_bridge"]["route"] == "both-agree"
+    # one route, read from the smoothness certificate
+    assert rep["component_count"] == {"count": 1, "route": "oracle"}
 
 
 def test_report_json_is_deterministic_and_untimed():
@@ -52,7 +54,7 @@ def test_report_json_is_deterministic_and_untimed():
     data = json.loads(a)
     assert "timing" not in data and data["schema"] == 1
     assert data["knot"] == {"k": 4, "l": 6, "model_k": 4, "model_l": 6,
-                            "normalized": True, "moves": []}
+                            "moves": []}
 
 
 def test_report_degenerate_inputs_do_not_raise():
@@ -156,6 +158,19 @@ def test_invariant_failure_is_not_unavailable(monkeypatch, capsys):
     assert "X-genus mismatch" in rows[(2, -2)]["error"]
 
 
+def test_failed_separability_lemma_is_an_invariant_failure(monkeypatch,
+                                                           capsys):
+    # the odd-point count of a hyperbolic knot rests on separability
+    # lemmas, in both parity cases: a failed one exits 1, it is not
+    # reported as unavailable
+    monkeypatch.setattr(geometry, "is_separable", lambda p: False)
+    for k, l in ((4, 6), (3, 4)):
+        with pytest.raises(AssertionError, match="separability failure"):
+            Knot(k, l).odd_points
+        code, _, err = run(capsys, "analyze", "-k", str(k), "-l", str(l))
+        assert code == 1 and "separability failure" in err, (k, l)
+
+
 def test_render_text_contains_key_lines():
     text = render_text(build_report(2, -2))
     assert "classification: Hyperbolic" in text
@@ -214,7 +229,7 @@ def test_canonical_outputs_are_pinned():
         r = build_report(k, l)
         digest.update((to_json(r) + render_text(r)).encode())
     assert digest.hexdigest() == \
-        "cd6ef6d2684e2de56c6caf7fefddfc7f85ebd2b0cfa44d7090a0e3020c4126f5"
+        "8bf45ef373584d9b3be2deb95cb1520d412ec1c1c3eaab9868e622e53706fa29"
 
 
 def test_irreducibility_witnesses_recheck_from_json():
@@ -355,7 +370,7 @@ def test_cli_model_and_tracefield(capsys):
     code, out, _ = run(capsys, "model", "-k", "4", "-l", "4", "--json")
     assert code == 0
     data = json.loads(out)
-    assert data["D"]["state"] == "curve" and len(data["D_split"]) == 2
+    assert data["D"]["bidegree"] == [2, 2] and len(data["D_split"]) == 2
 
     code, out, _ = run(capsys, "tracefield", "-k", "2", "-l", "-2", "--json")
     assert code == 0
