@@ -47,6 +47,9 @@ def _as_coeff(v):
     raise ExactError("coefficient must be int, got %r" % type(v))
 
 
+_INT_TYPE = frozenset((int,))
+
+
 class UniPoly:
     """Dense univariate polynomial; coeffs[i] multiplies var**i."""
 
@@ -55,7 +58,11 @@ class UniPoly:
     def __init__(self, coeffs, var):
         if var not in VARS:
             raise ExactError("unknown variable %r" % (var,))
-        c = [_as_coeff(v) for v in coeffs]
+        c = list(coeffs)
+        # one C-level scan; coefficients of another type (bool, or an
+        # error) go through _as_coeff one by one
+        if not _INT_TYPE.issuperset(map(type, c)):
+            c = [_as_coeff(v) for v in c]
         n = len(c)
         while n and not c[n - 1]:
             n -= 1
@@ -170,6 +177,13 @@ class UniPoly:
     def divexact(self, other):
         """Exact division in Z[x] by an int or a UniPoly; ExactError when
         the quotient is not in Z[x]."""
+        if isinstance(other, int):
+            if not other:
+                raise ZeroDivisionError("division by zero")
+            c = self.c
+            if any(v % other for v in c):
+                raise ExactError("non-exact division")
+            return UniPoly([v // other for v in c], self.var)
         divisor = self._coerce(other)
         if divisor is None:
             raise ExactError("cannot divide by %r" % type(other))
@@ -219,12 +233,15 @@ class UniPoly:
 
     def primitive(self):
         """Divide out the content and force a positive leading coefficient."""
-        if self.is_zero:
+        c = self.c
+        if not c:
             return self
-        p = self.divexact(self.content())
-        if p.lead < 0:
-            p = -p
-        return p
+        g = int_gcd(*c)
+        if c[-1] < 0:
+            g = -g
+        if g == 1:
+            return self
+        return UniPoly([v // g for v in c], self.var)
 
     def relabel(self, var):
         return UniPoly(self.c, var)
@@ -462,12 +479,13 @@ def poly_gcd(f, g):
     return UniPoly(d, f.var).primitive()
 
 
-_SQUAREFREE_PRIME = 2 ** 61 - 1
+_SQUAREFREE_PRIME = 65521
 
 
 def _squarefree_mod_q(fz):
     """True when the integer polynomial fz of degree >= 1 is proved
-    squarefree over Q by its reduction mod the prime q = 2**61 - 1:
+    squarefree over Q by its reduction mod the prime q = 65521 (the
+    largest prime below 2**16, so that `poly_gcd_p` packs short slots):
     q does not divide lc(fz) and gcd(fz mod q, fz' mod q) = 1.
 
     Proof: if fz = h**2 g with h of degree >= 1, h and g can be taken in
@@ -959,6 +977,8 @@ def is_prime(n):
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    if n < 41 * 41:                     # no prime factor <= 37 left
+        return True
     d = n - 1
     s = 0
     while d % 2 == 0:

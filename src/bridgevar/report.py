@@ -16,7 +16,7 @@ polynomials in their text form, so equal inputs give byte-identical
 output.
 """
 
-import json
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .poly import ExactError
 from .curves import c_model, d_model, d_split
@@ -290,9 +290,44 @@ def build_report(k, l):
 
 
 def to_json(rep):
-    """Canonical JSON: sorted keys."""
-    return json.dumps(rep, sort_keys=True, separators=(",", ": "),
-                      indent=1) + "\n"
+    """Canonical JSON: the text of ``json.dumps(rep, sort_keys=True,
+    separators=(",", ": "), indent=1)`` and a newline, written directly.
+
+    Reports hold only dicts with str keys, lists, tuples, str, int, bool
+    and None; anything else raises TypeError.
+    """
+    return _json_text(rep, "\n") + "\n"
+
+
+def _json_text(v, nl):
+    """The JSON text of v; nl is a newline and the indentation of the
+    line v starts on."""
+    if isinstance(v, str):
+        return _json_str(v)
+    inner = nl + " "
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        items = []
+        for key in sorted(v):
+            if not isinstance(key, str):
+                raise TypeError("JSON keys must be str, got %r" % type(key))
+            items.append(_json_str(key) + ": " + _json_text(v[key], inner))
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if isinstance(v, (list, tuple)):
+        if not v:
+            return "[]"
+        return ("[" + inner + ("," + inner).join([_json_text(x, inner)
+                                                   for x in v]) + nl + "]")
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    raise TypeError("%r is not JSON serializable here" % type(v))
 
 
 def _render(value, indent):

@@ -228,6 +228,67 @@ def test_coefficients_must_be_ints():
             BiPoly([mk([1, bad], "r")], "y", "r")
 
 
+def long_division_primitive(f):
+    """The primitive part by the long-division route: divide by the
+    content as a constant polynomial, then fix the sign."""
+    if f.is_zero:
+        return f
+    q = f.divexact(UniPoly.const(f.content(), f.var))
+    return -q if q.lead < 0 else q
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=st.lists(st.integers(min_value=-2 ** 70, max_value=2 ** 70),
+                  max_size=8),
+       m=st.integers(min_value=-12, max_value=12))
+def test_primitive_matches_long_division(c, m):
+    f = mk([m * v for v in c])
+    p = f.primitive()
+    assert p == long_division_primitive(f)
+    assert all(type(v) is int for v in p.c)
+    if f.is_zero:
+        assert p.is_zero
+    else:
+        assert p.content() == 1 and p.lead > 0
+        assert p * (f.lead // p.lead) == f
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=st.lists(st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+                  max_size=8),
+       d=st.integers(min_value=-40, max_value=40).filter(bool))
+def test_divexact_by_int_matches_long_division(c, d):
+    f = mk(c)
+    if all(v % d == 0 for v in c):
+        q = f.divexact(d)
+        assert q == f.divexact(UniPoly.const(d, "u")) and q * d == f
+        assert (f * d).divexact(d) == f
+    else:
+        with pytest.raises(ExactError, match="non-exact"):
+            f.divexact(d)
+        with pytest.raises(ExactError, match="non-exact"):
+            f.divexact(UniPoly.const(d, "u"))
+    with pytest.raises(ZeroDivisionError):
+        f.divexact(0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(c=st.lists(st.integers(), max_size=6),
+       bad=st.sampled_from([Fraction(1, 2), Fraction(4), 0.5, 2.0]),
+       at=st.integers(min_value=0, max_value=6))
+def test_constructor_checks_every_coefficient(c, bad, at):
+    c.insert(min(at, len(c)), bad)
+    with pytest.raises(ExactError, match="must be int"):
+        mk(c)
+
+
+def test_bool_coefficients_are_kept():
+    f = mk([1, True, 0, False])
+    assert f.c == (1, True) and type(f.c[1]) is bool
+    assert mk([False, True]).c == (False, True)
+    assert mk([True, 3]).primitive() == mk([1, 3])
+
+
 def test_divexact_refuses_quotients_outside_z():
     with pytest.raises(ExactError):
         (2 * X + 2).divexact(4)
@@ -329,9 +390,10 @@ def test_gcd_of_derivative_detects_square():
 
 
 def test_squarefree_mod_q_and_its_fallbacks(monkeypatch):
-    # Squarefree mod q = 2**61 - 1 proves squarefree over Q without the
-    # exact gcd; a repeated factor, q | disc and q | lc run the exact gcd.
-    q = 2 ** 61 - 1
+    # Squarefree mod q = poly._SQUAREFREE_PRIME (65521) proves squarefree
+    # over Q without the exact gcd; a repeated factor, q | disc and q | lc
+    # run the exact gcd.
+    q = poly._SQUAREFREE_PRIME
     calls = []
     real = poly.poly_gcd
 
@@ -638,6 +700,18 @@ def test_no_good_prime_leaves_every_degree_open():
     assert a.verdict == "inconclusive"
     assert a.sampled_primes == ()
     assert a.degree_sums == {1, 2}
+
+
+def test_is_prime_matches_a_sieve():
+    n = 20000
+    sieve = bytearray([1]) * n
+    sieve[0] = sieve[1] = 0
+    for i in range(2, math.isqrt(n) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, n, i)))
+    assert [m for m in range(n) if is_prime(m)] == \
+        [m for m in range(n) if sieve[m]]
+    assert not is_prime(-7) and not is_prime(41 * 41) and is_prime(1693)
 
 
 def test_primes_and_factorint():

@@ -12,6 +12,7 @@ import re
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bridgevar import cli, curves, geometry, knotprops, report, seq
 from bridgevar.cli import main
@@ -230,6 +231,46 @@ def test_canonical_outputs_are_pinned():
         digest.update((to_json(r) + render_text(r)).encode())
     assert digest.hexdigest() == \
         "8bf45ef373584d9b3be2deb95cb1520d412ec1c1c3eaab9868e622e53706fa29"
+
+
+def json_dumps_oracle(value):
+    return json.dumps(value, sort_keys=True, separators=(",", ": "),
+                      indent=1) + "\n"
+
+
+def test_to_json_matches_json_dumps_on_reports():
+    knots = [(k, l) for k in range(-8, 9) for l in range(-8, 9)
+             if k * l % 2 == 0] + LARGE_KNOTS
+    for k, l in knots:
+        rep = build_report(k, l)
+        assert to_json(rep) == json_dumps_oracle(rep), (k, l)
+
+
+# quotes, backslashes, control and non-ASCII characters, among any others
+json_text = st.text(st.one_of(
+    st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001d11e'),
+    st.characters()))
+json_values = st.recursive(
+    st.one_of(json_text, st.integers(), st.integers(min_value=2 ** 64),
+              st.integers(max_value=-2 ** 64), st.booleans(), st.none()),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=3).map(tuple),
+                            st.dictionaries(json_text, inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=150, deadline=None)
+@given(value=json_values)
+def test_to_json_matches_json_dumps_on_nested_values(value):
+    assert to_json(value) == json_dumps_oracle(value)
+
+
+def test_to_json_empty_containers_and_refused_types():
+    for value in ({}, [], (), {"a": {}, "b": [[], {}]}, [[[]]], ""):
+        assert to_json(value) == json_dumps_oracle(value)
+    for bad in (1.5, {"a": [frozenset()]}, {1: 2}, [{"a": 1, 2: 3}]):
+        with pytest.raises(TypeError):
+            to_json(bad)
 
 
 def test_irreducibility_witnesses_recheck_from_json():
