@@ -181,13 +181,8 @@ def cmd_verify(args):
     return 0 if ok else 1
 
 
-def cmd_model(args):
-    _print(Knot(args.k, args.l).section("models"), args.json)
-    return 0
-
-
-def cmd_tracefield(args):
-    _print(Knot(args.k, args.l).section("trace_field"), args.json)
+def cmd_section(args):
+    _print(Knot(args.k, args.l).section(args.section), args.json)
     return 0
 
 
@@ -199,11 +194,6 @@ def cmd_newton(args):
     out["matches_expected"] = pg.vertices == want
     _print(out, args.json)
     return 0 if out["matches_expected"] else 1
-
-
-def cmd_commensurability(args):
-    _print(Knot(args.k, args.l).section("commensurability"), args.json)
-    return 0
 
 
 def _add_kl(sp):
@@ -263,15 +253,15 @@ def build_parser():
     sp.add_argument("--nmax", type=int, default=4)
     sp.set_defaults(func=cmd_verify)
 
-    sp = sub.add_parser("model", help="print the curve models",
-                        parents=[common])
-    _add_kl(sp)
-    sp.set_defaults(func=cmd_model)
-
-    sp = sub.add_parser("tracefield", help="trace-field degree data",
-                        parents=[common])
-    _add_kl(sp)
-    sp.set_defaults(func=cmd_tracefield)
+    # the commands that print one section of a knot's report
+    for name, section, text in (
+            ("model", "models", "print the curve models"),
+            ("tracefield", "trace_field", "trace-field degree data"),
+            ("commensurability", "commensurability",
+             "fibered/commensurability certificate")):
+        sp = sub.add_parser(name, help=text, parents=[common])
+        _add_kl(sp)
+        sp.set_defaults(func=cmd_section, section=section)
 
     sp = sub.add_parser("newton", help="polygon of a valuation-lemma polynomial",
                         parents=[common])
@@ -279,12 +269,6 @@ def build_parser():
     sp.add_argument("-n", type=int, required=True)
     sp.add_argument("-p", type=int, default=None)
     sp.set_defaults(func=cmd_newton)
-
-    sp = sub.add_parser("commensurability",
-                        help="fibered/commensurability certificate",
-                        parents=[common])
-    _add_kl(sp)
-    sp.set_defaults(func=cmd_commensurability)
     return ap
 
 

@@ -132,7 +132,6 @@ class InfinityVerdict(NamedTuple):
     t_line: tuple
     corner_on_curve: bool
     witnesses: tuple
-    trace: dict
 
 
 def infinity_transversality(model):
@@ -170,8 +169,7 @@ def infinity_transversality(model):
         if du == 0 and dv == 0:
             witnesses.append({"point": "corner", "singular": True})
     return InfinityVerdict(not witnesses, (r_count, b), (t_count, a),
-                           corner, tuple(witnesses),
-                           {"r_profile": str(A), "t_profile": str(C)})
+                           corner, tuple(witnesses))
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +250,6 @@ class GenusYReport(NamedTuple):
     k: int
     l: int
     entries: tuple
-    certificate: SmoothnessCertificate
 
 
 def genus_Y(cert):
@@ -277,7 +274,7 @@ def genus_Y(cert):
         )
     else:
         entries = (GenusYEntry("whole", g_bi, g_form, a <= 2 or b <= 2),)
-    return GenusYReport(k2, l2, entries, cert)
+    return GenusYReport(k2, l2, entries)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,21 @@ class ExactError(ValueError):
     bad variable mix, malformed input)."""
 
 
+def _power(base, n, one):
+    """base ** n for an int n >= 0 by square-and-multiply; `one` is the
+    unit of base's ring."""
+    if n < 0:
+        raise ExactError("negative power of %s" % type(base).__name__)
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
 # ---------------------------------------------------------------------------
 # UniPoly
 
@@ -162,17 +177,7 @@ class UniPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if n < 0:
-            raise ExactError("negative power of a polynomial")
-        result = UniPoly.const(1, self.var)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self, n, UniPoly.const(1, self.var))
 
     def divexact(self, other):
         """Exact division in Z[x] by an int or a UniPoly; ExactError when
@@ -187,22 +192,7 @@ class UniPoly:
         divisor = self._coerce(other)
         if divisor is None:
             raise ExactError("cannot divide by %r" % type(other))
-        if divisor.is_zero:
-            raise ZeroDivisionError("division by zero")
-        d, lead = len(divisor.c) - 1, divisor.c[-1]
-        r = list(self.c)
-        q = [0] * max(len(r) - d, 0)
-        for sh in range(len(q) - 1, -1, -1):
-            c, m = divmod(r[sh + d], lead)
-            if m:
-                raise ExactError("non-exact division")
-            q[sh] = c
-            if c:
-                for j, v in enumerate(divisor.c):
-                    r[sh + j] -= c * v
-        if any(r[:d]):
-            raise ExactError("non-exact division")
-        return UniPoly(q, self.var)
+        return UniPoly(_divexact_lists(self.c, divisor.c), self.var)
 
     # -- calculus / evaluation ------------------------------------------
     def deriv(self):
@@ -213,15 +203,10 @@ class UniPoly:
         (composition)."""
         if isinstance(value, UniPoly):
             acc = UniPoly.zero(value.var)
-            for v in reversed(self.c):
-                acc = acc * value + v
-            return acc
-        if isinstance(value, BiPoly):
+        elif isinstance(value, BiPoly):
             acc = BiPoly.zero(value.outer, value.inner)
-            for v in reversed(self.c):
-                acc = acc * value + v
-            return acc
-        acc = 0
+        else:
+            acc = 0
         for v in reversed(self.c):
             acc = acc * value + v
         return acc
@@ -260,53 +245,37 @@ class UniPoly:
 def format_poly(p):
     if isinstance(p, BiPoly):
         return _format_bipoly(p)
-    if p.is_zero:
-        return "0"
-    parts = []
-    for i in range(p.degree, -1, -1):
-        v = p.coeff(i)
-        if not v:
-            continue
-        sign = "-" if v < 0 else "+"
-        a = abs(v)
-        if i == 0:
-            body = str(a)
-        else:
-            xpow = p.var if i == 1 else "%s^%d" % (p.var, i)
-            body = xpow if a == 1 else "%s*%s" % (a, xpow)
-        parts.append((sign, body))
-    sign0, body0 = parts[0]
-    out = ("-" if sign0 == "-" else "") + body0
-    for sign, body in parts[1:]:
-        out += sign + body
-    return out
+    return _join_terms((v, _power_text(p.var, i))
+                       for i, v in reversed(list(enumerate(p.c))))
 
 
 def _format_bipoly(f):
-    if f.is_zero:
-        return "0"
-    parts = []
-    for j in range(f.degree_outer, -1, -1):
-        cj = f.coeff(j)
-        for i in range(int(cj.degree) if cj else -1, -1, -1):
-            v = cj.coeff(i)
-            if not v:
-                continue
-            sign = "-" if v < 0 else "+"
+    return _join_terms(
+        (v, "*".join(filter(None, (_power_text(f.inner, i),
+                                   _power_text(f.outer, j)))))
+        for j in range(len(f.cs) - 1, -1, -1)
+        for i, v in reversed(list(enumerate(f.cs[j].c))))
+
+
+def _power_text(var, i):
+    return "" if not i else var if i == 1 else "%s^%d" % (var, i)
+
+
+def _join_terms(terms):
+    """The text of the sum of `terms`, pairs (v, monomial) from the
+    highest: v an int and monomial the text of its variable part, ""
+    for the constant.  Zero terms are left out, and so is a unit
+    coefficient before a monomial; an empty sum is "0"."""
+    out = ""
+    for v, mono in terms:
+        if v:
             a = abs(v)
-            factors = []
-            if a != 1 or (i == 0 and j == 0):
-                factors.append(str(a))
-            if i:
-                factors.append(f.inner if i == 1 else "%s^%d" % (f.inner, i))
-            if j:
-                factors.append(f.outer if j == 1 else "%s^%d" % (f.outer, j))
-            parts.append((sign, "*".join(factors)))
-    sign0, body0 = parts[0]
-    out = ("-" if sign0 == "-" else "") + body0
-    for sign, body in parts[1:]:
-        out += sign + body
-    return out
+            body = (str(a) if not mono else mono if a == 1
+                    else "%s*%s" % (a, mono))
+            out += ("-" if v < 0 else "+") + body
+    if not out:
+        return "0"
+    return out[1:] if out[0] == "+" else out
 
 
 def parse_poly(text, var=None):
@@ -376,6 +345,25 @@ def _ring_divexact(a, b):
         return _ring_divexact(a, b.constant)
     q, r = divmod(a, b)
     if r:
+        raise ExactError("non-exact division")
+    return q
+
+
+def _divexact_lists(a, b):
+    """The quotient of the coefficient lists a / b, over ints or over
+    UniPoly; ExactError when it is not exact, ZeroDivisionError when b
+    is empty (the zero polynomial)."""
+    if not b:
+        raise ZeroDivisionError("division by zero polynomial")
+    d, lead = len(b) - 1, b[-1]
+    r = list(a)
+    q = [0] * max(len(r) - d, 0)
+    for sh in range(len(q) - 1, -1, -1):
+        c = q[sh] = _ring_divexact(r[sh + d], lead)
+        if c:
+            for j, v in enumerate(b):
+                r[sh + j] -= c * v
+    if any(r[:d]):
         raise ExactError("non-exact division")
     return q
 
@@ -673,17 +661,7 @@ class BiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if n < 0:
-            raise ExactError("negative power")
-        result = BiPoly.const(1, self.outer, self.inner)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self, n, BiPoly.const(1, self.outer, self.inner))
 
     # -- structure ---------------------------------------------------------
     def transpose(self):
@@ -710,11 +688,6 @@ class BiPoly:
             acc = BiPoly.zero(value.outer, value.inner)
             for cj in reversed(self.cs):
                 acc = acc * value + BiPoly.from_inner(cj, value.outer)
-            return acc
-        if isinstance(value, UniPoly):
-            acc = UniPoly.zero(self.inner)
-            for cj in reversed(self.cs):
-                acc = acc * value + cj
             return acc
         acc = UniPoly.zero(self.inner)
         for cj in reversed(self.cs):
@@ -855,29 +828,7 @@ def resultant_mod_p(f, g, p):
 
 def bipoly_divexact(f, g):
     """Exact division of BiPoly by BiPoly (error if not exact)."""
-    if g.is_zero:
-        raise ZeroDivisionError("division by zero polynomial")
-    if f.is_zero:
-        return f
-    rem = list(f.cs)
-    dg = len(g.cs) - 1
-    q = [UniPoly.zero(f.inner)] * (len(rem) - dg)
-    glead = g.cs[-1]
-    while rem:
-        n = len(rem)
-        while n and rem[n - 1].is_zero:
-            n -= 1
-        del rem[n:]
-        if not rem:
-            break
-        if len(rem) - 1 < dg:
-            raise ExactError("non-exact bivariate division")
-        c = rem[-1].divexact(glead)
-        sh = len(rem) - 1 - dg
-        q[sh] = c
-        for j in range(dg + 1):
-            rem[sh + j] = rem[sh + j] - c * g.cs[j]
-    return BiPoly(q, f.outer, f.inner)
+    return BiPoly(_divexact_lists(f.cs, g.cs), f.outer, f.inner)
 
 
 # ---------------------------------------------------------------------------
@@ -932,17 +883,7 @@ class QuadElem:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if n < 0:
-            raise ExactError("negative power of QuadElem")
-        result = QuadElem(1, 0, self.disc)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self, n, QuadElem(1, 0, self.disc))
 
     def norm(self):
         return self.a * self.a - self.disc * self.b * self.b

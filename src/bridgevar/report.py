@@ -3,10 +3,11 @@
 `Knot(k, l)` is the invariant pipeline of one knot and the only place
 that builds one artifact from another: each artifact (curve models,
 smoothness certificate, genera, odd points, trace field,
-commensurability) is computed at most once and passed to the stages
-that read it.  `build_report` and the CLI commands project their output
-from its sections.  A stage that needs a hyperbolic knot refuses any
-other with ExactError, which the report prints as "unavailable".
+commensurability) is cached on the knot and passed to the stages that
+read it.  `build_report` and the CLI commands project their output from
+its sections.  A stage that needs a hyperbolic knot refuses any other
+with ExactError, which the report prints as "unavailable"; a refused
+stage keeps nothing and raises its refusal again on each access.
 
 Every numeric claim carries a ``route`` tag: "formula" (closed form),
 "oracle" (independent computation), or "both-agree" (the two were
@@ -16,6 +17,7 @@ polynomials in their text form, so equal inputs give byte-identical
 output.
 """
 
+from functools import cached_property
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .poly import ExactError
@@ -65,47 +67,21 @@ def _analysis_dict(a):
     return out
 
 
-class _once:
-    """A `Knot` artifact, computed on first access.  The value, or the
-    ExactError its computation raised, is kept on the knot, so a failed
-    stage is not run again by the stages after it."""
-
-    def __init__(self, build):
-        self.build = build
-        self.__doc__ = build.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, knot, owner=None):
-        if knot is None:
-            return self
-        done = knot._done
-        if self.name not in done:
-            try:
-                done[self.name] = (self.build(knot), None)
-            except ExactError as e:
-                done[self.name] = (None, e)
-        value, error = done[self.name]
-        if error is not None:
-            raise error
-        return value
-
-
 class Knot:
     """The invariant pipeline of J(k, l).
 
-    Each artifact is computed at most once, on first access, and passed
-    by argument to the stages built on it.  A knot keeps everything it
-    computed: make one per report and share none between knots.
+    Each artifact is computed on first access, kept, and passed by
+    argument to the stages built on it; a stage that refuses the knot
+    keeps nothing and raises its refusal again on each access.  A knot
+    keeps everything it computed: make one per report and share none
+    between knots.
     """
 
     def __init__(self, k, l):
         self.k = k
         self.l = l
-        self._done = {}
 
-    @_once
+    @cached_property
     def classification(self):
         return classify(self.k, self.l)
 
@@ -113,15 +89,15 @@ class Knot:
     # names: a method named like the function it calls would merge with
     # it in profiles, which key functions by name.
 
-    @_once
+    @cached_property
     def C(self):
         return c_model(self.k, self.l)
 
-    @_once
+    @cached_property
     def D(self):
         return d_model(self.k, self.l)
 
-    @_once
+    @cached_property
     def D_split(self):
         """(D0, D1) of the D model, which needs k = l."""
         return d_split(self.D)
@@ -129,47 +105,47 @@ class Knot:
     # The three stages that need a hyperbolic knot refuse any other before
     # they read C (kl odd has none) or D_split (which needs l even).
 
-    @_once
+    @cached_property
     def certificate(self):
         require_hyperbolic(self.k, self.l, "smoothness certificate")
         split = self.D_split if self.k == self.l else None
         return smoothness_certificate(self.D, split)
 
-    @_once
+    @cached_property
     def component_count(self):
         return component_count(self.certificate)
 
-    @_once
+    @cached_property
     def genus_Y(self):
         return genus_Y(self.certificate)
 
-    @_once
+    @cached_property
     def odd_points(self):
         return odd_point_report(self.D, self.certificate)
 
-    @_once
+    @cached_property
     def genus_X(self):
         return genus_X(self.genus_Y, self.odd_points)
 
-    @_once
+    @cached_property
     def two_bridge(self):
         return two_bridge_params(self.k, self.l)
 
-    @_once
+    @cached_property
     def alexander(self):
         return alexander(self.k, self.l)
 
-    @_once
+    @cached_property
     def fibered(self):
         # the unknot (kl = 0) is fibered and has no Alexander polynomial here
         return self.k * self.l == 0 or is_fibered(self.alexander)
 
-    @_once
+    @cached_property
     def trace_field(self):
         require_hyperbolic(self.k, self.l, "trace-field report")
         return trace_field_report(self.C)
 
-    @_once
+    @cached_property
     def commensurability(self):
         require_hyperbolic(self.k, self.l, "commensurability certificate")
         return commensurability_certificate(self.C, self.fibered)

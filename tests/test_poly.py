@@ -307,6 +307,54 @@ def test_divexact_inverts_multiplication(a, b):
     assert (f * g).divexact(g) == f
 
 
+bi_polys = st.lists(
+    st.lists(st.integers(min_value=-9, max_value=9), max_size=3),
+    max_size=4).map(lambda cs: BiPoly([mk(c, "r") for c in cs], "t", "r"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=bi_polys, g=bi_polys.filter(bool))
+def test_bipoly_divexact_inverts_multiplication(f, g):
+    assert poly.bipoly_divexact(f * g, g) == f
+
+
+def test_bipoly_divexact_failures():
+    T = BiPoly.gen_outer("t", "r")
+    R = BiPoly.from_inner(mk([0, 1], "r"), "t")
+    for f, g in ((T + 1, T - 1), (T * T + R, T), (R, 2 * R), (T, R),
+                 (R, T), (T + 3, T * T)):
+        with pytest.raises(ExactError, match="non-exact"):
+            poly.bipoly_divexact(f, g)
+    for f in (T, BiPoly.zero("t", "r")):
+        with pytest.raises(ZeroDivisionError):
+            poly.bipoly_divexact(f, BiPoly.zero("t", "r"))
+    assert poly.bipoly_divexact(BiPoly.zero("t", "r"), T).is_zero
+    assert poly.bipoly_divexact(T * T - R * R, T + R) == T - R
+
+
+def test_negative_powers_are_refused():
+    for x in (U, BiPoly.gen_outer("t", "r"), QuadElem(1, 1, -1)):
+        assert x ** 0 == x - x + 1
+        with pytest.raises(ExactError, match="negative power"):
+            x ** -1
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=st.lists(st.integers(min_value=-9, max_value=9), max_size=5),
+       num=st.integers(min_value=-9, max_value=9),
+       den=st.integers(min_value=1, max_value=9),
+       a=small_polys, b=bi_polys)
+def test_call_is_the_termwise_sum(c, num, den, a, b):
+    # f(value) by Horner's rule, also for f = 0 and the polynomial values
+    f = mk(c, "x")
+    for value in (num, Fraction(num, den), mk(a), b):
+        want = sum((v * value ** i for i, v in enumerate(c)), 0 * value)
+        got = f(value)
+        assert got == want
+        if isinstance(value, (UniPoly, BiPoly)):
+            assert type(got) is type(value)
+
+
 def test_primitive_sign_convention():
     assert mk([2, -4]).primitive() == mk([-1, 2])
     assert mk([-2, 4]).primitive() == mk([-1, 2])

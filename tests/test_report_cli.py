@@ -6,10 +6,12 @@ parsed output checked against the library API directly.  Degree-pattern
 witnesses are recomputed by the distinct-degree oracle of test_poly.
 """
 
+import gc
 import hashlib
 import json
 import re
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -140,6 +142,40 @@ def test_report_computes_each_artifact_once(monkeypatch, k, l):
         # k = l certifies D1 and counts the odd points on D itself
         want = 2 if k == l else 1
         assert counts["infinity_transversality"] == want, counts
+
+
+@pytest.mark.parametrize("k,l", [(2, 2), (4, 4)])
+def test_knot_is_freed_without_the_cyclic_gc(k, l):
+    # a refused stage keeps no ExactError, and so no traceback, on the knot
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        knot = Knot(k, l)
+        for key in report.SECTIONS:
+            try:
+                knot.section(key)
+            except ExactError:
+                pass
+        ref = weakref.ref(knot)
+        del knot
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_refused_artifact_raises_again_on_each_access():
+    knot = Knot(2, 2)
+    for name in ("certificate", "genus_X", "trace_field",
+                 "commensurability"):
+        messages = set()
+        for _ in range(3):
+            with pytest.raises(ExactError) as info:
+                getattr(knot, name)
+            messages.add(str(info.value))
+        assert len(messages) == 1, messages
+        assert "needs a hyperbolic knot" in messages.pop()
+    assert knot.D is knot.D and knot.classification == TREFOIL
 
 
 def test_invariant_failure_is_not_unavailable(monkeypatch, capsys):
