@@ -26,8 +26,10 @@ Comput. Complexity 2 (1992)): the rows x**(i*p) mod m are built once as
 ring elements, and every later p-th power is one sum of small-int
 multiples of those ints.
 
-`poly_gcd_p` runs Euclid's algorithm on packed operands whose slots are
-wide enough for the coefficients to grow unreduced for many steps.
+`poly_divmod_p` is the one schoolbook division over GF(p); `poly_rem_p`
+is its remainder.  `poly_gcd_p` runs Euclid's algorithm on packed
+operands whose slots are wide enough for the coefficients to grow
+unreduced for many steps.
 
 `poly_resultant_p` is the resultant over GF(p) by a Euclidean remainder
 sequence; `poly.resultant_mod_p` interpolates bivariate resultants from it.
@@ -50,7 +52,8 @@ def trim(c):
 
 
 def poly_mul(a, b):
-    """Convolution product.  Coefficients may be any exact ring elements."""
+    """Convolution product of int-coefficient lists (every caller passes
+    ints since `UniPoly` and `BiPoly` hold int coefficients only)."""
     na, nb = len(a), len(b)
     if na == 0 or nb == 0:
         return []
@@ -102,22 +105,37 @@ def poly_mul_p(a, b, p):
     return _unpack(x * x if a is b else x * _pack(b, p, w), na + nb - 1, w, p)
 
 
-def poly_rem_p(a, m, p):
-    """Remainder of a modulo m over GF(p).  The leading coefficient of m
+def poly_divmod_p(a, b, p):
+    """(q, r) with a = q b + r over GF(p) and deg r < deg b, by schoolbook
+    long division of int-coefficient lists.  The leading coefficient of b
     must be nonzero mod p; if it is not, ValueError is raised."""
-    r = [x % p for x in a]
-    trim(r)
-    dm = len(m) - 1
-    inv = pow(m[dm], -1, p)
-    while len(r) - 1 >= dm and r:
-        c = (r[-1] * inv) % p
-        shift = len(r) - 1 - dm
-        if c:
-            for j in range(dm):
-                r[shift + j] = (r[shift + j] - c * m[j]) % p
+    r = trim([x % p for x in a])
+    db = len(b) - 1
+    inv = pow(b[db], -1, p)
+    q = [0] * max(len(r) - db, 0)
+    while len(r) > db:
+        c = r[-1] * inv % p
+        shift = len(r) - 1 - db
+        q[shift] = c
+        for j in range(db):
+            r[shift + j] = (r[shift + j] - c * b[j]) % p
         del r[-1]
         trim(r)
-    return r
+    return q, r
+
+
+def poly_rem_p(a, m, p):
+    """Remainder of a modulo m over GF(p), by `poly_divmod_p`.  The leading
+    coefficient of m must be nonzero mod p; if it is not, ValueError is
+    raised."""
+    return poly_divmod_p(a, m, p)[1]
+
+
+def poly_monic_p(a, p):
+    """The nonzero list a divided by its leading coefficient over GF(p),
+    which must be nonzero mod p (else ValueError)."""
+    inv = pow(a[-1], -1, p)
+    return [x * inv % p for x in a]
 
 
 class _Slots:
@@ -156,8 +174,7 @@ class _Ring(_Slots):
 
     def __init__(self, m, p):
         self.n = n = len(m) - 1
-        inv = pow(m[n], -1, p)
-        f = [c * inv % p for c in m]
+        f = poly_monic_p(m, p)
         # off is the least multiple of p at or above (n - 1) (p - 1)**2;
         # the largest slot `_red` sees is n (p - 1)**2 + off.
         off = -(-(n - 1) * (p - 1) ** 2 // p) * p
@@ -242,10 +259,7 @@ def poly_gcd_p(a, b, p):
     if len(b) == 1:
         return [1]
     if not b:
-        if not a:
-            return []
-        inv = pow(a[-1], -1, p)
-        return [x * inv % p for x in a]
+        return poly_monic_p(a, p) if a else []
     sl = _Slots(p, _gcd_bits(p), len(a))
     w8 = 8 * sl.w
     cap = 1 << sl.k
@@ -282,9 +296,7 @@ def poly_gcd_p(a, b, p):
                     break
                 x ^= t << dx * w8
             else:
-                y = _unpack(y, dy + 1, sl.w, p)
-                inv = pow(y[-1], -1, p)
-                return [c * inv % p for c in y]
+                return poly_monic_p(_unpack(y, dy + 1, sl.w, p), p)
         x, y, dx, dy, bx, by = y, x, dy, dx, by, bx
         t = ytop
     return [1]

@@ -7,7 +7,10 @@ Three affine models of the same character variety:
              with n = l/2 and t the trace of W_k.
 * X-model  in (r, x): the double cover, y = x^2 - 2 substituted.
 * D(k, l)  in (r, t): Phi_{k+1}(r) Phi_{l-1}(t) - Phi_{k-1}(r) Phi_{l+1}(t),
-             identically equal to Psi_k(r) Phi_{l-1}(t) - Phi_{k-1}(r) Psi_l(t).
+             identically equal to Psi_k(r) Phi_{l-1}(t) - Phi_{k-1}(r) Psi_l(t)
+             since Psi_k = Phi_{k+1} - Phi_{k-1}.  `d_model` builds the
+             first form only; `test_d_model_forms_agree` in
+             tests/test_curves.py builds both as an oracle.
 
 A model is built for any (k, l) it is defined at, whether or not the
 curve is degenerate (empty, the full plane or a union of lines, which
@@ -99,13 +102,9 @@ def x_model(k, l):
 def d_model(k, l):
     """The model D(k, l) in (r, t) with smooth projective closure."""
     k, l, swapped = _swap_if_needed(k, l)
-    new = (BiPoly.from_inner(phi(k + 1, "r"), "t") * phi(l - 1, "t")
-           - BiPoly.from_inner(phi(k - 1, "r"), "t") * phi(l + 1, "t"))
-    alt = (BiPoly.from_inner(psi(k, "r"), "t") * phi(l - 1, "t")
-           - BiPoly.from_inner(phi(k - 1, "r"), "t") * psi(l, "t"))
-    if new != alt:
-        raise AssertionError("the two defining forms of D(%d,%d) differ" % (k, l))
-    eq = _normalize(new)
+    eq = _normalize(
+        BiPoly.from_inner(phi(k + 1, "r"), "t") * phi(l - 1, "t")
+        - BiPoly.from_inner(phi(k - 1, "r"), "t") * phi(l + 1, "t"))
     if eq.is_zero:
         return CurveModel("D", k, l, eq, ("r", "t"), (0, 0), swapped)
     a = int(eq.degree_inner)

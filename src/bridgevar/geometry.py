@@ -11,7 +11,10 @@ Everything here is certified exactly, by elimination or by counting:
   bidegree (a,b) in exactly b points counted with multiplicity, so
   finding b distinct points proves every one of them is a transversal
   smooth crossing.  Distinct-point counts are degrees of squarefree
-  parts -- no numerics.
+  parts -- no numerics.  So the candidates for a singular point on a
+  line, gcd(gcd(A, A'), B) with B the next coefficient, are never
+  computed here; `test_singular_candidates_at_infinity_are_constant` in
+  tests/test_geometry.py recomputes them as an oracle.
 * genus: bidegree route (a-1)(b-1) against the closed forms, and the
   X-cover via the odd-valuation point count a and g = 2g(D) - 1 + a/2.
 
@@ -143,10 +146,8 @@ def infinity_transversality(model):
                          "bidegree, got %s: %s" % (model.kind, F))
     a, b = int(F.degree_inner), int(F.degree_outer)
     # chart u = 1/r: the line u=0; F restricted there is A(t), the r-leading
-    # profile; B(t) is the next coefficient (the u-derivative at u=0).
+    # profile.  chart v = 1/t: same with the roles swapped.
     A = UniPoly([c.coeff(a) for c in F.cs], F.outer)
-    B = UniPoly([c.coeff(a - 1) for c in F.cs], F.outer)
-    # chart v = 1/t: same with the roles swapped.
     C = F.cs[b]
     D = F.cs[b - 1]
     corner = A.degree < b  # the (r,t) = (inf, inf) point lies on the curve
@@ -157,12 +158,6 @@ def infinity_transversality(model):
         witnesses.append({"line": "r=infinity", "found": r_count, "required": b})
     if t_count != a:
         witnesses.append({"line": "t=infinity", "found": t_count, "required": a})
-    sing_r = poly_gcd(poly_gcd(A, A.deriv()), B)
-    if sing_r.degree > 0:
-        witnesses.append({"line": "r=infinity", "singular_candidates": str(sing_r)})
-    sing_t = poly_gcd(poly_gcd(C, C.deriv()), D)
-    if sing_t.degree > 0:
-        witnesses.append({"line": "t=infinity", "singular_candidates": str(sing_t)})
     if corner:
         du = C.coeff(a - 1)       # coefficient of r^(a-1) t^b
         dv = D.coeff(a)           # coefficient of r^a t^(b-1)
@@ -213,6 +208,9 @@ def smoothness_certificate(model, split):
             "separable": is_separable(gn),
             "on_diagonal": F.eval_outer(_R).is_zero,
         }
+        for fact in ("matches_big_g", "separable", "on_diagonal"):
+            _check(d0d1[fact], "D0/D1 intersection of (%d,%d): %s is false"
+                   % (k2, l2, fact))
         method = {"split": "D0 * D1", "d1_bidegree": list(d1.bidegree)}
         return SmoothnessCertificate(d1, aff, inf, d0d1, method)
     aff = affine_singular_locus(model.equation, delta(k2))

@@ -53,17 +53,14 @@ def _cert_dict(cert):
 
 def _analysis_dict(a):
     out = {"verdict": a.verdict}
-    for field in ("degree", "factor_degrees", "root", "degree_sums",
-                  "sampled_primes", "patterns"):
-        if hasattr(a, field):
-            v = getattr(a, field)
-            if field == "root":
-                v = str(v)
-            elif isinstance(v, frozenset):
-                v = sorted(v)
-            elif isinstance(v, tuple):
-                v = list(v)
-            out[field] = v
+    for field, v in a._asdict().items():
+        if field == "root":
+            v = str(v)
+        elif isinstance(v, frozenset):
+            v = sorted(v)
+        elif isinstance(v, tuple):
+            v = list(v)
+        out[field] = v
     return out
 
 

@@ -2,17 +2,19 @@
 
 Oracle for the split: multiply the factors back and compare with the
 unsplit model.  Oracle for sigma: map exact rational points of C and
-plug them into D.
+plug them into D.  Oracle for D: its second defining form, built from
+Psi_k and Psi_l.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from bridgevar.curves import (c_model, d_model, d_split,
+from bridgevar.curves import (_normalize, c_model, d_model, d_split,
                               sigma_containment_check, sigma_pull, sigma_push,
                               special_points_check, x_model)
-from bridgevar.poly import ExactError
+from bridgevar.poly import BiPoly, ExactError
+from bridgevar.seq import phi, psi
 
 
 def test_figure_eight_equations_frozen():
@@ -38,6 +40,19 @@ def test_c_model_rejects_two_odd_parameters():
         c_model(3, 5)
     # but D exists there
     assert d_model(3, 5).bidegree == (1, 2)
+
+
+def test_d_model_forms_agree():
+    # d_model builds Phi_{k+1}(r) Phi_{l-1}(t) - Phi_{k-1}(r) Phi_{l+1}(t);
+    # the second form Psi_k(r) Phi_{l-1}(t) - Phi_{k-1}(r) Psi_l(t) gives
+    # the same equation, after the same swap of the parameters.
+    for k0 in range(-10, 11):
+        for l0 in range(-10, 11):
+            dm = d_model(k0, l0)
+            k, l = dm.k, dm.l
+            alt = (BiPoly.from_inner(psi(k, "r"), "t") * phi(l - 1, "t")
+                   - BiPoly.from_inner(phi(k - 1, "r"), "t") * psi(l, "t"))
+            assert _normalize(alt) == dm.equation, (k0, l0)
 
 
 def test_degenerate_models_are_built():

@@ -9,16 +9,17 @@ pinned from the bidegree formula computed by hand.
 
 import pytest
 
-from bridgevar.curves import c_model, d_model
+from bridgevar.curves import CurveModel, c_model, d_model, d_split
 from bridgevar.geometry import (CERTIFICATE_PRIMES, affine_singular_locus,
                                 infinity_transversality,
                                 modular_smoothness_trace, odd_point_report,
                                 smoothness_certificate)
 from bridgevar.knotprops import (HYPERBOLIC, NOT_A_KNOT, TORUS_NONHYPERBOLIC,
                                  TREFOIL, UNKNOT, classify)
-from bridgevar.poly import BiPoly, ExactError, UniPoly, resultant
+from bridgevar.poly import BiPoly, ExactError, UniPoly, poly_gcd, resultant
 from bridgevar.report import Knot
 from smoothness_oracle import exact_singular_locus
+from test_report_cli import GRID_KNOTS, LARGE_KNOTS
 
 R = UniPoly.gen("r")
 T = BiPoly.gen_outer("t", "r")
@@ -135,6 +136,47 @@ def test_infinity_transversal_on_small_models():
         assert found == required
         found, required = iv.t_line
         assert found == required
+
+
+def singular_candidates_at_infinity(F):
+    """gcd(gcd(A, A'), B) on the line r = infinity and the same on
+    t = infinity: A is the leading coefficient of F in the other variable
+    and B the next one, so the gcd holds every point of the line where
+    the curve is singular (and some where it is tangent)."""
+    a, b = F.degree_inner, F.degree_outer
+    A = UniPoly([c.coeff(a) for c in F.cs], F.outer)
+    B = UniPoly([c.coeff(a - 1) for c in F.cs], F.outer)
+    C, D = F.cs[b], F.cs[b - 1]
+    return (poly_gcd(poly_gcd(A, A.deriv()), B),
+            poly_gcd(poly_gcd(C, C.deriv()), D))
+
+
+def test_singular_candidates_at_infinity_are_constant():
+    # Oracle for `infinity_transversality`, which only counts points:
+    # the candidate gcds are constant on the certified model (D, or D1
+    # when k = l) of every hyperbolic grid knot and of the large knots.
+    assert len(GRID_KNOTS) == 158
+    for k, l in GRID_KNOTS + LARGE_KNOTS:
+        model = d_model(k, l)
+        if k == l:
+            model = d_split(model)[1]
+        for cand in singular_candidates_at_infinity(model.equation):
+            assert cand.degree == 0, (k, l, cand)
+        assert infinity_transversality(model).transversal, (k, l)
+
+
+def test_singular_point_at_infinity_fails_the_count():
+    # r (t - 1)**2 + (t - 1) is singular at (r, t) = (infinity, 1): the
+    # candidate there is t - 1, and the line r = infinity shows one
+    # distinct point of the two it must meet, which fails the verdict.
+    F = RB * (T - 1) ** 2 + (T - 1)
+    assert [str(c) for c in singular_candidates_at_infinity(F)] == \
+        ["t-1", "1"]
+    iv = infinity_transversality(CurveModel("D", 0, 0, F, ("r", "t"), (1, 2)))
+    assert not iv.transversal
+    assert iv.r_line == (1, 2) and iv.t_line == (1, 1)
+    assert iv.witnesses == ({"line": "r=infinity", "found": 1,
+                             "required": 2},)
 
 
 def test_infinity_rejects_degenerate_models():

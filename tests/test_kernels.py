@@ -147,6 +147,33 @@ def test_mul_p_matches_reference(mod, a, b, p):
 
 
 @settings(max_examples=60, deadline=None)
+@given(a=coeffs, b=coeffs, p=primes)
+def test_divmod_p_matches_reference(mod, a, b, p):
+    # contract: the divisor's leading coefficient is nonzero mod p
+    if not b or b[-1] % p == 0:
+        return
+    q, r = mod.poly_divmod_p(list(a), list(b), p)
+    assert (q, r) == ref_divmod_p(a, b, p)
+    assert len(r) < len(b)
+    qb = [x % p for x in ref_mul(q, b)]
+    n = max(len(qb), len(r), len(a))
+    qb, rr, aa = (c + [0] * (n - len(c)) for c in (qb, r, list(a)))
+    assert all((x + y - z) % p == 0 for x, y, z in zip(qb, rr, aa))
+
+
+def test_divmod_p_edge_cases(mod):
+    # a zero dividend, a constant divisor, a dividend of lower degree
+    assert mod.poly_divmod_p([], [3, 1], 7) == ([], [])
+    assert mod.poly_divmod_p([2, 4, 6], [3], 7) == ([3, 6, 2], [])
+    assert mod.poly_divmod_p([9, 1], [1, 2, 1], 7) == ([], [2, 1])
+    # (x + 1)(x + 2) + 5 mod 7, with the dividend unreduced
+    assert mod.poly_divmod_p([7, 10, 8], [1, 1], 7) == ([2, 1], [5])
+    # the divisor's leading coefficient has no inverse mod p
+    with pytest.raises(ValueError):
+        mod.poly_divmod_p([1, 2, 3], [1, 5], 5)
+
+
+@settings(max_examples=60, deadline=None)
 @given(a=coeffs, m=coeffs, p=primes)
 def test_rem_p_matches_reference(mod, a, m, p):
     # contract: the divisor is normalized with unit leading coefficient

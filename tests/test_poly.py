@@ -611,6 +611,16 @@ def test_modp_pattern_bad_prime():
     assert modp_degree_pattern(g, 7) == BAD_PRIME   # not squarefree
 
 
+def test_modp_pattern_refuses_a_non_exact_quotient(monkeypatch):
+    # the factors found divide what is left of f exactly; a remainder
+    # would be a broken kernel and raises
+    f = (U - 1) * (U - 2) * (U ** 2 + 1)
+    assert modp_degree_pattern(f, 7) == [1, 1, 2]
+    monkeypatch.setattr(poly, "poly_divmod_p", lambda a, b, p: ([], [1]))
+    with pytest.raises(ExactError, match="non-exact division mod p"):
+        modp_degree_pattern(f, 7)
+
+
 DDF_PRIMES = [2, 3, 5, 53, 101, 2 ** 31 - 1, 2 ** 61 - 1]
 
 

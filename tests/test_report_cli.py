@@ -22,7 +22,8 @@ from bridgevar.geometry import genus_Y
 from bridgevar.kernels import poly_gcd_p
 from bridgevar.knotprops import (HYPERBOLIC, TREFOIL, UNKNOT, classify,
                                  trace_field_poly)
-from bridgevar.poly import (BiPoly, ExactError, UniPoly, is_prime,
+from bridgevar.poly import (BiPoly, ExactError, UniPoly,
+                            irreducibility_analysis, is_prime,
                             resultant_mod_p, squarefree_part)
 from bridgevar.seq import delta
 from bridgevar.report import Knot, build_report, render_text, to_json
@@ -208,6 +209,19 @@ def test_failed_separability_lemma_is_an_invariant_failure(monkeypatch,
         assert code == 1 and "separability failure" in err, (k, l)
 
 
+def test_failed_intersection_fact_is_an_invariant_failure(monkeypatch,
+                                                           capsys):
+    # k = l: the D0/D1 intersection must match G_n; a false fact next to
+    # a smooth certificate exits 1
+    real = geometry.big_g
+    monkeypatch.setattr(geometry, "big_g",
+                        lambda n, var: real(n, var) * (UniPoly.gen(var) + 3))
+    with pytest.raises(AssertionError, match="matches_big_g is false"):
+        Knot(4, 4).certificate
+    code, _, err = run(capsys, "analyze", "-k", "4", "-l", "4")
+    assert code == 1 and "matches_big_g is false" in err
+
+
 def test_render_text_contains_key_lines():
     text = render_text(build_report(2, -2))
     assert "classification: Hyperbolic" in text
@@ -241,6 +255,25 @@ def test_cli_analyze_json_inconclusive_trace_field(capsys):
     analysis = json.loads(out)["trace_field"]["analysis"]
     assert analysis["verdict"] == "inconclusive"
     assert analysis["degree_sums"] == sorted(analysis["degree_sums"])
+
+
+def test_analysis_fields_come_in_the_printed_order():
+    # No grid or large knot is reducible, so the pinned outputs do not
+    # cover this verdict: its keys come in the order the text report
+    # prints them, with the rational root as a string.
+    x = UniPoly.gen("x")
+    red = report._analysis_dict(
+        irreducibility_analysis((x - 2) * (x ** 2 + 1)))
+    assert list(red) == ["verdict", "factor_degrees", "root"]
+    assert red == {"verdict": "reducible", "factor_degrees": [1, 2],
+                   "root": "2"}
+    assert render_text(red).splitlines() == [
+        "verdict: reducible", "factor_degrees:", "  - 1", "  - 2",
+        "root: 2"]
+    irr = report._analysis_dict(irreducibility_analysis(x ** 2 + 1))
+    assert list(irr) == ["verdict", "degree", "sampled_primes", "patterns"]
+    inc = report._analysis_dict(irreducibility_analysis(x ** 4 + 1))
+    assert list(inc) == ["verdict", "degree_sums", "sampled_primes"]
 
 
 def subset_sums(pattern):
