@@ -95,7 +95,13 @@ def _repeat(v, w, count):
 
 
 def poly_mul_p(a, b, p):
-    """Product of int-coefficient lists, reduced mod p."""
+    """Product of int-coefficient lists, reduced mod p.
+
+    The package never calls it: products mod p run in `ring_p`.  It stays
+    only because BENCHMARK.json declares per-layer metrics of
+    `kernels.poly_mul_p`, and the traced benchmark refuses to run when a
+    declared function is gone; it goes with the benchmark change of
+    ROADMAP item 1."""
     na, nb = len(a), len(b)
     if na == 0 or nb == 0:
         return []

@@ -13,8 +13,11 @@ Everything here is certified exactly, by elimination or by counting:
   smooth crossing.  Distinct-point counts are degrees of squarefree
   parts -- no numerics.  So the candidates for a singular point on a
   line, gcd(gcd(A, A'), B) with B the next coefficient, are never
-  computed here; `test_singular_candidates_at_infinity_are_constant` in
-  tests/test_geometry.py recomputes them as an oracle.
+  computed here, nor is the corner (inf, inf) tested on its own: it is
+  one of the points counted on both lines, and a singular corner meets
+  each with multiplicity at least 2, so a count falls short.
+  `test_singular_candidates_at_infinity_are_constant` in
+  tests/test_geometry.py recomputes both as an oracle.
 * genus: bidegree route (a-1)(b-1) against the closed forms, and the
   X-cover via the odd-valuation point count a and g = 2g(D) - 1 + a/2.
 
@@ -149,7 +152,6 @@ def infinity_transversality(model):
     # profile.  chart v = 1/t: same with the roles swapped.
     A = UniPoly([c.coeff(a) for c in F.cs], F.outer)
     C = F.cs[b]
-    D = F.cs[b - 1]
     corner = A.degree < b  # the (r,t) = (inf, inf) point lies on the curve
     witnesses = []
     r_count = squarefree_part(A).degree + (1 if corner else 0)
@@ -158,11 +160,6 @@ def infinity_transversality(model):
         witnesses.append({"line": "r=infinity", "found": r_count, "required": b})
     if t_count != a:
         witnesses.append({"line": "t=infinity", "found": t_count, "required": a})
-    if corner:
-        du = C.coeff(a - 1)       # coefficient of r^(a-1) t^b
-        dv = D.coeff(a)           # coefficient of r^a t^(b-1)
-        if du == 0 and dv == 0:
-            witnesses.append({"point": "corner", "singular": True})
     return InfinityVerdict(not witnesses, (r_count, b), (t_count, a),
                            corner, tuple(witnesses))
 
@@ -241,6 +238,8 @@ class GenusYEntry(NamedTuple):
     component: str          # "whole" | "D0" | "D1"
     genus_bidegree: int
     genus_formula: int
+    # min(bidegree) <= 2: a projection of degree <= 2 to P^1, so true for
+    # every component of genus 0 or 1 as well
     hyperelliptic: bool
 
 
@@ -265,14 +264,13 @@ def genus_Y(cert):
         raise AssertionError(
             "genus mismatch for (%d,%d): bidegree %d vs formula %d"
             % (k2, l2, g_bi, g_form))
-    if k2 == l2:
-        entries = (
-            GenusYEntry("D0", 0, 0, True),
-            GenusYEntry("D1", g_bi, g_form, abs(l2) <= 6),
-        )
-    else:
-        entries = (GenusYEntry("whole", g_bi, g_form, a <= 2 or b <= 2),)
-    return GenusYReport(k2, l2, entries)
+    # (component, bidegree, genus by bidegree, genus by formula); D0 is
+    # the line r = t
+    parts = ((("D0", (1, 1), 0, 0), ("D1", (a, b), g_bi, g_form))
+             if k2 == l2 else (("whole", (a, b), g_bi, g_form),))
+    return GenusYReport(k2, l2, tuple(
+        GenusYEntry(name, g1, g2, min(bidegree) <= 2)
+        for name, bidegree, g1, g2 in parts))
 
 
 # ---------------------------------------------------------------------------

@@ -17,35 +17,30 @@ Kronecker substitution (Harvey, J. Symbolic Comput. 44 (2009)):
 r = 2^(8w) and L = 2^(4wR).  Every generator, times L, has even
 diagonal and odd off-diagonal entries in L, and so has L^N W; within
 one entry, L^2 steps over a whole block of R signed w-byte slots, one
-slot per power of r.  Each route computes only the entries it reads,
-by one vector pass over the word: shifts and adds only, with c = 2 - r
-and c X = 2X - (X << 8w).  A row pass (`_row_pass`) reads the letters
-left to right and right-multiplies a row (m1, m2) by L A^{±1} or
-L B^{±1}:
+slot per power of r.  A row pass (`_row_pass`) reads the letters left
+to right and right-multiplies a row (m1, m2) by L A^{±1} or L B^{±1},
+shifts and adds only, with c = 2 - r and c X = 2X - (X << 8w):
 
     a:      m1 <- L^2 m1,             m2 <- L m1 + m2
     a^-1:                             m2 <- L^2 m2 - L m1
     b:      m1 <- L^2 m1 + L c m2
     b^-1:   m1 <- m1 - L c m2,        m2 <- L^2 m2
 
-A column pass (`_col_pass`) reads them right to left and
-left-multiplies a column (u, v):
-
-    a:      u <- L^2 u + L v
-    a^-1:   u <- u - L v,             v <- L^2 v
-    b:      u <- L^2 u,               v <- L c u + v
-    b^-1:                             v <- L^2 v - L c u
-
-`riley_poly_pq` reads the first row, a row pass from (1, 0);
-`riley_poly_matrix` the second column, a column pass from (0, 1); and
-`eval_word`, which both spot checks use, runs two row passes for all
-four entries.  No route uses another's result or Cayley-Hamilton.
+Both word routes read the first row of a word, by one row pass from
+(1, 0), and take W11 + (L^-1 - L) W12 (`_riley_word`):
+`riley_poly_pq` on the Schubert word, `riley_poly_matrix` on W_k^-n.
+Every letter, times L, has determinant L^2, so adj(L^N W) = L^N W^-1,
+and the first row of L^N W^-1 is (M22, -M12) for the entries Mij of
+L^N W: the formula on W^-1 is W22 + (L - L^-1) W12, the entry
+combination of W = W_k^n the matrix route takes.  `eval_word`, which
+both spot checks use, runs two row passes for all four entries.  No
+route uses another's result or Cayley-Hamilton.
 
 The slots are sized from the word before any arithmetic (`_slots`).
 Only b letters raise the degree in r, so R = (number of b letters) + 1.
 The l1 norms of the two columns are at most b1, b2, which start at 1 and
 follow the word: a^{±1} sets b2 <- b1 + b2 and b^{±1} sets
-b1 <- b1 + 3 b2.  The entry combinations the Riley routes take have l1
+b1 <- b1 + 3 b2.  The entry combination the Riley routes take has l1
 norm at most 3 max(b1, b2), and w leaves room for that plus a sign bit.
 This bounds the final matrix whatever the order of evaluation, and the
 intermediate ints need no bound: they are values of polynomials at an
@@ -198,20 +193,15 @@ class _Slots(NamedTuple):
 
 
 class _PackedWord(NamedTuple):
-    """The entries of L^N W for a word W of N letters, in the slots of
-    `_Slots`.  The diagonal entries are even in L and the others odd, so
-    within one entry the coefficient of L^(2i+p) r^j is the signed w-byte
-    slot i*R + j of m >> (p*shift)."""
+    """The entries of L^N W for a word W of N letters, in `slots`.  The
+    diagonal entries are even in L and the others odd, so within one
+    entry the coefficient of L^(2i+p) r^j is the signed w-byte slot
+    i*R + j of m >> (p*shift)."""
     m11: int
     m12: int
     m21: int
     m22: int
-    letters: int
-    w: int
-    R: int
-
-    shift = _Slots.shift
-    rows = _Slots.rows
+    slots: _Slots
 
 
 def _slot_bytes(bound):
@@ -234,7 +224,7 @@ def _slots(word):
             b_letters += n
             for _ in range(n):
                 b1 += 3 * b2
-    # Room for the entry combinations of the Riley routes (l1 norm at
+    # Room for the entry combination of the Riley routes (l1 norm at
     # most 3 max(b1, b2)) and a sign bit; only b letters raise the
     # degree in r.
     return _Slots(letters, _slot_bytes(3 * max(b1, b2)), b_letters + 1)
@@ -261,33 +251,12 @@ def _row_pass(word, slots, x, y):
     return x, y
 
 
-def _col_pass(word, slots, u, v):
-    """L^N W times the column vector (u, v): the letters right to left,
-    each a left multiplication by L A^{±1} or L B^{±1}."""
-    rs, L1 = 8 * slots.w, slots.shift
-    L2 = 2 * L1
-    for gen, exp in reversed(word):
-        for _ in range(abs(exp)):
-            if gen == "a":
-                if exp > 0:
-                    u = (u << L2) + (v << L1)
-                else:
-                    u, v = u - (v << L1), v << L2
-            else:
-                cu = ((u << 1) - (u << rs)) << L1  # L (2 - r) u
-                if exp > 0:
-                    u, v = u << L2, cu + v
-                else:
-                    v = (v << L2) - cu
-    return u, v
-
-
 def eval_word(word):
     """The word W as the packed entries of L^N W: its two rows, each by a
     row pass, shifts and adds only."""
     slots = _slots(word)
     return _PackedWord(*_row_pass(word, slots, 1, 0),
-                       *_row_pass(word, slots, 0, 1), *slots)
+                       *_row_pass(word, slots, 0, 1), slots)
 
 
 def _digits(z, w, R, blocks):
@@ -348,17 +317,17 @@ def _add_multiple(acc, s, row):
         acc[m] += s * v
 
 
-def _to_ry(z, pw):
+def _to_ry(z, slots):
     """Rewrite Z = L^-N z, where z packs an even polynomial in L of degree
-    at most 2N in the slots of pw, as a BiPoly in (r, y), y = L^2 + L^-2.
+    at most 2N in `slots`, as a BiPoly in (r, y), y = L^2 + L^-2.
     Z must have even, palindromic exponents.
 
     Row e of z is the coefficient c_e of L^(2e - N) in Z.  Each pair
     c_e (L^(2e-N) + L^(N-2e)), 2e > N, adds c_e D_{e-N/2}(y), and the
     middle row adds itself, into int rows indexed by the power of y; the
     BiPoly is built once."""
-    N = pw.letters
-    rows = pw.rows(z)
+    N = slots.letters
+    rows = slots.rows(z)
     for e, c in enumerate(rows):
         if c and N % 2 or c != rows[N - e]:
             if not c:
@@ -429,24 +398,24 @@ def riley_poly_J(k, n):
                   "y", "r")
 
 
-def riley_poly_matrix(k, n):
-    """F_{k,n} extracted from W = W_k^n as (L - L^-1) W12 + W22: the second
-    column of L^N W by one column pass."""
-    word = word_power(w_k_word(k), n)
-    slots = _slots(word)
-    m12, m22 = _col_pass(word, slots, 0, 1)
-    # L^N ((L - L^-1) W12 + W22) = (L - L^-1) M12 + M22, with M12 odd
-    return _to_ry((m12 << slots.shift) - (m12 >> slots.shift) + m22, slots)
-
-
-def riley_poly_pq(p, q):
-    """Riley polynomial of the (p, q) two-bridge word: W11 + (L^-1 - L) W12,
-    from the first row of L^N W by one row pass."""
-    word = schubert_word(p, q)
+def _riley_word(word):
+    """W11 + (L^-1 - L) W12 of the word W, from the first row of L^N W by
+    one row pass."""
     slots = _slots(word)
     m11, m12 = _row_pass(word, slots, 1, 0)
     # L^N (W11 + (L^-1 - L) W12) = M11 + (L^-1 - L) M12, with M12 odd
     return _to_ry(m11 + (m12 >> slots.shift) - (m12 << slots.shift), slots)
+
+
+def riley_poly_matrix(k, n):
+    """F_{k,n} extracted from W = W_k^n as (L - L^-1) W12 + W22: the Riley
+    formula of W^-1, whose first row is (W22, -W12)."""
+    return _riley_word(word_power(w_k_word(k), -n))
+
+
+def riley_poly_pq(p, q):
+    """Riley polynomial of the (p, q) two-bridge word: W11 + (L^-1 - L) W12."""
+    return _riley_word(schubert_word(p, q))
 
 
 def normalize_unit(F):
@@ -492,8 +461,8 @@ def trace_formula_check(k, samples, seed=""):
     if samples < 1:
         raise ExactError("samples must be >= 1")
     pw = eval_word(w_k_word(k))
-    N = pw.letters
-    left = [(e, row) for e, row in enumerate(pw.rows(pw.m11 + pw.m22))
+    N = pw.slots.letters
+    left = [(e, row) for e, row in enumerate(pw.slots.rows(pw.m11 + pw.m22))
             if row]
     right = [u.c for u in trace_wk(k).cs]
     D = max(map(len, [row for _, row in left] + right), default=1) - 1
@@ -532,11 +501,11 @@ def ideal_generator_check(k, n, samples, seed=""):
     word = word_power(w_k_word(k), n)
     pws = (eval_word(word_concat((("a", 1),), word)),
            eval_word(word_concat(word, (("b", 1),))))
-    top = 2 * pws[0].letters
+    top = 2 * pws[0].slots.letters
     # per word, per entry: (parity in L, rows); the off-diagonal entries
     # are odd in L
-    entries = [[(0, pw.rows(pw.m11)), (1, pw.rows(pw.m12 >> pw.shift)),
-                (1, pw.rows(pw.m21 >> pw.shift)), (0, pw.rows(pw.m22))]
+    entries = [[(p, pw.slots.rows(m >> p * pw.slots.shift))
+                for m, p in zip(pw[:4], (0, 1, 1, 0))]
                for pw in pws]
     F = riley_poly_J(k, n)
     d = F.degree_outer

@@ -151,10 +151,20 @@ def singular_candidates_at_infinity(F):
             poly_gcd(poly_gcd(C, C.deriv()), D))
 
 
+def corner_gradient(F):
+    """The linear terms (du, dv) of F at the corner (r, t) = (inf, inf) in
+    the chart u = 1/r, v = 1/t: the coefficients of r^(a-1) t^b and
+    r^a t^(b-1).  When the corner lies on the curve it is singular
+    exactly when both are 0."""
+    a, b = F.degree_inner, F.degree_outer
+    return F.cs[b].coeff(a - 1), F.cs[b - 1].coeff(a)
+
+
 def test_singular_candidates_at_infinity_are_constant():
     # Oracle for `infinity_transversality`, which only counts points:
-    # the candidate gcds are constant on the certified model (D, or D1
-    # when k = l) of every hyperbolic grid knot and of the large knots.
+    # the candidate gcds are constant, and the corner, when on the curve,
+    # is smooth, on the certified model (D, or D1 when k = l) of every
+    # hyperbolic grid knot and of the large knots.
     assert len(GRID_KNOTS) == 158
     for k, l in GRID_KNOTS + LARGE_KNOTS:
         model = d_model(k, l)
@@ -162,7 +172,10 @@ def test_singular_candidates_at_infinity_are_constant():
             model = d_split(model)[1]
         for cand in singular_candidates_at_infinity(model.equation):
             assert cand.degree == 0, (k, l, cand)
-        assert infinity_transversality(model).transversal, (k, l)
+        iv = infinity_transversality(model)
+        assert iv.transversal, (k, l)
+        if iv.corner_on_curve:
+            assert corner_gradient(model.equation) != (0, 0), (k, l)
 
 
 def test_singular_point_at_infinity_fails_the_count():
@@ -177,6 +190,16 @@ def test_singular_point_at_infinity_fails_the_count():
     assert iv.r_line == (1, 2) and iv.t_line == (1, 1)
     assert iv.witnesses == ({"line": "r=infinity", "found": 1,
                              "required": 2},)
+    # t**2 + r t + r**2 + 1 has a singular corner (inf, inf): it meets
+    # each line there with multiplicity 2, so both counts fall short.
+    F = T ** 2 + RB * T + RB ** 2 + 1
+    iv = infinity_transversality(CurveModel("D", 0, 0, F, ("r", "t"), (2, 2)))
+    assert iv.corner_on_curve and corner_gradient(F) == (0, 0)
+    assert not iv.transversal
+    assert iv.r_line == (1, 2) and iv.t_line == (1, 2)
+    assert iv.witnesses == (
+        {"line": "r=infinity", "found": 1, "required": 2},
+        {"line": "t=infinity", "found": 1, "required": 2})
 
 
 def test_infinity_rejects_degenerate_models():

@@ -19,9 +19,9 @@ import pytest
 
 from bridgevar import riley
 from bridgevar.poly import BiPoly, ExactError, UniPoly
-from bridgevar.riley import (TraceSubringError, _PackedWord, _col_pass,
-                             _digits, _rand_fraction, _row_pass,
-                             _slot_bytes, _slots, _taylor_at_2, _to_ry,
+from bridgevar.riley import (TraceSubringError, _Slots, _digits,
+                             _rand_fraction, _row_pass, _slot_bytes,
+                             _slots, _taylor_at_2, _to_ry,
                              eval_word, ideal_generator_check,
                              normalize_unit, riley_poly_J,
                              riley_poly_matrix, riley_poly_pq, schubert_word,
@@ -121,18 +121,20 @@ def product_word(word):
     return out
 
 
-def decode(z, pw, odd=0):
+def decode(z, slots, odd=0):
     """The entry L^-N z as a dict, where z packs a polynomial in L of
-    degree at most 2N and parity odd in the slots of pw."""
-    rows = _digits(z >> pw.shift * odd, pw.w, pw.R, pw.letters + 1)
-    return {2 * e + odd - pw.letters: UniPoly(row, "r")
+    degree at most 2N and parity odd in `slots`."""
+    rows = _digits(z >> slots.shift * odd, slots.w, slots.R,
+                   slots.letters + 1)
+    return {2 * e + odd - slots.letters: UniPoly(row, "r")
             for e, row in enumerate(rows) if row}
 
 
 def decoded_word(word):
     """eval_word(word), decoded entry by entry into the oracle's type."""
     pw = eval_word(word)
-    return tuple(decode(m, pw, odd) for m, odd in zip(pw[:4], (0, 1, 1, 0)))
+    return tuple(decode(m, pw.slots, odd)
+                 for m, odd in zip(pw[:4], (0, 1, 1, 0)))
 
 
 def pack(f, N, w=2, per_block=3):
@@ -141,7 +143,7 @@ def pack(f, N, w=2, per_block=3):
     power of L^2, as eval_word packs an entry."""
     z = sum(v << 8 * w * ((e + N) // 2 * per_block + j)
             for e, c in f.items() for j, v in enumerate(c.c))
-    return z, _PackedWord(0, 0, 0, 0, N, w, per_block)
+    return z, _Slots(N, w, per_block)
 
 
 def full_digits(z, w, R, blocks):
@@ -194,8 +196,8 @@ def fraction_trace_formula_check(k, samples, seed=""):
     of L^N tr W_k at r0 times lam^(2e - N) against riley.trace_wk(k) at
     (r0, lam^2 + lam^-2)."""
     pw = eval_word(w_k_word(k))
-    N = pw.letters
-    rows = pw.rows(pw.m11 + pw.m22)
+    N = pw.slots.letters
+    rows = pw.slots.rows(pw.m11 + pw.m22)
     closed = riley.trace_wk(k)
     rng = Random("%strace-formula-%d" % (seed, k))
     for _ in range(samples):
@@ -302,15 +304,23 @@ def test_packed_eval_word_matches_general_product():
 
 
 def pass_entries(word):
-    """The word's entries (m11, m12, m21, m22), decoded, once from its two
-    row passes and once from its two column passes."""
+    """The word's entries (m11, m12, m21, m22), decoded from its two row
+    passes, and its second column as the decoded first row of the row
+    pass of its inverse word, which is (m22, -m12)."""
     s = _slots(word)
     (m11, m12), (m21, m22) = (_row_pass(word, s, 1, 0),
                               _row_pass(word, s, 0, 1))
-    (c11, c21), (c12, c22) = (_col_pass(word, s, 1, 0),
-                              _col_pass(word, s, 0, 1))
-    return tuple(tuple(decode(z, s, odd) for z, odd in zip(m, (0, 1, 1, 0)))
-                 for m in ((m11, m12, m21, m22), (c11, c12, c21, c22)))
+    inverse = word_inverse(word)
+    t = _slots(inverse)
+    i11, i12 = _row_pass(inverse, t, 1, 0)
+    return (tuple(decode(z, s, odd)
+                  for z, odd in zip((m11, m12, m21, m22), (0, 1, 1, 0))),
+            (decode(i11, t), decode(i12, t, 1)))
+
+
+def second_column(W):
+    """(W22, -W12): the first row of W^-1 when det W = 1."""
+    return W[3], lp_neg(W[1])
 
 
 def test_row_and_column_passes_match_general_product():
@@ -319,7 +329,7 @@ def test_row_and_column_passes_match_general_product():
     for word in words:
         assert sum(abs(e) for _, e in word) <= 60
         W = product_word(word)
-        assert pass_entries(word) == (W, W), word
+        assert pass_entries(word) == (W, second_column(W)), word
 
 
 def test_column_pass_matches_eval_word_on_riley_words():
@@ -327,7 +337,7 @@ def test_column_pass_matches_eval_word_on_riley_words():
         for n in range(-4, 5):
             word = word_power(w_k_word(k), n)
             W = decoded_word(word)
-            assert pass_entries(word) == (W, W), (k, n)
+            assert pass_entries(word) == (W, second_column(W)), (k, n)
 
 
 def test_slot_bytes_keep_a_sign_bit_and_digits_round_trip():
@@ -427,10 +437,11 @@ def test_laurent_to_ry_matches_bipoly_sum():
     for k, n in ((2, 1), (-3, 2), (5, -3), (8, 4)):
         word = word_power(w_k_word(k), n)
         pw = eval_word(word)
-        z = (pw.m12 << pw.shift) - (pw.m12 >> pw.shift) + pw.m22
+        s = pw.slots
+        z = (pw.m12 << s.shift) - (pw.m12 >> s.shift) + pw.m22
         W = product_word(word)
         F = lp_add(lp_mul(L_minus_inv, W[1]), W[3])
-        assert _to_ry(z, pw) == laurent_to_ry_bipoly(F), (k, n)
+        assert _to_ry(z, s) == laurent_to_ry_bipoly(F), (k, n)
 
 
 def test_trace_formula_check_runs_and_seeds_differ():
@@ -513,8 +524,6 @@ def test_taylor_closed_form_on_large_cells():
 def test_riley_closed_form_equals_matrix_form():
     for k in range(-10, 11):
         for n in range(-6, 7):
-            if n == 0:
-                continue
             a = normalize_unit(riley_poly_J(k, n))
             b = normalize_unit(riley_poly_matrix(k, n))
             assert a == b, (k, n)
