@@ -61,7 +61,39 @@ def _sweep_row(pair):
                                 else [])
         return row
     except Exception as e:  # a failed row must not kill the sweep
-        return {"k": k, "l": l, "error": "%s: %s" % (type(e).__name__, e)}
+        return _error_row(k, l, e)
+
+
+def _error_row(k, l, e):
+    return {"k": k, "l": l, "error": "%s: %s" % (type(e).__name__, e)}
+
+
+def _projected_row(row, k, l, rep):
+    """The row of the representative pair `rep` for the same knot at
+    (k, l): its own `k`, `l`, `p` and `q`, plus `same_knot_as`."""
+    if (k, l) == rep:
+        return row
+    row = dict(row, k=k, l=l)
+    if "p" in row:
+        try:
+            tb = two_bridge_params(k, l)
+        except (ExactError, AssertionError) as e:
+            row = _error_row(k, l, e)
+        else:
+            row["p"], row["q"] = tb.p, tb.q
+    row["same_knot_as"] = list(rep)
+    return row
+
+
+def _orbit(k, l):
+    """The key of the orbit {(k, l), (l, k), (-k, -l), (-l, -k)}."""
+    return min((k, l), (l, k), (-k, -l), (-l, -k))
+
+
+def _usable_cores():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def cmd_sweep(args):
@@ -71,6 +103,11 @@ def cmd_sweep(args):
              for k in range(-args.kmax, args.kmax + 1)
              for l in range(-args.lmax, args.lmax + 1)
              if k % 2 == 0 or l % 2 == 0]
+    # J(l, k) is J(k, l) and J(-k, -l) is its mirror image, with the same
+    # group: every field of a row but k, l, p, q is an invariant of the orbit.
+    first = {}
+    rep_of = {pair: first.setdefault(_orbit(*pair), pair) for pair in pairs}
+    reps = list(first.values())
     # Open the output before any row is computed, so that a bad path
     # fails at once.
     try:
@@ -78,22 +115,26 @@ def cmd_sweep(args):
     except OSError as e:
         raise ValueError("cannot write %s: %s" % (args.out, e.strerror))
     try:
-        # The pool forks all its workers up front: no more than the cores.
-        cpus = os.cpu_count() or 1
-        jobs = min(args.jobs or cpus, cpus)
+        # The pool forks all its workers up front: no more than the cores
+        # or the knots.
+        cpus = _usable_cores()
+        jobs = min(args.jobs or cpus, cpus, len(reps))
         if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                rows = list(pool.map(_sweep_row, pairs, chunksize=8))
+                computed = list(pool.map(_sweep_row, reps, chunksize=8))
         else:
-            rows = [_sweep_row(p) for p in pairs]
-        for row in rows:
-            out.write(json.dumps(row, sort_keys=True) + "\n")
+            computed = [_sweep_row(p) for p in reps]
+        row_of = dict(zip(reps, computed))
+        rows = []
+        for (k, l), rep in rep_of.items():
+            rows.append(_projected_row(row_of[rep], k, l, rep))
+            out.write(json.dumps(rows[-1], sort_keys=True) + "\n")
     finally:
         if out is not sys.stdout:
             out.close()
     bad = [r for r in rows if r.get("error") or r.get("disagreements")]
-    sys.stderr.write("sweep: %d rows, %d with failures\n"
-                     % (len(rows), len(bad)))
+    sys.stderr.write("sweep: %d rows from %d knots, %d with failures\n"
+                     % (len(rows), len(reps), len(bad)))
     return 1 if bad else 0
 
 

@@ -193,7 +193,10 @@ def test_invariant_failure_is_not_unavailable(monkeypatch, capsys):
                        "--jobs", "1")
     assert code == 1
     rows = {(r["k"], r["l"]): r for r in map(json.loads, out.splitlines())}
-    assert "X-genus mismatch" in rows[(2, -2)]["error"]
+    # (-2, 2) is computed and (2, -2) projected from it: both fail
+    for pair in ((-2, 2), (2, -2)):
+        assert "X-genus mismatch" in rows[pair]["error"]
+    assert rows[(2, -2)]["same_knot_as"] == [-2, 2]
 
 
 def test_failed_separability_lemma_is_an_invariant_failure(monkeypatch,
@@ -607,9 +610,10 @@ def test_sweep_rows_agree_under_the_knot_symmetries():
         assert rows[(k, l)] == rows[(l, k)] == rows[(-k, -l)], (k, l)
 
 
-def test_sweep_pool_is_capped_at_the_core_count(monkeypatch, capsys):
-    # A pool forks every worker up front; the fake records its size and
-    # maps serially, so that no process starts.
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """A pool forks every worker up front; the fake records its size and
+    maps serially, so that no process starts."""
     sizes = []
 
     class SerialPool:
@@ -626,12 +630,89 @@ def test_sweep_pool_is_capped_at_the_core_count(monkeypatch, capsys):
             return map(fn, items)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    return sizes
+
+
+def test_sweep_pool_is_capped_at_the_core_count(monkeypatch, capsys,
+                                                pool_sizes):
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
     argv = ("sweep", "--kmax", "2", "--lmax", "2")
     code, out, _ = run(capsys, *argv, "--jobs", "100000")
-    assert code == 0 and sizes == [3]
+    assert code == 0 and pool_sizes == [3]
     assert (code, out) == run(capsys, *argv, "--jobs", "1")[:2]
-    assert sizes == [3]
+    assert pool_sizes == [3]
+
+
+def test_sweep_pool_is_capped_at_the_knot_count(monkeypatch, capsys,
+                                                pool_sizes):
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 64)
+    code, _, err = run(capsys, "sweep", "--kmax", "2", "--lmax", "2")
+    assert code == 0 and pool_sizes == [7]
+    assert "21 rows from 7 knots, 0 with failures" in err
+
+
+@pytest.mark.parametrize("kmax,lmax", [(6, 4), (4, 6)])
+def test_sweep_projects_each_row_from_its_orbit(capsys, kmax, lmax):
+    # with lmax > kmax the orbit's least pair can lie out of range
+    code, out, err = run(capsys, "sweep", "--kmax", str(kmax),
+                         "--lmax", str(lmax), "--jobs", "1")
+    assert code == 0 and "93 rows from 33 knots" in err
+    rows = [json.loads(line) for line in out.splitlines()]
+    by_kl = {(r["k"], r["l"]): r for r in rows}
+    assert len(by_kl) == len(rows) == 93
+
+    def orbit(k, l):
+        return {(k, l), (l, k), (-k, -l), (-l, -k)}
+
+    for row in rows:
+        k, l = row["k"], row["l"]
+        rep = row.pop("same_knot_as", None)
+        # every field, p and q included, equals a direct computation
+        assert row == cli._sweep_row((k, l)), (k, l)
+        if rep is not None:
+            rep = tuple(rep)
+            assert rep != (k, l) and rep in orbit(k, l) and rep in by_kl
+            assert "same_knot_as" not in by_kl[rep]
+
+
+def test_sweep_projection_is_the_same_in_a_pool(tmp_path, capsys):
+    # 19 knots make three chunks of 8, so both workers compute some
+    serial, parallel = tmp_path / "s.jsonl", tmp_path / "p.jsonl"
+    for jobs, path in (("1", serial), ("2", parallel)):
+        code, _, _ = run(capsys, "sweep", "--kmax", "4", "--lmax", "4",
+                         "--jobs", jobs, "--out", str(path))
+        assert code == 0
+    assert serial.read_bytes() == parallel.read_bytes()
+
+
+@pytest.mark.parametrize("bound,calls,rows", [(2, 7, 21), (4, 19, 65)])
+def test_sweep_computes_each_knot_once(monkeypatch, capsys, bound, calls,
+                                       rows):
+    computed = []
+
+    def counting_row(pair):
+        computed.append(pair)
+        return sweep_row(pair)
+
+    sweep_row = cli._sweep_row
+    monkeypatch.setattr(cli, "_sweep_row", counting_row)
+    code, out, _ = run(capsys, "sweep", "--kmax", str(bound),
+                       "--lmax", str(bound), "--jobs", "1")
+    assert code == 0 and len(out.splitlines()) == rows
+    assert len(computed) == len(set(computed)) == calls
+
+
+def test_sweep_projected_row_gets_its_own_two_bridge_error(monkeypatch):
+    def refuse(k, l):
+        raise AssertionError("normal form broke at (%d,%d)" % (k, l))
+
+    row = cli._sweep_row((-2, 4))
+    monkeypatch.setattr(cli, "two_bridge_params", refuse)
+    assert cli._projected_row(row, 4, -2, (-2, 4)) == {
+        "k": 4, "l": -2, "same_knot_as": [-2, 4],
+        "error": "AssertionError: normal form broke at (4,-2)"}
+    assert cli._projected_row(row, -2, 4, (-2, 4)) is row
 
 
 def test_sweep_flags_nested_unavailable_section(monkeypatch, capsys):
@@ -643,7 +724,8 @@ def test_sweep_flags_nested_unavailable_section(monkeypatch, capsys):
                        "--jobs", "1")
     assert code == 1
     rows = {(r["k"], r["l"]): r for r in map(json.loads, out.splitlines())}
-    assert rows[(2, -2)]["disagreements"] == ["two_bridge.fourplat"]
+    for pair in ((-2, 2), (2, -2)):
+        assert rows[pair]["disagreements"] == ["two_bridge.fourplat"]
     assert not rows[(2, 2)]["disagreements"]   # trefoil: not hyperbolic
 
 
