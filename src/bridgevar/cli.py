@@ -8,7 +8,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .poly import ExactError
 from .knotprops import two_bridge_params, HYPERBOLIC
@@ -120,6 +119,8 @@ def cmd_sweep(args):
         cpus = _usable_cores()
         jobs = min(args.jobs or cpus, cpus, len(reps))
         if jobs > 1:
+            # Imported here: the pool modules add ~30 ms to every start-up.
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 computed = list(pool.map(_sweep_row, reps, chunksize=8))
         else:

@@ -6,12 +6,16 @@ parsed output checked against the library API directly.  Degree-pattern
 witnesses are recomputed by the distinct-degree oracle of test_poly.
 """
 
+import concurrent.futures
 import gc
 import hashlib
 import json
+import os
 import re
+import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -610,6 +614,52 @@ def test_sweep_rows_agree_under_the_knot_symmetries():
         assert rows[(k, l)] == rows[(l, k)] == rows[(-k, -l)], (k, l)
 
 
+def test_sweep_rows_agree_across_a_two_bridge_class():
+    # J(k, l) is the two-bridge knot b(p, q), and b(p, q) is b(p, q') up
+    # to mirror image exactly when q' is one of +-q^(+-1) mod p: every
+    # orbit of a class must give the same row but for k and l
+    orbits = {cli._orbit(k, l) for k in range(-12, 13)
+              for l in range(-12, 13) if k * l % 2 == 0}
+    classes = {}
+    for pair in sorted(orbits):
+        row = cli._sweep_row(pair)
+        if row["classification"] != HYPERBOLIC:
+            continue
+        p, q = row["p"], row["q"]
+        inv = pow(q, -1, p)
+        least = min(x % p for x in (q, -q, inv, -inv))
+        rest = {key: v for key, v in row.items() if key not in ("k", "l")}
+        classes.setdefault((p, least), []).append((pair, rest))
+    shared = {cls: members for cls, members in classes.items()
+              if len(members) > 1}
+    for members in shared.values():
+        assert all(rest == members[0][1] for _, rest in members), members
+    # only the twist knots J(-m, -2) = J(1 - m, 2) share a class here
+    assert {cls: [pair for pair, _ in members]
+            for cls, members in shared.items()} == {
+        (2 * m - 1, 2): [(-m, -2), (1 - m, 2)] for m in range(3, 13)}
+
+
+def test_commands_without_a_pool_do_not_load_one():
+    # the pool modules cost start-up time: only a sweep that runs more
+    # than one worker may import them
+    src = Path(cli.__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "from bridgevar.cli import build_parser, main\n"
+        "build_parser()\n"
+        "main(['analyze', '-k', '4', '-l', '-6'])\n"
+        "main(['sweep', '--kmax', '2', '--lmax', '2', '--jobs', '1'])\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith(('concurrent', 'multiprocessing'))),\n"
+        "      file=sys.stderr)\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.splitlines()[-1] == "[]"
+
+
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """A pool forks every worker up front; the fake records its size and
@@ -629,7 +679,9 @@ def pool_sizes(monkeypatch):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    # cmd_sweep imports the pool class when it needs one, so the fake
+    # replaces it where that import reads it
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     return sizes
 
 
