@@ -26,20 +26,23 @@ Comput. Complexity 2 (1992)): the rows x**(i*p) mod m are built once as
 ring elements, and every later p-th power is one sum of small-int
 multiples of those ints.
 
-`poly_divmod_p` is the one schoolbook division over GF(p); `poly_rem_p`
-is its remainder.  `poly_gcd_p` runs Euclid's algorithm on packed
-operands whose slots are wide enough for the coefficients to grow
-unreduced for many steps.
-
-`poly_resultant_p` is the resultant over GF(p) by a Euclidean remainder
-sequence; `poly.resultant_mod_p` interpolates bivariate resultants from it.
+`_euclid` is the one GF(p) remainder loop (von zur Gathen & Gerhard,
+ch. 6).  Its operands are packed with the leading coefficient in the
+lowest slot, so that a step is one multiply-add by the divisor and one
+shift, and their slots grow unreduced for many steps.  The gcd
+(`poly_gcd_p`), the division (`poly_divmod_p`, whose remainder is
+`poly_rem_p`, and the ring's quotient M) and the resultant
+(`poly_resultant_p`, which `poly.resultant_mod_p` interpolates) are thin
+callers of it: the division collects its quotient from the steps, the
+resultant tracks degrees and leading coefficients.  `euclid_gcd_p` and
+`euclid_divmod_p` take packed operands, so that a degree pattern keeps
+its operands packed in the slots of its ring (`ring_euclid`).
 
 All list functions return *trimmed* lists (no trailing zeros); the
 zero polynomial is the empty list.
 """
 
 from functools import lru_cache
-from operator import mul
 
 
 def trim(c):
@@ -111,32 +114,6 @@ def poly_mul_p(a, b, p):
     return _unpack(x * x if a is b else x * _pack(b, p, w), na + nb - 1, w, p)
 
 
-def poly_divmod_p(a, b, p):
-    """(q, r) with a = q b + r over GF(p) and deg r < deg b, by schoolbook
-    long division of int-coefficient lists.  The leading coefficient of b
-    must be nonzero mod p; if it is not, ValueError is raised."""
-    r = trim([x % p for x in a])
-    db = len(b) - 1
-    inv = pow(b[db], -1, p)
-    q = [0] * max(len(r) - db, 0)
-    while len(r) > db:
-        c = r[-1] * inv % p
-        shift = len(r) - 1 - db
-        q[shift] = c
-        for j in range(db):
-            r[shift + j] = (r[shift + j] - c * b[j]) % p
-        del r[-1]
-        trim(r)
-    return q, r
-
-
-def poly_rem_p(a, m, p):
-    """Remainder of a modulo m over GF(p), by `poly_divmod_p`.  The leading
-    coefficient of m must be nonzero mod p; if it is not, ValueError is
-    raised."""
-    return poly_divmod_p(a, m, p)[1]
-
-
 def poly_monic_p(a, p):
     """The nonzero list a divided by its leading coefficient over GF(p),
     which must be nonzero mod p (else ValueError)."""
@@ -186,25 +163,27 @@ class _Ring(_Slots):
         off = -(-(n - 1) * (p - 1) ** 2 // p) * p
         super().__init__(p, (n * (p - 1) ** 2 + off).bit_length(), n)
         w = self.w
-        # M = x**(2n - 2) // f: its reversal is 1 / rev(f) mod t**(n - 1).
-        rf = f[::-1]
-        g = [1][:n - 1]
-        for j in range(1, n - 1):
-            g.append(-sum(map(mul, rf[1:j + 1], reversed(g))) % p)
-        self.quo = _pack(g[::-1], p, w)
+        # M = x**(2n - 2) // f by the remainder loop, where x**(2n - 2) is
+        # the operand (1, 2n - 2) and the quotient comes highest first
+        quo = []
+        sl = _euclid_slots(p, 2 * n - 1)
+        _euclid(1, 2 * n - 2, *euclid_pack(f, sl), sl, quo=quo)
+        self.quo = _pack(quo[::-1], p, w)
         self.low = _pack(f[:n], p, w)
         self.off = _repeat(off, w, n)
         self.hi = 8 * w * n
         self.mid = 8 * w * max(n - 2, 0)
         self.lomask = (1 << self.hi) - 1
+        self.euclid = _euclid_slots(p, n + 1)
 
 
 def ring_p(m, p):
     """The ring GF(p)[x]/(m), for a list m of degree n >= 1 whose leading
     coefficient is nonzero mod p.  Its elements are ints of n slots of
-    `ring.w` bytes, each slot below p (`ring_pack`).  The last ring built
-    is kept, because a degree pattern asks for the ring of one modulus
-    three times in a row."""
+    `ring.w` bytes, each slot below p (`ring_pack`).  `ring.euclid` are
+    the slots of `_euclid` operands of degree up to n (`ring_euclid`).
+    The last ring built is kept, because a degree pattern asks for the
+    ring of one modulus three times in a row."""
     return _ring(tuple(m), p)
 
 
@@ -244,86 +223,195 @@ def poly_mulmod_p(a, b, ring):
                 ring)
 
 
-def poly_gcd_p(a, b, p):
-    """Monic gcd over GF(p) of two int-coefficient lists.
+# --- the remainder loop ------------------------------------------------
+#
+# Its operands are pairs (x, d): a polynomial of degree d packed top
+# first, the coefficient of x**(d - i) in slot i, so that the leading
+# coefficient is always slot 0; d is -1 for the zero polynomial (x = 0).
 
-    Euclid's algorithm on a and b packed into slots of `_gcd_bits(p)`
-    bits, whose coefficients grow unreduced.  Each step reads the exact
-    top slot t of the dividend, removes it, and adds (p - c) times the
-    rest of the divisor, c = t / lc(divisor) mod p, shifted under it; then
-    it drops every further top slot that is 0 mod p, so that each top slot
-    read is nonzero mod p.  The largest slot value of each operand is
-    tracked, and an operand is reduced by `_red` only when the next step
-    could pass 2**k.  A step that leaves anything at or above the top slot
-    it cleared raises ArithmeticError, so that a wrong slot bound cannot
-    keep the degree from falling and the loop always ends.
-    """
-    a = trim([x % p for x in a])
-    b = trim([x % p for x in b])
-    if len(a) < len(b):
-        a, b = b, a
-    if len(b) == 1:
-        return [1]
-    if not b:
-        return poly_monic_p(a, p) if a else []
-    sl = _Slots(p, _gcd_bits(p), len(a))
+def euclid_pack(a, sl):
+    """The list a, reduced mod p, as an operand (x, d) in the slots of sl,
+    a `_Slots` (`_euclid_slots`, or `ring.euclid` of a ring)."""
     w8 = 8 * sl.w
-    cap = 1 << sl.k
-    x, y = _pack(a, p, sl.w), _pack(b, p, sl.w)
-    dx, dy = len(a) - 1, len(b) - 1
-    t = a[-1]           # the top slot of x
-    bx = by = p - 1     # the largest slot value of x and of y
-    while dy:
-        ytop = y >> dy * w8
-        inv = pow(ytop, -1, p)
-        ylow = y ^ (ytop << dy * w8)
-        while dx >= dy:
-            if bx + (p - 1) * by >= cap:
-                if by >= p:
-                    y = _red(y, sl)
-                    by = p - 1
-                    ytop = y >> dy * w8
-                    ylow = y ^ (ytop << dy * w8)
-                if bx + (p - 1) * by >= cap:
-                    x = _red(x, sl)
-                    bx = p - 1
-                    t = x >> dx * w8
-            x ^= t << dx * w8
-            x += (p - t * inv % p) * ylow << (dx - dy) * w8
-            bx += (p - 1) * by
-            if x.bit_length() > dx * w8:
-                # a slot carried: only a wrong slot bound can do this
-                raise ArithmeticError("poly_gcd_p: slot %d not cleared mod %d"
-                                      % (dx, p))
-            while x:
-                dx = (x.bit_length() - 1) // w8
-                t = x >> dx * w8
-                if t % p:
-                    break
-                x ^= t << dx * w8
-            else:
-                return poly_monic_p(_unpack(y, dy + 1, sl.w, p), p)
-        x, y, dx, dy, bx, by = y, x, dy, dx, by, bx
-        t = ytop
-    return [1]
+    x = int.from_bytes(b"".join([(c % sl.p).to_bytes(sl.w, "big")
+                                 for c in a]), "big")
+    d = len(a) - 1 if x else -1
+    while d > 0 and not x & ((1 << w8) - 1):
+        x >>= w8
+        d -= 1
+    return x, d
+
+
+def _euclid_unpack(x, d, sl):
+    """The trimmed coefficient list of the operand (x, d), reduced mod p."""
+    w, p = sl.w, sl.p
+    z = x.to_bytes((d + 1) * w, "big")
+    return trim([int.from_bytes(z[i:i + w], "big") % p
+                 for i in range(0, len(z), w)])
+
+
+def ring_euclid(x, ring):
+    """The element x of ring = `ring_p(m, p)` as an operand in the slots
+    `ring.euclid`, with no unpacking: its slots in the opposite order, each
+    widened by leading zero bytes (the Euclid slots are the wider ones
+    for n < 2**15)."""
+    if not x:
+        return 0, -1
+    w = ring.w
+    d = (x.bit_length() - 1) // (8 * w)
+    z = x.to_bytes((d + 1) * w, "big")
+    pad = bytes(ring.euclid.w - w)
+    return int.from_bytes(pad.join([z[i - w:i]
+                                    for i in range(len(z), 0, -w)]), "big"), d
+
+
+@lru_cache(maxsize=256)
+def _euclid_slots(p, count):
+    """The `_Slots` of `_gcd_bits(p)` bits for `_euclid` operands of up
+    to count coefficients, rounded up to a power of two so that few slot
+    sets are built."""
+    return _Slots(p, _gcd_bits(p), 1 << max(count - 1, 1).bit_length())
 
 
 def _gcd_bits(p):
-    """k of the slots of `poly_gcd_p` mod p.  With a reduced divisor a
+    """k of the slots of `_euclid` mod p.  With a reduced divisor a
     step adds less than p**2 to a slot, so about 2**16 steps fit between
     two reductions; an unreduced divisor is reduced when it would not."""
     return 2 * p.bit_length() + 16
+
+
+def _euclid(x, dx, y, dy, sl, quo=None, res=None):
+    """Euclid's remainder sequence over GF(p) from the operands (x, dx) and
+    (y, dy) of the slots of sl: the one GF(p) division loop of the package.
+    Both have degree >= 0 (dx >= 0 unless quo is given), slots below p and
+    a leading coefficient nonzero mod p; sl holds max(dx, dy) + 1 slots
+    and 2**sl.k > p (p - 1).
+
+    A step reads the leading slot t of the dividend, adds p - c times the
+    divisor, c = t / lc(divisor) mod p, which makes that slot 0 mod p, and
+    shifts it out; then it shifts out every further leading slot that is 0
+    mod p.  The slots grow unreduced: the largest slot value of each
+    operand is tracked, and an operand is reduced by `_red` only when the
+    next step could reach 2**k.  A step that leaves its leading slot
+    nonzero mod p raises ArithmeticError: only a slot that carried, past a
+    wrong slot bound, can do that.
+
+    - With quo a list, x is divided by y once: the quotient's coefficients
+      are appended to quo, highest first, and the remainder (r, dr) is
+      returned, its slots not reduced.
+    - With res an int, the result is res * Res(x, y) mod p, by
+      Res(x, y) = (-1)**(dx*dy) lc(y)**(dx - dr) Res(y, r) for the
+      remainder r of degree dr, and Res(x, c) = c**dx for a constant c.
+    - Otherwise the result is the last nonzero remainder (g, dg), a gcd of
+      x and y, its slots reduced, not made monic.
+    """
+    p = sl.p
+    w8 = 8 * sl.w
+    mask = (1 << w8) - 1
+    cap = 1 << sl.k
+    bx = by = p - 1     # the largest slot value of x and of y
+    while True:
+        yl = y & mask
+        if not dy and quo is None:
+            return (1, 0) if res is None else res * pow(yl, dx, p) % p
+        inv = pow(yl, -1, p)
+        m = dx
+        grow = (p - 1) * by     # the most a step adds to a slot of x
+        while dx >= dy:
+            if bx + grow >= cap:
+                if by >= p:
+                    y = _red(y, sl)
+                    by = p - 1
+                    grow = (p - 1) ** 2
+                if bx + grow >= cap:
+                    x = _red(x, sl)
+                    bx = p - 1
+            c = (x & mask) * inv % p
+            if quo is not None:
+                quo.append(c)
+            x += (p - c) * y
+            bx += grow
+            if (x & mask) % p:
+                # a slot carried: only a wrong slot bound can do this
+                raise ArithmeticError("_euclid: slot of degree %d not "
+                                      "cleared mod %d" % (dx, p))
+            x >>= w8
+            dx -= 1
+            while dx >= 0 and not (x & mask) % p:
+                x >>= w8
+                dx -= 1
+                if quo is not None and dx >= dy - 1:
+                    quo.append(0)
+        if quo is not None:
+            return x, dx
+        if res is not None:
+            if dx < 0:
+                return 0
+            if m & dy & 1:
+                res = -res
+            res = res * pow(yl, m - dx, p) % p
+        elif dx < 0:
+            return (_red(y, sl) if by >= p else y), dy
+        x, y, dx, dy, bx, by = y, x, dy, dx, by, bx
+
+
+def euclid_gcd_p(a, b, sl):
+    """A gcd over GF(p), not made monic, of the operands a and b of the
+    slots of sl (`euclid_pack`, `ring_euclid`), as an operand."""
+    if b[1] < 0:
+        return a
+    if a[1] < 0:
+        return b
+    return _euclid(*a, *b, sl)
+
+
+def euclid_divmod_p(a, b, sl):
+    """(q, r) with a = q b + r over GF(p) and deg r < deg b, for operands a
+    and b (b nonzero) of the slots of sl, as operands."""
+    quo = []
+    r, dr = _euclid(*a, *b, sl, quo=quo)
+    return ((_pack(quo, sl.p, sl.w), len(quo) - 1),
+            (_red(r, sl) if dr >= 0 else 0, dr))
+
+
+def poly_gcd_p(a, b, p):
+    """Monic gcd over GF(p) of two int-coefficient lists, by `_euclid`."""
+    sl = _euclid_slots(p, max(len(a), len(b)))
+    g, d = euclid_gcd_p(euclid_pack(a, sl), euclid_pack(b, sl), sl)
+    if d < 0:
+        return []
+    return poly_monic_p(_euclid_unpack(g, d, sl), p) if d else [1]
+
+
+def poly_divmod_p(a, b, p):
+    """(q, r) with a = q b + r over GF(p) and deg r < deg b, for
+    int-coefficient lists, by `_euclid`.  ZeroDivisionError if b is empty;
+    ValueError if its leading coefficient is 0 mod p."""
+    if not b:
+        raise ZeroDivisionError("poly_divmod_p: division by the zero "
+                                "polynomial")
+    if not b[-1] % p:
+        raise ValueError("poly_divmod_p: leading coefficient of the "
+                         "divisor is 0 mod %d" % p)
+    sl = _euclid_slots(p, max(len(a), len(b)))
+    quo = []
+    r, dr = _euclid(*euclid_pack(a, sl), *euclid_pack(b, sl), sl, quo=quo)
+    return quo[::-1], _euclid_unpack(r, dr, sl)
+
+
+def poly_rem_p(a, m, p):
+    """Remainder of a modulo m over GF(p), by `poly_divmod_p`, which
+    raises ZeroDivisionError if m is empty and ValueError if its leading
+    coefficient is 0 mod p."""
+    return poly_divmod_p(a, m, p)[1]
 
 
 def poly_resultant_p(a, b, p):
     """Res(a, b) mod p: the Sylvester determinant, rows of a first, of a
     and b with their formal degrees len(a) - 1 and len(b) - 1, so that it
     equals the integer resultant reduced mod p even where a leading
-    coefficient vanishes mod p.  0 if a or b is empty.
-
-    A Euclidean remainder sequence: Res(a, b) = (-1)**(m*n) *
-    lc(b)**(m - deg r) * Res(b, r) for r = a mod b, m = deg a, n = deg b.
-    """
+    coefficient vanishes mod p.  0 if a or b is empty.  The remainder
+    sequence runs in `_euclid`."""
     m, n = len(a) - 1, len(b) - 1
     if m < 0 or n < 0:
         return 0
@@ -331,29 +419,20 @@ def poly_resultant_p(a, b, p):
         return pow(b[0], m, p)
     if m == 0:
         return pow(a[0], n, p)
-    a = trim([x % p for x in a])
-    b = trim([x % p for x in b])
-    da, db = len(a) - 1, len(b) - 1
+    sl = _euclid_slots(p, max(m, n) + 1)
+    x, da = euclid_pack(a, sl)
+    y, db = euclid_pack(b, sl)
     if da < 0 or db < 0 or (da < m and db < n):
         return 0      # a zero block of rows, or a zero first column
     # a formal degree above the true one mod p: expand along the columns
     # that the missing leading coefficients leave with one entry
+    mask = (1 << 8 * sl.w) - 1
     res = 1
     if da < m:
-        res = pow(b[db], m - da, p) * (-1 if (m - da) * n & 1 else 1)
+        res = pow(y & mask, m - da, p) * (-1 if (m - da) * n & 1 else 1)
     elif db < n:
-        res = pow(a[da], n - db, p)
-    while db:
-        r = poly_rem_p(a, b, p)
-        if not r:
-            return 0
-        if da & db & 1:
-            res = -res
-        res = res * pow(b[db], da - len(r) + 1, p) % p
-        a, b = b, r
-        da, db = db, len(r) - 1
-    return res * pow(b[0], da, p) % p
-
+        res = pow(x & mask, n - db, p)
+    return _euclid(x, da, y, db, sl, res=res)
 
 def poly_powmod_p(base, e, m, p):
     """base**e modulo (m, p) by left-to-right square and multiply in

@@ -4,9 +4,11 @@
 Python one.
 """
 
-from ._kernels import (frobenius_apply_p, frobenius_rows_p, poly_divmod_p,
+from ._kernels import (euclid_divmod_p, euclid_gcd_p, euclid_pack,
+                       frobenius_apply_p, frobenius_rows_p, poly_divmod_p,
                        poly_gcd_p, poly_monic_p, poly_mul, poly_mul_p,
                        poly_mulmod_p, poly_powmod_p, poly_rem_p,
-                       poly_resultant_p, ring_p, ring_pack, ring_unpack, trim)
+                       poly_resultant_p, ring_euclid, ring_p, ring_pack,
+                       ring_unpack, trim)
 
 BACKEND = "pure"

@@ -25,10 +25,11 @@ from itertools import islice
 from math import gcd as int_gcd, isqrt
 from typing import NamedTuple
 
-from .kernels import (frobenius_apply_p, frobenius_rows_p, poly_divmod_p,
-                      poly_gcd_p, poly_monic_p, poly_mul, poly_mul_p,
-                      poly_mulmod_p, poly_powmod_p, poly_resultant_p, ring_p,
-                      ring_pack, ring_unpack, trim)
+from .kernels import (euclid_divmod_p, euclid_gcd_p, euclid_pack,
+                      frobenius_apply_p, frobenius_rows_p, poly_gcd_p,
+                      poly_monic_p, poly_mul, poly_mul_p, poly_mulmod_p,
+                      poly_powmod_p, poly_resultant_p, ring_euclid, ring_p,
+                      ring_pack, trim)
 
 NEG_INF = float("-inf")
 
@@ -1099,9 +1100,11 @@ def modp_degree_pattern(f, p):
     once by `poly_powmod_p`, the rows x**(i*p) mod f are built from it
     once, and each further degree step applies them.  The factors
     x**(p**d) - x of P are packed into the ring `ring_p(f, p)` and
-    multiplied there without unpacking (packed Barrett products); P is
-    unpacked only for its gcd with v, and a factor only when the block
-    is split.
+    multiplied there without unpacking (packed Barrett products).  v, P,
+    the block gcds and the factors of a split block stay packed, as
+    operands of the ring's remainder loop (`ring_euclid`), for the gcds
+    and the exact division of v (`euclid_gcd_p`, `euclid_divmod_p`); only
+    their degrees are read.
 
     Degree patterns at several primes also prove irreducibility over Q
     (Musser, J. ACM 25 (1978)): the degrees of a factor over Q add up, at
@@ -1115,13 +1118,15 @@ def modp_degree_pattern(f, p):
         return BAD_PRIME
     if f.degree < 1:
         return []
-    v = m = poly_monic_p(f.c, p)
+    m = poly_monic_p(f.c, p)
     ring = ring_p(m, p)
+    sl = ring.euclid
+    v = euclid_pack(m, sl)
     pattern = []
     xp = poly_powmod_p([0, 1], p, m, p)  # running x**(p**d) mod m
     d0 = 1
-    while 2 * d0 <= len(v) - 1:
-        d1 = min(2 * d0 - 1, (len(v) - 1) // 2)
+    while 2 * d0 <= v[1]:
+        d1 = min(2 * d0 - 1, v[1] // 2)
         diffs = []  # x**(p**d) - x for d in [d0, d1], packed in the ring
         for d in range(d0, d1 + 1):
             if d == 2:
@@ -1134,21 +1139,21 @@ def modp_degree_pattern(f, p):
         prod = diffs[0]
         for diff in diffs[1:]:
             prod = poly_mulmod_p(prod, diff, ring)
-        g = poly_gcd_p(ring_unpack(prod, ring), v, p)
-        if len(g) > 1:
-            splits = list(islice(_part_lists(len(g) - 1, d0, d1), 2))
+        g = euclid_gcd_p(ring_euclid(prod, ring), v, sl)
+        if g[1] > 0:
+            splits = list(islice(_part_lists(g[1], d0, d1), 2))
             if len(splits) == 1:
                 pattern += splits[0]
             else:
                 for d, diff in zip(range(d0, d1 + 1), diffs):
-                    diff = ring_unpack(diff, ring)
-                    pattern += [d] * ((len(poly_gcd_p(diff, g, p)) - 1) // d)
-            v, rem = poly_divmod_p(v, g, p)
-            if rem:
+                    dg = euclid_gcd_p(ring_euclid(diff, ring), g, sl)[1]
+                    pattern += [d] * (dg // d)
+            v, rem = euclid_divmod_p(v, g, sl)
+            if rem[1] >= 0:
                 raise ExactError("non-exact division mod p")
         d0 = d1 + 1
-    if len(v) > 1:
-        pattern.append(len(v) - 1)
+    if v[1] > 0:
+        pattern.append(v[1])
     return sorted(pattern)
 
 

@@ -173,6 +173,15 @@ def test_divmod_p_edge_cases(mod):
         mod.poly_divmod_p([1, 2, 3], [1, 5], 5)
 
 
+def test_divmod_p_rejects_the_zero_divisor(mod):
+    # as UniPoly.divexact(0) does
+    for a in ([], [1], [3, 0, 2]):
+        with pytest.raises(ZeroDivisionError):
+            mod.poly_divmod_p(a, [], 7)
+        with pytest.raises(ZeroDivisionError):
+            mod.poly_rem_p(a, [], 7)
+
+
 @settings(max_examples=60, deadline=None)
 @given(a=coeffs, m=coeffs, p=primes)
 def test_rem_p_matches_reference(mod, a, m, p):
@@ -506,6 +515,109 @@ def test_gcd_p_raises_when_a_slot_overflows(mod, p, monkeypatch):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert raised or p == 2   # GF(2) slots do not overflow on these cases
+
+
+# --- the remainder loop on vanishing slots -------------------------------
+
+EUCLID_PRIMES = [2, 3, 101, 65521, 2 ** 61 - 1]
+
+
+def vanishing(p, max_size=10):
+    """Coefficient lists whose entries are often nonzero multiples of p,
+    so that leading coefficients vanish mod p and a step leaves chains of
+    top slots that are 0 mod p."""
+    return st.lists(st.one_of(st.integers(-3, 3).map(lambda j: j * p),
+                              st.integers(-3 * p, 3 * p)), max_size=max_size)
+
+
+def nonzero_lead(p):
+    """A leading coefficient that is nonzero mod p."""
+    return st.tuples(st.integers(1, p - 1), st.integers(-3, 3)).map(
+        lambda t: t[0] + t[1] * p)
+
+
+def ref_add(a, b):
+    n = max(len(a), len(b))
+    return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+            for i in range(n)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), p=st.sampled_from(EUCLID_PRIMES))
+def test_divmod_p_matches_reference_on_vanishing_slots(mod, data, p):
+    b = data.draw(vanishing(p)) + [data.draw(nonzero_lead(p))]
+    if data.draw(st.booleans()):
+        # a = c x**s b + r with deg r < deg b: the first step clears all of
+        # c x**s b, and the loop then drops a chain of vanishing top slots
+        s = data.draw(st.integers(0, 6))
+        r = data.draw(vanishing(p, len(b) - 1))
+        a = ref_add(ref_mul([0] * s + [data.draw(nonzero_lead(p))], b), r)
+    else:
+        a = data.draw(vanishing(p, 16))
+    q, r = mod.poly_divmod_p(list(a), list(b), p)
+    assert (q, r) == ref_divmod_p(a, b, p)
+    assert mod.poly_rem_p(list(a), list(b), p) == r
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), p=st.sampled_from(EUCLID_PRIMES))
+def test_gcd_p_matches_reference_on_vanishing_slots(mod, data, p):
+    g = data.draw(vanishing(p, 4))
+    a = ref_mul(data.draw(vanishing(p)), g) if g else data.draw(vanishing(p))
+    b = ref_mul(data.draw(vanishing(p)), g) if g else data.draw(vanishing(p))
+    want = ref_gcd_p(a, b, p)
+    assert mod.poly_gcd_p(list(a), list(b), p) == want
+    assert mod.poly_gcd_p(list(b), list(a), p) == want
+
+
+@pytest.mark.parametrize("p", EUCLID_PRIMES)
+def test_packed_operands_match_the_list_kernels(mod, p):
+    # A ring element moved into the Euclid slots with no unpacking is the
+    # operand packed from its list; gcd and division on packed operands
+    # agree with the reference.
+    rng = random.Random(p)
+    for n in (2, 3, 9, 30, 70):
+        m = [rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)]
+        ring = mod.ring_p(m, p)
+        sl = ring.euclid
+        for a in ([], [0, 1], [p - 1] * n,
+                  [rng.randrange(p) for _ in range(rng.randrange(n + 1))]):
+            a = mod.trim(list(a))
+            x = mod.ring_euclid(mod.ring_pack(a, ring), ring)
+            assert x == mod.euclid_pack(a, sl), (n, a)
+            g, dg = mod.euclid_gcd_p(x, mod.euclid_pack(m, sl), sl)
+            want = ref_gcd_p(a, m, p)
+            assert dg == len(want) - 1 and (dg < 0 or mod.poly_monic_p(
+                mod._euclid_unpack(g, dg, sl), p) == want), (n, a)
+            if dg >= 0:
+                (q, dq), (r, dr) = mod.euclid_divmod_p(
+                    mod.euclid_pack(m, sl), (g, dg), sl)
+                assert dr == -1 and r == 0
+                assert mod._euclid_unpack(q, dq, sl) == ref_divmod_p(
+                    m, mod._euclid_unpack(g, dg, sl), p)[0]
+
+
+@pytest.mark.parametrize("p", EUCLID_PRIMES)
+def test_division_and_resultant_raise_on_a_carry(mod, p):
+    # The loop is told that every slot is below p, but the dividend's
+    # leading slot holds a value so close to the top of its w bytes that
+    # the first step carries out of it: in a division and in a resultant
+    # the slot it should clear is left nonzero mod p, which raises.  Over
+    # GF(2) the carry 2**(8w) is 0 mod 2, so it goes unseen there.
+    sl = mod._euclid_slots(p, 8)
+    top = 2 ** (8 * sl.w)
+    y, dy = mod.euclid_pack([1, 1, p - 1], sl)     # lc(y) = p - 1
+    # the step adds (p - c) (p - 1) to t, where c = t / (p - 1) mod p
+    t = next(t for t in range(top - 1, 0, -1)
+             if t % p and t + (p - t * pow(p - 1, -1, p) % p) * (p - 1) >= top)
+    x, dx = mod.euclid_pack([1, 2, 3], sl)
+    x, dx = (x << 8 * sl.w) + t, dx + 1
+    for kw in ({"quo": []}, {"res": 1}):
+        if p == 2:
+            mod._euclid(x, dx, y, dy, sl, **kw)
+        else:
+            with pytest.raises(ArithmeticError):
+                mod._euclid(x, dx, y, dy, sl, **kw)
 
 
 def test_zero_leading_coefficient_mod_p_raises(mod):

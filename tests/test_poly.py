@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bridgevar import poly
 from bridgevar.kernels import (poly_gcd_p, poly_mul, poly_mul_p, poly_rem_p,
@@ -526,6 +526,34 @@ def test_resultant_p_matches_sylvester(p):
     assert poly_resultant_p([], [1, 2], p) == 0
 
 
+def resultant_operands(p):
+    """(p, a, b) with entries, leading ones too, that are often nonzero
+    multiples of p."""
+    entry = st.one_of(st.integers(-3, 3).map(lambda j: j * p),
+                      st.integers(-3 * p, 3 * p))
+    lead = st.one_of(st.integers(1, 3).map(lambda j: j * p),
+                     st.integers(1, 3 * p)).flatmap(
+                         lambda v: st.sampled_from([v, -v]))
+    poly = st.tuples(st.lists(entry, max_size=7), lead).map(
+        lambda t: t[0] + [t[1]])
+    return st.tuples(st.just(p), poly, poly)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 101, 65521, 2 ** 61 - 1]).flatmap(
+    resultant_operands))
+# the column expansion, by lc(b)**(m - deg a) with its sign and by
+# lc(a)**(n - deg b)
+@example((101, [3, 7, 202], [5, 2, 9, 4]))
+@example((101, [3, 7, 2, 5], [5, 4, 303]))
+def test_resultant_p_matches_sylvester_on_vanishing_slots(case):
+    # Formal degrees above the degree mod p (the column expansion when one
+    # leading coefficient vanishes, 0 when both do) and chains of top
+    # slots that vanish inside the remainder sequence.
+    p, a, b = case
+    assert poly_resultant_p(a, b, p) == int(sylvester_resultant(a, b)) % p
+
+
 @pytest.mark.parametrize("p", [101, 2 ** 61 - 1])
 def test_resultant_mod_p_matches_exact_resultant(p):
     rng = random.Random(p)
@@ -616,7 +644,8 @@ def test_modp_pattern_refuses_a_non_exact_quotient(monkeypatch):
     # would be a broken kernel and raises
     f = (U - 1) * (U - 2) * (U ** 2 + 1)
     assert modp_degree_pattern(f, 7) == [1, 1, 2]
-    monkeypatch.setattr(poly, "poly_divmod_p", lambda a, b, p: ([], [1]))
+    monkeypatch.setattr(poly, "euclid_divmod_p",
+                        lambda a, b, sl: ((0, -1), (1, 0)))
     with pytest.raises(ExactError, match="non-exact division mod p"):
         modp_degree_pattern(f, 7)
 
