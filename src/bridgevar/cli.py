@@ -95,6 +95,56 @@ def _usable_cores():
     return os.cpu_count() or 1
 
 
+def _forked_rows(reps, procs):
+    """The rows of `reps`, in order, from `procs` processes: this one and
+    procs - 1 children forked before any row is computed.  Pair i is in
+    share i mod procs; this process computes share 0, and each child
+    pickles the rows of its share to it through a pipe (pickled, so that
+    a row may carry more than its JSON fields).  The rows of a child that
+    dies or exits nonzero are error rows naming its exit status."""
+    import pickle
+    shares = [reps[i::procs] for i in range(procs)]
+    children = []
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                # os._exit on every path: the child flushes none of the
+                # buffers it inherited, such as stdout or --out
+                code = 1
+                try:
+                    os.close(r)
+                    with open(w, "wb") as fh:
+                        pickle.dump([_sweep_row(p) for p in share], fh)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            children.append((pid, open(r, "rb")))
+        rows = [None] * len(reps)
+        rows[::procs] = [_sweep_row(p) for p in shares[0]]
+        for i, share in enumerate(shares[1:], 1):
+            pid, fh = children[0]
+            with fh:
+                data = fh.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            if code == 0:
+                rows[i::procs] = pickle.loads(data)
+            else:
+                e = ChildProcessError(
+                    "worker process killed by signal %d" % -code if code < 0
+                    else "worker process exited with status %d" % code)
+                rows[i::procs] = [_error_row(k, l, e) for k, l in share]
+        return rows
+    finally:
+        for pid, fh in children:
+            fh.close()
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+
+
 def cmd_sweep(args):
     if args.kmax < 2 or args.lmax < 2:
         raise ExactError("sweep bounds must be >= 2")
@@ -114,15 +164,12 @@ def cmd_sweep(args):
     except OSError as e:
         raise ValueError("cannot write %s: %s" % (args.out, e.strerror))
     try:
-        # The pool forks all its workers up front: no more than the cores
-        # or the knots.
+        # All the processes start up front: no more than the cores or the
+        # knots.
         cpus = _usable_cores()
         jobs = min(args.jobs or cpus, cpus, len(reps))
-        if jobs > 1:
-            # Imported here: the pool modules add ~30 ms to every start-up.
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                computed = list(pool.map(_sweep_row, reps, chunksize=8))
+        if jobs > 1 and hasattr(os, "fork"):
+            computed = _forked_rows(reps, jobs)
         else:
             computed = [_sweep_row(p) for p in reps]
         row_of = dict(zip(reps, computed))
@@ -259,7 +306,8 @@ def _common_options(suppress):
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON", **kw)
     common.add_argument("--jobs", type=_positive_int,
-                        help="worker processes for sweeps", **kw)
+                        help="processes for sweeps, this one included",
+                        **kw)
     common.add_argument("--seed", help="seed label for randomized spot checks "
                                        "(BRIDGEVAR_SEED overrides)", **kw)
     return common

@@ -6,14 +6,15 @@ parsed output checked against the library API directly.  Degree-pattern
 witnesses are recomputed by the distinct-degree oracle of test_poly.
 """
 
-import concurrent.futures
 import gc
 import hashlib
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 
@@ -641,8 +642,8 @@ def test_sweep_rows_agree_across_a_two_bridge_class():
 
 
 def test_commands_without_a_pool_do_not_load_one():
-    # the pool modules cost start-up time: only a sweep that runs more
-    # than one worker may import them
+    # the pool modules cost start-up time and no command needs them: a
+    # sweep forks its own processes
     src = Path(cli.__file__).resolve().parents[1]
     code = (
         "import sys\n"
@@ -650,6 +651,7 @@ def test_commands_without_a_pool_do_not_load_one():
         "build_parser()\n"
         "main(['analyze', '-k', '4', '-l', '-6'])\n"
         "main(['sweep', '--kmax', '2', '--lmax', '2', '--jobs', '1'])\n"
+        "main(['sweep', '--kmax', '2', '--lmax', '2', '--jobs', '2'])\n"
         "print(sorted(m for m in sys.modules\n"
         "             if m.startswith(('concurrent', 'multiprocessing'))),\n"
         "      file=sys.stderr)\n")
@@ -662,26 +664,15 @@ def test_commands_without_a_pool_do_not_load_one():
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """A pool forks every worker up front; the fake records its size and
-    maps serially, so that no process starts."""
+    """A sweep forks all its processes up front; the fake records their
+    count and maps serially, so that no process starts."""
     sizes = []
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def serial_rows(reps, procs):
+        sizes.append(procs)
+        return [cli._sweep_row(p) for p in reps]
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-    # cmd_sweep imports the pool class when it needs one, so the fake
-    # replaces it where that import reads it
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli, "_forked_rows", serial_rows)
     return sizes
 
 
@@ -728,14 +719,80 @@ def test_sweep_projects_each_row_from_its_orbit(capsys, kmax, lmax):
             assert "same_knot_as" not in by_kl[rep]
 
 
-def test_sweep_projection_is_the_same_in_a_pool(tmp_path, capsys):
-    # 19 knots make three chunks of 8, so both workers compute some
-    serial, parallel = tmp_path / "s.jsonl", tmp_path / "p.jsonl"
-    for jobs, path in (("1", serial), ("2", parallel)):
-        code, _, _ = run(capsys, "sweep", "--kmax", "4", "--lmax", "4",
-                         "--jobs", jobs, "--out", str(path))
-        assert code == 0
-    assert serial.read_bytes() == parallel.read_bytes()
+def test_sweep_projection_is_the_same_in_a_pool(monkeypatch, capsys):
+    # with --jobs 3 this process reads two pipes; --jobs 2 runs in a fresh
+    # interpreter with warnings as errors, where Python 3.12 and later warn
+    # of a fork in a process that has threads
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 3)
+    argv = ["sweep", "--kmax", "6", "--lmax", "6", "--jobs"]
+    serial = run(capsys, *argv, "1")
+    assert serial[0] == 0 and "0 with failures" in serial[2]
+    assert run(capsys, *argv, "3") == serial
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-c",
+         "import sys; from bridgevar.cli import main; sys.exit(main())",
+         *argv, "2"],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert (done.returncode, done.stdout, done.stderr) == serial
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("die,error", [
+    (lambda: os._exit(3), "exited with status 3"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal 9")])
+def test_sweep_rows_of_a_dead_worker_are_errors(monkeypatch, capsys, die,
+                                                error):
+    # a child that dies before it sends its rows turns the rows of its
+    # share, and their projections, into error rows: exit 1, no hang, and
+    # no child left behind
+    parent = os.getpid()
+
+    def dying_row(pair):
+        if os.getpid() != parent:
+            die()
+        return sweep_row(pair)
+
+    sweep_row = cli._sweep_row
+    monkeypatch.setattr(cli, "_sweep_row", dying_row)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    code, out, err = run(capsys, "sweep", "--kmax", "2", "--lmax", "2",
+                         "--jobs", "2")
+    assert code == 1
+    rows = [json.loads(line) for line in out.splitlines()]
+    reps = [(r["k"], r["l"]) for r in rows if "same_knot_as" not in r]
+    dead = set(reps[1::2])
+    for row in rows:
+        rep = tuple(row.get("same_knot_as", (row["k"], row["l"])))
+        if rep in dead:
+            assert row["error"] == "ChildProcessError: worker process " + error
+        else:
+            assert "error" not in row
+    failed = sum("error" in row for row in rows)
+    assert failed > len(dead) == 3
+    assert "21 rows from 7 knots, %d with failures" % failed in err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_sweep_interrupted_in_this_process_kills_its_children(monkeypatch):
+    parent = os.getpid()
+
+    def row(pair):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    monkeypatch.setattr(cli, "_sweep_row", row)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 3)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        main(["sweep", "--kmax", "2", "--lmax", "2", "--jobs", "3"])
+    assert time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("bound,calls,rows", [(2, 7, 21), (4, 19, 65)])
