@@ -57,9 +57,8 @@ def test_criterion_01_polynomial_identities():
 
 def test_criterion_02_trace_formula_oracle():
     t0 = time.perf_counter()
-    ok = all(trace_formula_check(k, 50, seed="acceptance")
-             for k in range(-9, 10))
-    verdict(2, "trace closed form == matrix traces, |k| <= 9, 50 samples",
+    ok = all(trace_formula_check(k) for k in range(-9, 10))
+    verdict(2, "trace closed form == matrix traces, |k| <= 9, exact",
             ok, time.perf_counter() - t0, 10)
 
 

@@ -525,7 +525,7 @@ def test_cli_verify_suites_pass(capsys):
     assert "FAIL" not in out and "pass" in out
 
     code, out, _ = run(capsys, "verify", "riley", "--kmax", "3",
-                       "--nmax", "2", "--seed", "7")
+                       "--nmax", "2")
     assert code == 0 and "FAIL" not in out
 
 
@@ -536,8 +536,8 @@ def test_cli_verify_json(capsys, monkeypatch):
     data = json.loads(out)
     assert data["ok"] is True
     assert [c["name"] for c in data["checks"]] == [
-        "trace closed form |k|<=2", "word-vs-matrix and normal-form grid",
-        "vanishing-ideal generator spot checks"]
+        "trace identity |k|<=2", "word-vs-matrix and normal-form grid",
+        "vanishing-ideal identity grid"]
     assert all(c["ok"] is True for c in data["checks"])
 
     monkeypatch.setattr(cli, "trace_formula_check", lambda *a, **kw: False)
@@ -556,17 +556,20 @@ def test_cli_common_options_before_or_after_the_command(capsys, argv):
     assert before == run(capsys, *argv, "--json")
     assert before[0] == 0
     json.loads(before[1])
-    args = cli.build_parser().parse_args(["--jobs", "3", "--seed", "s", *argv])
-    assert (args.json, args.jobs, args.seed) == (False, 3, "s")
+    args = cli.build_parser().parse_args(["--jobs", "3", *argv])
+    assert (args.json, args.jobs) == (False, 3)
     args = cli.build_parser().parse_args(["--jobs", "3", *argv, "--jobs", "4"])
-    assert (args.jobs, args.seed) == (4, None)
+    assert args.jobs == 4
 
 
-def test_cli_verify_seed_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("BRIDGEVAR_SEED", "override-seed")
-    code, out, _ = run(capsys, "verify", "riley", "--kmax", "2",
-                       "--nmax", "1")
-    assert code == 0 and "FAIL" not in out
+def test_cli_seed_option_is_gone(capsys):
+    # every check is exact: there is nothing to seed
+    for argv in (("--seed", "7", "verify", "riley"),
+                 ("verify", "riley", "--seed", "7")):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "bridgevar: error:" in capsys.readouterr().err
 
 
 # --- sweep ----------------------------------------------------------------------
@@ -692,7 +695,7 @@ def test_sweep_pool_is_capped_at_the_knot_count(monkeypatch, capsys,
     monkeypatch.setattr(cli, "_usable_cores", lambda: 64)
     code, _, err = run(capsys, "sweep", "--kmax", "2", "--lmax", "2")
     assert code == 0 and pool_sizes == [7]
-    assert "21 rows from 7 knots, 0 with failures" in err
+    assert "21 rows from 7 orbits, 0 with failures" in err
 
 
 @pytest.mark.parametrize("kmax,lmax", [(6, 4), (4, 6)])
@@ -700,7 +703,7 @@ def test_sweep_projects_each_row_from_its_orbit(capsys, kmax, lmax):
     # with lmax > kmax the orbit's least pair can lie out of range
     code, out, err = run(capsys, "sweep", "--kmax", str(kmax),
                          "--lmax", str(lmax), "--jobs", "1")
-    assert code == 0 and "93 rows from 33 knots" in err
+    assert code == 0 and "93 rows from 33 orbits" in err
     rows = [json.loads(line) for line in out.splitlines()]
     by_kl = {(r["k"], r["l"]): r for r in rows}
     assert len(by_kl) == len(rows) == 93
@@ -772,7 +775,7 @@ def test_sweep_rows_of_a_dead_worker_are_errors(monkeypatch, capsys, die,
             assert "error" not in row
     failed = sum("error" in row for row in rows)
     assert failed > len(dead) == 3
-    assert "21 rows from 7 knots, %d with failures" % failed in err
+    assert "21 rows from 7 orbits, %d with failures" % failed in err
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

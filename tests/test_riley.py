@@ -8,7 +8,10 @@ random (lambda, r) samples completely independently of the packed
 machinery, and every symbolic claim is compared against those numbers;
 the packed word evaluation, decoded through `_digits`, is also compared
 entry by entry with the general product, and the packed closed form and
-int-row rewrite with their BiPoly versions.
+int-row rewrite with their BiPoly versions.  The two exact identity
+checks are compared with oracles that decode: the trace identity at
+random points in Fractions, and Riley's ideal identity on decoded
+Laurent entries, with and without planted defects.
 """
 
 import hashlib
@@ -19,10 +22,9 @@ import pytest
 
 from bridgevar import riley
 from bridgevar.poly import BiPoly, ExactError, UniPoly
-from bridgevar.riley import (TraceSubringError, _Slots, _digits,
-                             _rand_fraction, _row_pass, _slot_bytes,
-                             _slots, _taylor_at_2, _to_ry,
-                             eval_word, ideal_generator_check,
+from bridgevar.riley import (TraceSubringError, _Slots, _digits, _pack,
+                             _row_pass, _slot_bytes, _slots, _taylor_at_2,
+                             _to_ry, eval_word, ideal_generator_check,
                              normalize_unit, riley_poly_J,
                              riley_poly_matrix, riley_poly_pq, schubert_word,
                              trace_formula_check, trace_wk, w_k_word,
@@ -191,9 +193,16 @@ def laurent_to_ry_bipoly(F):
     return out
 
 
+def _rand_fraction(rng, nonzero=False, exclude=()):
+    while True:
+        q = Fraction(rng.randint(-100, 100), rng.randint(1, 100))
+        if not (nonzero and q == 0) and q not in exclude:
+            return q
+
+
 def fraction_trace_formula_check(k, samples, seed=""):
-    """trace_formula_check in Fractions: the same random points, the rows
-    of L^N tr W_k at r0 times lam^(2e - N) against riley.trace_wk(k) at
+    """The trace identity at random points in Fractions: the rows of
+    L^N tr W_k at r0 times lam^(2e - N) against riley.trace_wk(k) at
     (r0, lam^2 + lam^-2)."""
     pw = eval_word(w_k_word(k))
     N = pw.slots.letters
@@ -209,6 +218,22 @@ def fraction_trace_formula_check(k, samples, seed=""):
         if got != closed.eval_point(r0, y0):
             return False
     return True
+
+
+def ideal_identity_oracle(k, n):
+    """Riley's identity A W - W B = [[0, F], [(r - 2) F, 0]] on decoded
+    Laurent entries: W = W_k^n from eval_word, decoded, times the
+    generators by the general product, and F = riley.riley_poly_J(k, n)
+    expanded at y = L^2 + L^-2."""
+    W = decoded_word(word_power(w_k_word(k), n))
+    D = tuple(lp_add(x, lp_neg(y))
+              for x, y in zip(mat_mul(GENERATORS["a"], W),
+                              mat_mul(W, GENERATORS["b"])))
+    F, yj = ZERO, ONE
+    for fj in riley.riley_poly_J(k, n).cs:
+        F = lp_add(F, lp_mul(yj, {0: fj}))
+        yj = lp_mul(yj, {2: R1, -2: R1})
+    return D == (ZERO, F, lp_mul({0: R - 2}, F), ZERO)
 
 
 def sample_points(n, tag):
@@ -444,44 +469,65 @@ def test_laurent_to_ry_matches_bipoly_sum():
         assert _to_ry(z, s) == laurent_to_ry_bipoly(F), (k, n)
 
 
-def test_trace_formula_check_runs_and_seeds_differ():
-    assert trace_formula_check(5, 10)
-    assert trace_formula_check(5, 10, seed="other")
-    with pytest.raises(ExactError):
-        trace_formula_check(5, 0)
+def test_trace_formula_check_ignores_samples_and_seed():
+    # trace_formula_check(k, 1, seed=label) is the call of the riley
+    # benchmark workload; both arguments are ignored
+    for k in range(-8, 9):
+        if abs(k) >= 2:
+            assert trace_formula_check(k, 1, seed="0000002a-"), k
+            assert trace_formula_check(k, 1, seed="other"), k
+    assert trace_formula_check(5) and trace_formula_check(5, 0)
+
+
+def test_trace_formula_check_holds_at_the_edges():
+    # w_0 is the empty word (N = 0) and w_{+-1} have two letters
+    for k in range(-30, 31):
+        assert trace_formula_check(k), k
+
+
+def _coeffs_plus_one(at):
+    real = riley._trace_coeffs
+
+    def changed(k):
+        c = list(real(k))
+        c[at] += 1
+        return tuple(c)
+    changed.__name__ = "coefficient %d plus one" % at
+    return changed
 
 
 def test_trace_formula_check_fails_on_a_wrong_closed_form(monkeypatch):
-    real = riley.trace_wk
-    monkeypatch.setattr(riley, "trace_wk", lambda k: real(k) + 1)
-    assert not trace_formula_check(5, 3)
-    assert not trace_formula_check(-2, 3)
+    monkeypatch.setattr(riley, "_trace_coeffs", _coeffs_plus_one(0))
+    assert not trace_formula_check(5)
+    assert not trace_formula_check(-2)
 
 
-def test_integer_spot_check_matches_fraction_oracle(monkeypatch):
-    real = riley.trace_wk
-
-    def plus_one(k):
-        return real(k) + 1
-
-    def one_r_coefficient_changed(k):
-        # the top coefficient in r of y^0, plus 1: its r-degree is that
-        # of tr W_k, so the scaling must cover it
-        cs = list(real(k).cs)
-        cs[0] = cs[0] + R ** cs[0].degree
-        return BiPoly(cs, "y", "r")
-
+def test_exact_trace_check_matches_fraction_oracle(monkeypatch):
+    # the top coefficient changed keeps the r-degree of the closed form,
+    # so the slot check passes it and the packed comparison must fail it
     ks = [k for k in range(-12, 13) if abs(k) >= 2]
-    for closed in (real, plus_one, one_r_coefficient_changed):
-        monkeypatch.setattr(riley, "trace_wk", closed)
-        verdicts = []
+    real = riley._trace_coeffs
+    for coeffs in (real, _coeffs_plus_one(0), _coeffs_plus_one(-1)):
+        monkeypatch.setattr(riley, "_trace_coeffs", coeffs)
         for k in ks:
-            for seed in range(50):
-                got = trace_formula_check(k, 2, seed=str(seed))
-                assert got == fraction_trace_formula_check(
-                    k, 2, seed=str(seed)), (closed.__name__, k, seed)
-                verdicts.append(got)
-        assert all(verdicts) == (closed is real), closed.__name__
+            got = trace_formula_check(k)
+            assert got == fraction_trace_formula_check(k, 3, "oracle"), \
+                (coeffs.__name__, k)
+            assert got == (coeffs is real), (coeffs.__name__, k)
+
+
+def test_trace_check_refuses_a_coefficient_beyond_its_slot(monkeypatch):
+    # c_0 + 2**(8w) and c_1 - 1 pack to the same int as c_0 and c_1, so
+    # only the slot range check tells the wrong closed form apart
+    real = riley._trace_coeffs
+    for k in (5, -4, 8):
+        w = eval_word(w_k_word(k)).slots.w
+        c = list(real(k))
+        c[0] += 1 << 8 * w
+        c[1] -= 1
+        assert _pack(c, w) == _pack(real(k), w)
+        monkeypatch.setattr(riley, "_trace_coeffs", lambda _, c=tuple(c): c)
+        assert not trace_formula_check(k), k
 
 
 # --- Riley polynomial, three ways ----------------------------------------
@@ -551,9 +597,24 @@ def test_riley_pq_figure_eight_frozen():
 
 
 def test_ideal_generator_check_spot():
-    assert ideal_generator_check(2, 1, 4)
-    assert ideal_generator_check(3, -2, 4)
-    assert ideal_generator_check(-4, 2, 3, seed="x")
+    # edge cells: w_0 is the empty word, w_{+-1} have two letters, and
+    # W_k^0 is the identity, with F = 1
+    for k, n in ((0, 1), (1, 3), (-1, -2), (5, 0), (2, 1), (24, -3)):
+        assert ideal_generator_check(k, n), (k, n)
+
+
+def test_ideal_identity_matches_decoded_laurent_oracle(monkeypatch):
+    cells = [(k, n) for k in range(-6, 7) if abs(k) >= 2
+             for n in range(-3, 4) if n]
+    assert len(cells) == 60
+    real = riley.riley_poly_J
+    for F in (real, lambda k, n: -real(k, n),
+              lambda k, n: real(k, n) + BiPoly.from_inner(R, "y")):
+        monkeypatch.setattr(riley, "riley_poly_J", F)
+        for k, n in cells:
+            got = ideal_generator_check(k, n)
+            assert got == ideal_identity_oracle(k, n), (k, n)
+            assert got == (F is real), (k, n)
 
 
 def test_ideal_generator_check_fails_on_a_wrong_generator(monkeypatch):
@@ -561,8 +622,8 @@ def test_ideal_generator_check_fails_on_a_wrong_generator(monkeypatch):
     r_minus_5 = BiPoly.from_inner(R - 5, "y")
     monkeypatch.setattr(riley, "riley_poly_J",
                         lambda k, n: real(k, n) * r_minus_5)
-    assert not ideal_generator_check(2, 1, 4)
-    assert not ideal_generator_check(3, -2, 4)
+    assert not ideal_generator_check(2, 1)
+    assert not ideal_generator_check(3, -2)
 
 
 def test_riley_outputs_are_pinned():
