@@ -23,15 +23,14 @@ from .seq import (big_f, big_g, big_h, delta, f_poly, g_poly,
                   identity_suite, phi, psi)
 from .riley import (ideal_generator_check, normalize_unit, riley_poly_J,
                     riley_poly_matrix, riley_poly_pq, schubert_word,
-                    trace_formula_check, trace_wk)
-from .curves import (CurveModel, c_model, d_model, d_split,
-                     sigma_containment_check, special_points_check, x_model)
+                    trace_formula_check)
+from .curves import CurveModel, c_model, d_model, d_split
 from .geometry import (component_count, genus_X, genus_Y,
                        infinity_transversality, odd_point_report,
                        smoothness_certificate)
 from .newton import (GAUSS_INT, INFINITY, ROOT_THREE, binom_check,
                      complexabs_check, expected_vertices, lemma_polynomial,
-                     polygon, root_valuations, val_quad, val_rat)
+                     polygon, val_quad, val_rat)
 from .knotprops import (HYPERBOLIC, NOT_A_KNOT, TORUS_NONHYPERBOLIC, TREFOIL,
                         UNKNOT, alexander, classify,
                         commensurability_certificate, fourplat_sequence,
@@ -55,9 +54,8 @@ __all__ = [
     "normalize_knot", "normalize_unit", "odd_point_report", "parse_poly",
     "phi", "poly_gcd", "polygon", "psi",
     "rational_roots", "render_text", "resultant", "riley_poly_J",
-    "riley_poly_matrix", "riley_poly_pq", "root_valuations",
-    "schubert_word", "sigma_containment_check", "smoothness_certificate",
-    "special_points_check", "squarefree_part", "to_json",
+    "riley_poly_matrix", "riley_poly_pq", "schubert_word",
+    "smoothness_certificate", "squarefree_part", "to_json",
     "trace_field_poly", "trace_field_report", "trace_formula_check",
-    "trace_wk", "two_bridge_params", "val_quad", "val_rat", "x_model",
+    "two_bridge_params", "val_quad", "val_rat",
 ]

@@ -67,7 +67,7 @@ def affine_singular_locus(F, delta_r=None):
     # In characteristic 0, Res_t(F, F_t) = 0 exactly when F has a repeated
     # factor of positive t-degree; repeated factors in r alone divide the
     # content, checked above.
-    if resultant(F, F.deriv_outer(), F.outer).is_zero:
+    if resultant(F, F.deriv_outer()).is_zero:
         raise ExactError("non-reduced input: Res_t(F, F_t) = 0")
     raise AssertionError("no prime of CERTIFICATE_PRIMES proves %s = 0 "
                          "smooth" % F)

@@ -115,10 +115,6 @@ def polygon(points):
     return NewtonPolygon(tuple(pts), tuple(hull), slopes)
 
 
-def root_valuations(points):
-    return polygon(points).root_valuations()
-
-
 def poly_points(f, p):
     """(index, v_p) points of an integer-coefficient polynomial."""
     return tuple((i, val_rat(f.coeff(i), p)) for i in range(int(f.degree) + 1))
@@ -305,7 +301,7 @@ def complexabs_check(n_range):
         ok = poly_gcd(gn, g_poly(n)).degree == 0
         if ok:
             h = resultant(_in_w(gn),
-                          _Z * _in_w(g_poly(n)) - _in_w(g_poly(n + 1)), "u")
+                          _Z * _in_w(g_poly(n)) - _in_w(g_poly(n + 1)))
             c = list(h.c) if n < 0 else list(reversed(h.c))
             ok = h.degree == gn.degree and _roots_inside_unit_circle(c)
         entries.append({"n": n, "roots": int(gn.degree), "vacuous": False,

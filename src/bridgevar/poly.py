@@ -246,8 +246,6 @@ class UniPoly:
 # text format: integer coefficients, caret powers, explicit '*'
 
 def format_poly(p):
-    if isinstance(p, BiPoly):
-        return _format_bipoly(p)
     return _join_terms((v, _power_text(p.var, i))
                        for i, v in reversed(list(enumerate(p.c))))
 
@@ -668,14 +666,6 @@ class BiPoly:
         return _power(self, n, BiPoly.const(1, self.outer, self.inner))
 
     # -- structure ---------------------------------------------------------
-    def transpose(self):
-        """Swap the roles of the variables."""
-        d = int(self.degree_inner) if self.cs else -1
-        rows = []
-        for i in range(d + 1):
-            rows.append(UniPoly([c.coeff(i) for c in self.cs], self.outer))
-        return BiPoly(rows, self.inner, self.outer)
-
     def deriv_outer(self):
         return BiPoly([i * v for i, v in enumerate(self.cs)][1:], self.outer, self.inner)
 
@@ -738,34 +728,23 @@ class BiPoly:
         return "BiPoly(%s)" % _format_bipoly(self)
 
 
-def resultant(f, g, eliminate):
-    """Resultant of two BiPoly with respect to the variable `eliminate`.
+def resultant(f, g):
+    """Resultant of two BiPoly with respect to their outer variable.
 
-    Returns a UniPoly in the surviving variable.  The sign convention is
+    Returns a UniPoly in the inner variable.  The sign convention is
     fixed by Res_t(r-t, r+t) = 2r, i.e. (-1)^(deg f * deg g) times the
     textbook row order -- vanishing loci (the only thing downstream code
     uses) are unaffected.
     """
     if f.is_zero and g.is_zero:
         raise ExactError("undefined resultant (both inputs zero)")
-    keep = None
-    fs, gs = f, g
-    if not f.is_zero and not g.is_zero:
-        if (f.outer, f.inner) != (g.outer, g.inner):
-            raise ExactError("BiPoly variable mismatch")
-    sample = f if not f.is_zero else g
-    if eliminate == sample.outer:
-        keep = sample.inner
-    elif eliminate == sample.inner:
-        keep = sample.outer
-        fs = f.transpose() if not f.is_zero else f
-        gs = g.transpose() if not g.is_zero else g
-    else:
-        raise ExactError("eliminate must be one of the two variables")
     if f.is_zero or g.is_zero:
-        return UniPoly.zero(keep)
-    A = [UniPoly(c.c, keep) for c in fs.cs]
-    B = [UniPoly(c.c, keep) for c in gs.cs]
+        return UniPoly.zero((g if f.is_zero else f).inner)
+    if (f.outer, f.inner) != (g.outer, g.inner):
+        raise ExactError("BiPoly variable mismatch")
+    keep = f.inner
+    A = [UniPoly(c.c, keep) for c in f.cs]
+    B = [UniPoly(c.c, keep) for c in g.cs]
     res = _resultant_lists(B, A)  # argument order fixes the sign convention
     if isinstance(res, int):
         res = UniPoly.const(res, keep)
@@ -803,7 +782,7 @@ def _interpolate_p(values, p):
 
 
 def resultant_mod_p(f, g, p):
-    """`resultant(f, g, f.outer)` reduced mod the prime p, as a coefficient
+    """`resultant(f, g)` reduced mod the prime p, as a coefficient
     list in the inner variable, with the Sylvester bound on its degree:
     the pair (coefficients, bound).  f and g have int coefficients.  The
     bound is (deg_outer f + deg_outer g) * max(deg_inner f, deg_inner g),

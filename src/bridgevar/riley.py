@@ -85,7 +85,9 @@ that side lies in the balanced slot range with r-degree below R: the
 trace check tests the coefficients of its closed form, and the ideal
 check widens its slots to a bound on them.  Both sides are then
 polynomials in r and L whose balanced digits are their coefficients,
-so the ints are equal exactly when the polynomials are.
+so the ints are equal exactly when the polynomials are.  No command
+needs tr W_k as a polynomial in (r, y); the tests build it from the
+same `_trace_coeffs` (`trace_wk` in tests/sigma_oracle.py).
 """
 
 from math import comb, gcd as int_gcd
@@ -175,9 +177,6 @@ def schubert_word(p, q):
 
 # ---------------------------------------------------------------------------
 # packed word evaluation
-
-_R = UniPoly.gen("r")
-
 
 class _Slots(NamedTuple):
     """The slot layout of a word of N letters: its entries, times L^N,
@@ -362,16 +361,9 @@ def _to_ry(z, slots):
 
 def _trace_coeffs(k):
     """The coefficients of Phi_{-k} Psi_k in r, lowest first, for the
-    closed form tr W_k = Phi_{-k} Psi_k (y - r) + 2: `trace_wk`, the
-    trace check and, as A, `riley_poly_J` read them."""
+    closed form tr W_k = Phi_{-k} Psi_k (y - r) + 2: the trace check
+    and, as A, `riley_poly_J` read them."""
     return (phi(-k) * psi(k)).c
-
-
-def trace_wk(k):
-    """tr W_k as a BiPoly in (r, y): Phi_{-k}(r) Psi_k(r) (y - r) + 2."""
-    coeff = UniPoly(_trace_coeffs(k), "r")
-    y_minus_r = BiPoly([-_R, UniPoly.const(1, "r")], "y", "r")
-    return BiPoly.from_inner(coeff, "y") * y_minus_r + 2
 
 
 def _l1_at(c, T):

@@ -13,6 +13,7 @@ All sequences are memoized per process in the variable `u`; callers get
 relabeled copies.  Returned polynomials are immutable.
 """
 
+import functools
 from typing import NamedTuple
 
 from .poly import UniPoly, ExactError
@@ -36,10 +37,25 @@ def f_poly(j, var="u"):
     return p if var == "u" else p.relabel(var)
 
 
-def g_poly(j, var="u"):
+_memo = {}  # (builder, index) -> term in u
+
+
+def _memoized(term_u):
+    """The sequence whose term j `term_u(j)` builds in u, memoized per
+    process in u and relabeled to the requested variable on return."""
+    @functools.wraps(term_u)
+    def term(j, var="u"):
+        p = _memo.get((term_u, j))
+        if p is None:
+            p = _memo[term_u, j] = term_u(j)
+        return p if var == "u" else p.relabel(var)
+    return term
+
+
+@_memoized
+def g_poly(j):
     """g_j = f_j - f_{j-1}."""
-    p = f_poly(j) - f_poly(j - 1)
-    return p if var == "u" else p.relabel(var)
+    return f_poly(j) - f_poly(j - 1)
 
 
 def phi(k, var="u"):
@@ -49,38 +65,38 @@ def phi(k, var="u"):
     return g_poly((k + 1) // 2, var)
 
 
-def psi(k, var="u"):
+@_memoized
+def psi(k):
     """Psi_k = Phi_{k+1} - Phi_{k-1}."""
-    p = phi(k + 1) - phi(k - 1)
-    return p if var == "u" else p.relabel(var)
+    return phi(k + 1) - phi(k - 1)
 
 
-def delta(k, var="u"):
+@_memoized
+def delta(k):
     """Delta_k = Phi_{k+1}' Phi_{k-1} - Phi_{k+1} Phi_{k-1}'."""
     a, b = phi(k + 1), phi(k - 1)
-    p = a.deriv() * b - a * b.deriv()
-    return p if var == "u" else p.relabel(var)
+    return a.deriv() * b - a * b.deriv()
 
 
-def big_f(n, var="u"):
+@_memoized
+def big_f(n):
     """F_n = f_{n+1}' f_n - f_{n+1} f_n'."""
     a, b = f_poly(n + 1), f_poly(n)
-    p = a.deriv() * b - a * b.deriv()
-    return p if var == "u" else p.relabel(var)
+    return a.deriv() * b - a * b.deriv()
 
 
-def big_g(n, var="u"):
+@_memoized
+def big_g(n):
     """G_n = g_{n+1}' g_n - g_{n+1} g_n'."""
     a, b = g_poly(n + 1), g_poly(n)
-    p = a.deriv() * b - a * b.deriv()
-    return p if var == "u" else p.relabel(var)
+    return a.deriv() * b - a * b.deriv()
 
 
-def big_h(n, var="u"):
+@_memoized
+def big_h(n):
     """H_n = g_{n+1}'' g_n - g_{n+1} g_n''."""
     a, b = g_poly(n + 1), g_poly(n)
-    p = a.deriv().deriv() * b - a * b.deriv().deriv()
-    return p if var == "u" else p.relabel(var)
+    return a.deriv().deriv() * b - a * b.deriv().deriv()
 
 
 # ---------------------------------------------------------------------------

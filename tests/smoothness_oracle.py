@@ -8,8 +8,8 @@ planted-singularity tests check both against each other.
 
 from typing import NamedTuple
 
-from bridgevar.poly import (ExactError, UniPoly, poly_gcd, rational_roots,
-                            resultant, squarefree_part)
+from bridgevar.poly import (BiPoly, ExactError, UniPoly, poly_gcd,
+                            rational_roots, resultant, squarefree_part)
 
 
 class LocusVerdict(NamedTuple):
@@ -35,15 +35,15 @@ def exact_singular_locus(F, delta_filter=None):
     # factor of positive t-degree; repeated factors in r alone divide the
     # content, which the caller checks.
     Ft = F.deriv_outer()
-    R1 = resultant(F, Ft, F.outer)
+    R1 = resultant(F, Ft)
     if R1.is_zero:
         raise ExactError("non-reduced input: Res_t(F, F_t) = 0")
     trace = {}
     Fr = F.deriv_inner()
-    R2 = resultant(F, Fr, F.outer)
+    R2 = resultant(F, Fr)
     G = poly_gcd(R1, R2)
-    S1 = resultant(F, Ft, F.inner)
-    S2 = resultant(F, Fr, F.inner)
+    S1 = resultant(transpose(F), transpose(Ft))
+    S2 = resultant(transpose(F), transpose(Fr))
     H = poly_gcd(S1, S2)
     trace["res_degrees"] = {
         "Res_t(F,Ft)": _deg(R1), "Res_t(F,Fr)": _deg(R2),
@@ -91,6 +91,14 @@ def exact_singular_locus(F, delta_filter=None):
     if not points:
         return LocusVerdict("Empty", (), trace)
     return LocusVerdict("Points", tuple(points), trace)
+
+
+def transpose(F):
+    """F, nonzero, with the roles of its variables swapped, so that
+    `resultant` eliminates its inner variable."""
+    return BiPoly([UniPoly([c.coeff(i) for c in F.cs], F.outer)
+                   for i in range(int(F.degree_inner) + 1)],
+                  F.inner, F.outer)
 
 
 def _fiber(F, r0):

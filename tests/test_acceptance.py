@@ -14,7 +14,7 @@ from bridgevar.knotprops import (HYPERBOLIC, classify, trace_field_poly,
                                  two_bridge_params)
 from bridgevar.newton import (binom_check, complexabs_check,
                               expected_vertices, lemma_polynomial, polygon,
-                              poly_points, root_valuations)
+                              poly_points)
 from bridgevar.poly import parse_poly
 from bridgevar.report import Knot
 from bridgevar.riley import (normalize_unit, riley_poly_J, riley_poly_matrix,
@@ -191,7 +191,7 @@ def reverify_witness(k, l, w):
         F = parse_poly(w["poly"], "t")
         slice_eq = c_model(k, l).equation.eval_inner(2).relabel("t")
         same = slice_eq.primitive() in (F.primitive(), -F.primitive())
-        vals = root_valuations(poly_points(F, w["prime"]))
+        vals = polygon(poly_points(F, w["prime"])).root_valuations()
         neg = [(str(v), c) for v, c in vals if v != INF and v < 0]
         return same and neg and neg == [tuple(x) for x in
                                         w["negative_valuations"]]

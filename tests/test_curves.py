@@ -1,4 +1,5 @@
-"""Curve models: frozen equations, bidegrees, and the map sigma.
+"""Curve models: frozen equations, bidegrees, and the map sigma of
+tests/sigma_oracle.py.
 
 Oracle for the split: multiply the factors back and compare with the
 unsplit model.  Oracle for sigma: map exact rational points of C and
@@ -10,11 +11,16 @@ from fractions import Fraction
 
 import pytest
 
-from bridgevar.curves import (_normalize, c_model, d_model, d_split,
-                              sigma_containment_check, sigma_pull, sigma_push,
-                              special_points_check, x_model)
+from bridgevar.curves import _normalize, c_model, d_model, d_split
+from bridgevar.knotprops import HYPERBOLIC, classify
 from bridgevar.poly import BiPoly, ExactError
 from bridgevar.seq import phi, psi
+from sigma_oracle import (sigma_containment_check, sigma_pull, sigma_push,
+                          special_points_check, x_model)
+
+# every hyperbolic J(k, l) with |k|, |l| <= 10
+HYPERBOLIC_10 = [(k, l) for k in range(-10, 11) for l in range(-10, 11)
+                 if classify(k, l) == HYPERBOLIC]
 
 
 def test_figure_eight_equations_frozen():
@@ -123,6 +129,9 @@ def test_sigma_containment_certificates():
     # C(0, 0) is empty and D(0, 0) the whole plane: the containment holds
     for k, l in ((2, -2), (2, 4), (3, 4), (-3, 6), (4, 4), (5, -4), (0, 0)):
         assert sigma_containment_check(k, l), (k, l)
+    assert len(HYPERBOLIC_10) == 258
+    for k, l in HYPERBOLIC_10:
+        assert sigma_containment_check(k, l), (k, l)
 
 
 def test_special_points_reports():
@@ -135,6 +144,11 @@ def test_special_points_reports():
         special_points_check(0, 4)
     with pytest.raises(ExactError):
         special_points_check(3, 5)
+    for k, l in HYPERBOLIC_10:
+        rep = special_points_check(k, l)
+        assert rep.ok, (k, l, rep.checks)
+        # the C point exists exactly when the swapped-into-place k is even
+        assert (rep.c_point is None) == (rep.k % 2 == 1), (k, l)
 
 
 def test_to_dict_round_trip_fields():

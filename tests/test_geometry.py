@@ -118,8 +118,8 @@ def test_modular_trace_without_a_filter():
     # D1(6, 6): k = l has no Delta filter, so the proof needs deg R1 mod p
     # at the Sylvester bound a(2b - 1) = 6, and R2 = Res_t(F, F_r)
     F = Knot(6, 6).certificate.target.equation
-    assert resultant(F, F.deriv_outer(), "t").degree == 6
-    assert resultant(F, F.deriv_inner(), "t").degree == 4
+    assert resultant(F, F.deriv_outer()).degree == 6
+    assert resultant(F, F.deriv_inner()).degree == 4
     assert modular_smoothness_trace(F) == {
         "prime": CERTIFICATE_PRIMES[0], "degree_bound": 6,
         "res_degrees_mod_p": {"Res_t(F,Ft)": 6, "Res_t(F,Fr)": 4},

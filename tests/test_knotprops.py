@@ -20,7 +20,7 @@ from bridgevar.knotprops import (HYPERBOLIC, NOT_A_KNOT, TORUS_NONHYPERBOLIC,
                                  fourplat_sequence, normalize_knot,
                                  trace_field_poly, trace_field_report,
                                  two_bridge_params)
-from bridgevar.newton import poly_points, root_valuations
+from bridgevar.newton import poly_points, polygon
 from bridgevar.poly import ExactError, UniPoly, parse_poly
 from bridgevar.report import Knot
 
@@ -262,7 +262,7 @@ def test_newton_witness_reverified():
     assert slice_eq.primitive() in (F.primitive(), -F.primitive())
     assert F.c[-1] == w["lead"] and abs(F.c[0]) == abs(w["constant"])
     # its Newton polygon at the witness prime has a negative-valuation root
-    vals = root_valuations(poly_points(F, w["prime"]))
+    vals = polygon(poly_points(F, w["prime"])).root_valuations()
     neg = [(str(v), c) for v, c in vals if v != float("inf") and v < 0]
     assert neg == [tuple(x) for x in w["negative_valuations"]]
 

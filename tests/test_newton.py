@@ -17,7 +17,7 @@ from bridgevar.newton import (GAUSS_INT, INFINITY, ROOT_THREE,
                               _roots_inside_unit_circle, binom_check,
                               complexabs_check, expected_vertices,
                               lemma_polynomial, poly_points, polygon,
-                              root_valuations, val_quad, val_rat)
+                              val_quad, val_rat)
 from bridgevar.poly import ExactError, QuadElem, UniPoly
 from modulus_oracle import float_moduli
 
@@ -92,7 +92,7 @@ def test_polygon_matches_hull_oracle_on_planted_roots():
 
 def test_polygon_zero_roots_read_as_infinite_valuation():
     g = X ** 3 - 3 * X ** 2
-    assert root_valuations(poly_points(g, 3)) == ((Fraction(1), 1),
+    assert polygon(poly_points(g, 3)).root_valuations() == ((Fraction(1), 1),
                                                   (INFINITY, 2))
 
 
@@ -128,7 +128,7 @@ def test_polygon_recovers_planted_valuations(roots):
     for r0 in map(Fraction, roots):
         f = f * (r0.denominator * X - r0.numerator)
     got = {}
-    for v, c in root_valuations(poly_points(f, 2)):
+    for v, c in polygon(poly_points(f, 2)).root_valuations():
         got[v] = got.get(v, 0) + c
     want = {}
     for r0 in roots:

@@ -470,7 +470,7 @@ def test_resultant_sign_pinned():
         UniPoly.gen("r"), "t")
     r_plus_t = BiPoly.gen_outer("t", "r") + BiPoly.from_inner(
         UniPoly.gen("r"), "t")
-    assert resultant(r_minus_t, r_plus_t, "t") == 2 * UniPoly.gen("r")
+    assert resultant(r_minus_t, r_plus_t) == 2 * UniPoly.gen("r")
 
 
 bi_coeffs = st.lists(
@@ -483,7 +483,7 @@ bi_coeffs = st.lists(
 def test_resultant_matches_sylvester(a, b):
     f = BiPoly([mk(c, "r") for c in a], "t", "r")
     g = BiPoly([mk(c, "r") for c in b], "t", "r")
-    got = resultant(f, g, "t")
+    got = resultant(f, g)
     for r0 in (0, 1, -2, 5):
         av = [mk(c, "r")(r0) for c in a]
         bv = [mk(c, "r")(r0) for c in b]
@@ -570,7 +570,7 @@ def test_resultant_mod_p_matches_exact_resultant(p):
             pairs.append((f, g))
     for f, g in pairs:
         got, bound = resultant_mod_p(f, g, p)
-        exact = resultant(f, g, "t")
+        exact = resultant(f, g)
         assert exact.degree <= bound
         assert got == trim([c % p for c in exact.c]), (f, g)
     with pytest.raises(ExactError, match="too few"):
@@ -583,10 +583,10 @@ def test_resultant_vanishes_iff_common_factor():
     fb = BiPoly([mk([c], "r") for c in f.c], "t", "r")
     # build g with t as the variable too
     gb = BiPoly([mk([c], "r") for c in g.c], "t", "r")
-    assert resultant(fb, gb, "t").is_zero
+    assert resultant(fb, gb).is_zero
     h = (U + 4) * (U ** 2 + 7)
     hb = BiPoly([mk([c], "r") for c in h.c], "t", "r")
-    assert not resultant(fb, hb, "t").is_zero
+    assert not resultant(fb, hb).is_zero
 
 
 def test_resultant_multiplicative_in_first_slot():
@@ -596,8 +596,8 @@ def test_resultant_multiplicative_in_first_slot():
     f1 = t - rb
     f2 = t ** 2 + rb
     g = t ** 2 - rb * t + 2
-    lhs = resultant(f1 * f2, g, "t")
-    rhs = resultant(f1, g, "t") * resultant(f2, g, "t")
+    lhs = resultant(f1 * f2, g)
+    rhs = resultant(f1, g) * resultant(f2, g)
     assert lhs == rhs
 
 

@@ -27,10 +27,11 @@ from bridgevar.riley import (TraceSubringError, _Slots, _digits, _pack,
                              _to_ry, eval_word, ideal_generator_check,
                              normalize_unit, riley_poly_J,
                              riley_poly_matrix, riley_poly_pq, schubert_word,
-                             trace_formula_check, trace_wk, w_k_word,
+                             trace_formula_check, w_k_word,
                              word_concat, word_inverse, word_normalize,
                              word_power)
 from bridgevar.seq import f_poly, phi
+from sigma_oracle import trace_wk
 
 # --- oracle: numeric 2x2 matrices ---------------------------------------
 
@@ -202,12 +203,13 @@ def _rand_fraction(rng, nonzero=False, exclude=()):
 
 def fraction_trace_formula_check(k, samples, seed=""):
     """The trace identity at random points in Fractions: the rows of
-    L^N tr W_k at r0 times lam^(2e - N) against riley.trace_wk(k) at
-    (r0, lam^2 + lam^-2)."""
+    L^N tr W_k at r0 times lam^(2e - N) against trace_wk(k) at
+    (r0, lam^2 + lam^-2).  trace_wk reads riley._trace_coeffs, so a
+    defect planted there reaches this oracle too."""
     pw = eval_word(w_k_word(k))
     N = pw.slots.letters
     rows = pw.slots.rows(pw.m11 + pw.m22)
-    closed = riley.trace_wk(k)
+    closed = trace_wk(k)
     rng = Random("%strace-formula-%d" % (seed, k))
     for _ in range(samples):
         lam = _rand_fraction(rng, nonzero=True, exclude=(1, -1))

@@ -106,6 +106,18 @@ def test_variable_relabeling():
         f_poly(5, "w")
 
 
+def test_sequences_are_memoized_in_u():
+    # a second call in u returns the memoized object itself, and another
+    # variable gets a relabeled copy of it
+    for seq, j in ((f_poly, 5), (g_poly, 5), (g_poly, -3), (phi, 7),
+                   (phi, -6), (psi, 5), (psi, -4), (delta, 3), (big_f, 3),
+                   (big_g, -2), (big_h, 3)):
+        p = seq(j)
+        assert seq(j, "u") is p, (seq.__name__, j)
+        q = seq(j, "r")
+        assert q.var == "r" and q.c == p.c, (seq.__name__, j)
+
+
 def test_identity_suite_green_and_named():
     rep = identity_suite(15)
     assert rep.ok
