@@ -157,7 +157,7 @@ class _Ring(_Slots):
 
     def __init__(self, m, p):
         self.n = n = len(m) - 1
-        f = poly_monic_p(m, p)
+        self.m = f = poly_monic_p(m, p)
         # off is the least multiple of p at or above (n - 1) (p - 1)**2;
         # the largest slot `_red` sees is n (p - 1)**2 + off.
         off = -(-(n - 1) * (p - 1) ** 2 // p) * p
@@ -178,17 +178,12 @@ class _Ring(_Slots):
 
 
 def ring_p(m, p):
-    """The ring GF(p)[x]/(m), for a list m of degree n >= 1 whose leading
-    coefficient is nonzero mod p.  Its elements are ints of n slots of
-    `ring.w` bytes, each slot below p (`ring_pack`).  `ring.euclid` are
-    the slots of `_euclid` operands of degree up to n (`ring_euclid`).
-    The last ring built is kept, because a degree pattern asks for the
-    ring of one modulus three times in a row."""
-    return _ring(tuple(m), p)
-
-
-@lru_cache(maxsize=1)
-def _ring(m, p):
+    """A new ring GF(p)[x]/(m) with `ring.m` = m made monic, for a list m
+    of degree n >= 1 whose leading coefficient is nonzero mod p (else
+    ValueError).  Its elements are ints of n slots of `ring.w` bytes, each
+    below p (`ring_pack`); `ring.euclid` are the slots of `_euclid`
+    operands of degree up to n (`ring_euclid`).  Build it once and pass
+    it to the kernels that work in it, such as `poly_powmod_p`."""
     return _Ring(m, p)
 
 
@@ -434,14 +429,12 @@ def poly_resultant_p(a, b, p):
         res = pow(x & mask, n - db, p)
     return _euclid(x, da, y, db, sl, res=res)
 
-def poly_powmod_p(base, e, m, p):
-    """base**e modulo (m, p) by left-to-right square and multiply in
-    `ring_p(m, p)`.  The leading coefficient of m must be nonzero mod p
-    (else ValueError)."""
+def poly_powmod_p(base, e, ring):
+    """base**e in ring = `ring_p(m, p)`, that is modulo (m, p), by
+    left-to-right square and multiply, as a trimmed list."""
     if not e:
         return [1]
-    ring = ring_p(m, p)
-    y = x = ring_pack(poly_rem_p(base, m, p), ring)
+    y = x = ring_pack(poly_rem_p(base, ring.m, ring.p), ring)
     for bit in bin(e)[3:]:
         x = poly_mulmod_p(x, x, ring)
         if bit == "1":
@@ -449,17 +442,16 @@ def poly_powmod_p(base, e, m, p):
     return ring_unpack(x, ring)
 
 
-def frobenius_rows_p(h, m, p):
-    """The Frobenius map of GF(p)[x]/(m), for h = x**p reduced modulo
-    (m, p), as the argument of `frobenius_apply_p`: (w, rows).
+def frobenius_rows_p(h, ring):
+    """The Frobenius map of ring = `ring_p(m, p)`, for h = x**p reduced
+    modulo (m, p), as the argument of `frobenius_apply_p`: (w, rows).
 
-    Row i is x**(i*p) = h**i mod (m, p) for i < n = deg m, the ring
-    element of `ring_p(m, p)` (slots of w bytes, each below p); row
-    i + 1 is the ring product of row i and h.  A sum of the rows times
-    coefficients below p holds at most n (p - 1)**2 in a slot, which
-    the ring's slots hold without carry.
+    Row i is x**(i*p) = h**i mod (m, p) for i < n = deg m, an element of
+    the ring (slots of w bytes, each below p); row i + 1 is the ring
+    product of row i and h.  A sum of the rows times coefficients below
+    p holds at most n (p - 1)**2 in a slot, which the ring's slots hold
+    without carry.
     """
-    ring = ring_p(m, p)
     y = ring_pack(h, ring)
     rows = [1, y][:ring.n]
     while len(rows) < ring.n:
@@ -469,7 +461,7 @@ def frobenius_rows_p(h, m, p):
 
 def frobenius_apply_p(frob, a, p):
     """a**p = a(x**p) modulo (m, p) for a reduced modulo m, where frob is
-    `frobenius_rows_p(h, m, p)`: the sum of a[i] times row i."""
+    `frobenius_rows_p(h, ring)`: the sum of a[i] times row i."""
     w, rows = frob
     return _unpack(sum([(c % p) * row for c, row in zip(a, rows) if c]),
                    len(rows), w, p)

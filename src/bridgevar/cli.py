@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 internal invariant failure (a cross-check or
-verification suite failed), 2 invalid input.
+verification suite failed), 2 invalid input or unwritable output.
 """
 
 import argparse
@@ -19,8 +19,22 @@ from .riley import (ideal_generator_check, normalize_unit, riley_poly_J,
 from .seq import identity_suite
 
 
+def _write(out, text):
+    """Write text to the stream out and flush it.  An OSError (a full disk,
+    a closed pipe) becomes a ValueError, after out's descriptor is pointed
+    at os.devnull so that flushing its buffer at exit cannot fail again."""
+    try:
+        out.write(text)
+        out.flush()
+    except OSError as e:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, out.fileno())
+        os.close(null)
+        raise ValueError("cannot write %s: %s" % (out.name, e.strerror))
+
+
 def _print(rep, as_json):
-    sys.stdout.write(to_json(rep) if as_json else render_text(rep))
+    _write(sys.stdout, to_json(rep) if as_json else render_text(rep))
 
 
 def cmd_analyze(args):
@@ -173,10 +187,10 @@ def cmd_sweep(args):
         else:
             computed = [_sweep_row(p) for p in reps]
         row_of = dict(zip(reps, computed))
-        rows = []
-        for (k, l), rep in rep_of.items():
-            rows.append(_projected_row(row_of[rep], k, l, rep))
-            out.write(json.dumps(rows[-1], sort_keys=True) + "\n")
+        rows = [_projected_row(row_of[rep], k, l, rep)
+                for (k, l), rep in rep_of.items()]
+        _write(out, "".join(json.dumps(row, sort_keys=True) + "\n"
+                            for row in rows))
     finally:
         if out is not sys.stdout:
             out.close()
@@ -224,17 +238,18 @@ def _verify_riley(args, lines):
              for n in range(-args.nmax, args.nmax + 1) if n]
     trace_ok = all(trace_formula_check(k) for k in ks)
     lines.append(("trace identity |k|<=%d" % args.kmax, trace_ok))
-    grid_ok = True
+    grid_ok = ideal_ok = True
     for k, n in cells:
-        a = normalize_unit(riley_poly_J(k, n))
+        F = riley_poly_J(k, n)
+        a = normalize_unit(F)
         b = normalize_unit(riley_poly_matrix(k, n))
         grid_ok = grid_ok and (a == b)
         tb = two_bridge_params(k, 2 * n)
         if tb.p > 1:
             c = normalize_unit(riley_poly_pq(tb.p, tb.q))
             grid_ok = grid_ok and (c == a)
+        ideal_ok = ideal_ok and ideal_generator_check(k, n, F)
     lines.append(("word-vs-matrix and normal-form grid", grid_ok))
-    ideal_ok = all(ideal_generator_check(k, n) for k, n in cells)
     lines.append(("vanishing-ideal identity grid", ideal_ok))
     return trace_ok and grid_ok and ideal_ok
 
@@ -256,8 +271,9 @@ def cmd_verify(args):
                 "ok": ok}, True)
     else:
         width = max(len(name) for name, _ in lines)
-        for name, good in lines:
-            print("%-*s  %s" % (width, name, "pass" if good else "FAIL"))
+        _write(sys.stdout, "".join("%-*s  %s\n" % (width, name,
+                                                    "pass" if good else "FAIL")
+                                   for name, good in lines))
     return 0 if ok else 1
 
 

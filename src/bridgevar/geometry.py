@@ -31,7 +31,7 @@ need no check of their own.
 from typing import NamedTuple, Optional
 
 from .kernels import poly_gcd_p
-from .poly import (UniPoly, BiPoly, ExactError, poly_gcd, resultant,
+from .poly import (UniPoly, ExactError, poly_gcd, resultant,
                    resultant_mod_p, squarefree_part, is_separable)
 from .seq import f_poly, g_poly, delta, big_g
 from .knotprops import require_model
@@ -295,9 +295,11 @@ def _check(cond, msg):
 def odd_point_report(model, certificate):
     """Count the points of the model D(k,l) of a hyperbolic J(k,l) where
     the cover-defining function has odd valuation: closed form and
-    from-scratch root counting, asserted equal.  The infinity verdict of
-    `certificate`, the model's smoothness certificate, is reused when it
-    was made on the model itself (k != l).
+    from-scratch root counting, asserted equal.  The root counts read the
+    model's own equation at t = T(r) and, for even k, at r = 2; they do
+    not depend on its sign.  The infinity verdict of `certificate`, the
+    model's smoothness certificate, is reused when it was made on the
+    model itself (k != l).
     """
     require_model(model, "D", "odd point count")
     k, l = model.k, model.l
@@ -317,15 +319,13 @@ def odd_point_report(model, certificate):
         case = "a=2 (mn>0)" if a_const == 2 else "a=1 (mn<0)"
         total_formula = 2 * abs(m * n) + 2 * abs(m) + 2 * abs(n) - 2 * a_const
         T = (_R ** 2 - 4) * f_poly(m, "r") ** 2 + 2
-        Fc = (BiPoly.from_inner(g_poly(m, "r"), "t") * g_poly(n + 1, "t")
-              - BiPoly.from_inner(g_poly(m + 1, "r"), "t") * g_poly(n, "t"))
-        P = Fc.eval_outer(T)
+        P = model.equation.eval_outer(T)
         _check(is_separable(P), "separability failure in the even-parameter "
                "oracle at (%d,%d)" % (k, l))
         _check(P.degree == 2 * abs(m * n) + abs(m) + 1 - a_const,
                "oracle degree off at (%d,%d)" % (k, l))
         _check(P(2) == 0, "expected the r=2 root at (%d,%d)" % (k, l))
-        fiber = g_poly(n + 1, "t") - g_poly(n, "t")
+        fiber = model.equation.eval_inner(2)
         _check(is_separable(fiber) and fiber.degree == abs(n)
                and fiber(2) == 0,
                "r=2 fiber structure off at (%d,%d)" % (k, l))
@@ -343,9 +343,7 @@ def odd_point_report(model, certificate):
             a_const, case = 0, "a=0 (n<0<m)"
         total_formula = abs(2 * m + 1) * abs(n) + abs(n) + 2 * abs(m) - 2 * a_const
         T = 2 - (_R + 2) * g_poly(m + 1, "r") ** 2
-        Fc = (BiPoly.from_inner(f_poly(m, "r"), "t") * g_poly(n + 1, "t")
-              - BiPoly.from_inner(f_poly(m + 1, "r"), "t") * g_poly(n, "t"))
-        P = Fc.eval_outer(T)
+        P = model.equation.eval_outer(T)
         _check(is_separable(P), "separability failure in the odd-parameter "
                "oracle at (%d,%d)" % (k, l))
         _check(P.degree == abs(2 * m + 1) * abs(n) + abs(m) - a_const,

@@ -27,9 +27,8 @@ from typing import NamedTuple
 
 from .kernels import (euclid_divmod_p, euclid_gcd_p, euclid_pack,
                       frobenius_apply_p, frobenius_rows_p, poly_gcd_p,
-                      poly_monic_p, poly_mul, poly_mul_p, poly_mulmod_p,
-                      poly_powmod_p, poly_resultant_p, ring_euclid, ring_p,
-                      ring_pack, trim)
+                      poly_mul, poly_mul_p, poly_mulmod_p, poly_powmod_p,
+                      poly_resultant_p, ring_euclid, ring_p, ring_pack, trim)
 
 NEG_INF = float("-inf")
 
@@ -1074,16 +1073,16 @@ def modp_degree_pattern(f, p):
     splits it.  When 2*d0 exceeds deg v, v is irreducible.
 
     The iterates x**(p**d) and P are kept modulo f itself, which leaves
-    those gcds unchanged because v divides f.  That makes the Frobenius
-    map a -> a**p of GF(p)[x]/(f) one fixed linear map: x**p is computed
-    once by `poly_powmod_p`, the rows x**(i*p) mod f are built from it
-    once, and each further degree step applies them.  The factors
-    x**(p**d) - x of P are packed into the ring `ring_p(f, p)` and
-    multiplied there without unpacking (packed Barrett products).  v, P,
-    the block gcds and the factors of a split block stay packed, as
-    operands of the ring's remainder loop (`ring_euclid`), for the gcds
-    and the exact division of v (`euclid_gcd_p`, `euclid_divmod_p`); only
-    their degrees are read.
+    those gcds unchanged because v divides f, in the one ring
+    `ring_p(f, p)` built per call.  That makes the Frobenius map a -> a**p
+    one fixed linear map: x**p is computed once by `poly_powmod_p`, the
+    rows x**(i*p) mod f are built from it once (`frobenius_rows_p`), and
+    each further degree step applies them.  The factors x**(p**d) - x of
+    P are multiplied in the ring without unpacking (packed Barrett
+    products).  v, P, the block gcds and the factors of a split block stay
+    packed, as operands of the ring's remainder loop (`ring_euclid`), for
+    the gcds and the exact division of v (`euclid_gcd_p`,
+    `euclid_divmod_p`); only their degrees are read.
 
     Degree patterns at several primes also prove irreducibility over Q
     (Musser, J. ACM 25 (1978)): the degrees of a factor over Q add up, at
@@ -1097,19 +1096,18 @@ def modp_degree_pattern(f, p):
         return BAD_PRIME
     if f.degree < 1:
         return []
-    m = poly_monic_p(f.c, p)
-    ring = ring_p(m, p)
+    ring = ring_p(f.c, p)
     sl = ring.euclid
-    v = euclid_pack(m, sl)
+    v = euclid_pack(ring.m, sl)
     pattern = []
-    xp = poly_powmod_p([0, 1], p, m, p)  # running x**(p**d) mod m
+    xp = poly_powmod_p([0, 1], p, ring)  # running x**(p**d) mod f
     d0 = 1
     while 2 * d0 <= v[1]:
         d1 = min(2 * d0 - 1, v[1] // 2)
         diffs = []  # x**(p**d) - x for d in [d0, d1], packed in the ring
         for d in range(d0, d1 + 1):
             if d == 2:
-                frob = frobenius_rows_p(xp, m, p)  # xp is x**p here
+                frob = frobenius_rows_p(xp, ring)  # xp is x**p here
             if d > 1:
                 xp = frobenius_apply_p(frob, xp, p)
             diff = xp + [0] * (2 - len(xp))

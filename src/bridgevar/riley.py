@@ -77,13 +77,14 @@ coefficients of F_{k,n}.
 Two identity checks compare packed ints and never decode:
 `trace_formula_check` tests tr W_k = Phi_{-k} Psi_k (y - r) + 2, and
 `ideal_generator_check` tests Riley's vanishing ideal,
-A W - W B = [[0, F], [(r - 2) F, 0]] for W = W_k^n and F = F_{k,n}
-(R. Riley, Quart. J. Math. Oxford (2) 35 (1984) 191-208), both at
-y = L^2 + L^-2.  Each packs its closed-form side, times a power of L, in
-the slots of its word side, once it knows that every coefficient of
-that side lies in the balanced slot range with r-degree below R: the
-trace check tests the coefficients of its closed form, and the ideal
-check widens its slots to a bound on them.  Both sides are then
+A W - W B = [[0, F], [(r - 2) F, 0]] for W = W_k^n and the F it is
+given, the F_{k,n} that `verify riley` computes once per cell (R. Riley,
+Quart. J. Math. Oxford (2) 35 (1984) 191-208), both at y = L^2 + L^-2.
+Each packs its closed-form side, times a power of L, in the slots of
+its word side, once it knows that every coefficient of that side lies
+in the balanced slot range with r-degree below R: the trace check
+tests the coefficients of its closed form, and the ideal check widens
+its slots to a bound on them.  Both sides are then
 polynomials in r and L whose balanced digits are their coefficients,
 so the ints are equal exactly when the polynomials are.  No command
 needs tr W_k as a polynomial in (r, y); the tests build it from the
@@ -94,7 +95,7 @@ from math import comb, gcd as int_gcd
 from typing import NamedTuple
 
 from .poly import UniPoly, BiPoly, ExactError
-from .seq import f_poly, phi, psi
+from .seq import d_poly, f_poly, phi, psi
 
 
 class TraceSubringError(ExactError):
@@ -306,20 +307,7 @@ def _digits(z, w, R, blocks):
 
 
 # ---------------------------------------------------------------------------
-# the trace-parameter rewrite: L^{2j} + L^{-2j} = D_j(y)
-
-_D_memo = [(2,), (0, 1)]
-
-
-def _dcoeffs(j):
-    """The coefficients of D_j(y): D_0 = 2, D_1 = y and
-    D_{j+1} = y D_j - D_{j-1}."""
-    while len(_D_memo) <= j:
-        c = [0] + list(_D_memo[-1])
-        for i, v in enumerate(_D_memo[-2]):
-            c[i] -= v
-        _D_memo.append(tuple(c))
-    return _D_memo[j]
+# the trace-parameter rewrite: L^{2j} + L^{-2j} = D_j(y), `seq.d_poly`
 
 
 def _add_multiple(acc, s, row):
@@ -350,7 +338,7 @@ def _to_ry(z, slots):
         c = rows[e]
         if not c:
             continue
-        for i, d in enumerate(_dcoeffs(e - N // 2) if 2 * e > N else (1,)):
+        for i, d in enumerate(d_poly(e - N // 2).c if 2 * e > N else (1,)):
             if d:
                 _add_multiple(out[i], d, c)
     return BiPoly([UniPoly(row, "r") for row in out], "y", "r")
@@ -463,9 +451,10 @@ def trace_formula_check(k, samples=None, seed=""):
     return (pw.m11 + pw.m22) << lift * B == want
 
 
-def ideal_generator_check(k, n):
-    """Exact check of Riley's vanishing ideal for W = W_k^n and
-    F = riley_poly_J(k, n) at y = L^2 + L^-2:
+def ideal_generator_check(k, n, F):
+    """Exact check of Riley's vanishing ideal for W = W_k^n and the given
+    F, a BiPoly in (y, r) such as the caller's riley_poly_J(k, n), at
+    y = L^2 + L^-2:
 
         A W - W B = [[0, F], [(r - 2) F, 0]].
 
@@ -481,7 +470,7 @@ def ideal_generator_check(k, n):
     polynomials."""
     word = word_power(w_k_word(k), n)
     aw, wb = (("a", 1),) + word, word + (("b", 1),)
-    rows = [f.c for f in riley_poly_J(k, n).cs]
+    rows = [f.c for f in F.cs]
     d = len(rows) - 1
     s1, s2 = _slots(aw), _slots(wb)
     bound = 3 * sum(sum(map(abs, row)) << j for j, row in enumerate(rows))

@@ -58,6 +58,12 @@ def g_poly(j):
     return f_poly(j) - f_poly(j - 1)
 
 
+@_memoized
+def d_poly(j):
+    """D_j = f_{j+1} - f_{j-1}, so that D_j(L + L^-1) = L^j + L^-j."""
+    return f_poly(j + 1) - f_poly(j - 1)
+
+
 def phi(k, var="u"):
     """Phi_k: f_{k/2} for even k, g_{(k+1)/2} for odd k."""
     if k % 2 == 0:

@@ -383,6 +383,29 @@ def test_odd_point_report_structure():
         Knot(3, 5).odd_points
 
 
+@pytest.mark.parametrize("k,l", [(4, 6), (3, -4), (4, 4), (-6, 8), (5, 6)])
+def test_odd_point_report_reads_the_model_equation(monkeypatch, k, l):
+    # the count evaluates the equation of the D model it is given, whose
+    # sign does not matter; no BiPoly product rebuilds it from the
+    # sequences
+    knot = Knot(k, l)
+    model, cert = knot.D, knot.certificate
+    want = odd_point_report(model, cert)
+    flipped = model._replace(equation=-model.equation)
+    real = BiPoly.__mul__
+    calls = []
+
+    def counted(self, other):
+        calls.append((self, other))
+        return real(self, other)
+
+    monkeypatch.setattr(BiPoly, "__mul__", counted)
+    monkeypatch.setattr(BiPoly, "__rmul__", counted)
+    assert odd_point_report(model, cert) == want
+    assert calls == []
+    assert odd_point_report(flipped, cert) == want
+
+
 # --- genus on X -----------------------------------------------------------
 
 def test_genus_x_pinned_values():

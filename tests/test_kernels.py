@@ -228,7 +228,7 @@ def test_powmod_matches_iterated_product(mod, base, e, m, p):
         mm.pop()
     if len(mm) < 2:           # need deg >= 1 to reduce into
         return
-    got = mod.poly_powmod_p(list(base), e, list(mm), p)
+    got = mod.poly_powmod_p(list(base), e, mod.ring_p(mm, p))
     want = [1]
     for _ in range(e):
         want = ref_divmod_p(ref_mul(want, base), mm, p)[1]
@@ -240,7 +240,7 @@ def test_powmod_fermat(mod):
     p = 7
     m = [0] * p + [1]
     m[1] = -1                  # x^7 - x
-    assert mod.poly_powmod_p([0, 1], p, m, p) == [0, 1]
+    assert mod.poly_powmod_p([0, 1], p, mod.ring_p(m, p)) == [0, 1]
 
 
 def test_empty_and_vanishing_inputs(mod):
@@ -251,9 +251,10 @@ def test_empty_and_vanishing_inputs(mod):
     assert mod.poly_rem_p([], m, 7) == []
     assert mod.poly_gcd_p([], [], 7) == []
     assert mod.poly_gcd_p([], [2, 4], 7) == [4, 1]
-    assert mod.poly_powmod_p([], 3, m, 7) == []
-    assert mod.poly_powmod_p([], 0, m, 7) == [1]
-    assert mod.poly_powmod_p([2, 5], 0, m, 7) == [1]
+    ring = mod.ring_p(m, 7)
+    assert mod.poly_powmod_p([], 3, ring) == []
+    assert mod.poly_powmod_p([], 0, ring) == [1]
+    assert mod.poly_powmod_p([2, 5], 0, ring) == [1]
 
 
 @pytest.mark.parametrize("p", [2, 3, 101] + BIG_PRIMES)
@@ -280,8 +281,11 @@ def test_powmod_long_moduli(mod, p):
     for n in range(1, 82, 4):
         m = [rng.randint(-p, p) for _ in range(n)] + [rng.randrange(1, p)]
         base = [rng.randint(-p, p) for _ in range(rng.randrange(2 * n + 2))]
+        ring = mod.ring_p(m, p)
+        assert ring.m == mod.poly_monic_p(m, p)
+        assert mod.ring_p(m, p) is not ring    # no cache hands it back
         for e in (0, 1, 2, 7, rng.randrange(8, 1000)):
-            assert mod.poly_powmod_p(base, e, m, p) == \
+            assert mod.poly_powmod_p(base, e, ring) == \
                 ref_powmod_p(base, e, m, p), (n, e)
 
 
@@ -304,16 +308,17 @@ def test_frobenius_rows_are_powers_of_x(mod, p):
     rng = random.Random(p)
     for n in (1, 2, 3, 8, 19, 30):
         m = [rng.randint(-p, p) for _ in range(n)] + [rng.randrange(1, p)]
-        h = mod.poly_powmod_p([0, 1], p, m, p)
-        w, rows = mod.frobenius_rows_p(h, m, p)
+        ring = mod.ring_p(m, p)
+        h = mod.poly_powmod_p([0, 1], p, ring)
+        w, rows = mod.frobenius_rows_p(h, ring)
         assert 256 ** w > n * (p - 1) ** 2 and len(rows) == n
         for i, row in enumerate(rows):
             assert unpack_slots(row, w, n) == \
-                mod.poly_powmod_p([0, 1], i * p, m, p), (n, i)
+                mod.poly_powmod_p([0, 1], i * p, ring), (n, i)
         for _ in range(3):
             a = [rng.randrange(p) for _ in range(rng.randrange(n + 1))]
             assert mod.frobenius_apply_p((w, rows), mod.trim(a), p) == \
-                mod.poly_powmod_p(a, p, m, p), n
+                mod.poly_powmod_p(a, p, ring), n
 
 
 @pytest.mark.parametrize("p", [2, 3, 101] + BIG_PRIMES)
@@ -621,8 +626,8 @@ def test_division_and_resultant_raise_on_a_carry(mod, p):
 
 
 def test_zero_leading_coefficient_mod_p_raises(mod):
-    # The divisor's leading coefficient has no inverse mod p.
+    # The divisor's (the modulus') leading coefficient has no inverse mod p.
     with pytest.raises(ValueError):
         mod.poly_rem_p([1, 2, 3], [1, 5], 5)
     with pytest.raises(ValueError):
-        mod.poly_powmod_p([0, 1], 3, [1, 2, 7], 7)
+        mod.ring_p([1, 2, 7], 7)

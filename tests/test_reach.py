@@ -107,7 +107,6 @@ def test_src_holds_what_a_command_reaches(monkeypatch):
     # cached by an earlier test would hide the code that builds it
     monkeypatch.setattr(seq, "_memo", {})
     _kernels._euclid_slots.cache_clear()
-    _kernels._ring.cache_clear()
     calls = set()
 
     def profile(frame, event, arg):

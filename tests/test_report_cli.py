@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bridgevar import cli, curves, geometry, knotprops, report, seq
+from bridgevar import cli, curves, geometry, knotprops, report, riley, seq
 from bridgevar.cli import main
 from bridgevar.geometry import genus_Y
 from bridgevar.kernels import poly_gcd_p
@@ -548,6 +548,16 @@ def test_cli_verify_json(capsys, monkeypatch):
     assert data["ok"] is False and data["checks"][0]["ok"] is False
 
 
+def test_cli_verify_riley_builds_each_riley_polynomial_once(monkeypatch,
+                                                           capsys):
+    # the vanishing-ideal check takes the F of the three-route grid
+    counts = count_calls(monkeypatch, [riley.riley_poly_J])
+    code, out, _ = run(capsys, "verify", "riley", "--kmax", "3",
+                       "--nmax", "2")
+    assert code == 0 and "FAIL" not in out
+    assert counts["riley_poly_J"] == 4 * 4  # 2 <= |k| <= 3, 1 <= |n| <= 2
+
+
 @pytest.mark.parametrize("argv", [("analyze", "-k", "2", "-l", "4"),
                                   ("verify", "riley", "--kmax", "2",
                                    "--nmax", "1")])
@@ -867,6 +877,72 @@ def test_sweep_refuses_jobs_below_one(monkeypatch, capsys, jobs, before):
         main(argv)
     assert exc.value.code == 2
     assert "must be at least 1" in capsys.readouterr().err
+
+
+def run_cli_process(argv, stdout):
+    """The exit code and stderr of the CLI in a fresh interpreter whose
+    stdout is the file descriptor or file `stdout`."""
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from bridgevar.cli import main; sys.exit(main())",
+         *argv],
+        stdout=stdout, stderr=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    return done.returncode, done.stderr
+
+
+DEV_FULL = Path("/dev/full")
+needs_dev_full = pytest.mark.skipif(not DEV_FULL.exists(),
+                                    reason="no /dev/full")
+
+
+@needs_dev_full
+@pytest.mark.parametrize("argv", [
+    ["analyze", "-k", "4", "-l", "-6"],
+    ["verify", "riley", "--kmax", "2", "--nmax", "1"],
+    ["newton", "-n", "6", "-p", "3", "--json"],
+    ["sweep", "--kmax", "3", "--lmax", "3", "--jobs", "1"]])
+def test_output_to_a_full_device_is_an_error_line(argv):
+    # one error line and exit 2, no traceback, and nothing printed when
+    # the interpreter flushes stdout at exit
+    with open(DEV_FULL, "w") as full:
+        assert run_cli_process(argv, full) == (
+            2, "error: cannot write <stdout>: No space left on device\n")
+
+
+@needs_dev_full
+def test_sweep_out_on_a_full_device_is_an_error_line():
+    argv = ["sweep", "--kmax", "3", "--lmax", "3", "--jobs", "2",
+            "--out", str(DEV_FULL)]
+    assert run_cli_process(argv, subprocess.DEVNULL) == (
+        2, "error: cannot write %s: No space left on device\n" % DEV_FULL)
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "-k", "4", "-l", "-6", "--json"],
+    ["sweep", "--kmax", "3", "--lmax", "3", "--jobs", "1"]])
+def test_output_to_a_closed_pipe_is_an_error_line(argv):
+    # the reader is gone before the command writes, as when `head` exits
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        assert run_cli_process(argv, w) == (
+            2, "error: cannot write <stdout>: Broken pipe\n")
+    finally:
+        os.close(w)
+
+
+def test_sweep_failed_fork_is_not_an_output_error(monkeypatch, capsys):
+    # only the writes turn an OSError into exit 2
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    with pytest.raises(BlockingIOError):
+        main(["sweep", "--kmax", "2", "--lmax", "2", "--jobs", "2"])
+    assert capsys.readouterr().out == ""
 
 
 def test_sweep_stdout_mode(capsys):

@@ -222,17 +222,17 @@ def fraction_trace_formula_check(k, samples, seed=""):
     return True
 
 
-def ideal_identity_oracle(k, n):
-    """Riley's identity A W - W B = [[0, F], [(r - 2) F, 0]] on decoded
+def ideal_identity_oracle(k, n, G):
+    """Riley's identity A W - W B = [[0, G], [(r - 2) G, 0]] on decoded
     Laurent entries: W = W_k^n from eval_word, decoded, times the
-    generators by the general product, and F = riley.riley_poly_J(k, n)
+    generators by the general product, and the BiPoly G in (y, r)
     expanded at y = L^2 + L^-2."""
     W = decoded_word(word_power(w_k_word(k), n))
     D = tuple(lp_add(x, lp_neg(y))
               for x, y in zip(mat_mul(GENERATORS["a"], W),
                               mat_mul(W, GENERATORS["b"])))
     F, yj = ZERO, ONE
-    for fj in riley.riley_poly_J(k, n).cs:
+    for fj in G.cs:
         F = lp_add(F, lp_mul(yj, {0: fj}))
         yj = lp_mul(yj, {2: R1, -2: R1})
     return D == (ZERO, F, lp_mul({0: R - 2}, F), ZERO)
@@ -602,30 +602,25 @@ def test_ideal_generator_check_spot():
     # edge cells: w_0 is the empty word, w_{+-1} have two letters, and
     # W_k^0 is the identity, with F = 1
     for k, n in ((0, 1), (1, 3), (-1, -2), (5, 0), (2, 1), (24, -3)):
-        assert ideal_generator_check(k, n), (k, n)
+        assert ideal_generator_check(k, n, riley_poly_J(k, n)), (k, n)
 
 
-def test_ideal_identity_matches_decoded_laurent_oracle(monkeypatch):
+def test_ideal_identity_matches_decoded_laurent_oracle():
     cells = [(k, n) for k in range(-6, 7) if abs(k) >= 2
              for n in range(-3, 4) if n]
     assert len(cells) == 60
-    real = riley.riley_poly_J
-    for F in (real, lambda k, n: -real(k, n),
-              lambda k, n: real(k, n) + BiPoly.from_inner(R, "y")):
-        monkeypatch.setattr(riley, "riley_poly_J", F)
-        for k, n in cells:
-            got = ideal_generator_check(k, n)
-            assert got == ideal_identity_oracle(k, n), (k, n)
-            assert got == (F is real), (k, n)
+    for k, n in cells:
+        F = riley_poly_J(k, n)
+        for G in (F, -F, F + BiPoly.from_inner(R, "y")):
+            got = ideal_generator_check(k, n, G)
+            assert got == ideal_identity_oracle(k, n, G), (k, n)
+            assert got == (G is F), (k, n)
 
 
-def test_ideal_generator_check_fails_on_a_wrong_generator(monkeypatch):
-    real = riley.riley_poly_J
+def test_ideal_generator_check_fails_on_a_wrong_generator():
     r_minus_5 = BiPoly.from_inner(R - 5, "y")
-    monkeypatch.setattr(riley, "riley_poly_J",
-                        lambda k, n: real(k, n) * r_minus_5)
-    assert not ideal_generator_check(2, 1)
-    assert not ideal_generator_check(3, -2)
+    for k, n in ((2, 1), (3, -2)):
+        assert not ideal_generator_check(k, n, riley_poly_J(k, n) * r_minus_5)
 
 
 def test_riley_outputs_are_pinned():

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bridgevar.poly import ExactError, UniPoly
-from bridgevar.seq import (big_f, big_g, big_h, delta, f_poly, g_poly,
-                           identity_suite, phi, psi)
+from bridgevar.seq import (big_f, big_g, big_h, d_poly, delta, f_poly,
+                           g_poly, identity_suite, phi, psi)
 
 
 def f_at(j, u0):
@@ -111,11 +111,29 @@ def test_sequences_are_memoized_in_u():
     # variable gets a relabeled copy of it
     for seq, j in ((f_poly, 5), (g_poly, 5), (g_poly, -3), (phi, 7),
                    (phi, -6), (psi, 5), (psi, -4), (delta, 3), (big_f, 3),
-                   (big_g, -2), (big_h, 3)):
+                   (big_g, -2), (big_h, 3), (d_poly, 6)):
         p = seq(j)
         assert seq(j, "u") is p, (seq.__name__, j)
         q = seq(j, "r")
         assert q.var == "r" and q.c == p.c, (seq.__name__, j)
+
+
+def test_d_poly_is_the_trace_recurrence():
+    # D_0 = 2, D_1 = u and D_{j+1} = u D_j - D_{j-1}, the recurrence of
+    # L^j + L^-j in u = L + L^-1, run on coefficient lists
+    want = [[2], [0, 1]]
+    while len(want) < 200:
+        c = [0] + want[-1]
+        for i, v in enumerate(want[-2]):
+            c[i] -= v
+        want.append(c)
+    for j, c in enumerate(want):
+        assert list(d_poly(j).c) == c, j
+        assert d_poly(-j) == d_poly(j), j
+    # at L = 3: u = 10/3, so 3^j D_j(10/3) = 9^j + 1
+    for j in range(12):
+        assert sum(v * 10 ** i * 3 ** (j - i)
+                   for i, v in enumerate(d_poly(j).c)) == 9 ** j + 1, j
 
 
 def test_identity_suite_green_and_named():
