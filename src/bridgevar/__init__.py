@@ -28,9 +28,9 @@ from .curves import CurveModel, c_model, d_model, d_split
 from .geometry import (component_count, genus_X, genus_Y,
                        infinity_transversality, odd_point_report,
                        smoothness_certificate)
-from .newton import (GAUSS_INT, INFINITY, ROOT_THREE, binom_check,
-                     complexabs_check, expected_vertices, lemma_polynomial,
-                     polygon, val_quad, val_rat)
+from .newton import (INFINITY, binom_check, complexabs_check,
+                     expected_vertices, lemma_polynomial, polygon, val_quad,
+                     val_rat)
 from .knotprops import (HYPERBOLIC, NOT_A_KNOT, TORUS_NONHYPERBOLIC, TREFOIL,
                         UNKNOT, alexander, classify,
                         commensurability_certificate, fourplat_sequence,
@@ -41,8 +41,8 @@ from .report import Knot, build_report, render_text, to_json
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND", "BiPoly", "CurveModel", "ExactError", "GAUSS_INT",
-    "HYPERBOLIC", "INFINITY", "Knot", "NOT_A_KNOT", "QuadElem", "ROOT_THREE",
+    "BACKEND", "BiPoly", "CurveModel", "ExactError",
+    "HYPERBOLIC", "INFINITY", "Knot", "NOT_A_KNOT", "QuadElem",
     "TORUS_NONHYPERBOLIC", "TREFOIL", "UNKNOT",
     "UniPoly", "alexander", "big_f", "big_g", "big_h", "binom_check",
     "build_report", "c_model", "classify", "commensurability_certificate",

@@ -18,10 +18,6 @@ from .seq import big_g, g_poly
 
 INFINITY = float("inf")
 
-GAUSS_INT = "GaussInt"
-ROOT_THREE = "RootThree"
-_RING_DISC = {GAUSS_INT: -1, ROOT_THREE: 3}
-
 
 def val_rat(x, p):
     """p-adic valuation of a rational; INFINITY for 0."""
@@ -41,16 +37,12 @@ def val_rat(x, p):
     return Fraction(v)
 
 
-def val_quad(x, ring):
+def val_quad(x):
     """The valuation with v(3) = 1 on Q(i) (3 inert) or Q(sqrt 3)
-    (3 ramified): v(x) = v_3(norm(x)) / 2."""
-    if ring not in _RING_DISC:
-        raise ExactError("unsupported valuation (ring %r)" % (ring,))
+    (3 ramified), the ring of the `QuadElem` x: v(x) = v_3(norm(x)) / 2.
+    A rational x has v(x) = v_3(x) in both rings."""
     if isinstance(x, (int, Fraction)):
-        x = QuadElem(x, 0, _RING_DISC[ring])
-    if x.disc != _RING_DISC[ring]:
-        raise ExactError("unsupported valuation (disc %r in %s)"
-                         % (x.disc, ring))
+        return val_rat(x, 3)
     nm = x.norm()
     if nm == 0:
         return INFINITY
@@ -151,12 +143,9 @@ def lemma_polynomial(kind, n, p=None):
             raise ExactError("variant %s needs a positive multiple of 3" % kind)
         if p not in (None, 3):
             raise ExactError("variants i/alpha fix the prime 3")
-        if kind == "i":
-            alpha, ring = QuadElem(0, 1, -1), GAUSS_INT
-        else:
-            alpha, ring = QuadElem(-2, 1, 3), ROOT_THREE
+        alpha = QuadElem(0, 1, -1) if kind == "i" else QuadElem(-2, 1, 3)
         one = QuadElem(1, 0, alpha.disc)
-        val = lambda c: val_quad(c, ring)
+        val = val_quad
     else:
         raise ExactError("unknown variant %r" % (kind,))
     c4 = _shifted_power_coeffs(alpha, 4 * n, one)

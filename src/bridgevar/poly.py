@@ -21,14 +21,11 @@ points, never as coefficients.
 """
 
 from fractions import Fraction
-from itertools import islice
 from math import gcd as int_gcd, isqrt
 from typing import NamedTuple
 
-from .kernels import (euclid_divmod_p, euclid_gcd_p, euclid_pack,
-                      frobenius_apply_p, frobenius_rows_p, poly_gcd_p,
-                      poly_mul, poly_mul_p, poly_mulmod_p, poly_powmod_p,
-                      poly_resultant_p, ring_euclid, ring_p, ring_pack, trim)
+from .kernels import (degree_pattern_p, poly_gcd_p, poly_mul,
+                      poly_resultant_p, trim)
 
 NEG_INF = float("-inf")
 
@@ -331,18 +328,18 @@ def parse_poly(text, var=None):
 # ---------------------------------------------------------------------------
 # subresultant PRS machinery (shared by gcd, resultant, bivariate gcd)
 
-def _ring_one(sample):
+def _coeff_one(sample):
     return UniPoly.const(1, sample.var) if isinstance(sample, UniPoly) else 1
 
 
-def _ring_divexact(a, b):
+def _coeff_divexact(a, b):
     if isinstance(a, UniPoly):
         return a.divexact(b)
     if isinstance(b, UniPoly):
         # int / UniPoly: only legal when b is constant
         if b.degree > 0:
             raise ExactError("non-exact division")
-        return _ring_divexact(a, b.constant)
+        return _coeff_divexact(a, b.constant)
     q, r = divmod(a, b)
     if r:
         raise ExactError("non-exact division")
@@ -359,7 +356,7 @@ def _divexact_lists(a, b):
     r = list(a)
     q = [0] * max(len(r) - d, 0)
     for sh in range(len(q) - 1, -1, -1):
-        c = q[sh] = _ring_divexact(r[sh + d], lead)
+        c = q[sh] = _coeff_divexact(r[sh + d], lead)
         if c:
             for j, v in enumerate(b):
                 r[sh + j] -= c * v
@@ -394,7 +391,7 @@ def _prs_tail(A, B):
     elements, the sign of the degree swaps and the last subresultant
     scale h, the bookkeeping both gcd and resultant need.  Degenerate
     inputs are handled by the callers."""
-    one = _ring_one(A[0])
+    one = _coeff_one(A[0])
     g = h = one
     s = 1
     while True:
@@ -405,19 +402,19 @@ def _prs_tail(A, B):
         R = _prem(A, B)
         A = B
         denom = g * (h ** delta)
-        B = [_ring_divexact(c, denom) for c in R]
+        B = [_coeff_divexact(c, denom) for c in R]
         g = A[-1]
         if delta == 1:
             h = g
         elif delta > 1:
-            h = _ring_divexact(g ** delta, h ** (delta - 1))
+            h = _coeff_divexact(g ** delta, h ** (delta - 1))
         if not B or len(B) - 1 == 0:
             return A, B, s, h
 
 
 def _resultant_lists(A, B):
     """Resultant in the list variable of two nonzero coefficient lists."""
-    one = _ring_one(A[0] if len(A) else B[0])
+    one = _coeff_one(A[0] if len(A) else B[0])
     dA, dB = len(A) - 1, len(B) - 1
     if dA == 0 and dB == 0:
         return one
@@ -437,7 +434,7 @@ def _resultant_lists(A, B):
     e = len(A2) - 1  # >= 1
     res = B2[0] ** e
     if e > 1:
-        res = _ring_divexact(res, h ** (e - 1))
+        res = _coeff_divexact(res, h ** (e - 1))
     return res if s == 1 else -res
 
 
@@ -1054,35 +1051,9 @@ def modp_degree_pattern(f, p):
     """Sorted degrees of the irreducible factors of f mod p, or BAD_PRIME.
 
     A prime is bad when it divides the leading coefficient or when f mod p
-    is not squarefree, the test of `_squarefree_mod_p`.  Distinct-degree
-    factorization: the product of the irreducible factors of degree d is
-    gcd(x**(p**d) - x, v), where v is what is left of f after the factors
-    of lower degree are divided out.
-    Since only degree *patterns* are needed, no equal-degree splitting is
-    performed.
-
-    The gcds are batched over blocks of degrees [d0, d1] with
-    d1 = min(2*d0 - 1, deg v // 2) (von zur Gathen & Shoup, Comput.
-    Complexity 2 (1992); Kaltofen & Shoup, Math. Comp. 67 (1998)): one
-    gcd(P, v) with P the product of x**(p**d) - x over the block.  v has
-    no factor of degree below d0, and a factor of degree e >= d0 divides
-    x**(p**d) - x iff e divides d, which for d < 2e means e = d; so the
-    gcd is the product of the factors of v with degrees in [d0, d1].  Its
-    degree often splits into parts from [d0, d1] in one way only, which
-    then is the pattern of that block; otherwise one gcd per degree
-    splits it.  When 2*d0 exceeds deg v, v is irreducible.
-
-    The iterates x**(p**d) and P are kept modulo f itself, which leaves
-    those gcds unchanged because v divides f, in the one ring
-    `ring_p(f, p)` built per call.  That makes the Frobenius map a -> a**p
-    one fixed linear map: x**p is computed once by `poly_powmod_p`, the
-    rows x**(i*p) mod f are built from it once (`frobenius_rows_p`), and
-    each further degree step applies them.  The factors x**(p**d) - x of
-    P are multiplied in the ring without unpacking (packed Barrett
-    products).  v, P, the block gcds and the factors of a split block stay
-    packed, as operands of the ring's remainder loop (`ring_euclid`), for
-    the gcds and the exact division of v (`euclid_gcd_p`,
-    `euclid_divmod_p`); only their degrees are read.
+    is not squarefree, the test of `_squarefree_mod_p`.  The degrees of a
+    good prime come from the distinct-degree factorization of
+    `degree_pattern_p`.
 
     Degree patterns at several primes also prove irreducibility over Q
     (Musser, J. ACM 25 (1978)): the degrees of a factor over Q add up, at
@@ -1096,51 +1067,7 @@ def modp_degree_pattern(f, p):
         return BAD_PRIME
     if f.degree < 1:
         return []
-    ring = ring_p(f.c, p)
-    sl = ring.euclid
-    v = euclid_pack(ring.m, sl)
-    pattern = []
-    xp = poly_powmod_p([0, 1], p, ring)  # running x**(p**d) mod f
-    d0 = 1
-    while 2 * d0 <= v[1]:
-        d1 = min(2 * d0 - 1, v[1] // 2)
-        diffs = []  # x**(p**d) - x for d in [d0, d1], packed in the ring
-        for d in range(d0, d1 + 1):
-            if d == 2:
-                frob = frobenius_rows_p(xp, ring)  # xp is x**p here
-            if d > 1:
-                xp = frobenius_apply_p(frob, xp, p)
-            diff = xp + [0] * (2 - len(xp))
-            diff[1] = (diff[1] - 1) % p
-            diffs.append(ring_pack(diff, ring))
-        prod = diffs[0]
-        for diff in diffs[1:]:
-            prod = poly_mulmod_p(prod, diff, ring)
-        g = euclid_gcd_p(ring_euclid(prod, ring), v, sl)
-        if g[1] > 0:
-            splits = list(islice(_part_lists(g[1], d0, d1), 2))
-            if len(splits) == 1:
-                pattern += splits[0]
-            else:
-                for d, diff in zip(range(d0, d1 + 1), diffs):
-                    dg = euclid_gcd_p(ring_euclid(diff, ring), g, sl)[1]
-                    pattern += [d] * (dg // d)
-            v, rem = euclid_divmod_p(v, g, sl)
-            if rem[1] >= 0:
-                raise ExactError("non-exact division mod p")
-        d0 = d1 + 1
-    if v[1] > 0:
-        pattern.append(v[1])
-    return sorted(pattern)
-
-
-def _part_lists(s, lo, hi):
-    """The nondecreasing lists of parts from [lo, hi] that sum to s."""
-    if not s:
-        yield []
-    for d in range(lo, min(hi, s) + 1):
-        for rest in _part_lists(s - d, d, hi):
-            yield [d] + rest
+    return degree_pattern_p(f.c, p)
 
 
 # ---------------------------------------------------------------------------

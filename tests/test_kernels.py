@@ -10,10 +10,11 @@ import signal
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bridgevar import _kernels
+from bridgevar import kernels
 
-# A parameter, so that every test id names the module under test.
-pytestmark = pytest.mark.parametrize("mod", [_kernels], ids=["_kernels"])
+# A parameter whose id keeps the name of the module's former file, so that
+# the test ids stay as they were; dropping it renames every test id.
+pytestmark = pytest.mark.parametrize("mod", [kernels], ids=["_kernels"])
 
 
 # --- reference implementations (big-endian, no shared code) -----------
@@ -575,6 +576,24 @@ def test_gcd_p_matches_reference_on_vanishing_slots(mod, data, p):
     assert mod.poly_gcd_p(list(b), list(a), p) == want
 
 
+def euclid_list(mod, x, d, sl):
+    """The coefficient list of the remainder-loop operand (x, d)."""
+    return mod._unpack(x, d + 1, sl.w, sl.p, "big")
+
+
+@pytest.mark.parametrize("p", EUCLID_PRIMES)
+def test_pack_orders_mirror_each_other(mod, p):
+    # "big" packs the list reversed; each order reads back what it wrote
+    rng = random.Random(p)
+    for n in (0, 1, 2, 9):
+        a = [rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)]
+        w = mod._slot_width(n + 1, p)
+        x = mod._pack(a, p, w, "big")
+        assert x == mod._pack(a[::-1], p, w, "little"), n
+        assert mod._unpack(x, n + 1, w, p, "big") == a, n
+        assert mod._unpack(x, n + 1, w, p, "little") == mod.trim(a[::-1]), n
+
+
 @pytest.mark.parametrize("p", EUCLID_PRIMES)
 def test_packed_operands_match_the_list_kernels(mod, p):
     # A ring element moved into the Euclid slots with no unpacking is the
@@ -593,13 +612,13 @@ def test_packed_operands_match_the_list_kernels(mod, p):
             g, dg = mod.euclid_gcd_p(x, mod.euclid_pack(m, sl), sl)
             want = ref_gcd_p(a, m, p)
             assert dg == len(want) - 1 and (dg < 0 or mod.poly_monic_p(
-                mod._euclid_unpack(g, dg, sl), p) == want), (n, a)
+                euclid_list(mod, g, dg, sl), p) == want), (n, a)
             if dg >= 0:
                 (q, dq), (r, dr) = mod.euclid_divmod_p(
                     mod.euclid_pack(m, sl), (g, dg), sl)
                 assert dr == -1 and r == 0
-                assert mod._euclid_unpack(q, dq, sl) == ref_divmod_p(
-                    m, mod._euclid_unpack(g, dg, sl), p)[0]
+                assert euclid_list(mod, q, dq, sl) == ref_divmod_p(
+                    m, euclid_list(mod, g, dg, sl), p)[0]
 
 
 @pytest.mark.parametrize("p", EUCLID_PRIMES)

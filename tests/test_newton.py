@@ -13,11 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bridgevar import newton
-from bridgevar.newton import (GAUSS_INT, INFINITY, ROOT_THREE,
-                              _roots_inside_unit_circle, binom_check,
-                              complexabs_check, expected_vertices,
-                              lemma_polynomial, poly_points, polygon,
-                              val_quad, val_rat)
+from bridgevar.newton import (INFINITY, _roots_inside_unit_circle,
+                              binom_check, complexabs_check,
+                              expected_vertices, lemma_polynomial,
+                              poly_points, polygon, val_quad, val_rat)
 from bridgevar.poly import ExactError, QuadElem, UniPoly
 from modulus_oracle import float_moduli
 
@@ -60,15 +59,16 @@ def test_val_rat_basics():
 
 def test_val_quad_pinned():
     i = QuadElem(0, 1, -1)
-    assert val_quad(1 + i, GAUSS_INT) == 0      # norm 2, prime to 3
-    assert val_quad(3, GAUSS_INT) == 1          # 3 inert: v(3) = 1
-    assert val_quad(QuadElem(0, 3, -1), GAUSS_INT) == 1
+    assert val_quad(1 + i) == 0                 # norm 2, prime to 3
+    assert val_quad(3) == 1                     # 3 inert: v(3) = 1
+    assert val_quad(QuadElem(0, 3, -1)) == 1
     b = QuadElem(0, 1, 3)
-    assert val_quad(b, ROOT_THREE) == Fraction(1, 2)   # ramified
-    assert val_quad(b ** 2, ROOT_THREE) == 1
-    assert val_quad(0, GAUSS_INT) == INFINITY
-    with pytest.raises(ExactError):
-        val_quad(i, ROOT_THREE)
+    assert val_quad(b) == Fraction(1, 2)        # ramified
+    assert val_quad(b ** 2) == 1
+    assert val_quad(0) == INFINITY
+    # a rational has the same valuation in both rings
+    assert val_quad(Fraction(9, 2)) == 2
+    assert val_quad(QuadElem(Fraction(9, 2), 0, 3)) == 2
 
 
 # --- polygon construction ---------------------------------------------------
@@ -186,7 +186,7 @@ def test_polygon_matches_expected_vertices_small():
 def test_lemma_alpha_has_half_integer_heights():
     lp = lemma_polynomial("alpha", 3)
     verts = polygon(lp.points).vertices
-    assert verts[0][1] == Fraction(val_quad(lp.coeffs[0], ROOT_THREE))
+    assert verts[0][1] == Fraction(val_quad(lp.coeffs[0]))
     assert any(y.denominator == 2 for _x, y in verts if y != INFINITY)
 
 

@@ -17,7 +17,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bridgevar import poly
+from bridgevar import kernels, poly
+from bridgevar.cli import main
 from bridgevar.kernels import (poly_gcd_p, poly_mul, poly_mul_p, poly_rem_p,
                                poly_resultant_p, trim)
 from bridgevar.curves import c_model
@@ -27,6 +28,7 @@ from bridgevar.poly import (BAD_PRIME, BiPoly, ExactError, QuadElem, UniPoly,
                             is_separable, modp_degree_pattern, next_prime,
                             parse_poly, poly_gcd, rational_roots, resultant,
                             resultant_mod_p, squarefree_part)
+from bridgevar.report import Knot
 from modulus_oracle import complex_roots
 
 
@@ -639,15 +641,22 @@ def test_modp_pattern_bad_prime():
     assert modp_degree_pattern(g, 7) == BAD_PRIME   # not squarefree
 
 
-def test_modp_pattern_refuses_a_non_exact_quotient(monkeypatch):
+def test_modp_pattern_refuses_a_non_exact_quotient(monkeypatch, capsys):
     # the factors found divide what is left of f exactly; a remainder
-    # would be a broken kernel and raises
+    # would be a broken kernel: an invariant failure, not a refused input
     f = (U - 1) * (U - 2) * (U ** 2 + 1)
     assert modp_degree_pattern(f, 7) == [1, 1, 2]
-    monkeypatch.setattr(poly, "euclid_divmod_p",
+    # the trace field of J(2, 4) splits at its first good prime
+    analysis = Knot(2, 4).trace_field.analysis
+    assert analysis.sampled_primes[0] == 53
+    assert analysis.patterns[0] == [1, 2]
+    monkeypatch.setattr(kernels, "euclid_divmod_p",
                         lambda a, b, sl: ((0, -1), (1, 0)))
-    with pytest.raises(ExactError, match="non-exact division mod p"):
+    with pytest.raises(AssertionError, match="non-exact division mod 7"):
         modp_degree_pattern(f, 7)
+    # so `analyze` exits 1 instead of printing the trace field unavailable
+    assert main(["analyze", "-k", "2", "-l", "4"]) == 1
+    assert "non-exact division mod 53" in capsys.readouterr().err
 
 
 DDF_PRIMES = [2, 3, 5, 53, 101, 2 ** 31 - 1, 2 ** 61 - 1]

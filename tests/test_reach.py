@@ -17,7 +17,7 @@ import os
 import sys
 
 import bridgevar
-from bridgevar import _kernels, cli, seq
+from bridgevar import cli, kernels, seq
 from bridgevar.knotprops import HYPERBOLIC, classify
 
 PACKAGE = os.path.dirname(os.path.realpath(bridgevar.__file__))
@@ -26,10 +26,10 @@ ERROR_PATH = "error path: no command input in this run fails there"
 BENCHMARK = "the benchmark calls it; only a benchmark change may drop it"
 SMALL_METHOD = "a small method of a polynomial type, part of its API"
 UNREACHED = {
-    "_kernels:_slot_width": BENCHMARK,
-    "_kernels:poly_mul_p": BENCHMARK,
     "cli:_error_row": ERROR_PATH,
     "cli:_forked_rows": "runs only with --jobs > 1, which forks",
+    "kernels:_slot_width": BENCHMARK,
+    "kernels:poly_mul_p": BENCHMARK,
     "poly:_as_coeff": ERROR_PATH,
     "poly:_pollard_rho": "factorint needs it for a large prime factor",
     "poly:parse_poly": "reads the polynomial text of a JSON witness back",
@@ -106,7 +106,7 @@ def test_src_holds_what_a_command_reaches(monkeypatch):
     # empty caches, as a new command starts with: a term or a slot set
     # cached by an earlier test would hide the code that builds it
     monkeypatch.setattr(seq, "_memo", {})
-    _kernels._euclid_slots.cache_clear()
+    kernels._euclid_slots.cache_clear()
     calls = set()
 
     def profile(frame, event, arg):
