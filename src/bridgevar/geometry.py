@@ -99,6 +99,13 @@ def modular_smoothness_trace(F, delta_r=None):
     A zero R1 mod p proves nothing; `affine_singular_locus` rejects
     R1 = 0.
 
+    `resultant_mod_p` computes R1 and R2 mod p by one of its two routes:
+    one integer resultant at r = 2**B, with B from Hadamard's bound
+    (Kronecker substitution), below its measured gate, and evaluation
+    at r = 0, 1, ..., bound with interpolation past it.  Both give the
+    same coefficients, so the trace and its re-check from the JSON do
+    not depend on the route.
+
     The trace holds the prime, the degrees of the resultants mod p,
     the Sylvester bound on deg R1, whether delta_r was used, and the
     degree 0 of the gcd mod p.

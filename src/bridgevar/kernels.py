@@ -32,9 +32,10 @@ lowest slot, so that a step is one multiply-add by the divisor and one
 shift, and their slots grow unreduced for many steps.  The gcd
 (`poly_gcd_p`), the division (`poly_divmod_p`, whose remainder is
 `poly_rem_p`, and the ring's quotient M) and the resultant
-(`poly_resultant_p`, which `poly.resultant_mod_p` interpolates) are thin
-callers of it: the division collects its quotient from the steps, the
-resultant tracks degrees and leading coefficients.  `euclid_gcd_p` and
+(`poly_resultant_p`, whose values `poly.resultant_mod_p` interpolates
+past its Kronecker gate) are thin callers of it: the division collects
+its quotient from the steps, the resultant tracks degrees and leading
+coefficients.  `euclid_gcd_p` and
 `euclid_divmod_p` take packed operands, so that a degree pattern keeps
 its operands packed in the slots of its ring (`ring_euclid`).
 

@@ -22,7 +22,7 @@ from bridgevar.cli import main
 from bridgevar.kernels import (poly_gcd_p, poly_mul, poly_mul_p, poly_rem_p,
                                poly_resultant_p, trim)
 from bridgevar.curves import c_model
-from bridgevar.knotprops import trace_field_poly
+from bridgevar.knotprops import HYPERBOLIC, classify, trace_field_poly
 from bridgevar.poly import (BAD_PRIME, BiPoly, ExactError, QuadElem, UniPoly,
                             irreducibility_analysis, factorint, is_prime,
                             is_separable, modp_degree_pattern, next_prime,
@@ -556,27 +556,79 @@ def test_resultant_p_matches_sylvester_on_vanishing_slots(case):
     assert poly_resultant_p(a, b, p) == int(sylvester_resultant(a, b)) % p
 
 
+def smoothness_resultant_pairs(n):
+    """(F, F_t) and (F, F_r) for the model that the smoothness certificate
+    of J(k, l) proves smooth, D(k, l) or D1(l, l), for every hyperbolic
+    (k, l) with |k|, |l| <= n."""
+    for k in range(-n, n + 1):
+        for l in range(-n, n + 1):
+            if classify(k, l) == HYPERBOLIC:
+                knot = Knot(k, l)
+                F = (knot.D_split[1] if k == l else knot.D).equation
+                yield F, F.deriv_outer()
+                yield F, F.deriv_inner()
+
+
 @pytest.mark.parametrize("p", [101, 2 ** 61 - 1])
-def test_resultant_mod_p_matches_exact_resultant(p):
+def test_resultant_mod_p_matches_exact_resultant(p, monkeypatch):
     rng = random.Random(p)
     r = BiPoly.from_inner(UniPoly.gen("r"), "t")
     t = BiPoly.gen_outer("t", "r")
     # leading t-coefficients that vanish at evaluation points
     pairs = [(r * (r - 1) * t ** 2 + t - 3, (r - 2) * t + r ** 2),
-             (t ** 3 - r, t ** 3 + r)]
+             (t ** 3 - r, t ** 3 + r),
+             # the bound is 2 * 50 = p - 1 when p = 101
+             (t + r ** 50, t - r ** 50),
+             # Hadamard's bound alone gives B = 5 here (h**2 = 3**4), where
+             # the leading t-coefficient r - 32 vanishes at r = 2**B
+             ((r - 32) * t ** 2 + 1, BiPoly.const(3, "t", "r"))]
+    f = pairs[-1][0]
+    B = poly._kronecker_bits([list(c.c) for c in f.cs], [[3]])
+    assert B > 6 and f.eval_inner(1 << B).degree == 2
     for _ in range(20):
         f, g = (BiPoly([UniPoly([rng.randint(-9, 9) for _ in range(3)], "r")
                         for _ in range(rng.randint(1, 4))], "t", "r")
                 for _ in range(2))
         if not f.is_zero and not g.is_zero:
             pairs.append((f, g))
-    for f, g in pairs:
-        got, bound = resultant_mod_p(f, g, p)
+    # past the gate: outer degree 20 with bound 80, and R1 of D(16, -18)
+    past = [tuple(BiPoly([UniPoly([rng.randint(-9, 9), 0, 1], "r")
+                          for _ in range(21)], "t", "r") for _ in range(2))]
+    if p > 2 ** 32:
+        F = Knot(16, -18).D.equation
+        past.append((F, F.deriv_outer()))
+        models = list(smoothness_resultant_pairs(10))
+        assert len(models) == 2 * 258
+        pairs += models
+    interpolated = []
+    interpolate = poly._interpolate_p
+    monkeypatch.setattr(poly, "_interpolate_p", lambda values, q: (
+        interpolated.append(q) or interpolate(values, q)))
+    gate = poly.KRONECKER_GATE
+    for f, g in pairs + past:
         exact = resultant(f, g)
-        assert exact.degree <= bound
-        assert got == trim([c % p for c in exact.c]), (f, g)
-    with pytest.raises(ExactError, match="too few"):
-        resultant_mod_p((t - r) ** 40, t + r ** 3, 101)
+        want = trim([c % p for c in exact.c])
+        B = poly._kronecker_bits([list(c.c) for c in f.cs],
+                                 [list(c.c) for c in g.cs])
+        # the balanced base-2**B digits of exact(2**B) are its coefficients
+        assert all(2 * abs(c) < 1 << B for c in exact.c), (f, g)
+        # the gate's route, then the evaluation and the Kronecker route
+        for route in (gate, 0, math.inf):
+            monkeypatch.setattr(poly, "KRONECKER_GATE", route)
+            del interpolated[:]
+            got, bound = resultant_mod_p(f, g, p)
+            assert exact.degree <= bound
+            assert got == want, (f, g, route)
+            if route == gate:
+                assert bool(interpolated) == ((f, g) in past), (f, g)
+    # the bound must stay below p before a route is chosen: 1 * 101
+    # reaches 101
+    for route in (0, math.inf):
+        monkeypatch.setattr(poly, "KRONECKER_GATE", route)
+        with pytest.raises(ExactError, match="too few"):
+            resultant_mod_p((t - r) ** 40, t + r ** 3, 101)
+        with pytest.raises(ExactError, match="too few"):
+            resultant_mod_p(t + r ** 101, BiPoly.const(3, "t", "r"), 101)
 
 
 def test_resultant_vanishes_iff_common_factor():

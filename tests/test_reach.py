@@ -25,11 +25,17 @@ PACKAGE = os.path.dirname(os.path.realpath(bridgevar.__file__))
 ERROR_PATH = "error path: no command input in this run fails there"
 BENCHMARK = "the benchmark calls it; only a benchmark change may drop it"
 SMALL_METHOD = "a small method of a polynomial type, part of its API"
+EVALUATION_ROUTE = ("resultant_mod_p evaluates and interpolates only past "
+                    "poly.KRONECKER_GATE, the measured crossover; the "
+                    "knots of these runs stay below it")
 UNREACHED = {
     "cli:_error_row": ERROR_PATH,
     "cli:_forked_rows": "runs only with --jobs > 1, which forks",
     "kernels:_slot_width": BENCHMARK,
     "kernels:poly_mul_p": BENCHMARK,
+    "kernels:poly_resultant_p": EVALUATION_ROUTE,
+    "poly:_eval_p": EVALUATION_ROUTE,
+    "poly:_interpolate_p": EVALUATION_ROUTE,
     "poly:_as_coeff": ERROR_PATH,
     "poly:_pollard_rho": "factorint needs it for a large prime factor",
     "poly:parse_poly": "reads the polynomial text of a JSON witness back",
