@@ -12,6 +12,17 @@ Montgomery, PLDI 1994) whose quotients land in disjoint bit fields.
 Its docstring proves the quotients exact and gives the slot width they
 need.
 
+`read_slots` is the one way a packed int is read back: a slot below p
+lies in its low u bytes, u the fewest of 1, 2, 4 and 8 bytes that hold
+p - 1 (1 byte for every p <= 256), and every slot width is a multiple
+of u.  The int's bytes are cast to native unsigned ints of u bytes and
+one strided slice takes a unit per slot, with no call per slot; the
+ring's elements (`ring_unpack`), the gcd and the remainder of the list
+kernels and the Frobenius map read their slots that way, and
+`ring_euclid` moves a ring element into the remainder loop's slots by u
+strided byte copies.  A prime with p - 1 >= 2**64 has no read unit: a
+kernel that builds slots mod such a p raises ValueError.
+
 `ring_p(m, p)` is GF(p)[x]/(m) on packed ints: an element of degree
 below n = deg m is one int of n slots, each below p.  A product
 (`poly_mulmod_p`) is one Kronecker product and a Barrett division by m
@@ -24,7 +35,9 @@ by packed constants and three calls of `_red`, with no unpacking.
 a -> a**p of GF(p)[x]/(m) as a GF(p)-linear map (von zur Gathen & Shoup,
 Comput. Complexity 2 (1992)): the rows x**(i*p) mod m are built once as
 ring elements, and every later p-th power is one sum of small-int
-multiples of those ints.
+multiples of those ints.  The map takes and gives packed ring elements,
+so that the iterate x**(p**d) of a degree pattern stays packed: a
+degree step reads its n slots once and reduces the sum once.
 
 `_euclid` is the one GF(p) remainder loop (von zur Gathen & Gerhard,
 ch. 6).  Its operands are packed with the leading coefficient in the
@@ -35,20 +48,21 @@ shift, and their slots grow unreduced for many steps.  The gcd
 (`poly_resultant_p`, whose values `poly.resultant_mod_p` interpolates
 past its Kronecker gate) are thin callers of it: the division collects
 its quotient from the steps, the resultant tracks degrees and leading
-coefficients.  `euclid_gcd_p` and
-`euclid_divmod_p` take packed operands, so that a degree pattern keeps
-its operands packed in the slots of its ring (`ring_euclid`).
+coefficients.  `euclid_gcd_p` and `euclid_divmod_p` take packed
+operands, so that a degree pattern keeps its operands packed in the
+slots of its ring (`ring_euclid`).
 
 `degree_pattern_p`, the distinct-degree loop behind
 `poly.modp_degree_pattern`, runs in one ring with the Frobenius map and
 packed remainder-loop operands; no other module reads a ring or a packed
-operand.
+operand (`riley` reads its own signed slots with `read_slots`).
 
 All list functions return *trimmed* lists (no trailing zeros); the
 zero polynomial is the empty list.  `BACKEND` names the kernel
 implementation, which is always this pure Python one.
 """
 
+import sys
 from functools import lru_cache
 from itertools import islice
 
@@ -82,12 +96,6 @@ def poly_mul(a, b):
     return trim(out)
 
 
-def _slot_width(count, p):
-    """Bytes per slot that hold a sum of count products of two residues
-    mod p, that is count * (p - 1)**2, so that slots never carry."""
-    return ((count * (p - 1) ** 2).bit_length() + 7) // 8
-
-
 def _pack(a, p, w, order):
     """The coefficients of a, reduced mod p, as one int of w-byte slots:
     a[0] in the lowest slot for order "little", in the highest for "big"."""
@@ -95,12 +103,36 @@ def _pack(a, p, w, order):
                           order)
 
 
-def _unpack(z, count, w, p, order):
-    """The trimmed coefficient list, reduced mod p, of the int z of count
-    w-byte slots, read in the order that `_pack` wrote it."""
-    z = z.to_bytes(count * w, order)
-    return trim([int.from_bytes(z[i:i + w], order) % p
-                 for i in range(0, count * w, w)])
+# the native unsigned formats of memoryview.cast, by their size in bytes
+_UNITS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+_ORDER = sys.byteorder
+
+
+def read_slots(x, count, w, u):
+    """The values of the count w-byte slots of the int x >= 0, lowest slot
+    first, read in units of u bytes, u one of 1, 2, 4 and 8: every slot
+    value must be below 2**(8u), and w a multiple of u or below it.
+
+    The bytes of x in the host's byte order are cast to native unsigned
+    ints of u bytes, and one strided slice takes the unit that holds the
+    low bytes of each slot; no call is made per slot.  On a little-endian
+    host slot i starts at byte i w with its low bytes, so the slice steps
+    forward by w // u units from unit 0; on a big-endian host the slots
+    come highest first with their low bytes last, so it steps backward
+    from the last unit.  For w < u the w bytes of each slot are first
+    copied, by w strided byte copies, into the low bytes of a u-byte
+    unit.
+    """
+    z = x.to_bytes(count * w, _ORDER)
+    if w < u:
+        wide = bytearray(count * u)
+        low = 0 if _ORDER == "little" else u - w
+        for t in range(w):
+            wide[low + t::u] = z[t::w]
+        z, w = wide, u
+    step = w // u
+    return memoryview(z).cast(_UNITS[u])[::step if _ORDER == "little"
+                                         else -step].tolist()
 
 
 def _repeat(v, w, count):
@@ -120,10 +152,10 @@ def poly_mul_p(a, b, p):
     if na == 0 or nb == 0:
         return []
     # A product coefficient is a sum of at most min(na, nb) products.
-    w = _slot_width(min(na, nb), p)
-    x = _pack(a, p, w, "little")
-    return _unpack(x * x if a is b else x * _pack(b, p, w, "little"),
-                   na + nb - 1, w, p, "little")
+    sl = _Slots(p, (min(na, nb) * (p - 1) ** 2).bit_length(), na + nb - 1)
+    x = _pack(a, p, sl.w, "little")
+    z = x * x if a is b else x * _pack(b, p, sl.w, "little")
+    return trim(read_slots(_red(z, sl), na + nb - 1, sl.w, sl.u))
 
 
 def poly_monic_p(a, p):
@@ -135,12 +167,20 @@ def poly_monic_p(a, p):
 
 class _Slots:
     """Packed ints of up to count slots of w bytes, each slot below 2**k,
-    and the constants that `_red` reduces them with mod p."""
+    and the constants that `_red` reduces them with mod p.  A reduced
+    slot, below p, is read in its low u bytes (`read_slots`), u the
+    fewest of 1, 2, 4 and 8 bytes that hold p - 1, and w is a multiple
+    of u.  No unit holds p - 1 >= 2**64: such a p raises ValueError."""
 
     def __init__(self, p, k, count):
         self.p = p
         self.k = k
-        self.w = w = (2 * k + 8) // 8          # 8w >= 2k + 1
+        self.u = u = next((u for u in _UNITS if p - 1 < 1 << 8 * u), None)
+        if u is None:
+            raise ValueError("slots mod %d: p - 1 must be below 2**64, the "
+                             "widest unit a slot is read in" % p)
+        w = (2 * k + 8) // 8                 # 8w >= 2k + 1
+        self.w = w = -(-w // u) * u
         self.s = s = k + p.bit_length()
         self.mu = -(-(1 << s) // p)
         self.qmask = _repeat((1 << (8 * w - s)) - 1, w, count)
@@ -206,7 +246,7 @@ def ring_pack(a, ring):
 
 def ring_unpack(x, ring):
     """The coefficient list of the ring element x."""
-    return _unpack(x, ring.n, ring.w, ring.p, "little")
+    return trim(read_slots(x, ring.n, ring.w, ring.u))
 
 
 def poly_mulmod_p(a, b, ring):
@@ -250,17 +290,22 @@ def euclid_pack(a, sl):
 
 def ring_euclid(x, ring):
     """The element x of ring = `ring_p(m, p)` as an operand in the slots
-    `ring.euclid`, with no unpacking: its slots in the opposite order, each
-    widened by leading zero bytes (the Euclid slots are the wider ones
-    for n < 2**15)."""
+    `ring.euclid`, with no unpacking: its slots in the opposite order, by
+    u strided byte copies.  Every slot of x is below p, so it lies in its
+    low u bytes, and the Euclid slots, a multiple of u bytes wide, take
+    those bytes whatever their width."""
     if not x:
         return 0, -1
-    w = ring.w
+    w, we = ring.w, ring.euclid.w
     d = (x.bit_length() - 1) // (8 * w)
+    # big-endian bytes of x: slot d - j, the coefficient of x**(d - j), at
+    # bytes [j w, (j + 1) w) with its low byte last; it becomes operand
+    # slot j, its byte t at byte j we + t of the little-endian operand
     z = x.to_bytes((d + 1) * w, "big")
-    pad = bytes(ring.euclid.w - w)
-    return int.from_bytes(pad.join([z[i - w:i]
-                                    for i in range(len(z), 0, -w)]), "big"), d
+    out = bytearray((d + 1) * we)
+    for t in range(ring.u):
+        out[t::we] = z[w - 1 - t::w]
+    return int.from_bytes(out, "little"), d
 
 
 @lru_cache(maxsize=256)
@@ -378,7 +423,8 @@ def poly_gcd_p(a, b, p):
     g, d = euclid_gcd_p(euclid_pack(a, sl), euclid_pack(b, sl), sl)
     if d < 0:
         return []
-    return poly_monic_p(_unpack(g, d + 1, sl.w, p, "big"), p) if d else [1]
+    return (poly_monic_p(read_slots(g, d + 1, sl.w, sl.u)[::-1], p)
+            if d else [1])
 
 
 def poly_divmod_p(a, b, p):
@@ -394,7 +440,7 @@ def poly_divmod_p(a, b, p):
     sl = _euclid_slots(p, max(len(a), len(b)))
     quo = []
     r, dr = _euclid(*euclid_pack(a, sl), *euclid_pack(b, sl), sl, quo=quo)
-    return quo[::-1], _unpack(r, dr + 1, sl.w, p, "big")
+    return quo[::-1], read_slots(_red(r, sl), dr + 1, sl.w, sl.u)[::-1]
 
 
 def poly_rem_p(a, m, p):
@@ -435,10 +481,13 @@ def poly_resultant_p(a, b, p):
 
 def poly_powmod_p(base, e, ring):
     """base**e in ring = `ring_p(m, p)`, that is modulo (m, p), by
-    left-to-right square and multiply, as a trimmed list."""
+    left-to-right square and multiply, as a trimmed list.  A base of
+    degree below n is already reduced modulo m and is packed as it is."""
     if not e:
         return [1]
-    y = x = ring_pack(poly_rem_p(base, ring.m, ring.p), ring)
+    if len(base) > ring.n:
+        base = poly_rem_p(base, ring.m, ring.p)
+    y = x = ring_pack(base, ring)
     for bit in bin(e)[3:]:
         x = poly_mulmod_p(x, x, ring)
         if bit == "1":
@@ -447,28 +496,32 @@ def poly_powmod_p(base, e, ring):
 
 
 def frobenius_rows_p(h, ring):
-    """The Frobenius map of ring = `ring_p(m, p)`, for h = x**p reduced
-    modulo (m, p), as the argument of `frobenius_apply_p`: (w, rows).
+    """The Frobenius map of ring = `ring_p(m, p)`, for the ring element
+    h = x**p, as the rows that `frobenius_apply_p` sums.
 
-    Row i is x**(i*p) = h**i mod (m, p) for i < n = deg m, an element of
-    the ring (slots of w bytes, each below p); row i + 1 is the ring
-    product of row i and h.  A sum of the rows times coefficients below
-    p holds at most n (p - 1)**2 in a slot, which the ring's slots hold
-    without carry.
+    Row i is x**(i*p) = h**i for i < n = deg m, a ring element; row i + 1
+    is the ring product of row i and h.
     """
-    y = ring_pack(h, ring)
-    rows = [1, y][:ring.n]
+    rows = [1, h][:ring.n]
     while len(rows) < ring.n:
-        rows.append(poly_mulmod_p(rows[-1], y, ring))
-    return ring.w, rows
+        rows.append(poly_mulmod_p(rows[-1], h, ring))
+    return rows
 
 
-def frobenius_apply_p(frob, a, p):
-    """a**p = a(x**p) modulo (m, p) for a reduced modulo m, where frob is
-    `frobenius_rows_p(h, ring)`: the sum of a[i] times row i."""
-    w, rows = frob
-    return _unpack(sum([(c % p) * row for c, row in zip(a, rows) if c]),
-                   len(rows), w, p, "little")
+def frobenius_apply_p(rows, a, ring):
+    """a**p = a(x**p) for the element a of ring = `ring_p(m, p)`, where
+    rows is `frobenius_rows_p(h, ring)`, as a ring element: the sum of
+    a[i] times row i, with the n slots of a read in one pass
+    (`read_slots`) and the sum reduced by one `_red`.
+
+    Slot bound: the sum of n rows times coefficients below p holds at
+    most n (p - 1)**2 in a slot, below the bound n (p - 1)**2 + off that
+    the ring's slots are sized for, so it neither carries nor leaves the
+    range of `_red`.
+    """
+    return _red(sum([c * row for c, row in
+                     zip(read_slots(a, ring.n, ring.w, ring.u), rows) if c]),
+                ring)
 
 
 def degree_pattern_p(f, p):
@@ -497,31 +550,36 @@ def degree_pattern_p(f, p):
     `ring_p(f, p)` built per call.  That makes the Frobenius map a -> a**p
     one fixed linear map: x**p is computed once by `poly_powmod_p`, the
     rows x**(i*p) mod f are built from it once (`frobenius_rows_p`), and
-    each further degree step applies them.  The factors x**(p**d) - x of
-    P are multiplied in the ring without unpacking (packed Barrett
-    products).  v, P, the block gcds and the factors of a split block stay
-    packed, as operands of the ring's remainder loop (`ring_euclid`), for
-    the gcds and the exact division of v (`euclid_gcd_p`,
-    `euclid_divmod_p`); only their degrees are read.  A remainder in that
-    division can only come from a broken kernel: it raises AssertionError.
+    each further degree step applies them.  The iterate stays a packed
+    ring element: a degree step is one `frobenius_apply_p` (one read of
+    its n slots, one sum of rows, one `_red`), and x**(p**d) - x is the
+    iterate plus p - 1 in slot 1, reduced by one more `_red` (slot 1 then
+    holds at most 2p - 2, far inside the ring's slot bound).  The factors
+    x**(p**d) - x of P are multiplied in the ring without unpacking
+    (packed Barrett products).  v, P, the block gcds and the factors of a
+    split block stay packed, as operands of the ring's remainder loop
+    (`ring_euclid`), for the gcds and the exact division of v
+    (`euclid_gcd_p`, `euclid_divmod_p`); only their degrees are read.  A
+    remainder in that division can only come from a broken kernel: it
+    raises AssertionError.
     """
     ring = ring_p(f, p)
     sl = ring.euclid
     v = euclid_pack(ring.m, sl)
     pattern = []
-    xp = poly_powmod_p([0, 1], p, ring)  # running x**(p**d) mod f
+    # the running x**(p**d) mod f, and -x, as ring elements
+    xp = ring_pack(poly_powmod_p([0, 1], p, ring), ring)
+    minus_x = (p - 1) << 8 * ring.w
     d0 = 1
     while 2 * d0 <= v[1]:
         d1 = min(2 * d0 - 1, v[1] // 2)
         diffs = []  # x**(p**d) - x for d in [d0, d1], packed in the ring
         for d in range(d0, d1 + 1):
             if d == 2:
-                frob = frobenius_rows_p(xp, ring)  # xp is x**p here
+                rows = frobenius_rows_p(xp, ring)  # xp is x**p here
             if d > 1:
-                xp = frobenius_apply_p(frob, xp, p)
-            diff = xp + [0] * (2 - len(xp))
-            diff[1] = (diff[1] - 1) % p
-            diffs.append(ring_pack(diff, ring))
+                xp = frobenius_apply_p(rows, xp, ring)
+            diffs.append(_red(xp + minus_x, ring))
         prod = diffs[0]
         for diff in diffs[1:]:
             prod = poly_mulmod_p(prod, diff, ring)

@@ -1121,7 +1121,8 @@ def modp_degree_pattern(f, p):
     A prime is bad when it divides the leading coefficient or when f mod p
     is not squarefree, the test of `_squarefree_mod_p`.  The degrees of a
     good prime come from the distinct-degree factorization of
-    `degree_pattern_p`.
+    `degree_pattern_p`.  The kernels read a residue mod p in at most 8
+    bytes: a prime p >= 2**64 raises ValueError.
 
     Degree patterns at several primes also prove irreducibility over Q
     (Musser, J. ACM 25 (1978)): the degrees of a factor over Q add up, at
@@ -1207,7 +1208,9 @@ def irreducibility_analysis(f, prime_budget=6):
     rr = rational_roots(fz)
     if rr:
         return Reducible((1, n - 1), rr[0][0])
-    start = max(50, _iroot4(fz.lead * fz.constant))
+    # the kernels refuse p - 1 >= 2**64 (`modp_degree_pattern`): from at
+    # most 2**63, every prime the loop can try stays far below that
+    start = min(max(50, _iroot4(fz.lead * fz.constant)), 2 ** 63)
     p = start
     good = []
     patterns = []

@@ -47,12 +47,13 @@ intermediate ints need no bound: they are values of polynomials at an
 integer point, a ring homomorphism, so only the final coefficients have
 to fit in their slots.  A packed result, made even in L by dividing an
 odd one by L (an exact right shift), is read back as balanced
-base-2^(8w) digits, with one `to_bytes` per entry or combination
-(`_digits`): one int row in r per even power of L.  The decoder
-converts only the window of blocks from the one holding the lowest set
-bit of the int to the block of its bit length; the blocks outside it are
-zero.  This one decoder gives the only unpacked form of a word's matrix:
-the Riley routes rewrite its rows in (r, y) (`_to_ry`).
+base-2^(8w) digits, with one `to_bytes` per entry or combination and,
+for w <= 8, no call per digit (`_digits`): one int row in r per even
+power of L.  The decoder converts only the window of blocks from the
+one holding the lowest set bit of the int to the block of its bit
+length; the blocks outside it are zero.  This one decoder gives the only
+unpacked form of a word's matrix: the Riley routes rewrite its rows in
+(r, y) (`_to_ry`).
 
 The closed form F_{k,n} = f_n(t) F_{k,1} - f_{n-1}(t), with
 t = A s + 2, s = y - r and F_{k,1} = 1 - B s for A = Phi_{-k} Psi_k and
@@ -94,6 +95,7 @@ same `_trace_coeffs` (`trace_wk` in tests/sigma_oracle.py).
 from math import comb, gcd as int_gcd
 from typing import NamedTuple
 
+from .kernels import read_slots, trim
 from .poly import UniPoly, BiPoly, ExactError
 from .seq import d_poly, f_poly, phi, psi
 
@@ -287,7 +289,14 @@ def _digits(z, w, R, blocks):
     so the t R digits below block t make up at most
     h (2**(b t) - 1) / (2**(8w) - 1) < 2**(b t - 1) in absolute value,
     while block t, being nonzero, makes up at least 2**(b t).  So
-    |z| > 2**(b t - 1), and the bit length of z is at least b t."""
+    |z| > 2**(b t - 1), and the bit length of z is at least b t.
+
+    The window is read in one pass: adding 2**(8w - 1) to every slot
+    makes each one nonnegative and below 2**(8w), with no carry, so the
+    slots are read unsigned by `kernels.read_slots`, in units of the next
+    1, 2, 4 or 8 bytes, and 2**(8w - 1) is taken off each value.  Slots
+    wider than 8 bytes, which no unit holds, are read one
+    `int.from_bytes` each."""
     rows = [[] for _ in range(blocks)]
     if not z:
         return rows
@@ -295,14 +304,18 @@ def _digits(z, w, R, blocks):
     lo = ((z & -z).bit_length() - 1) // b
     hi = min(z.bit_length() // b, blocks - 1)
     count = (hi - lo + 1) * R
-    # Balanced digits: adding 0x80.. to every slot makes each one
-    # nonnegative, and xor-ing it back leaves each slot in two's complement.
-    bias = int.from_bytes((bytes(w - 1) + b"\x80") * count, "little")
-    raw = (((z >> lo * b) + bias) ^ bias).to_bytes(count * w, "little")
-    for e, i in enumerate(range(0, len(raw), R * w), lo):
-        top = i + len(raw[i:i + R * w].rstrip(b"\0"))  # past the last nonzero
-        rows[e] = [int.from_bytes(raw[j:j + w], "little", signed=True)
-                   for j in range(i, top, w)]
+    half = 1 << 8 * w - 1     # added to every slot, then taken off
+    y = (z >> lo * b) + int.from_bytes((bytes(w - 1) + b"\x80") * count,
+                                       "little")
+    if w <= 8:
+        digits = read_slots(y, count, w, 1 << (w - 1).bit_length())
+    else:  # no unit holds the slot: one int per slot
+        raw = y.to_bytes(count * w, "little")
+        digits = [int.from_bytes(raw[j:j + w], "little")
+                  for j in range(0, count * w, w)]
+    digits = [v - half for v in digits]
+    for e, i in enumerate(range(0, count, R), lo):
+        rows[e] = trim(digits[i:i + R])
     return rows
 
 

@@ -6,6 +6,7 @@ divmod-style division) so that agreement actually means something.
 
 import random
 import signal
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -306,29 +307,34 @@ def unpack_slots(v, w, n):
 
 @pytest.mark.parametrize("p", [2, 3, 101] + BIG_PRIMES)
 def test_frobenius_rows_are_powers_of_x(mod, p):
+    # The rows and the map work on packed ring elements; they are read
+    # back here by shifts and masks, not by the kernels' slot reader.
     rng = random.Random(p)
     for n in (1, 2, 3, 8, 19, 30):
         m = [rng.randint(-p, p) for _ in range(n)] + [rng.randrange(1, p)]
         ring = mod.ring_p(m, p)
-        h = mod.poly_powmod_p([0, 1], p, ring)
-        w, rows = mod.frobenius_rows_p(h, ring)
-        assert 256 ** w > n * (p - 1) ** 2 and len(rows) == n
+        w = ring.w
+        h = mod.ring_pack(mod.poly_powmod_p([0, 1], p, ring), ring)
+        rows = mod.frobenius_rows_p(h, ring)
+        assert 2 ** ring.k > n * (p - 1) ** 2 and len(rows) == n
         for i, row in enumerate(rows):
             assert unpack_slots(row, w, n) == \
                 mod.poly_powmod_p([0, 1], i * p, ring), (n, i)
         for _ in range(3):
             a = [rng.randrange(p) for _ in range(rng.randrange(n + 1))]
-            assert mod.frobenius_apply_p((w, rows), mod.trim(a), p) == \
+            got = mod.frobenius_apply_p(rows, pack_slots(a, w), ring)
+            assert unpack_slots(got, w, n) == \
                 mod.poly_powmod_p(a, p, ring), n
 
 
 @pytest.mark.parametrize("p", [2, 3, 101] + BIG_PRIMES)
 def test_frobenius_apply_matches_matrix_product(mod, p):
-    # All-(p - 1) rows and coefficients fill every slot to n*(p-1)**2,
-    # the bound the width of frobenius_rows_p is sized for.
+    # All-(p - 1) rows and coefficients fill every slot of the sum to
+    # n*(p-1)**2, inside the bound the ring's slots are sized for.
     rng = random.Random(p)
     for n in (1, 2, 5, 17, 40, 70):
-        w = mod._slot_width(n, p)
+        ring = mod.ring_p([rng.randrange(p) for _ in range(n)] + [1], p)
+        w = ring.w
         for rows, a in (([[p - 1] * n] * n, [p - 1] * n),
                         ([[rng.randrange(p) for _ in range(n)]
                           for _ in range(n)],
@@ -337,8 +343,9 @@ def test_frobenius_apply_matches_matrix_product(mod, p):
                     for j in range(n)]
             while want and want[-1] == 0:
                 want.pop()
-            frob = (w, [pack_slots(r, w) for r in rows])
-            assert mod.frobenius_apply_p(frob, a, p) == want, n
+            got = mod.frobenius_apply_p([pack_slots(r, w) for r in rows],
+                                        pack_slots(a, w), ring)
+            assert unpack_slots(got, w, n) == want, n
 
 
 # --- packed slots mod p ------------------------------------------------
@@ -503,11 +510,16 @@ def test_gcd_p_raises_when_a_slot_overflows(mod, p, monkeypatch):
     # With _red a no-op the slots outgrow their bound and carry.  A carry
     # into the top slot a step has just cleared must raise at once, where
     # it used to keep the degree from falling and loop for ever; the alarm
-    # turns such a loop into a failure.
+    # turns such a loop into a failure.  A gcd that ends without a carry
+    # comes back with unreduced slots, which the slot reader (it reads the
+    # low bytes of reduced slots) cannot take: they are read whole and
+    # reduced mod p here.
     def stalled(signum, frame):
         raise AssertionError("poly_gcd_p did not end")
 
     monkeypatch.setattr(mod, "_red", lambda x, sl: x)
+    monkeypatch.setattr(mod, "read_slots", lambda x, count, w, u: [
+        v % p for v in per_slot(x, count, w, "little")])
     previous = signal.signal(signal.SIGALRM, stalled)
     signal.alarm(20)
     raised = 0
@@ -577,21 +589,108 @@ def test_gcd_p_matches_reference_on_vanishing_slots(mod, data, p):
 
 
 def euclid_list(mod, x, d, sl):
-    """The coefficient list of the remainder-loop operand (x, d)."""
-    return mod._unpack(x, d + 1, sl.w, sl.p, "big")
+    """The coefficient list of the remainder-loop operand (x, d), whose
+    slots are reduced."""
+    return mod.read_slots(x, d + 1, sl.w, sl.u)[::-1]
 
 
 @pytest.mark.parametrize("p", EUCLID_PRIMES)
 def test_pack_orders_mirror_each_other(mod, p):
-    # "big" packs the list reversed; each order reads back what it wrote
+    # "big" packs the list reversed; the slot reader, lowest slot first,
+    # reads back what each order wrote
     rng = random.Random(p)
     for n in (0, 1, 2, 9):
         a = [rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)]
-        w = mod._slot_width(n + 1, p)
+        sl = mod._euclid_slots(p, n + 1)
+        w = sl.w
         x = mod._pack(a, p, w, "big")
         assert x == mod._pack(a[::-1], p, w, "little"), n
-        assert mod._unpack(x, n + 1, w, p, "big") == a, n
-        assert mod._unpack(x, n + 1, w, p, "little") == mod.trim(a[::-1]), n
+        assert mod.read_slots(x, n + 1, w, sl.u) == a[::-1], n
+        x = mod._pack(a, p, w, "little")
+        assert mod.read_slots(x, n + 1, w, sl.u) == a, n
+
+
+# p - 1 at the top of each read unit, and just past it: 1, 2, 4 and 8
+# bytes; 2**64 - 59 is the largest prime below 2**64
+WIDTH_PRIMES = [251, 257, 65521, 65537, 2 ** 32 + 15, 2 ** 61 - 1,
+                2 ** 64 - 59]
+
+
+def per_slot(x, count, w, order):
+    """The count w-byte slots of x, one int.from_bytes each, in the order
+    of the list that `_pack` packed with order."""
+    z = x.to_bytes(count * w, order)
+    return [int.from_bytes(z[i:i + w], order) for i in range(0, len(z), w)]
+
+
+@pytest.mark.parametrize("p", WIDTH_PRIMES)
+def test_slot_reader_matches_per_slot_reads(mod, p):
+    # Slot values 0, 1, p - 1 and random ones below p, packed in both
+    # orders, in slots of one to four units of the prime's read unit; the
+    # reader gives the slots lowest first, which is the packed list for
+    # "little" and the list reversed for "big".
+    rng = random.Random(p)
+    u = mod._Slots(p, p.bit_length(), 1).u
+    assert u == min(u for u in (1, 2, 4, 8) if p - 1 < 2 ** (8 * u))
+    assert struct.calcsize(mod._UNITS[u]) == u
+    for w in (u, 2 * u, 3 * u, 4 * u):
+        for n in (0, 1, 2, 17):
+            a = [rng.choice((0, 1, p - 1, rng.randrange(p)))
+                 for _ in range(n)]
+            for order in ("little", "big"):
+                x = mod._pack(a, p, w, order)
+                want = per_slot(x, n, w, order)
+                assert want == a, (w, n, order)
+                got = mod.read_slots(x, n, w, u)
+                assert got == (want if order == "little" else want[::-1])
+
+
+@pytest.mark.parametrize("u", [2, 4, 8])
+def test_slot_reader_widens_short_slots(mod, u):
+    # w-byte slots below a unit of u bytes, each slot value anything
+    # below 2**(8w): the w bytes of a slot become the low bytes of a unit
+    rng = random.Random(u)
+    for w in range(1, u):
+        for n in (0, 1, 5, 33):
+            a = [rng.choice((0, 1, 2 ** (8 * w) - 1,
+                             rng.randrange(2 ** (8 * w)))) for _ in range(n)]
+            x = pack_slots(a, w)
+            assert mod.read_slots(x, n, w, u) == per_slot(x, n, w, "little")
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 251])
+def test_slot_reader_on_a_big_endian_host(mod, p, monkeypatch):
+    # One-byte units read the same in either byte order, so a reader told
+    # that the host is big-endian still reads correct values: this checks
+    # the backward slice of that host (its bytes come highest slot first)
+    # and the operands built with it
+    monkeypatch.setattr(mod, "_ORDER", "big")
+    rng = random.Random(p)
+    for n in (1, 2, 9, 40):
+        m = [rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)]
+        ring = mod.ring_p(m, p)
+        assert ring.u == 1
+        for a in ([p - 1] * n, [rng.randrange(p) for _ in range(n)]):
+            x = mod.ring_pack(a, ring)
+            assert mod.ring_unpack(x, ring) == mod.trim(a), n
+            assert mod.ring_unpack(x, ring) == unpack_slots(x, ring.w, n)
+
+
+def test_slots_refuse_a_prime_past_the_widest_unit(mod):
+    # p - 1 >= 2**64 has no read unit: every kernel that builds slots mod
+    # such a p raises ValueError, where the largest prime below 2**64 runs
+    big = 2 ** 64 + 13
+    m = [1, 2, 3, 1]
+    for call in (lambda: mod.ring_p(m, big),
+                 lambda: mod.poly_gcd_p(m, [1, 1], big),
+                 lambda: mod.poly_rem_p(m, [1, 1], big),
+                 lambda: mod.poly_mul_p(m, m, big),
+                 lambda: mod.degree_pattern_p(m, big)):
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            call()
+    p = 2 ** 64 - 59
+    assert mod.poly_rem_p(m, [1, 1], p) == ref_divmod_p(m, [1, 1], p)[1]
+    assert sum(mod.degree_pattern_p(m, p)) == 3
 
 
 @pytest.mark.parametrize("p", EUCLID_PRIMES)

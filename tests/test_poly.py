@@ -788,6 +788,21 @@ def test_modp_pattern_at_block_edges(p, planted):
     assert modp_degree_pattern(mk(prod, "x"), p) == sorted(planted)
 
 
+# p - 1 at the top of a slot read unit of 1, 2, 4 and 8 bytes, and just
+# past it
+@pytest.mark.parametrize("planted", [
+    [1, 2, 2, 6, 11],  # planted factors in several blocks
+    [4, 7, 8],         # d0, 2*d0 - 1 and 2*d0 of block [4, 7]
+    [2, 2, 2, 3, 3],   # P = 0 mod f, and 12 = 2*6 = 3*4 too: split
+], ids=["planted", "block-edges", "ambiguous"])
+@pytest.mark.parametrize("p", [251, 257, 65521, 65537, 2 ** 32 + 15,
+                               2 ** 61 - 1])
+def test_modp_pattern_at_read_unit_edges(p, planted):
+    f = mk(planted_product(p, planted), "x")
+    assert modp_degree_pattern(f, p) == powmod_ddf_pattern(f, p) == \
+        sorted(planted)
+
+
 @pytest.mark.parametrize("p", DDF_PRIMES)
 def test_modp_pattern_bad_primes_match_powmod_ddf(p):
     for f in (p * X ** 5 + X + 1,                        # kills the lead
@@ -832,6 +847,20 @@ def test_irreducible_by_degree_sets():
     assert a.verdict == "irreducible"
     assert a.sampled_primes == (53, 59)
     assert a.patterns == ([2, 2], [1, 3])
+    assert [modp_degree_pattern(f, p) for p in a.sampled_primes] == \
+        list(a.patterns)
+
+
+def test_prime_search_stays_below_the_widest_slot_unit():
+    # |lc c0| >= 2**256 would start the search at 2**64 or past it, where
+    # the kernels refuse p (no unit of at most 8 bytes holds p - 1); it
+    # starts at 2**63 instead
+    f = 2 ** 131 * X ** 2 + 3 ** 83
+    with pytest.raises(ValueError):
+        modp_degree_pattern(f, next_prime(2 ** 64))
+    a = irreducibility_analysis(f)
+    assert a.verdict == "irreducible"
+    assert all(2 ** 63 < p < 2 ** 64 for p in a.sampled_primes)
     assert [modp_degree_pattern(f, p) for p in a.sampled_primes] == \
         list(a.patterns)
 

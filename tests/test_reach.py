@@ -25,14 +25,17 @@ PACKAGE = os.path.dirname(os.path.realpath(bridgevar.__file__))
 ERROR_PATH = "error path: no command input in this run fails there"
 BENCHMARK = "the benchmark calls it; only a benchmark change may drop it"
 SMALL_METHOD = "a small method of a polynomial type, part of its API"
+LONG_BASE = ("poly_powmod_p reduces only a base of degree >= deg m, and "
+             "every degree pattern raises x to its power")
 EVALUATION_ROUTE = ("resultant_mod_p evaluates and interpolates only past "
                     "poly.KRONECKER_GATE, the measured crossover; the "
                     "knots of these runs stay below it")
 UNREACHED = {
     "cli:_error_row": ERROR_PATH,
     "cli:_forked_rows": "runs only with --jobs > 1, which forks",
-    "kernels:_slot_width": BENCHMARK,
+    "kernels:poly_divmod_p": LONG_BASE,
     "kernels:poly_mul_p": BENCHMARK,
+    "kernels:poly_rem_p": LONG_BASE + "; " + BENCHMARK,
     "kernels:poly_resultant_p": EVALUATION_ROUTE,
     "poly:_eval_p": EVALUATION_ROUTE,
     "poly:_interpolate_p": EVALUATION_ROUTE,

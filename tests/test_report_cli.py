@@ -310,6 +310,14 @@ def test_canonical_outputs_are_pinned():
         "8bf45ef373584d9b3be2deb95cb1520d412ec1c1c3eaab9868e622e53706fa29"
 
 
+def test_degree_264_report_is_pinned():
+    # (24, -22) is chiral with a trace field of degree 264, far past the
+    # degrees the pin above reaches; the hash is of its canonical JSON
+    digest = hashlib.sha256(to_json(build_report(24, -22)).encode())
+    assert digest.hexdigest() == \
+        "998883651494756cd18224810c075eb50e9280723bf96ab47b04ca1e109a2402"
+
+
 def json_dumps_oracle(value):
     return json.dumps(value, sort_keys=True, separators=(",", ": "),
                       indent=1) + "\n"

@@ -379,6 +379,31 @@ def test_slot_bytes_keep_a_sign_bit_and_digits_round_trip():
                                            [bound]], bound
 
 
+def test_digits_at_every_read_unit_width():
+    # w = 1 ... 8 read each slot in the next unit of 1, 2, 4 or 8 bytes, and
+    # w = 9 one slot at a time: planted digits with the extreme values of
+    # the slot, negative ones, zero blocks inside the window and zero top
+    # digits, against the planted rows and the per-slot signed decoder
+    rng = Random("unit-widths")
+    for w in range(1, 10):
+        h = 2 ** (8 * w - 1) - 1
+        for R, blocks in ((1, 5), (3, 4), (5, 7)):
+            for _ in range(20):
+                rows = []
+                for _ in range(blocks):
+                    top = rng.choice((0, 0, 1, R, rng.randint(0, R)))
+                    rows.append([rng.choice((h, -h, -1, 1, rng.randint(-h, h)))
+                                 for _ in range(top)])
+                    while rows[-1] and not rows[-1][-1]:
+                        rows[-1].pop()
+                z = sum(d << 8 * w * (e * R + j)
+                        for e, row in enumerate(rows)
+                        for j, d in enumerate(row))
+                got = _digits(z, w, R, blocks)
+                assert got == rows, (w, R, rows)
+                assert got == full_digits(z, w, R, blocks), (w, R, rows)
+
+
 def test_windowed_digits_match_the_full_decoder():
     rng = Random("windowed-digits")
     for w in (1, 2, 3):
