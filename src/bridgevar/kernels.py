@@ -28,8 +28,13 @@ below n = deg m is one int of n slots, each below p.  A product
 (`poly_mulmod_p`) is one Kronecker product and a Barrett division by m
 made monic, with the quotient M = x**(2n - 2) // m precomputed per ring
 (von zur Gathen & Gerhard, *Modern Computer Algebra*, 9.1): two products
-by packed constants and three calls of `_red`, with no unpacking.
-`poly_powmod_p` squares and multiplies in the ring.
+by packed constants and three reductions by the ring's reducer
+`ring.red`, with no unpacking.  `poly_powmod_p` squares and multiplies
+in the ring.  From degree `NARROW_GATE` on, a ring's slots are about
+half as wide as `_red` needs: they hold a product slot of k bits in
+8w >= k + 1 bits, and `_red_halves` reduces the even and the odd slots
+apart, so that each half sees 16w bits per value; every product and
+Frobenius sum of such a ring runs on ints about half as long.
 
 `frobenius_rows_p` and `frobenius_apply_p` apply the Frobenius map
 a -> a**p of GF(p)[x]/(m) as a GF(p)-linear map (von zur Gathen & Shoup,
@@ -37,7 +42,8 @@ Comput. Complexity 2 (1992)): the rows x**(i*p) mod m are built once as
 ring elements, and every later p-th power is one sum of small-int
 multiples of those ints.  The map takes and gives packed ring elements,
 so that the iterate x**(p**d) of a degree pattern stays packed: a
-degree step reads its n slots once and reduces the sum once.
+degree step reads its n slots once and reduces the sum once, in the
+ring's slots, narrow or wide.
 
 `_euclid` is the one GF(p) remainder loop (von zur Gathen & Gerhard,
 ch. 6).  Its operands are packed with the leading coefficient in the
@@ -204,16 +210,45 @@ def _red(x, sl):
     return x - ((x * sl.mu >> sl.s) & sl.qmask) * sl.p
 
 
+# The layout gate of `ring_p`: a ring of degree n >= NARROW_GATE packs its
+# elements in narrow slots, reduced in two interleaved halves
+# (`_red_halves`); a smaller ring keeps the wide slots of `_red`.  The
+# halves take 12 bigint operations where `_red` takes 5, which the
+# shorter ints repay only from about degree 20.  Narrow time over wide
+# time, median of 9 interleaved runs (Python 3.11, 2 vCPU):
+# - per `poly_mulmod_p` of all-(p - 1) operands at p = 53: 1.54 at
+#   n = 4, 1.18 at 12, 1.04 at 16, 0.96 at 18, 0.90 at 20, 0.52 at 48,
+#   0.33 at 288 (at p = 251 the halves win from n = 14);
+# - per `degree_pattern_p` of a random squarefree f at p = 53 and 73,
+#   the primes of the reports at |k|, |l| <= 8: 1.03-1.08 at n = 12 to
+#   16, 1.01-1.02 at 18, 0.98 at 20, 0.95-0.96 at 24.
+NARROW_GATE = 20
+
+
 class _Ring(_Slots):
-    """GF(p)[x]/(m) on packed ints; see `ring_p` and `poly_mulmod_p`."""
+    """GF(p)[x]/(m) on packed ints; see `ring_p` and `poly_mulmod_p`.
+    k bounds every slot the ring reduces (n (p - 1)**2 + off < 2**k); red
+    is the reducer of its layout, `_red` below `NARROW_GATE` and
+    `_red_halves` from it, and w, qmask and, in a narrow ring, even,
+    s_odd and p_odd are its constants."""
 
     def __init__(self, m, p):
         self.n = n = len(m) - 1
         self.m = f = poly_monic_p(m, p)
         # off is the least multiple of p at or above (n - 1) (p - 1)**2;
-        # the largest slot `_red` sees is n (p - 1)**2 + off.
+        # the largest slot the ring reduces is n (p - 1)**2 + off.
         off = -(-(n - 1) * (p - 1) ** 2 // p) * p
         super().__init__(p, (n * (p - 1) ** 2 + off).bit_length(), n)
+        self.red = _red
+        if n >= NARROW_GATE:
+            self.red = _red_halves
+            w = (self.k + 8) // 8            # 8w >= k + 1
+            self.w = w = -(-w // self.u) * self.u
+            half = (n + 1) // 2
+            self.even = _repeat((1 << 8 * w) - 1, 2 * w, half)
+            self.qmask = _repeat((1 << (16 * w - self.s)) - 1, 2 * w, half)
+            self.s_odd = self.s + 8 * w
+            self.p_odd = p << 8 * w
         w = self.w
         # M = x**(2n - 2) // f by the remainder loop, where x**(2n - 2) is
         # the operand (1, 2n - 2) and the quotient comes highest first
@@ -229,13 +264,42 @@ class _Ring(_Slots):
         self.euclid = _euclid_slots(p, n + 1)
 
 
+def _red_halves(x, ring):
+    """x with every slot reduced mod p, for x of at most n slots of a
+    narrow ring (`ring_p`): `_red` on its even and its odd slots apart.
+
+    The even slots e = x & even and the odd ones x ^ e each leave a free
+    slot between two values, so each value v < 2**k has 16w >= 2k + 2
+    bits of room: v * mu < 2**(2k + 1) (see `_red`, with l the bit length
+    of p and s = k + l) does not reach the next value of its half.
+    Shifted right by s, e * mu holds q = v // p < 2**(k - l + 1) of every
+    even slot in the low 16w - s >= k - l + 2 bits of a 2w-byte slot,
+    which `qmask` keeps; (x ^ e) * mu shifted by s + 8w does the same for
+    the odd slots.  q * p <= v, so x minus the even quotients times p and
+    the odd quotients times p * 2**(8w) holds v mod p in every slot, with
+    no borrow.
+    """
+    e = x & ring.even
+    return (x - ((e * ring.mu >> ring.s) & ring.qmask) * ring.p
+            - (((x ^ e) * ring.mu >> ring.s_odd) & ring.qmask) * ring.p_odd)
+
+
 def ring_p(m, p):
     """A new ring GF(p)[x]/(m) with `ring.m` = m made monic, for a list m
     of degree n >= 1 whose leading coefficient is nonzero mod p (else
     ValueError).  Its elements are ints of n slots of `ring.w` bytes, each
     below p (`ring_pack`); `ring.euclid` are the slots of `_euclid`
     operands of degree up to n (`ring_euclid`).  Build it once and pass
-    it to the kernels that work in it, such as `poly_powmod_p`."""
+    it to the kernels that work in it, such as `poly_powmod_p`.
+
+    Layout.  Every slot the ring's kernels reduce is below 2**k, k the bit
+    length of n (p - 1)**2 + off (`poly_mulmod_p`).  Below `NARROW_GATE`
+    the slots are wide, 8w >= 2k + 1 bits, as `_red` needs; from it they
+    are narrow, 8w >= k + 1 bits, reduced by `_red_halves`.  Either w is
+    rounded up to a multiple of the read unit u.  At n = 62 and p = 53,
+    k = 19: 5-byte wide slots against 3-byte narrow ones; at n = 288,
+    6 against 3.
+    """
     return _Ring(m, p)
 
 
@@ -261,13 +325,18 @@ def poly_mulmod_p(a, b, ring):
     Slot bounds: z has at most n (p - 1)**2 in a slot, z1 M at most
     (n - 1) (p - 1)**2 and so does q (f - x**n), whose low slots are
     subtracted from z0 plus `off`, a multiple of p in each slot at least
-    that large, so that no slot borrows.  The last `_red` sees at most
-    n (p - 1)**2 + off, the bound the ring's slots are sized for.
+    that large, so that no slot borrows.  The last reduction sees at most
+    n (p - 1)**2 + off < 2**k, the bound the ring's slots are sized for:
+    every slot value fits in w bytes, 8w >= k + 1 even in a narrow ring,
+    so no product carries into the next slot, and each of the three
+    reductions (`ring.red`, on at most n slots) gets the k-bit values its
+    proof assumes.
     """
+    red = ring.red
     z = a * b
-    q = _red(_red(z >> ring.hi, ring) * ring.quo >> ring.mid, ring)
-    return _red((z & ring.lomask) + ring.off - (q * ring.low & ring.lomask),
-                ring)
+    q = red(red(z >> ring.hi, ring) * ring.quo >> ring.mid, ring)
+    return red((z & ring.lomask) + ring.off - (q * ring.low & ring.lomask),
+               ring)
 
 
 # --- the remainder loop ------------------------------------------------
@@ -512,16 +581,16 @@ def frobenius_apply_p(rows, a, ring):
     """a**p = a(x**p) for the element a of ring = `ring_p(m, p)`, where
     rows is `frobenius_rows_p(h, ring)`, as a ring element: the sum of
     a[i] times row i, with the n slots of a read in one pass
-    (`read_slots`) and the sum reduced by one `_red`.
+    (`read_slots`) and the sum reduced once by the ring's reducer.
 
     Slot bound: the sum of n rows times coefficients below p holds at
-    most n (p - 1)**2 in a slot, below the bound n (p - 1)**2 + off that
-    the ring's slots are sized for, so it neither carries nor leaves the
-    range of `_red`.
+    most n (p - 1)**2 in a slot, below the bound n (p - 1)**2 + off < 2**k
+    that the ring's slots are sized for, wide or narrow, so it neither
+    carries nor leaves the range of the ring's reducer `ring.red`.
     """
-    return _red(sum([c * row for c, row in
-                     zip(read_slots(a, ring.n, ring.w, ring.u), rows) if c]),
-                ring)
+    return ring.red(sum([c * row for c, row in
+                         zip(read_slots(a, ring.n, ring.w, ring.u), rows)
+                         if c]), ring)
 
 
 def degree_pattern_p(f, p):
@@ -552,14 +621,14 @@ def degree_pattern_p(f, p):
     rows x**(i*p) mod f are built from it once (`frobenius_rows_p`), and
     each further degree step applies them.  The iterate stays a packed
     ring element: a degree step is one `frobenius_apply_p` (one read of
-    its n slots, one sum of rows, one `_red`), and x**(p**d) - x is the
-    iterate plus p - 1 in slot 1, reduced by one more `_red` (slot 1 then
-    holds at most 2p - 2, far inside the ring's slot bound).  The factors
-    x**(p**d) - x of P are multiplied in the ring without unpacking
-    (packed Barrett products).  v, P, the block gcds and the factors of a
-    split block stay packed, as operands of the ring's remainder loop
-    (`ring_euclid`), for the gcds and the exact division of v
-    (`euclid_gcd_p`, `euclid_divmod_p`); only their degrees are read.  A
+    its n slots, one sum of rows, one `ring.red`), and x**(p**d) - x is
+    the iterate plus p - 1 in slot 1, reduced by one more `ring.red`
+    (slot 1 then holds at most 2p - 2, far inside the ring's slot bound).
+    The factors x**(p**d) - x of P are multiplied in the ring without
+    unpacking (packed Barrett products).  v, P, the block gcds and the
+    factors of a split block stay packed, as operands of the ring's
+    remainder loop (`ring_euclid`), for the gcds and the exact division of
+    v (`euclid_gcd_p`, `euclid_divmod_p`); only their degrees are read.  A
     remainder in that division can only come from a broken kernel: it
     raises AssertionError.
     """
@@ -579,7 +648,7 @@ def degree_pattern_p(f, p):
                 rows = frobenius_rows_p(xp, ring)  # xp is x**p here
             if d > 1:
                 xp = frobenius_apply_p(rows, xp, ring)
-            diffs.append(_red(xp + minus_x, ring))
+            diffs.append(ring.red(xp + minus_x, ring))
         prod = diffs[0]
         for diff in diffs[1:]:
             prod = poly_mulmod_p(prod, diff, ring)

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bridgevar import kernels
+from bridgevar.poly import BAD_PRIME, UniPoly
+from test_poly import powmod_ddf_pattern, square_multiply_powmod_p
 
 # A parameter whose id keeps the name of the module's former file, so that
 # the test ids stay as they were; dropping it renames every test id.
@@ -350,28 +352,50 @@ def test_frobenius_apply_matches_matrix_product(mod, p):
 
 # --- packed slots mod p ------------------------------------------------
 
+def reducer(mod, sl):
+    """The reducer of sl: a ring's own, `_red` for a `_Slots`."""
+    return getattr(sl, "red", mod._red)
+
+
+def assert_slot_bounds(mod, sl):
+    # The wide slots of `_red` need 8w >= 2k + 1; a narrow ring's slots,
+    # reduced in halves, need 8w >= k + 1, so that 16w >= 2k + 1.
+    k, w = sl.k, sl.w
+    if reducer(mod, sl) is mod._red:
+        assert 8 * w >= 2 * k + 1
+    else:
+        assert sl.n >= mod.NARROW_GATE
+        assert 8 * w >= k + 1 and 16 * w >= 2 * k + 1
+
+
 @pytest.mark.parametrize("p", [2, 3, 101] + BIG_PRIMES)
 def test_red_reduces_every_slot(mod, p):
-    # 0, p - 1, p, 2**k - 1 (the largest value _red takes) and values
+    # 0, p - 1, p, 2**k - 1 (the largest value a reducer takes) and values
     # -1 mod p near 2**k (where the quotient estimate errs most), alone, in
-    # neighbouring slots and mixed with random values below 2**k, on the
-    # slots of a ring and on those of poly_gcd_p.
+    # neighbouring slots, each beside 2**k - 1 in an even and in an odd
+    # slot, and mixed with random values below 2**k, on the slots of a
+    # ring (wide below NARROW_GATE, narrow from it) and on those of
+    # poly_gcd_p.
     rng = random.Random(p)
-    for n in (1, 2, 7, 40):
+    gate = mod.NARROW_GATE
+    for n in (1, 2, 7, gate - 1, gate, 40):
         for sl in (mod.ring_p([1] * (n + 1), p),
                    mod._Slots(p, mod._gcd_bits(p), n)):
             k, w = sl.k, sl.w
-            assert 8 * w >= 2 * k + 1
+            assert_slot_bounds(mod, sl)
             top = 2 ** k // p
             values = [0, p - 1, p, 2 ** k - 1, top * p - 1] + [
                 rng.randrange(max(1, top // 2), top + 1) * p - 1
                 for _ in range(20)]
+            big = 2 ** k - 1
             for c in [[v] * n for v in values] + [
+                    [(big, v)[(i + j) % 2] for i in range(n)]
+                    for v in values for j in (0, 1)] + [
                     [rng.choice(values + [rng.randrange(2 ** k)])
                      for _ in range(n)] for _ in range(5)]:
                 want = mod.trim([v % p for v in c])
-                assert unpack_slots(mod._red(pack_slots(c, w), sl), w, n) \
-                    == want, (n, k, c)
+                got = reducer(mod, sl)(pack_slots(c, w), sl)
+                assert unpack_slots(got, w, n) == want, (n, k, c)
 
 
 # --- ring products mod (m, p) --------------------------------------------
@@ -429,10 +453,12 @@ def test_ring_product_fills_slots_to_the_bound(mod, p):
     # f - x**n all p - 1, and z = a * x**(n - 1) whose quotient by f is
     # q = all p - 1 while the n - 1 low slots of z are 0: a low slot of
     # q (f - x**n) reaches (n - 1) (p - 1)**2 and is taken from off alone.
-    # Then _red of n (p - 1)**2 + off, the documented bound, in every slot.
+    # Then the ring's reducer of n (p - 1)**2 + off, the documented bound,
+    # in every slot, for wide rings (n < NARROW_GATE) and narrow ones.
     for n in range(1, 82):
         m = [p - 1] * n + [1]
         ring = mod.ring_p(m, p)
+        assert_slot_bounds(mod, ring)
         q = [p - 1] * (n - 1)
         a = mod.trim([c % p for c in ref_mul(q, m)][n - 1:])
         xn1 = [0] * (n - 1) + [1]
@@ -441,9 +467,76 @@ def test_ring_product_fills_slots_to_the_bound(mod, p):
         assert ring_mulmod(mod, a, xn1, ring) == want, n
         off = -(-(n - 1) * (p - 1) ** 2 // p) * p
         bound = n * (p - 1) ** 2 + off
-        got = mod._red(pack_slots([bound] * n, ring.w), ring)
+        got = reducer(mod, ring)(pack_slots([bound] * n, ring.w), ring)
         assert unpack_slots(got, ring.w, n) == \
             mod.trim([bound % p] * n), n
+
+
+# The smallest primes and those at the edges of the read units of 1, 2, 4
+# and 8 bytes.
+GATE_PRIMES = [2, 3, 251, 257, 65521, 65537, 2 ** 32 + 15, 2 ** 61 - 1,
+               2 ** 64 - 59]
+
+
+def gate_degrees(mod):
+    """The last wide degree, the first narrow one and 81."""
+    return (mod.NARROW_GATE - 1, mod.NARROW_GATE, 81)
+
+
+@pytest.mark.parametrize("p", GATE_PRIMES)
+def test_ring_layouts_on_both_sides_of_the_gate(mod, p):
+    # Rings of degree below NARROW_GATE keep the wide slots of _red; from
+    # it they are narrow and reduced in halves.  Products and the
+    # Frobenius map of all-(p - 1) operands, which fill the slots to their
+    # bounds, and of random ones, against the list kernels mod (m, p).
+    rng = random.Random(p)
+    for n in gate_degrees(mod):
+        full = [p - 1] * n
+        for m in ([p - 1] * n + [1], [1] * (n + 1),
+                  [rng.randrange(p) for _ in range(n)] + [1]):
+            ring = mod.ring_p(m, p)
+            assert (ring.red is mod._red_halves) == (n >= mod.NARROW_GATE)
+            assert_slot_bounds(mod, ring)
+            rand = mod.trim([rng.randrange(p) for _ in range(n)])
+            for a, b in ((full, full), (full, rand), (rand, rand)):
+                want = mod.poly_rem_p(mod.poly_mul_p(a, b, p), m, p)
+                assert ring_mulmod(mod, a, b, ring) == want, (n, m)
+            h = mod.ring_pack(square_multiply_powmod_p([0, 1], p, m, p),
+                              ring)
+            rows = mod.frobenius_rows_p(h, ring)
+            for a in (full, rand):
+                got = mod.frobenius_apply_p(rows, mod.ring_pack(a, ring),
+                                            ring)
+                assert mod.ring_unpack(got, ring) == \
+                    square_multiply_powmod_p(a, p, m, p), (n, m)
+            got = mod.frobenius_apply_p([mod.ring_pack(full, ring)] * n,
+                                        mod.ring_pack(full, ring), ring)
+            assert mod.ring_unpack(got, ring) == \
+                mod.trim([n * (p - 1) ** 2 % p] * n), n
+
+
+@pytest.mark.parametrize("p", GATE_PRIMES)
+def test_degree_patterns_on_both_sides_of_the_gate(mod, p):
+    # x**n - (1 + x + ... + x**(n - 1)), all p - 1 below its leading 1,
+    # where squarefree mod p, and the first squarefree product of three
+    # random monic factors, against the distinct-degree oracle with one
+    # list powmod per degree.
+    rng = random.Random(p)
+    for n in gate_degrees(mod):
+        f = [p - 1] * n + [1]
+        want = powmod_ddf_pattern(UniPoly(f, "x"), p)
+        if want != BAD_PRIME:
+            assert mod.degree_pattern_p(f, p) == want, n
+        for _ in range(100):
+            f = [1]
+            for d in (n // 6, n // 3, n - n // 6 - n // 3):
+                f = mod.poly_mul_p(
+                    f, [rng.randrange(p) for _ in range(d)] + [1], p)
+            want = powmod_ddf_pattern(UniPoly(f, "x"), p)
+            if want != BAD_PRIME:
+                break
+        assert want != BAD_PRIME
+        assert mod.degree_pattern_p(f, p) == want, (n, f)
 
 
 # --- packed gcd ----------------------------------------------------------

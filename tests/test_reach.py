@@ -104,6 +104,9 @@ def runs():
                     or classify(k, l) == HYPERBOLIC else 2)
             for extra in ([], ["--json"]):
                 yield [cmd, "-k", str(k), "-l", str(l)] + extra, code
+    # a trace field of degree 21, whose degree patterns run in rings past
+    # kernels.NARROW_GATE; the fields of KNOTS stay below it
+    yield ["tracefield", "-k", "6", "-l", "-7"], 0
     yield ["verify", "all"], 0
     yield ["sweep", "--kmax", "3", "--lmax", "3", "--jobs", "1"], 0
     yield ["newton", "-n", "6", "-p", "3"], 0

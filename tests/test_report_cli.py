@@ -318,6 +318,15 @@ def test_degree_264_report_is_pinned():
         "998883651494756cd18224810c075eb50e9280723bf96ab47b04ca1e109a2402"
 
 
+def test_degree_288_report_is_pinned():
+    # (24, -24) is amphichiral with a trace field of degree 288, past
+    # poly.KRONECKER_GATE; every degree pattern of it runs in a ring of
+    # degree 288, in narrow slots reduced in halves (kernels.NARROW_GATE)
+    digest = hashlib.sha256(to_json(build_report(24, -24)).encode())
+    assert digest.hexdigest() == \
+        "e2e961421b617bcd4f629564cbda7efaa3866870f912a0337e4150e62f34123c"
+
+
 def json_dumps_oracle(value):
     return json.dumps(value, sort_keys=True, separators=(",", ": "),
                       indent=1) + "\n"
