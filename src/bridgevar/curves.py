@@ -8,8 +8,9 @@ Two affine models of the same character variety:
 * D(k, l)  in (r, t): Phi_{k+1}(r) Phi_{l-1}(t) - Phi_{k-1}(r) Phi_{l+1}(t),
              identically equal to Psi_k(r) Phi_{l-1}(t) - Phi_{k-1}(r) Psi_l(t)
              since Psi_k = Phi_{k+1} - Phi_{k-1}.  `d_model` builds the
-             first form only; `test_d_model_forms_agree` in
-             tests/test_curves.py builds both as an oracle.
+             first form as one outer-product difference of coefficient
+             lists; `test_d_model_forms_agree` in tests/test_curves.py
+             builds both forms from BiPoly products as oracles.
 
 The map sigma: C -> D, (r, y) -> (r, tr W_k), the double cover of C in
 (r, x) and the special points of both are checked in
@@ -21,11 +22,16 @@ happens only for knots that are not hyperbolic); `knotprops.classify`
 is the one label of that, and the geometry stages refuse such knots by
 it.  Equations are stored primitive with the sign chosen so the
 lexicographically leading monomial (r counted highest) has a positive
-coefficient.
+coefficient.  `_equation` fixes both in one pass over the int rows a
+model is built from: the rows of `riley_poly_J` for C, the outer product
+for D, the exact quotient for D1.
 """
 
+from itertools import zip_longest
+from math import gcd
 from typing import NamedTuple, Optional
 
+from .kernels import trim
 from .poly import UniPoly, BiPoly, ExactError, bipoly_divexact
 from .seq import phi
 from .riley import riley_poly_J
@@ -54,21 +60,22 @@ class CurveModel(NamedTuple):
         }
 
 
-def _normalize(eq):
-    """Primitive, and sign fixed by the r-major lexicographic leader."""
-    if eq.is_zero:
-        return eq
-    f = eq.primitive()
-    best = None
-    for j, c in enumerate(f.cs):
-        if c.is_zero:
-            continue
-        i = c.degree
-        if best is None or (i, j) > best[0]:
-            best = ((i, j), c.lead)
-    if best[1] < 0:
-        f = -f
-    return f
+def _equation(rows, outer):
+    """The BiPoly sum_j rows[j](r) outer**j of the trimmed int rows
+    (lowest r power first), divided by the content of all its
+    coefficients and by the sign of its r-major lexicographic leader: the
+    top coefficient of the longest row, the last of them if several."""
+    top = max(map(len, rows), default=0)
+    if not top:
+        return BiPoly.zero(outer, "r")
+    g = 0
+    for row in rows:
+        g = gcd(g, *row)
+    if [row for row in rows if len(row) == top][-1][-1] < 0:
+        g = -g
+    if g != 1:
+        rows = [[v // g for v in row] for row in rows]
+    return BiPoly([UniPoly(row, "r") for row in rows], outer, "r")
 
 
 def _swap_if_needed(k, l):
@@ -85,17 +92,20 @@ def c_model(k, l):
     if l % 2:
         raise ExactError("C(k,l) needs an even twist parameter; "
                          "got k=%d, l=%d with both odd" % (k, l))
-    n = l // 2
-    raw = -riley_poly_J(k, n)
-    return CurveModel("C", k, l, _normalize(raw), ("r", "y"), None, swapped)
+    rows = [c.c for c in riley_poly_J(k, l // 2).cs]
+    return CurveModel("C", k, l, _equation(rows, "y"), ("r", "y"), None,
+                      swapped)
 
 
 def d_model(k, l):
-    """The model D(k, l) in (r, t) with smooth projective closure."""
+    """The model D(k, l) in (r, t) with smooth projective closure, as
+    one outer-product difference: the coefficient of t^j is
+    Phi_{l-1}[j] Phi_{k+1}(r) - Phi_{l+1}[j] Phi_{k-1}(r)."""
     k, l, swapped = _swap_if_needed(k, l)
-    eq = _normalize(
-        BiPoly.from_inner(phi(k + 1, "r"), "t") * phi(l - 1, "t")
-        - BiPoly.from_inner(phi(k - 1, "r"), "t") * phi(l + 1, "t"))
+    r_pairs = list(zip_longest(phi(k + 1).c, phi(k - 1).c, fillvalue=0))
+    eq = _equation([trim([x * u - y * v for u, v in r_pairs])
+                    for x, y in zip_longest(phi(l - 1).c, phi(l + 1).c,
+                                            fillvalue=0)], "t")
     if eq.is_zero:
         return CurveModel("D", k, l, eq, ("r", "t"), (0, 0), swapped)
     a = int(eq.degree_inner)
@@ -126,8 +136,9 @@ def d_split(model):
     except ExactError as exc:
         raise AssertionError(
             "D(%d,%d) is not divisible by t - r" % (l, l)) from exc
-    d0 = CurveModel("D0", l, l, _normalize(diag), ("r", "t"), (1, 1))
-    eq1 = _normalize(quot)
+    d0 = CurveModel("D0", l, l, _equation([[0, -1], [1]], "t"), ("r", "t"),
+                    (1, 1))
+    eq1 = _equation([c.c for c in quot.cs], "t")
     if eq1.is_zero:
         raise AssertionError("zero quotient in d_split(%d)" % l)
     a = int(eq1.degree_inner)

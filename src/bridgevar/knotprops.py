@@ -7,8 +7,8 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple, Optional
 
-from .poly import (UniPoly, ExactError, factorint, irreducibility_analysis,
-                   squarefree_part)
+from .poly import (UniPoly, ExactError, NotSquarefree, factorint,
+                   irreducibility_analysis)
 from .seq import f_poly, phi, psi
 from .curves import _swap_if_needed
 from .newton import INFINITY, polygon, poly_points, val_rat
@@ -227,13 +227,23 @@ def trace_field_report(model):
     """Degree bound (the degree of the slice, which `trace_field_poly`
     asserts), squarefree degree and factor-degree evidence from the
     model C(k,l); the degree-equality observation is reported, never
-    asserted."""
+    asserted.
+
+    The prime loop of `irreducibility_analysis` proves the slice
+    squarefree over Q at its first prime when that prime is good (p does
+    not divide the leading coefficient and the slice is squarefree mod p,
+    the lemma of `poly._squarefree_mod_p`); only when it is bad does
+    `squarefree_part` run, once, and a slice that is not squarefree is
+    analysed again as its squarefree part."""
     require_model(model, "C", "trace-field report")
     k2, l2 = model.k, model.l
     bound = _degree_bound(k2, l2)
-    poly = trace_field_poly(model)
-    sf = squarefree_part(poly)
-    analysis = irreducibility_analysis(sf)
+    sf = trace_field_poly(model).primitive()
+    try:
+        analysis = irreducibility_analysis(sf)
+    except NotSquarefree as e:
+        sf = e.args[1]
+        analysis = irreducibility_analysis(sf)
     observed = None
     if analysis.verdict == "irreducible" and sf.degree == bound:
         observed = True

@@ -41,6 +41,11 @@ class ExactError(ValueError):
     bad variable mix, malformed input)."""
 
 
+class NotSquarefree(ExactError):
+    """`irreducibility_analysis` of an f that is not squarefree; args[1]
+    is the squarefree part of f, as `squarefree_part` gives it."""
+
+
 def _power(base, n, one):
     """base ** n for an int n >= 0 by square-and-multiply; `one` is the
     unit of base's ring."""
@@ -236,47 +241,57 @@ class UniPoly:
 
     # -- text form --------------------------------------------------------
     def __str__(self):
-        return format_poly(self)
+        return format_poly((self.c,), self.var)
 
     def __repr__(self):
-        return "UniPoly(%s)" % format_poly(self)
+        return "UniPoly(%s)" % self
 
 
 # ---------------------------------------------------------------------------
 # text format: integer coefficients, caret powers, explicit '*'
+#
+# Terms run from the highest power down, outer power first, then inner;
+# a monomial prints the inner power before the outer one ("r^2*t").  Zero
+# terms are left out, and so is a unit coefficient before a monomial; an
+# empty sum is "0".  One formatter serves UniPoly (one row) and BiPoly
+# (one row per outer power): it builds each variable's power texts once
+# per polynomial and joins the terms once.
 
-def format_poly(p):
-    return _join_terms((v, _power_text(p.var, i))
-                       for i, v in reversed(list(enumerate(p.c))))
-
-
-def _format_bipoly(f):
-    return _join_terms(
-        (v, "*".join(filter(None, (_power_text(f.inner, i),
-                                   _power_text(f.outer, j)))))
-        for j in range(len(f.cs) - 1, -1, -1)
-        for i, v in reversed(list(enumerate(f.cs[j].c))))
-
-
-def _power_text(var, i):
-    return "" if not i else var if i == 1 else "%s^%d" % (var, i)
+def _powers(var, n):
+    """The texts of var**i for i < n, "" for the constant."""
+    return ["", var, *["%s^%d" % (var, i) for i in range(2, n)]][:n]
 
 
-def _join_terms(terms):
-    """The text of the sum of `terms`, pairs (v, monomial) from the
-    highest: v an int and monomial the text of its variable part, ""
-    for the constant.  Zero terms are left out, and so is a unit
-    coefficient before a monomial; an empty sum is "0"."""
-    out = ""
-    for v, mono in terms:
-        if v:
-            a = abs(v)
-            body = (str(a) if not mono else mono if a == 1
-                    else "%s*%s" % (a, mono))
-            out += ("-" if v < 0 else "+") + body
-    if not out:
+def format_poly(rows, inner, outer=""):
+    """The text of sum_j rows[j](inner) * outer**j, rows[j] an int list
+    lowest first; a UniPoly is one row and no outer variable."""
+    inner_pw = _powers(inner, max(map(len, rows), default=0))
+    outer_pw = _powers(outer, len(rows)) if outer else [""]
+    terms = []
+    for j in range(len(rows) - 1, -1, -1):
+        row = rows[j]
+        tail = outer_pw[j]
+        monos = ([tail] + [v + "*" + tail for v in inner_pw[1:len(row)]]
+                 if tail else inner_pw)
+        for i in range(len(row) - 1, -1, -1):
+            v = row[i]
+            if not v:
+                continue
+            mono = monos[i]
+            if v < 0:
+                sign, v = "-", -v
+            else:
+                sign = "+"
+            if not mono:
+                terms.append("%s%d" % (sign, v))
+            elif v == 1:
+                terms.append(sign + mono)
+            else:
+                terms.append("%s%d*%s" % (sign, v, mono))
+    if not terms:
         return "0"
-    return out[1:] if out[0] == "+" else out
+    text = "".join(terms)
+    return text[1:] if text[0] == "+" else text
 
 
 def parse_poly(text, var=None):
@@ -722,10 +737,10 @@ class BiPoly:
         return BiPoly([UniPoly(c.c, inner) for c in self.cs], outer, inner)
 
     def __str__(self):
-        return _format_bipoly(self)
+        return format_poly([c.c for c in self.cs], self.inner, self.outer)
 
     def __repr__(self):
-        return "BiPoly(%s)" % _format_bipoly(self)
+        return "BiPoly(%s)" % self
 
 
 def resultant(f, g):
@@ -1198,6 +1213,18 @@ def irreducibility_analysis(f, prime_budget=6):
     once).  Reducible only via an exact rational root.  Otherwise
     Inconclusive carrying that intersection (every proper degree when no
     good prime was found).
+
+    The prime loop runs first and `rational_roots` only after it ends
+    without a proof: a rational root p/q of f gives the linear factor
+    q x - p, which keeps degree 1 mod every good prime, so every pattern
+    has 1 among its subset sums and the loop cannot return Irreducible for
+    such an f.  The verdicts are those of a root search run first.
+
+    The first prime the loop tries also checks that f is squarefree.  When
+    it is good, f is squarefree over Q (`_squarefree_mod_p`).  When it is
+    bad, `squarefree_part` decides once: an f that is not squarefree
+    raises NotSquarefree carrying its squarefree part, since no prime
+    would be good for it.
     """
     if f.degree < 1:
         raise ExactError("irreducibility of a constant")
@@ -1205,9 +1232,6 @@ def irreducibility_analysis(f, prime_budget=6):
     n = fz.degree
     if n == 1:
         return Irreducible(1, (), ())
-    rr = rational_roots(fz)
-    if rr:
-        return Reducible((1, n - 1), rr[0][0])
     # the kernels refuse p - 1 >= 2**64 (`modp_degree_pattern`): from at
     # most 2**63, every prime the loop can try stays far below that
     start = min(max(50, _iroot4(fz.lead * fz.constant)), 2 ** 63)
@@ -1221,10 +1245,17 @@ def irreducibility_analysis(f, prime_budget=6):
         attempts += 1
         pat = modp_degree_pattern(fz, p)
         if pat == BAD_PRIME:
+            if attempts == 1:
+                part = squarefree_part(fz)
+                if part.degree < n:
+                    raise NotSquarefree("not squarefree", part)
             continue
         good.append(p)
         patterns.append(pat)
         achievable &= _proper_degree_sums(pat, n)
         if not achievable:
             return Irreducible(n, tuple(good), tuple(patterns))
+    rr = rational_roots(fz)
+    if rr:
+        return Reducible((1, n - 1), rr[0][0])
     return Inconclusive(frozenset(achievable), tuple(good))

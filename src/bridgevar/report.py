@@ -40,9 +40,12 @@ def _infinity_dict(v):
             "witnesses": [dict(w) for w in v.witnesses]}
 
 
-def _cert_dict(cert):
-    out = {"smooth": cert.smooth, "route": "oracle",
-           "target": cert.target.to_dict(),
+def _smoothness_section(knot):
+    cert = knot.certificate
+    # the certified model, D or (k = l) D1, in the dict that the models
+    # section prints too
+    target = knot.D_dict if cert.target is knot.D else knot.D_split_dicts[1]
+    out = {"smooth": cert.smooth, "route": "oracle", "target": target,
            "affine": {"trace": cert.affine},
            "infinity": _infinity_dict(cert.infinity),
            "method": cert.method}
@@ -98,6 +101,17 @@ class Knot:
     def D_split(self):
         """(D0, D1) of the D model, which needs k = l."""
         return d_split(self.D)
+
+    # The dict of a model prints its equation; the models section and the
+    # smoothness target share it.
+
+    @cached_property
+    def D_dict(self):
+        return self.D.to_dict()
+
+    @cached_property
+    def D_split_dicts(self):
+        return [m.to_dict() for m in self.D_split]
 
     # The three stages that need a hyperbolic knot refuse any other before
     # they read C (kl odd has none) or D_split (which needs l even).
@@ -166,10 +180,10 @@ def _models_section(knot):
     except ExactError as e:
         models["C"] = {"unavailable": str(e)}
     try:
-        models["D"] = knot.D.to_dict()
+        models["D"] = knot.D_dict
         # the knots whose certificate reads D_split
         if knot.classification == HYPERBOLIC and knot.k == knot.l:
-            models["D_split"] = [m.to_dict() for m in knot.D_split]
+            models["D_split"] = knot.D_split_dicts
     except ExactError as e:
         models["D"] = {"unavailable": str(e)}
     return models
@@ -237,7 +251,7 @@ SECTIONS = {
     "classification": lambda knot: knot.classification,
     "models": _models_section,
     "two_bridge": _two_bridge_section,
-    "smoothness": lambda knot: _cert_dict(knot.certificate),
+    "smoothness": _smoothness_section,
     "component_count": _component_count_section,
     "genus_Y": _genus_Y_section,
     "genus_X": _genus_X_section,

@@ -294,9 +294,14 @@ def _digits(z, w, R, blocks):
     The window is read in one pass: adding 2**(8w - 1) to every slot
     makes each one nonnegative and below 2**(8w), with no carry, so the
     slots are read unsigned by `kernels.read_slots`, in units of the next
-    1, 2, 4 or 8 bytes, and 2**(8w - 1) is taken off each value.  Slots
-    wider than 8 bytes, which no unit holds, are read one
-    `int.from_bytes` each."""
+    1, 2, 4 or 8 bytes, and 2**(8w - 1) is taken off each value.  A slot
+    wider than 8 bytes, which no unit holds, is read as m = ceil(w / 8)
+    8-byte units: unless w is a multiple of 8, the slots are first spread
+    to 8m bytes each by w / g strided copies of g bytes, g the largest
+    power of two dividing w.  One `read_slots` call reads the units of
+    all slots, and each slot's units are joined by shifts, with
+    2**(8w - 1) taken off its top unit (where it is bit
+    8w - 1 - 64 (m - 1)): no call is made per slot."""
     rows = [[] for _ in range(blocks)]
     if not z:
         return rows
@@ -308,12 +313,26 @@ def _digits(z, w, R, blocks):
     y = (z >> lo * b) + int.from_bytes((bytes(w - 1) + b"\x80") * count,
                                        "little")
     if w <= 8:
-        digits = read_slots(y, count, w, 1 << (w - 1).bit_length())
-    else:  # no unit holds the slot: one int per slot
-        raw = y.to_bytes(count * w, "little")
-        digits = [int.from_bytes(raw[j:j + w], "little")
-                  for j in range(0, count * w, w)]
-    digits = [v - half for v in digits]
+        digits = [v - half for v in
+                  read_slots(y, count, w, 1 << (w - 1).bit_length())]
+    else:
+        m = -(-w // 8)
+        if w % 8:
+            # spread the slots to 8m bytes, g = 1, 2 or 4 bytes at a time
+            g = w & -w
+            fmt = {1: "B", 2: "H", 4: "I"}[g]
+            wide = bytearray(count * 8 * m)
+            src = memoryview(y.to_bytes(count * w, "little")).cast(fmt)
+            dst = memoryview(wide).cast(fmt)
+            for t in range(w // g):
+                dst[t::8 * m // g] = src[t::w // g]
+            y = int.from_bytes(wide, "little")
+        units = read_slots(y, count * m, 8, 8)
+        top = half >> 64 * (m - 1)   # half lies in the top unit
+        digits = [(h - top) << 64 | v
+                  for h, v in zip(units[m - 1::m], units[m - 2::m])]
+        for i in range(m - 3, -1, -1):
+            digits = [h << 64 | v for h, v in zip(digits, units[i::m])]
     for e, i in enumerate(range(0, count, R), lo):
         rows[e] = trim(digits[i:i + R])
     return rows

@@ -10,19 +10,38 @@ oracle of the models in `bridgevar.curves`.
   and D; `sigma_containment_check` certifies sigma(C) in D as a
   polynomial identity.
 * `special_points_check` certifies where Psi_k(r) = 0 meets C and D.
+* `normalize_oracle` makes an equation primitive with the sign of its
+  r-major leader, as the models are stored, by a scan of every term.
 """
 
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from bridgevar import riley
-from bridgevar.curves import (CurveModel, _normalize, _swap_if_needed,
-                              c_model, d_model)
+from bridgevar.curves import CurveModel, _swap_if_needed, c_model, d_model
 from bridgevar.poly import (BiPoly, ExactError, UniPoly, _prem, poly_gcd,
                             rational_roots)
 from bridgevar.seq import phi, psi
 
 _R = UniPoly.gen("r")
+
+
+def normalize_oracle(eq):
+    """Primitive, and the sign fixed by the r-major lexicographic leader,
+    found by a scan of every nonzero inner polynomial."""
+    if eq.is_zero:
+        return eq
+    f = eq.primitive()
+    best = None
+    for j, c in enumerate(f.cs):
+        if c.is_zero:
+            continue
+        i = c.degree
+        if best is None or (i, j) > best[0]:
+            best = ((i, j), c.lead)
+    if best[1] < 0:
+        f = -f
+    return f
 
 
 def trace_wk(k):
@@ -37,7 +56,7 @@ def x_model(k, l):
     base = c_model(k, l)
     sub = BiPoly([UniPoly.const(-2, "r"), UniPoly.zero("r"),
                   UniPoly.const(1, "r")], "x", "r")
-    eq = _normalize(base.equation.eval_outer(sub))
+    eq = normalize_oracle(base.equation.eval_outer(sub))
     return CurveModel("X", base.k, base.l, eq, ("r", "x"), None,
                       base.swapped)
 

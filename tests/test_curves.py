@@ -3,20 +3,24 @@ tests/sigma_oracle.py.
 
 Oracle for the split: multiply the factors back and compare with the
 unsplit model.  Oracle for sigma: map exact rational points of C and
-plug them into D.  Oracle for D: its second defining form, built from
-Psi_k and Psi_l.
+plug them into D.  Oracles for D: both defining forms built from BiPoly
+products, the second from Psi_k and Psi_l, and made primitive with the
+leader's sign by `normalize_oracle`; for C, the negated Riley polynomial
+made so.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from bridgevar.curves import _normalize, c_model, d_model, d_split
+from bridgevar.curves import c_model, d_model, d_split
 from bridgevar.knotprops import HYPERBOLIC, classify
 from bridgevar.poly import BiPoly, ExactError
+from bridgevar.riley import riley_poly_J
 from bridgevar.seq import phi, psi
-from sigma_oracle import (sigma_containment_check, sigma_pull, sigma_push,
-                          special_points_check, x_model)
+from sigma_oracle import (normalize_oracle, sigma_containment_check,
+                          sigma_pull, sigma_push, special_points_check,
+                          x_model)
 
 # every hyperbolic J(k, l) with |k|, |l| <= 10
 HYPERBOLIC_10 = [(k, l) for k in range(-10, 11) for l in range(-10, 11)
@@ -49,16 +53,33 @@ def test_c_model_rejects_two_odd_parameters():
 
 
 def test_d_model_forms_agree():
-    # d_model builds Phi_{k+1}(r) Phi_{l-1}(t) - Phi_{k-1}(r) Phi_{l+1}(t);
-    # the second form Psi_k(r) Phi_{l-1}(t) - Phi_{k-1}(r) Psi_l(t) gives
-    # the same equation, after the same swap of the parameters.
+    # d_model builds the rows of Phi_{k+1}(r) Phi_{l-1}(t) - Phi_{k-1}(r)
+    # Phi_{l+1}(t) as one outer product; the same form from BiPoly
+    # products, and the second form Psi_k(r) Phi_{l-1}(t) - Phi_{k-1}(r)
+    # Psi_l(t), give the same equation, after the same swap of the
+    # parameters.
     for k0 in range(-10, 11):
         for l0 in range(-10, 11):
             dm = d_model(k0, l0)
             k, l = dm.k, dm.l
+            prod = (BiPoly.from_inner(phi(k + 1, "r"), "t") * phi(l - 1, "t")
+                    - BiPoly.from_inner(phi(k - 1, "r"), "t")
+                    * phi(l + 1, "t"))
             alt = (BiPoly.from_inner(psi(k, "r"), "t") * phi(l - 1, "t")
                    - BiPoly.from_inner(phi(k - 1, "r"), "t") * psi(l, "t"))
-            assert _normalize(alt) == dm.equation, (k0, l0)
+            assert normalize_oracle(prod) == dm.equation, (k0, l0)
+            assert normalize_oracle(alt) == dm.equation, (k0, l0)
+
+
+def test_c_model_is_the_normalized_riley_polynomial():
+    # c_model fixes the sign and content on the Riley rows in one pass
+    for k0 in range(-10, 11):
+        for l0 in range(-10, 11):
+            if k0 % 2 and l0 % 2:
+                continue
+            cm = c_model(k0, l0)
+            raw = -riley_poly_J(cm.k, cm.l // 2)
+            assert normalize_oracle(raw) == cm.equation, (k0, l0)
 
 
 def test_degenerate_models_are_built():

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from bridgevar import knotprops, poly
 from bridgevar.curves import c_model, d_model
 from bridgevar.knotprops import (HYPERBOLIC, NOT_A_KNOT, TORUS_NONHYPERBOLIC,
                                  TREFOIL, UNKNOT, alexander, classify,
@@ -21,7 +22,8 @@ from bridgevar.knotprops import (HYPERBOLIC, NOT_A_KNOT, TORUS_NONHYPERBOLIC,
                                  trace_field_poly, trace_field_report,
                                  two_bridge_params)
 from bridgevar.newton import poly_points, polygon
-from bridgevar.poly import ExactError, UniPoly, parse_poly
+from bridgevar.poly import (ExactError, UniPoly, irreducibility_analysis,
+                            parse_poly, squarefree_part)
 from bridgevar.report import Knot
 
 
@@ -208,6 +210,47 @@ def test_trace_field_report_never_asserts_equality():
         assert tf.squarefree_degree <= tf.bound
         assert isinstance(tf.empirical["equality_observed"], bool)
         assert "empirical" in tf.empirical["note"]
+
+
+def count_squarefree_parts(monkeypatch):
+    calls = []
+    real = poly.squarefree_part
+
+    def counted(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(poly, "squarefree_part", counted)
+    return calls
+
+
+def test_trace_field_report_of_a_planted_square(monkeypatch):
+    # a slice h**2 g gets the squarefree degree and the analysis that
+    # squarefree_part followed by irreducibility_analysis give
+    r = UniPoly.gen("r")
+    planted = (r ** 2 + 3) ** 2 * (r ** 3 - r + 5)
+    part = squarefree_part(planted)
+    want = irreducibility_analysis(part)
+    calls = count_squarefree_parts(monkeypatch)
+    monkeypatch.setattr(knotprops, "trace_field_poly", lambda model: planted)
+    tf = trace_field_report(c_model(4, -6))
+    assert tf.squarefree_degree == part.degree == 5
+    assert tf.analysis == want
+    assert calls == [planted.primitive()]
+
+
+def test_trace_field_squarefree_proof(monkeypatch):
+    # a good first prime (53 for the figure-eight slice r^2 - 3r + 3) is
+    # the squarefree proof; when it is bad, squarefree_part runs once
+    calls = count_squarefree_parts(monkeypatch)
+    tf = trace_field_report(c_model(2, -2))
+    assert tf.squarefree_degree == 2 and calls == []
+    r = UniPoly.gen("r")
+    slice_53 = 53 * r ** 2 + r + 1     # 53, the first prime, divides lc
+    monkeypatch.setattr(knotprops, "trace_field_poly", lambda model: slice_53)
+    tf = trace_field_report(c_model(2, -2))
+    assert tf.squarefree_degree == 2 and calls == [slice_53]
+    assert 53 not in tf.analysis.sampled_primes
 
 
 # --- commensurability witnesses, re-verified from serialized form ----------------

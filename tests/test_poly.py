@@ -7,7 +7,9 @@ Oracles (defined before any test that uses them):
   * powmod_ddf_pattern -- distinct-degree factorization with one powmod
     x**(p**d) per degree and one gcd per degree, re-reduced modulo what is
     left of f; its powmod (square_multiply_powmod_p) reduces by schoolbook
-    division, not by the packed Barrett products of the production powmod.
+    division, not by the packed Barrett products of the production powmod,
+  * text_oracle -- the polynomial text built term by term from generators,
+    one string concatenation per term.
 """
 
 import math
@@ -108,6 +110,39 @@ def euclid_gcd(a, b):
     if ints[-1] < 0:
         ints = [-v for v in ints]
     return ints
+
+
+def text_oracle(f):
+    """The text of a UniPoly or BiPoly: the terms from the highest power
+    down (outer first), each monomial's powers built per term."""
+    if isinstance(f, UniPoly):
+        return _join_terms((v, _power_text(f.var, i))
+                           for i, v in reversed(list(enumerate(f.c))))
+    return _join_terms(
+        (v, "*".join(filter(None, (_power_text(f.inner, i),
+                                   _power_text(f.outer, j)))))
+        for j in range(len(f.cs) - 1, -1, -1)
+        for i, v in reversed(list(enumerate(f.cs[j].c))))
+
+
+def _power_text(var, i):
+    return "" if not i else var if i == 1 else "%s^%d" % (var, i)
+
+
+def _join_terms(terms):
+    """The text of the sum of `terms`, pairs (v, monomial) from the
+    highest: zero terms and a unit coefficient before a monomial are left
+    out; an empty sum is "0"."""
+    out = ""
+    for v, mono in terms:
+        if v:
+            a = abs(v)
+            body = (str(a) if not mono else mono if a == 1
+                    else "%s*%s" % (a, mono))
+            out += ("-" if v < 0 else "+") + body
+    if not out:
+        return "0"
+    return out[1:] if out[0] == "+" else out
 
 
 def brute_modp_roots(f, p):
@@ -404,6 +439,47 @@ def test_parse_poly_round_trip():
     assert parse_poly("u^2 - 2*u + 1") == (U - 1) ** 2
     with pytest.raises(ExactError):
         parse_poly("u + z")
+
+
+# coefficients of every size the text has a case for: 0, the units that
+# print no coefficient before a monomial, small ones and 300+ bit ones
+text_coeffs = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-99, 99),
+                        st.integers(2 ** 300, 2 ** 340),
+                        st.integers(-2 ** 340, -2 ** 300))
+text_rows = st.lists(text_coeffs, max_size=7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=text_rows, var=st.sampled_from(poly.VARS))
+@example(c=[], var="u")                       # the zero polynomial
+@example(c=[0, -1, 0, 1], var="x")            # units before monomials
+@example(c=[-7], var="r")                     # a constant term alone
+@example(c=[0, 2 ** 310 + 1], var="t")        # a 311-bit coefficient
+def test_unipoly_text_matches_oracle_and_parses_back(c, var):
+    f = UniPoly(c, var)
+    text = str(f)
+    assert text == text_oracle(f)
+    assert repr(f) == "UniPoly(%s)" % text
+    assert parse_poly(text, var) == f
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(text_rows, max_size=5),
+       pair=st.sampled_from([("t", "r"), ("y", "r"), ("r", "t")]))
+@example(rows=[], pair=("t", "r"))                       # zero
+@example(rows=[[0], [], [1]], pair=("t", "r"))           # t^2 alone
+@example(rows=[[0, 1]], pair=("y", "r"))                 # r alone
+@example(rows=[[-1], [0, -1]], pair=("t", "r"))          # -r*t-1
+@example(rows=[[5], [0, 0, 2 ** 305]], pair=("y", "r"))  # big, constant
+def test_bipoly_text_matches_oracle(rows, pair):
+    outer, inner = pair
+    f = BiPoly([UniPoly(r, inner) for r in rows], outer, inner)
+    text = str(f)
+    assert text == text_oracle(f)
+    assert repr(f) == "BiPoly(%s)" % text
+    # a BiPoly of one variable prints as that variable's UniPoly
+    if f.degree_outer == 0:
+        assert parse_poly(text, inner) == f.cs[0]
 
 
 @settings(max_examples=50, deadline=None)
@@ -833,10 +909,52 @@ def test_irreducibility_three_verdicts():
     assert lin.sampled_primes == () and lin.patterns == ()
     b = irreducibility_analysis(4 * U ** 2 - 1)
     assert b.verdict == "reducible"
+    assert b.root == Fraction(-1, 2) and b.factor_degrees == (1, 1)
     # x^4+1 is irreducible over Q but reducible mod every prime
     c = irreducibility_analysis(X ** 4 + 1)
     assert c.verdict == "inconclusive"
     assert 2 in c.degree_sums
+
+
+def test_loop_proof_needs_no_rational_root_search(monkeypatch):
+    # the root search runs only after the prime loop ends without a proof
+    def refuse(f):
+        raise AssertionError("rational_roots called on %s" % f)
+
+    monkeypatch.setattr(poly, "rational_roots", refuse)
+    for f in (U ** 2 + 1, U ** 4 + 8 * U + 12):
+        assert irreducibility_analysis(f).verdict == "irreducible"
+    with pytest.raises(AssertionError, match="rational_roots"):
+        irreducibility_analysis(X ** 4 + 1)
+
+
+def test_first_bad_prime_runs_squarefree_part_once(monkeypatch):
+    # 53, the first prime the loop tries, divides the leading coefficient;
+    # squarefree_part then proves f squarefree and the loop goes on
+    calls = []
+    real = poly.squarefree_part
+
+    def counted(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(poly, "squarefree_part", counted)
+    f = 53 * X ** 2 + X + 1
+    assert not poly._squarefree_mod_p(f.c, 53)
+    a = irreducibility_analysis(f)
+    assert calls == [f]
+    assert a.verdict == "irreducible" and 53 not in a.sampled_primes
+    # a first prime that is good proves f squarefree by itself
+    del calls[:]
+    assert irreducibility_analysis(U ** 2 + 1).verdict == "irreducible"
+    assert calls == []
+
+
+def test_not_squarefree_raises_with_its_part():
+    with pytest.raises(poly.NotSquarefree) as info:
+        irreducibility_analysis((X - 1) ** 2 * (X ** 2 + 5))
+    assert info.value.args[1] == (X - 1) * (X ** 2 + 5)
+    assert isinstance(info.value, ExactError)
 
 
 def test_irreducible_by_degree_sets():

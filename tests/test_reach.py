@@ -107,6 +107,9 @@ def runs():
     # a trace field of degree 21, whose degree patterns run in rings past
     # kernels.NARROW_GATE; the fields of KNOTS stay below it
     yield ["tracefield", "-k", "6", "-l", "-7"], 0
+    # an inconclusive trace field (two more primes would close it): only
+    # such a field runs the rational-root search after the prime loop
+    yield ["tracefield", "-k", "-8", "-l", "-6"], 0
     yield ["verify", "all"], 0
     yield ["sweep", "--kmax", "3", "--lmax", "3", "--jobs", "1"], 0
     yield ["newton", "-n", "6", "-p", "3"], 0

@@ -21,7 +21,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bridgevar import cli, curves, geometry, knotprops, report, riley, seq
+from bridgevar import (cli, curves, geometry, knotprops, poly, report, riley,
+                       seq)
 from bridgevar.cli import main
 from bridgevar.geometry import genus_Y
 from bridgevar.kernels import poly_gcd_p
@@ -135,7 +136,23 @@ def test_report_computes_each_artifact_once(monkeypatch, k, l):
         knotprops.alexander, knotprops.two_bridge_params,
         knotprops.trace_field_report, knotprops.commensurability_certificate,
         seq.delta, geometry.infinity_transversality])
-    build_report(k, l)
+    texts = []
+    real_text = poly.format_poly
+
+    def recorded(*args):
+        texts.append(real_text(*args))
+        return texts[-1]
+
+    monkeypatch.setattr(poly, "format_poly", recorded)
+    rep = build_report(k, l)
+    # each model's equation is formatted once, however many sections print
+    # it (D, or D1 when k = l, is the smoothness target too)
+    models = rep["models"]
+    printed = [models[key] for key in ("C", "D") if "equation" in models[key]]
+    printed += models.get("D_split", [])
+    assert printed
+    for m in printed:
+        assert texts.count(m["equation"]) == 1, (m["kind"], texts)
     assert counts["smoothness_certificate"] <= 1, counts
     assert counts["c_model"] <= 1, counts
     assert counts["odd_point_report"] <= 1, counts

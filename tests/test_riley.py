@@ -380,12 +380,14 @@ def test_slot_bytes_keep_a_sign_bit_and_digits_round_trip():
 
 
 def test_digits_at_every_read_unit_width():
-    # w = 1 ... 8 read each slot in the next unit of 1, 2, 4 or 8 bytes, and
-    # w = 9 one slot at a time: planted digits with the extreme values of
-    # the slot, negative ones, zero blocks inside the window and zero top
-    # digits, against the planted rows and the per-slot signed decoder
+    # w = 1 ... 8 read each slot in the next unit of 1, 2, 4 or 8 bytes;
+    # w = 9 ... 16 spread each slot to two 8-byte units (no spreading at
+    # w = 16), and w = 20, 24 to three: planted digits with the extreme
+    # values of the slot, negative ones, zero blocks inside the window and
+    # zero top digits, against the planted rows and the per-slot signed
+    # decoder
     rng = Random("unit-widths")
-    for w in range(1, 10):
+    for w in list(range(1, 17)) + [20, 24]:
         h = 2 ** (8 * w - 1) - 1
         for R, blocks in ((1, 5), (3, 4), (5, 7)):
             for _ in range(20):
