@@ -26,6 +26,27 @@ shifts and adds only, with c = 2 - r and c X = 2X - (X << 8w):
     b:      m1 <- L^2 m1 + L c m2
     b^-1:   m1 <- m1 - L c m2,        m2 <- L^2 m2
 
+The pass keeps its row in the live L-window.  It carries lower bounds
+l1, l2 on the L-exponents of m1, m2 (0 for an entry 1 and 1 for an
+entry 0 at the start; 0 has every bound) through the min-plus image of
+each update, since c has L-exponent 0:
+
+    a:      l1 <- l1 + 2,             l2 <- min(l1 + 1, l2)
+    a^-1:                             l2 <- min(l2 + 2, l1 + 1)
+    b:      l1 <- min(l1 + 2, l2 + 1)
+    b^-1:   l1 <- min(l1, l2 + 1),    l2 <- l2 + 2
+
+Whenever both bounds reach 2, every monomial of m1 and m2 has
+L-exponent at least 2, so each is L^2 q for a polynomial q in L and r,
+and its int is q(2^(4wR), 2^(8w)) 2^(8wR): shifting it right by one
+block is the exact division by L^2, and the pass counts these drops d.
+A drop takes a whole L^2, so the diagonal entries stay even and the
+others odd, and the row at the end is L^(2d) times the packed one.  The
+Riley combination of W_k^-n has L-exponents in [-2|n|, 2|n|] around
+L^N, and its prefixes stay about as narrow, so the packed ints of its
+row stay below L^(4|n| + 4), where L^N W spans L^(4|k||n|): |k| times
+shorter.
+
 Both word routes read the first row of a word, by one row pass from
 (1, 0), and take W11 + (L^-1 - L) W12 (`_riley_word`):
 `riley_poly_pq` on the Schubert word, `riley_poly_matrix` on W_k^-n.
@@ -45,13 +66,14 @@ norm at most 3 max(b1, b2), and w leaves room for that plus a sign bit.
 This bounds the final matrix whatever the order of evaluation, and the
 intermediate ints need no bound: they are values of polynomials at an
 integer point, a ring homomorphism, so only the final coefficients have
-to fit in their slots.  A packed result, made even in L by dividing an
-odd one by L (an exact right shift), is read back as balanced
-base-2^(8w) digits, with one `to_bytes` per entry or combination and,
-for w <= 8, no call per digit (`_digits`): one int row in r per even
-power of L.  The decoder converts only the window of blocks from the
-one holding the lowest set bit of the int to the block of its bit
-length; the blocks outside it are zero.  This one decoder gives the only
+to fit in their slots; dividing by L^2 is a ring homomorphism too.  A
+packed result, made even in L by dividing an odd one by L (an exact
+right shift), is read back as balanced base-2^(8w) digits, with one
+`to_bytes` per entry or combination and no call per slot at any width
+(`_digits`): one int row in r per even power of L, placed d rows up.
+The decoder converts only the window of blocks from the one holding
+the lowest set bit of the int to the block of its bit length; the
+blocks outside it are zero.  This one decoder gives the only
 unpacked form of a word's matrix: the Riley routes rewrite its rows in
 (r, y) (`_to_ry`).
 
@@ -87,7 +109,10 @@ in the balanced slot range with r-degree below R: the trace check
 tests the coefficients of its closed form, and the ideal check widens
 its slots to a bound on them.  Both sides are then
 polynomials in r and L whose balanced digits are their coefficients,
-so the ints are equal exactly when the polynomials are.  No command
+so the ints are equal exactly when the polynomials are.  The word side
+comes divided by L^(2d); each check takes every side of a comparison
+over the lowest power of L among them, a left shift that changes no
+coefficient, so that the shorter ints are compared.  No command
 needs tr W_k as a polynomial in (r, y); the tests build it from the
 same `_trace_coeffs` (`trace_wk` in tests/sigma_oracle.py).
 """
@@ -192,23 +217,26 @@ class _Slots(NamedTuple):
     def shift(self):
         return 4 * self.w * self.R
 
-    def rows(self, z):
-        """The int rows in r of z, which packs a polynomial in L, even and
-        of degree at most 2N, in these slots: row e is its coefficient of
-        L^(2e)."""
-        return _digits(z, self.w, self.R, self.letters + 1)
+    def rows(self, z, drop):
+        """The int rows in r of L^(2 drop) z, where z packs a polynomial
+        in L in these slots, even and such that L^(2 drop) z has degree
+        at most 2N: row e is its coefficient of L^(2e), and rows below
+        drop are empty."""
+        return _digits(z, self.w, self.R, self.letters + 1, drop)
 
 
 class _PackedWord(NamedTuple):
-    """The entries of L^N W for a word W of N letters, in `slots`.  The
-    diagonal entries are even in L and the others odd, so within one
-    entry the coefficient of L^(2i+p) r^j is the signed w-byte slot
-    i*R + j of m >> (p*shift)."""
+    """The entries of L^N W for a word W of N letters, each divided by
+    L^(2 drop), in `slots`.  The diagonal entries are even in L and the
+    others odd, so within one entry the coefficient of
+    L^(2(i + drop) + p) r^j is the signed w-byte slot i*R + j of
+    m >> (p*shift)."""
     m11: int
     m12: int
     m21: int
     m22: int
     slots: _Slots
+    drop: int
 
 
 def _slot_bytes(bound):
@@ -231,12 +259,10 @@ def _slots(word):
         n = abs(exp)
         letters += n
         if gen == "a":
-            for _ in range(n):
-                b2 += b1
+            b2 += n * b1
         else:
             b_letters += n
-            for _ in range(n):
-                b1 += 3 * b2
+            b1 += 3 * n * b2
     # Room for the entry combination of the Riley routes (l1 norm at
     # most 3 max(b1, b2)) and a sign bit; only b letters raise the
     # degree in r.
@@ -244,40 +270,74 @@ def _slots(word):
 
 
 def _row_pass(word, slots, x, y):
-    """The row vector (x, y) times L^N W: the letters left to right, each
-    a right multiplication by L A^{±1} or L B^{±1}."""
+    """The row vector (x, y), which is (1, 0) or (0, 1), times L^N W, as
+    (x', y', d) with that row equal to L^(2d) (x', y'): the letters left
+    to right, each a right multiplication by L A^{±1} or L B^{±1}.
+
+    lx and ly are the lower bounds on the L-exponents of x and y of the
+    module docstring, each min written as a comparison.  When both reach
+    2 after a letter, the letter's update is taken divided by L^2 (its
+    shifts by L^2 and L become none and a right shift by L, its other
+    terms right shifts by L^2) and d counts the drop.  After a and
+    b^-1 one bound is at least 2 (lx + 2, ly + 2), and after a^-1 ly is
+    once lx is, so those letters test one bound and b tests both."""
     rs, L1 = 8 * slots.w, slots.shift
     L2 = 2 * L1
+    lx, ly = (0, 1) if x else (1, 0)
+    d = 0
     for gen, exp in word:
         for _ in range(abs(exp)):
             if gen == "a":
                 if exp > 0:
-                    x, y = x << L2, (x << L1) + y
+                    lx, ly = lx + 2, lx + 1 if lx < ly else ly
+                    if ly < 2:
+                        x, y = x << L2, (x << L1) + y
+                        continue
+                    y = (x >> L1) + (y >> L2)
                 else:
-                    y = (y << L2) - (x << L1)
+                    ly = ly + 2 if ly < lx else lx + 1
+                    if lx < 2:
+                        y = (y << L2) - (x << L1)
+                        continue
+                    x, y = x >> L2, y - (x >> L1)
             else:
-                cy = ((y << 1) - (y << rs)) << L1  # L (2 - r) y
+                cy = (y << 1) - (y << rs)  # (2 - r) y
                 if exp > 0:
-                    x = (x << L2) + cy
+                    lx = lx + 2 if lx < ly else ly + 1
+                    if lx < 2 or ly < 2:
+                        x = (x << L2) + (cy << L1)
+                        continue
+                    x, y = x + (cy >> L1), y >> L2
                 else:
-                    x, y = x - cy, y << L2
-    return x, y
+                    lx, ly = lx if lx <= ly else ly + 1, ly + 2
+                    if lx < 2:
+                        x, y = x - (cy << L1), y << L2
+                        continue
+                    x = (x >> L2) - (cy >> L1)
+            lx, ly, d = lx - 2, ly - 2, d + 1
+    return x, y, d
 
 
 def eval_word(word, slots=None):
-    """The word W as the packed entries of L^N W: its two rows, each by a
-    row pass, shifts and adds only.  The slots default to the word's
-    own."""
+    """The word W as the packed entries of L^N W divided by L^(2 drop):
+    its two rows, each by a row pass, shifts and adds only, the row with
+    the larger drop taken back up to the other's.  The slots default to
+    the word's own."""
     if slots is None:
         slots = _slots(word)
-    return _PackedWord(*_row_pass(word, slots, 1, 0),
-                       *_row_pass(word, slots, 0, 1), slots)
+    m11, m12, d1 = _row_pass(word, slots, 1, 0)
+    m21, m22, d2 = _row_pass(word, slots, 0, 1)
+    d = min(d1, d2)
+    s1, s2 = 2 * slots.shift * (d1 - d), 2 * slots.shift * (d2 - d)
+    return _PackedWord(m11 << s1, m12 << s1, m21 << s2, m22 << s2, slots, d)
 
 
-def _digits(z, w, R, blocks):
-    """The balanced base-2**(8w) digits of z, blocks * R of them, as one
-    int list per block of R digits, each without its zero top digits.
-    Every digit of z must lie in (-2**(8w - 1), 2**(8w - 1)).
+def _digits(z, w, R, blocks, drop=0):
+    """The balanced base-2**(8w) digits of z, as one int list per block
+    of R digits, each without its zero top digits, placed from block drop
+    on: blocks lists in all, those below drop empty.  Every digit of z
+    must lie in (-2**(8w - 1), 2**(8w - 1)), and z must have at most
+    (blocks - drop) R of them.
 
     Only the window of blocks that can be nonzero is converted, and every
     block outside it is [].  With b = 8wR bits to a block, let lo be the
@@ -307,7 +367,7 @@ def _digits(z, w, R, blocks):
         return rows
     b = 8 * w * R
     lo = ((z & -z).bit_length() - 1) // b
-    hi = min(z.bit_length() // b, blocks - 1)
+    hi = min(z.bit_length() // b, blocks - 1 - drop)
     count = (hi - lo + 1) * R
     half = 1 << 8 * w - 1     # added to every slot, then taken off
     y = (z >> lo * b) + int.from_bytes((bytes(w - 1) + b"\x80") * count,
@@ -333,7 +393,7 @@ def _digits(z, w, R, blocks):
                   for h, v in zip(units[m - 1::m], units[m - 2::m])]
         for i in range(m - 3, -1, -1):
             digits = [h << 64 | v for h, v in zip(digits, units[i::m])]
-    for e, i in enumerate(range(0, count, R), lo):
+    for e, i in enumerate(range(0, count, R), lo + drop):
         rows[e] = trim(digits[i:i + R])
     return rows
 
@@ -349,17 +409,17 @@ def _add_multiple(acc, s, row):
         acc[m] += s * v
 
 
-def _to_ry(z, slots):
-    """Rewrite Z = L^-N z, where z packs an even polynomial in L of degree
-    at most 2N in `slots`, as a BiPoly in (r, y), y = L^2 + L^-2.
-    Z must have even, palindromic exponents.
+def _to_ry(z, slots, drop=0):
+    """Rewrite Z = L^(2 drop - N) z, where z packs an even polynomial in
+    L in `slots` and L^(2 drop) z has degree at most 2N, as a BiPoly in
+    (r, y), y = L^2 + L^-2.  Z must have even, palindromic exponents.
 
-    Row e of z is the coefficient c_e of L^(2e - N) in Z.  Each pair
-    c_e (L^(2e-N) + L^(N-2e)), 2e > N, adds c_e D_{e-N/2}(y), and the
-    middle row adds itself, into int rows indexed by the power of y; the
-    BiPoly is built once."""
+    Row e of L^(2 drop) z (`_Slots.rows`) is the coefficient c_e of
+    L^(2e - N) in Z.  Each pair c_e (L^(2e-N) + L^(N-2e)), 2e > N, adds
+    c_e D_{e-N/2}(y), and the middle row adds itself, into int rows
+    indexed by the power of y; the BiPoly is built once."""
     N = slots.letters
-    rows = slots.rows(z)
+    rows = slots.rows(z, drop)
     for e, c in enumerate(rows):
         if c and N % 2 or c != rows[N - e]:
             if not c:
@@ -431,11 +491,12 @@ def riley_poly_J(k, n):
 
 def _riley_word(word):
     """W11 + (L^-1 - L) W12 of the word W, from the first row of L^N W by
-    one row pass."""
+    one row pass, divided by the L^(2 drop) of that pass."""
     slots = _slots(word)
-    m11, m12 = _row_pass(word, slots, 1, 0)
+    m11, m12, drop = _row_pass(word, slots, 1, 0)
     # L^N (W11 + (L^-1 - L) W12) = M11 + (L^-1 - L) M12, with M12 odd
-    return _to_ry(m11 + (m12 >> slots.shift) - (m12 << slots.shift), slots)
+    return _to_ry(m11 + (m12 >> slots.shift) - (m12 << slots.shift), slots,
+                  drop)
 
 
 def riley_poly_matrix(k, n):
@@ -468,7 +529,9 @@ def trace_formula_check(k, samples=None, seed=""):
     L^N times the right side is C L^(N+2) + (2 - r C) L^N + C L^(N-2), a
     polynomial in r and L^2, packed in the slots of `eval_word(w_k)`
     straight from the coefficients of C.  The left side is M11 + M22 of
-    that evaluation.  For N = 0 (k = 0) both are taken times L^2."""
+    that evaluation, L^(2 drop) times its packed sum.  Both are taken
+    over L^(2e), e the lower of drop and N/2 - 1: e = -1 for N = 0
+    (k = 0), where both are taken times L^2."""
     pw = eval_word(w_k_word(k))
     w, R, N = pw.slots.w, pw.slots.R, pw.slots.letters
     c = _trace_coeffs(k)
@@ -476,11 +539,11 @@ def trace_formula_check(k, samples=None, seed=""):
     if len(c) >= R or not all(-h < v < h for v in c):  # r C must fit too
         return False
     B = 2 * pw.slots.shift  # L^2
-    lift = 1 if N < 2 else 0
     C = _pack(c, w)
+    e = min(pw.drop, N // 2 - 1)
     want = (((C << 2 * B) + ((2 - (C << 8 * w)) << B) + C)
-            << (N // 2 + lift - 1) * B)
-    return (pw.m11 + pw.m22) << lift * B == want
+            << (N // 2 - 1 - e) * B)
+    return (pw.m11 + pw.m22) << (pw.drop - e) * B == want
 
 
 def ideal_generator_check(k, n, F):
@@ -494,12 +557,13 @@ def ideal_generator_check(k, n, F):
     even, as for w_k) and are evaluated in one slot layout.  L^(N+1) F
     is packed by Horner's rule in y from the rows F_j(r) of F:
     z <- z (L^4 + 1) + F_j L^(2(d - j)), for j from d = deg_y F down to
-    0, gives L^(2d) F, which is then taken times L^(N+1-2d).  The slot
+    0, gives L^(2d) F, which is L^(N+1) F over L^(N+1-2d).  The slot
     width holds both sides: the entries of the two words, their
     differences, and 3 sum_j ||F_j||_1 2^j, which bounds every
     coefficient in r and L of F and of (r - 2) F.  With the r-degree of
     (r - 2) F below R and 2d <= N + 1, equal ints mean equal
-    polynomials."""
+    polynomials.  The words come over L^(2 drop) each, and all sides
+    are taken over the lowest of the three powers of L."""
     word = word_power(w_k_word(k), n)
     aw, wb = (("a", 1),) + word, word + (("b", 1),)
     rows = [f.c for f in F.cs]
@@ -510,11 +574,15 @@ def ideal_generator_check(k, n, F):
     top, w = slots.letters, slots.w
     if 2 * d > top or max(map(len, rows), default=0) >= slots.R:
         return False
-    B = 2 * slots.shift  # L^2
+    L1 = slots.shift
+    B = 2 * L1  # L^2
     z = 0
     for j in range(d, -1, -1):
         z = (z << 2 * B) + z + (_pack(rows[j], w) << (d - j) * B)
-    G = z << (top - 2 * d) * slots.shift
     p, q = eval_word(aw, slots), eval_word(wb, slots)
-    return (p.m11 == q.m11 and p.m22 == q.m22 and p.m12 - q.m12 == G
-            and p.m21 - q.m21 == (G << 8 * w) - 2 * G)
+    e = min(2 * p.drop, 2 * q.drop, top - 2 * d)
+    P = [m << (2 * p.drop - e) * L1 for m in p[:4]]
+    Q = [m << (2 * q.drop - e) * L1 for m in q[:4]]
+    G = z << (top - 2 * d - e) * L1
+    return (P[0] == Q[0] and P[3] == Q[3] and P[1] - Q[1] == G
+            and P[2] - Q[2] == (G << 8 * w) - 2 * G)

@@ -124,11 +124,11 @@ def product_word(word):
     return out
 
 
-def decode(z, slots, odd=0):
-    """The entry L^-N z as a dict, where z packs a polynomial in L of
-    degree at most 2N and parity odd in `slots`."""
+def decode(z, slots, odd=0, drop=0):
+    """The entry L^(2 drop - N) z as a dict, where z packs a polynomial in
+    L of parity odd in `slots`, and L^(2 drop) z has degree at most 2N."""
     rows = _digits(z >> slots.shift * odd, slots.w, slots.R,
-                   slots.letters + 1)
+                   slots.letters + 1, drop)
     return {2 * e + odd - slots.letters: UniPoly(row, "r")
             for e, row in enumerate(rows) if row}
 
@@ -136,7 +136,7 @@ def decode(z, slots, odd=0):
 def decoded_word(word):
     """eval_word(word), decoded entry by entry into the oracle's type."""
     pw = eval_word(word)
-    return tuple(decode(m, pw.slots, odd)
+    return tuple(decode(m, pw.slots, odd, pw.drop)
                  for m, odd in zip(pw[:4], (0, 1, 1, 0)))
 
 
@@ -208,7 +208,7 @@ def fraction_trace_formula_check(k, samples, seed=""):
     defect planted there reaches this oracle too."""
     pw = eval_word(w_k_word(k))
     N = pw.slots.letters
-    rows = pw.slots.rows(pw.m11 + pw.m22)
+    rows = pw.slots.rows(pw.m11 + pw.m22, pw.drop)
     closed = trace_wk(k)
     rng = Random("%strace-formula-%d" % (seed, k))
     for _ in range(samples):
@@ -335,14 +335,14 @@ def pass_entries(word):
     passes, and its second column as the decoded first row of the row
     pass of its inverse word, which is (m22, -m12)."""
     s = _slots(word)
-    (m11, m12), (m21, m22) = (_row_pass(word, s, 1, 0),
-                              _row_pass(word, s, 0, 1))
+    (m11, m12, d1), (m21, m22, d2) = (_row_pass(word, s, 1, 0),
+                                      _row_pass(word, s, 0, 1))
     inverse = word_inverse(word)
     t = _slots(inverse)
-    i11, i12 = _row_pass(inverse, t, 1, 0)
-    return (tuple(decode(z, s, odd)
-                  for z, odd in zip((m11, m12, m21, m22), (0, 1, 1, 0))),
-            (decode(i11, t), decode(i12, t, 1)))
+    i11, i12, di = _row_pass(inverse, t, 1, 0)
+    return (tuple(decode(z, s, odd, d) for z, odd, d in
+                  zip((m11, m12, m21, m22), (0, 1, 1, 0), (d1, d1, d2, d2))),
+            (decode(i11, t, 0, di), decode(i12, t, 1, di)))
 
 
 def second_column(W):
@@ -365,6 +365,69 @@ def test_column_pass_matches_eval_word_on_riley_words():
             word = word_power(w_k_word(k), n)
             W = decoded_word(word)
             assert pass_entries(word) == (W, second_column(W)), (k, n)
+
+
+def test_windowed_row_pass_matches_general_product():
+    # The pass divides its row by L^2 whenever both exponent bounds reach
+    # 2.  Random words, runs of five equal letters, one-generator words
+    # and the empty word against the general product; words of a^-1 and
+    # b^-1 letters alone keep the bound of the first entry below 2 (the
+    # second row's too), so they never drop.
+    rng = Random("windowed-pass")
+    words = [()] + [random_word(rng, rng.randint(1, 24)) for _ in range(20)]
+    words += [tuple((rng.choice("ab"), rng.choice((5, -5)))
+                    for _ in range(rng.randint(1, 6))) for _ in range(10)]
+    words += [(("a", e),) for e in (1, 5, -5)] + [(("b", e),)
+                                                  for e in (1, 5, -5)]
+    never = [(("a", -3), ("b", -2), ("a", -1)), (("b", -5),),
+             (("b", -1), ("a", -4), ("b", -3))]
+    drops = 0
+    for word in words + never:
+        W = product_word(word)
+        assert pass_entries(word) == (W, second_column(W)), word
+        s = _slots(word)
+        d1, d2 = _row_pass(word, s, 1, 0)[2], _row_pass(word, s, 0, 1)[2]
+        if word in never:
+            assert d1 == d2 == 0, word
+        drops += d1 + d2
+    assert drops > 100
+
+
+def test_riley_row_stays_in_its_l_window():
+    # The first row of W_k^-n, packed over L^(2 drop), spans fewer than
+    # 4|n| + 4 powers of L; the full layout L^N W spans 4|k||n| + 1.
+    for k, n in ((24, 2), (16, 4), (-9, 3)):
+        word = word_power(w_k_word(k), -n)
+        s = _slots(word)
+        x, y, d = _row_pass(word, s, 1, 0)
+        for z in (x, y):
+            assert z.bit_length() <= (4 * abs(n) + 4) * s.shift, (k, n)
+        assert 2 * d >= s.letters - 2 * abs(n) - 2, (k, n)
+
+
+def test_slots_closed_forms_match_the_letter_walk():
+    # a run of n a's adds n b1 to b2 and a run of n b's adds 3 n b2 to
+    # b1: the same bounds as one letter at a time
+    def walk(word):
+        b1 = b2 = 1
+        for gen, exp in word:
+            for _ in range(abs(exp)):
+                if gen == "a":
+                    b2 += b1
+                else:
+                    b1 += 3 * b2
+        return _slot_bytes(3 * max(b1, b2))
+
+    rng = Random("slot-walk")
+    words = [()] + [tuple((rng.choice("ab"), rng.randint(-9, 9))
+                          for _ in range(rng.randint(1, 30)))
+                    for _ in range(60)]
+    words += [word_power(w_k_word(k), n) for k in (-7, 4, 12) for n in (-3, 5)]
+    for word in words:
+        s = _slots(word)
+        assert s.w == walk(word), word
+        assert s.letters == sum(abs(e) for _, e in word)
+        assert s.R == sum(abs(e) for g, e in word if g == "b") + 1
 
 
 def test_slot_bytes_keep_a_sign_bit_and_digits_round_trip():
@@ -495,7 +558,7 @@ def test_laurent_to_ry_matches_bipoly_sum():
         z = (pw.m12 << s.shift) - (pw.m12 >> s.shift) + pw.m22
         W = product_word(word)
         F = lp_add(lp_mul(L_minus_inv, W[1]), W[3])
-        assert _to_ry(z, s) == laurent_to_ry_bipoly(F), (k, n)
+        assert _to_ry(z, s, pw.drop) == laurent_to_ry_bipoly(F), (k, n)
 
 
 def test_trace_formula_check_ignores_samples_and_seed():
@@ -594,6 +657,20 @@ def test_taylor_closed_form_on_large_cells():
         for n in (3, -3):
             assert normalize_unit(riley_poly_J(k, n)) \
                 == normalize_unit(riley_poly_matrix(k, n)), (k, n)
+
+
+def test_riley_routes_agree_on_large_cells():
+    # the closed form, the matrix route on W_k^-n and the Schubert word
+    # of J(k, 2n), at cells where the row passes drop most of L^N
+    from bridgevar.knotprops import two_bridge_params
+    for k, n in ((12, 12), (16, 8), (-16, 8), (24, 4), (24, -4)):
+        tb = two_bridge_params(k, 2 * n)
+        a = normalize_unit(riley_poly_J(k, n))
+        assert a == normalize_unit(riley_poly_matrix(k, n)), (k, n)
+        assert a == normalize_unit(riley_poly_pq(tb.p, tb.q)), (k, n)
+    F = riley_poly_J(12, 8)
+    assert ideal_generator_check(12, 8, F)
+    assert not ideal_generator_check(12, 8, -F)
 
 
 def test_riley_closed_form_equals_matrix_form():
