@@ -75,22 +75,29 @@ class TwoBridgeForm(NamedTuple):
         return Fraction(self.q, self.p) + (1 if self.q < 0 else 0)
 
 
-def _cont_frac(x):
-    """[a_1..a_s] with x = 1/(a_1 + 1/(a_2 + ...)), x in (0,1]."""
+def _eps_value(p, q):
+    """`TwoBridgeForm.value` as (num, den) in lowest terms."""
+    return (q + p if q < 0 else q), p
+
+
+def _cont_frac(num, den):
+    """[a_1..a_s] with num/den = 1/(a_1 + 1/(a_2 + ...)) in (0,1], by
+    Euclid's algorithm."""
     terms = []
-    while x:
-        inv = 1 / x
-        a = inv.numerator // inv.denominator
+    while num:
+        a, rem = divmod(den, num)
         terms.append(a)
-        x = inv - a
+        num, den = rem, num
     return terms
 
 
 def _cf_value(terms):
-    acc = Fraction(terms[-1])
+    """1/(a_1 + 1/(a_2 + ...)) as (num, den) from the convergents, in
+    lowest terms with den > 0 when every term is positive."""
+    num, den = 1, terms[-1]
     for a in reversed(terms[:-1]):
-        acc = a + 1 / acc
-    return 1 / acc
+        num, den = den, a * den + num
+    return num, den
 
 
 def two_bridge_params(k, l):
@@ -109,8 +116,8 @@ def two_bridge_params(k, l):
     q = c if c % 2 else c - p
     if gcd(q, p) != 1 or p % 2 == 0 or q % 2 == 0:
         raise AssertionError("two-bridge normalization broke at (%d,%d)" % (k, l))
-    x = Fraction(q, p) + (1 if q < 0 else 0)
-    terms = _cont_frac(x)
+    x = _eps_value(p, q)
+    terms = _cont_frac(*x)
     if len(terms) % 2 == 0:
         if terms[-1] == 1:
             terms[-2] += 1
@@ -144,7 +151,7 @@ def fourplat_sequence(k, l, form):
     for test, build in _FOURPLAT_ROWS:
         if test(k, l):
             seq = build(k, l)
-            if _cf_value(seq) != form.value():
+            if _cf_value(seq) != _eps_value(form.p, form.q):
                 raise AssertionError(
                     "plat table value off at (%d,%d)" % (k, l))
             return seq

@@ -25,6 +25,7 @@ roots and evaluation points, never as coefficients.
 """
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd as int_gcd, isqrt
 from typing import NamedTuple
 
@@ -725,7 +726,7 @@ class BiPoly:
         coefficient (outer degree, then inner degree) is positive."""
         if self.is_zero:
             return self
-        g = int_gcd(*(v for c in self.cs for v in c.c))
+        g = int_gcd(*chain.from_iterable([c.c for c in self.cs]))
         if self.lead_outer.lead < 0:
             g = -g
         if g == 1:

@@ -1,15 +1,12 @@
 """Words in the bridge generators, their 2x2 matrices over Z[L^{±1}, r]
 (packed into ints), and Riley polynomials.
 
-The parabolic representation sends the two bridge generators to
-
-    A = [[L, 1], [0, L^-1]]        B = [[L, 0], [2-r, L^-1]]
-
-(so that tr(A B^-1) = r).  The Riley polynomial of a two-bridge word is
-the matrix-entry combination W11 + (L^-1 - L) W12, rewritten in the
-subring generated by r and y = L^2 + L^-2.  For the J(k, l) family there
-is also the closed form built from the Phi/Psi sequences; both paths
-live here so each can oracle the other.
+The parabolic representation sends the bridge generators to
+A = [[L, 1], [0, L^-1]] and B = [[L, 0], [2-r, L^-1]] (so that
+tr(A B^-1) = r).  The Riley polynomial of a two-bridge word is the
+entry combination W11 + (L^-1 - L) W12, rewritten in the subring
+generated by r and y = L^2 + L^-2.  For the J(k, l) family there is also
+the closed form built from the Phi/Psi sequences; each oracles the other.
 
 A word of N letters is evaluated as L^N W, whose entries are
 polynomials in L of degree at most 2N, each packed into one int by
@@ -36,87 +33,67 @@ each update, since c has L-exponent 0:
     b:      l1 <- min(l1 + 2, l2 + 1)
     b^-1:   l1 <- min(l1, l2 + 1),    l2 <- l2 + 2
 
-Whenever both bounds reach 2, every monomial of m1 and m2 has
-L-exponent at least 2, so each is L^2 q for a polynomial q in L and r,
-and its int is q(2^(4wR), 2^(8w)) 2^(8wR): shifting it right by one
-block is the exact division by L^2, and the pass counts these drops d.
-A drop takes a whole L^2, so the diagonal entries stay even and the
-others odd, and the row at the end is L^(2d) times the packed one.  The
-Riley combination of W_k^-n has L-exponents in [-2|n|, 2|n|] around
-L^N, and its prefixes stay about as narrow, so the packed ints of its
-row stay below L^(4|n| + 4), where L^N W spans L^(4|k||n|): |k| times
-shorter.
+Whenever both bounds reach 2, m1 and m2 are L^2 times polynomials in L
+and r, and shifting each right by one block is the exact division by
+L^2; the pass counts these drops d, and the row at the end is L^(2d)
+times the packed one.  The Riley combination of W_k^-n has L-exponents
+in [-2|n|, 2|n|], and its prefixes stay about as narrow, so its packed
+row stays below L^(4|n| + 4), where L^N W spans L^(4|k||n|).
 
-Both word routes read the first row of a word, by one row pass from
-(1, 0), and take W11 + (L^-1 - L) W12 (`_riley_word`):
-`riley_poly_pq` on the Schubert word, `riley_poly_matrix` on W_k^-n.
-Every letter, times L, has determinant L^2, so adj(L^N W) = L^N W^-1,
-and the first row of L^N W^-1 is (M22, -M12) for the entries Mij of
-L^N W: the formula on W^-1 is W22 + (L - L^-1) W12, the entry
-combination of W = W_k^n the matrix route takes.  `eval_word`, which
-both identity checks use, runs two row passes for all four entries.  No
-route uses another's result or Cayley-Hamilton.
+Both word routes take W11 + (L^-1 - L) W12 from one row pass from
+(1, 0) (`_riley_word`): `riley_poly_pq` on the Schubert word,
+`riley_poly_matrix` on W_k^-n, whose first row, times L^N, is
+(M22, -M12) for the entries Mij of L^N W_k^n (every letter, times L,
+has determinant L^2).  `eval_word` runs two row passes for all four
+entries.  No route uses another's result or Cayley-Hamilton.
 
 The slots are sized from the word before any arithmetic (`_slots`).
 Only b letters raise the degree in r, so R = (number of b letters) + 1.
 The l1 norms of the two columns are at most b1, b2, which start at 1 and
 follow the word: a^{±1} sets b2 <- b1 + b2 and b^{±1} sets
 b1 <- b1 + 3 b2.  The entry combination the Riley routes take has l1
-norm at most 3 max(b1, b2), and w leaves room for that plus a sign bit.
-This bounds the final matrix whatever the order of evaluation, and the
-intermediate ints need no bound: they are values of polynomials at an
-integer point, a ring homomorphism, so only the final coefficients have
-to fit in their slots; dividing by L^2 is a ring homomorphism too.  A
-packed result, made even in L by dividing an odd one by L (an exact
-right shift), is read back as balanced base-2^(8w) digits, with one
-`to_bytes` per entry or combination and no call per slot at any width
-(`_digits`): one int row in r per even power of L, placed d rows up.
-The decoder converts only the window of blocks from the one holding
-the lowest set bit of the int to the block of its bit length; the
-blocks outside it are zero.  This one decoder gives the only
-unpacked form of a word's matrix: the Riley routes rewrite its rows in
-(r, y) (`_to_ry`).
+norm at most 3 max(b1, b2), the slots' bound, and w holds it and a
+sign bit.  Packing is a ring homomorphism, and so is dividing by L^2, so
+only the final coefficients have to fit in their slots, and one decoder
+(`_digits`) reads them back as balanced base-2^(8w) digits.
+
+The Riley routes rewrite their combination in (r, y) (`_to_ry`) before
+any decoding.  With 2^(8w - 1) added to every slot, its bytes are
+palindromic by blocks exactly when it lies in the subring, and the
+blocks c_0, ..., c_M of its upper half (c_j at L^(2j)) give
+F = c_0 + sum_j c_j D_j(y), where D_0 = 2, D_1 = y and
+D_{j+1} = y D_j - D_{j-1} (`seq.d_poly`), by Clenshaw's recurrence
+(Math. Tables Aids Comput. 9 (1955) 118-120):
+
+    b_j = c_j + y b_{j+1} - b_{j+2}   for j = M .. 1, b_{M+1} = b_{M+2} = 0,
+    F = c_0 + y b_1 - 2 b_2,
+
+with y a shift by one block: M shifts and adds.  By the ring
+homomorphism only F has to fit: its coefficients are at most the bound
+times S_M = max_i (sum_{j >= 1} |[y^i] D_j| + [i = 0]), and its slots
+are wider than w only when that product needs more bytes.
 
 The closed form F_{k,n} = f_n(t) F_{k,1} - f_{n-1}(t), with
 t = A s + 2, s = y - r and F_{k,1} = 1 - B s for A = Phi_{-k} Psi_k and
-B = Phi_{-k} Phi_{k-1}, is expanded at t = 2.  With g_j and h_j the
-Taylor coefficients of f_n(2 + u) and f_{n-1}(2 + u), where
-f_n(2 + u) = sum_j C(n + j, 2j + 1) u^j for n >= 0 and f_{-n} = -f_n,
+B = Phi_{-k} Phi_{k-1}, is expanded at t = 2: with g_j and h_j the
+Taylor coefficients of f_n(2 + u) and f_{n-1}(2 + u),
+F_{k,n} = sum_j P_j s^j, P_j = (g_j - h_j) A^j - g_{j-1} A^(j-1) B, int
+products of A and B packed at r = 2^(8w), summed by Horner's rule in s,
+z <- (z << 8wR) - (z << 8w) + P_j.  Only F_{k,n} has to fit: its
+r-degree is below R = max(d_n len A + len B, d_{n-1} len A) + 1, with
+d_j = deg f_j, and with T = 2 ||A||_1 + 2 >= ||t||_1 its l1 norm is at
+most sum |f_{n,i}| T^i (2 ||B||_1 + 1) + sum |f_{n-1,i}| T^i.
 
-    F_{k,n} = sum_j P_j s^j,   P_j = (g_j - h_j) A^j - g_{j-1} A^(j-1) B.
-
-A and B are packed at r = 2^(8w) and the P_j are int products; with
-y = 2^(8wR), Horner's rule in s is z <- (z << 8wR) - (z << 8w) + P_j,
-shifts and a subtraction.  By the ring homomorphism Z[y, r] -> Z the
-final int is F_{k,n}(2^(8wR), 2^(8w)) whatever the intermediate ints
-look like: only the coefficients of F_{k,n} need to fit in a slot.  Its
-r-degree is below R = max(d_n len A + len B, d_{n-1} len A) + 1 and
-its y-degree at most max(d_n + 1, d_{n-1}), with d_j = deg f_j.  With
-T = 2 ||A||_1 + 2 >= ||t||_1, its l1 norm is at most
-sum |f_{n,i}| T^i (2 ||B||_1 + 1) + sum |f_{n-1,i}| T^i, and w holds
-that bound and a sign bit, so the balanced digits of the result are the
-coefficients of F_{k,n}.
-
-Two identity checks compare packed ints and never decode:
-`trace_formula_check` tests tr W_k = Phi_{-k} Psi_k (y - r) + 2, and
-`ideal_generator_check` tests Riley's vanishing ideal,
-A W - W B = [[0, F], [(r - 2) F, 0]] for W = W_k^n and the F it is
-given, the F_{k,n} that `verify riley` computes once per cell (R. Riley,
-Quart. J. Math. Oxford (2) 35 (1984) 191-208), both at y = L^2 + L^-2.
-Each packs its closed-form side, times a power of L, in the slots of
-its word side, once it knows that every coefficient of that side lies
-in the balanced slot range with r-degree below R: the trace check
-tests the coefficients of its closed form, and the ideal check widens
-its slots to a bound on them.  Both sides are then
-polynomials in r and L whose balanced digits are their coefficients,
-so the ints are equal exactly when the polynomials are.  The word side
-comes divided by L^(2d); each check takes every side of a comparison
-over the lowest power of L among them, a left shift that changes no
-coefficient, so that the shorter ints are compared.  No command
-needs tr W_k as a polynomial in (r, y); the tests build it from the
-same `_trace_coeffs` (`trace_wk` in tests/sigma_oracle.py).
+Two identity checks compare the packed ints of the two row passes of a
+word with a packed closed form, never decoding: `trace_formula_check`
+(tr W_k = Phi_{-k} Psi_k (y - r) + 2) and `ideal_generator_check`
+(Riley's vanishing ideal, R. Riley, Quart. J. Math. Oxford (2) 35
+(1984) 191-208).  Each first bounds what it compares inside the balanced
+slot range, with r-degree below R, so that the ints are equal exactly
+when the polynomials are.
 """
 
+import functools
 from math import comb, gcd as int_gcd
 from typing import NamedTuple
 
@@ -168,21 +145,30 @@ def word_concat(*words):
     return word_normalize(out)
 
 
+def _join(*words):
+    """The product of normalized words: their concatenation when no seam
+    joins two letters of one generator, else `word_concat`."""
+    words = [w for w in words if w]
+    for u, v in zip(words, words[1:]):
+        if u[-1][0] == v[0][0]:
+            return word_concat(*words)
+    return sum(words, ())
+
+
 def word_power(word, n):
+    """word^n: its normalized form repeated, re-normalized only when its
+    first and last generators are the same (`_join`)."""
     if n < 0:
         return word_power(word_inverse(word), -n)
-    return word_concat(*([word] * n))
+    return _join(*[word_normalize(word)] * n)
 
 
 def w_k_word(k):
     """w_k: (a b^-1)^m (a^-1 b)^m for k = 2m, with an `ab` core for odd k."""
-    ab_inv = (("a", 1), ("b", -1))
-    ainv_b = (("a", -1), ("b", 1))
     m, rem = divmod(k, 2)
-    if rem == 0:
-        return word_concat(word_power(ab_inv, m), word_power(ainv_b, m))
-    return word_concat(word_power(ab_inv, m), (("a", 1), ("b", 1)),
-                       word_power(ainv_b, m))
+    return _join(word_power((("a", 1), ("b", -1)), m),
+                 (("a", 1), ("b", 1)) if rem else (),
+                 word_power((("a", -1), ("b", 1)), m))
 
 
 def schubert_word(p, q):
@@ -208,28 +194,23 @@ def schubert_word(p, q):
 
 class _Slots(NamedTuple):
     """The slot layout of a word of N letters: its entries, times L^N,
-    are evaluated at r = 2**(8w) and L = 2**shift with shift = 4wR."""
+    are evaluated at r = 2**(8w) and L = 2**shift with shift = 4wR.
+    bound is the l1 bound 3 max(b1, b2) on the entry combination of the
+    Riley routes, which `_to_ry` sizes its result from."""
     letters: int
     w: int
     R: int
+    bound: int
 
     @property
     def shift(self):
         return 4 * self.w * self.R
 
-    def rows(self, z, drop):
-        """The int rows in r of L^(2 drop) z, where z packs a polynomial
-        in L in these slots, even and such that L^(2 drop) z has degree
-        at most 2N: row e is its coefficient of L^(2e), and rows below
-        drop are empty."""
-        return _digits(z, self.w, self.R, self.letters + 1, drop)
-
 
 class _PackedWord(NamedTuple):
     """The entries of L^N W for a word W of N letters, each divided by
-    L^(2 drop), in `slots`.  The diagonal entries are even in L and the
-    others odd, so within one entry the coefficient of
-    L^(2(i + drop) + p) r^j is the signed w-byte slot i*R + j of
+    L^(2 drop), in `slots`: the coefficient of L^(2(i + drop) + p) r^j of
+    an entry m of parity p in L is the w-byte slot i*R + j of
     m >> (p*shift)."""
     m11: int
     m12: int
@@ -263,10 +244,8 @@ def _slots(word):
         else:
             b_letters += n
             b1 += 3 * n * b2
-    # Room for the entry combination of the Riley routes (l1 norm at
-    # most 3 max(b1, b2)) and a sign bit; only b letters raise the
-    # degree in r.
-    return _Slots(letters, _slot_bytes(3 * max(b1, b2)), b_letters + 1)
+    bound = 3 * max(b1, b2)  # the Riley routes' entry combination
+    return _Slots(letters, _slot_bytes(bound), b_letters + 1, bound)
 
 
 def _row_pass(word, slots, x, y):
@@ -274,13 +253,10 @@ def _row_pass(word, slots, x, y):
     (x', y', d) with that row equal to L^(2d) (x', y'): the letters left
     to right, each a right multiplication by L A^{±1} or L B^{±1}.
 
-    lx and ly are the lower bounds on the L-exponents of x and y of the
-    module docstring, each min written as a comparison.  When both reach
-    2 after a letter, the letter's update is taken divided by L^2 (its
-    shifts by L^2 and L become none and a right shift by L, its other
-    terms right shifts by L^2) and d counts the drop.  After a and
-    b^-1 one bound is at least 2 (lx + 2, ly + 2), and after a^-1 ly is
-    once lx is, so those letters test one bound and b tests both."""
+    lx and ly are the L-exponent bounds of the module docstring.  When
+    both reach 2 after a letter, its update is taken divided by L^2 and
+    d counts the drop.  After a and b^-1 one bound is at least 2, and
+    after a^-1 ly is once lx is, so only b tests both bounds."""
     rs, L1 = 8 * slots.w, slots.shift
     L2 = 2 * L1
     lx, ly = (0, 1) if x else (1, 0)
@@ -332,6 +308,26 @@ def eval_word(word, slots=None):
     return _PackedWord(m11 << s1, m12 << s1, m21 << s2, m22 << s2, slots, d)
 
 
+_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _spread(data, w, wide):
+    """The w-byte slots of data, each in the low bytes of a wide-byte
+    slot: w / g strided copies, g the largest of 1, 2, 4, 8 dividing both."""
+    g = min((w | wide) & -(w | wide), 8)
+    out = bytearray(len(data) // w * wide)
+    src, dst = (memoryview(v).cast(_FORMATS[g]) for v in (data, out))
+    for t in range(w // g):
+        dst[t::wide // g] = src[t::w // g]
+    return out
+
+
+def _half(w, count, width=None):
+    """2**(8w - 1) in each of count slots of width bytes (default w)."""
+    slot = bytes(w - 1) + b"\x80"
+    return int.from_bytes(slot.ljust(width or w, b"\0") * count, "little")
+
+
 def _digits(z, w, R, blocks, drop=0):
     """The balanced base-2**(8w) digits of z, as one int list per block
     of R digits, each without its zero top digits, placed from block drop
@@ -339,29 +335,14 @@ def _digits(z, w, R, blocks, drop=0):
     must lie in (-2**(8w - 1), 2**(8w - 1)), and z must have at most
     (blocks - drop) R of them.
 
-    Only the window of blocks that can be nonzero is converted, and every
-    block outside it is [].  With b = 8wR bits to a block, let lo be the
-    block holding the lowest set bit of z: z is divisible by 2**(b lo),
-    so every block below lo is zero.  The top nonzero block t is at most
-    z.bit_length() // b, also in the edge case of a top block of -1 over
-    positive lower blocks, where the highest set bit of |z| lies in block
-    t - 1.  Every digit is at most h = 2**(8w - 1) - 1 in absolute value,
-    so the t R digits below block t make up at most
-    h (2**(b t) - 1) / (2**(8w) - 1) < 2**(b t - 1) in absolute value,
-    while block t, being nonzero, makes up at least 2**(b t).  So
-    |z| > 2**(b t - 1), and the bit length of z is at least b t.
-
-    The window is read in one pass: adding 2**(8w - 1) to every slot
-    makes each one nonnegative and below 2**(8w), with no carry, so the
-    slots are read unsigned by `kernels.read_slots`, in units of the next
-    1, 2, 4 or 8 bytes, and 2**(8w - 1) is taken off each value.  A slot
-    wider than 8 bytes, which no unit holds, is read as m = ceil(w / 8)
-    8-byte units: unless w is a multiple of 8, the slots are first spread
-    to 8m bytes each by w / g strided copies of g bytes, g the largest
-    power of two dividing w.  One `read_slots` call reads the units of
-    all slots, and each slot's units are joined by shifts, with
-    2**(8w - 1) taken off its top unit (where it is bit
-    8w - 1 - 64 (m - 1)): no call is made per slot."""
+    Only blocks lo to t = z.bit_length() // b are converted, b = 8wR bits
+    to a block, lo that of the lowest set bit of z: no higher block is
+    nonzero, as the digits below a nonzero top block t' make up less than
+    2**(b t' - 1) and it at least 2**(b t').  Adding 2**(8w - 1) to every
+    slot makes each one nonnegative, with no carry, so one
+    `kernels.read_slots` call reads them, in units of the next 1, 2, 4 or
+    8 bytes, or of 8 bytes joined by shifts for wider slots, spread to
+    a multiple of 8 bytes first (`_spread`)."""
     rows = [[] for _ in range(blocks)]
     if not z:
         return rows
@@ -370,23 +351,15 @@ def _digits(z, w, R, blocks, drop=0):
     hi = min(z.bit_length() // b, blocks - 1 - drop)
     count = (hi - lo + 1) * R
     half = 1 << 8 * w - 1     # added to every slot, then taken off
-    y = (z >> lo * b) + int.from_bytes((bytes(w - 1) + b"\x80") * count,
-                                       "little")
+    y = (z >> lo * b) + _half(w, count)
     if w <= 8:
         digits = [v - half for v in
                   read_slots(y, count, w, 1 << (w - 1).bit_length())]
     else:
         m = -(-w // 8)
         if w % 8:
-            # spread the slots to 8m bytes, g = 1, 2 or 4 bytes at a time
-            g = w & -w
-            fmt = {1: "B", 2: "H", 4: "I"}[g]
-            wide = bytearray(count * 8 * m)
-            src = memoryview(y.to_bytes(count * w, "little")).cast(fmt)
-            dst = memoryview(wide).cast(fmt)
-            for t in range(w // g):
-                dst[t::8 * m // g] = src[t::w // g]
-            y = int.from_bytes(wide, "little")
+            y = int.from_bytes(_spread(y.to_bytes(count * w, "little"), w,
+                                       8 * m), "little")
         units = read_slots(y, count * m, 8, 8)
         top = half >> 64 * (m - 1)   # half lies in the top unit
         digits = [(h - top) << 64 | v
@@ -402,38 +375,64 @@ def _digits(z, w, R, blocks, drop=0):
 # the trace-parameter rewrite: L^{2j} + L^{-2j} = D_j(y), `seq.d_poly`
 
 
-def _add_multiple(acc, s, row):
-    """acc += s * row on int rows; acc grows as needed."""
-    acc.extend([0] * (len(row) - len(acc)))
-    for m, v in enumerate(row):
-        acc[m] += s * v
+@functools.lru_cache(maxsize=None)
+def _dickson_l1(M):
+    """S_M = max_i (sum_{1 <= j <= M} |[y^i] D_j| + [i = 0]): the largest
+    coefficient of c_0 + sum_j c_j D_j(y) is at most S_M max |c_j|."""
+    sums = [1] + [0] * M  # deg D_j = j
+    for j in range(1, M + 1):
+        for i, v in enumerate(d_poly(j).c):
+            sums[i] += abs(v)
+    return max(sums)
+
+
+def _subring_error(z, slots, drop):
+    """The TraceSubringError of the lowest row e of L^(2 drop) z that is
+    nonzero for odd N or not row N - e (or of row N - e if e is empty)."""
+    N = slots.letters
+    rows = _digits(z, slots.w, slots.R, N + 1, drop)
+    for e, c in enumerate(rows):
+        if c and N % 2 or c != rows[N - e]:
+            if not c:
+                e, c = N - e, rows[N - e]
+            return TraceSubringError(2 * e - N, UniPoly(c, "r"))
+    raise AssertionError("no term outside the trace subring")
 
 
 def _to_ry(z, slots, drop=0):
     """Rewrite Z = L^(2 drop - N) z, where z packs an even polynomial in
     L in `slots` and L^(2 drop) z has degree at most 2N, as a BiPoly in
-    (r, y), y = L^2 + L^-2.  Z must have even, palindromic exponents.
-
-    Row e of L^(2 drop) z (`_Slots.rows`) is the coefficient c_e of
-    L^(2e - N) in Z.  Each pair c_e (L^(2e-N) + L^(N-2e)), 2e > N, adds
-    c_e D_{e-N/2}(y), and the middle row adds itself, into int rows
-    indexed by the power of y; the BiPoly is built once."""
-    N = slots.letters
-    rows = slots.rows(z, drop)
-    for e, c in enumerate(rows):
-        if c and N % 2 or c != rows[N - e]:
-            if not c:
-                e, c = N - e, rows[N - e]
-            raise TraceSubringError(2 * e - N, UniPoly(c, "r"))
-    out = [[] for _ in range(N // 2 + 1)]
-    for e in range(N // 2, N + 1):
-        c = rows[e]
-        if not c:
-            continue
-        for i, d in enumerate(d_poly(e - N // 2).c if 2 * e > N else (1,)):
-            if d:
-                _add_multiple(out[i], d, c)
-    return BiPoly([UniPoly(row, "r") for row in out], "y", "r")
+    (r, y) by Clenshaw's recurrence (module docstring).  Z must have even,
+    palindromic exponents: its K + 1 live rows, K = N - 2 drop, are the
+    blocks of z, and, with 2**(8w - 1) added to every slot, block i must
+    equal block K - i and no digit may lie above block K."""
+    if not z:
+        return BiPoly.zero("y", "r")
+    N, w, R = slots.letters, slots.w, slots.R
+    K = N - 2 * drop
+    M = K // 2
+    bw = w * R           # bytes to a block
+    biased = z + _half(w, (K + 1) * R) if K >= 0 else -1
+    if N % 2 or biased < 0 or biased.bit_length() > 8 * bw * (K + 1):
+        raise _subring_error(z, slots, drop)
+    raw = biased.to_bytes(bw * (K + 1), "little")
+    blocks = [raw[i:i + bw] for i in range(0, len(raw), bw)]
+    if blocks[:M] != blocks[:M:-1]:
+        raise _subring_error(z, slots, drop)
+    up = raw[M * bw:]
+    wide = max(w, _slot_bytes(slots.bound * _dickson_l1(M)))
+    if wide > w:
+        up, bw = _spread(up, w, wide), wide * R
+    half = _half(w, R, wide)
+    c = [int.from_bytes(up[i:i + bw], "little") - half
+         for i in range(0, len(up), bw)]
+    s = 8 * bw
+    b1 = b2 = 0  # b_{j+1}, b_{j+2}
+    for cj in reversed(c[1:]):
+        b1, b2 = cj + (b1 << s) - b2, b1
+    F = c[0] + (b1 << s) - 2 * b2
+    return BiPoly([UniPoly(row, "r") for row in _digits(F, wide, R, M + 1)],
+                  "y", "r")
 
 
 # ---------------------------------------------------------------------------
@@ -473,9 +472,7 @@ def riley_poly_J(k, n):
     rs, ys = 8 * w, 8 * w * R
     A, B = _pack(a, w), _pack(b, w)
     top = max(dn + 1, dm)
-    # P_j = (g_j - h_j) A^j - g_{j-1} A^(j-1) B, with g_j and h_j the
-    # Taylor coefficients of f_n and f_{n-1} at 2
-    P = []
+    P = []  # P_j of the module docstring
     Aj, prev = 1, 0  # A^j and g_{j-1} A^(j-1) B
     for j in range(top + 1):
         g = _taylor_at_2(n, j)
@@ -524,14 +521,11 @@ def trace_formula_check(k, samples=None, seed=""):
     comparison of ints.  `samples` and `seed` are ignored; they go when
     the benchmark's call `trace_formula_check(k, 1, seed=label)` does.
 
-    With C = Phi_{-k} Psi_k, N the letter count of w_k (even: its
-    exponent sums in a and b are both 0 or both 1) and y = L^2 + L^-2,
-    L^N times the right side is C L^(N+2) + (2 - r C) L^N + C L^(N-2), a
-    polynomial in r and L^2, packed in the slots of `eval_word(w_k)`
-    straight from the coefficients of C.  The left side is M11 + M22 of
-    that evaluation, L^(2 drop) times its packed sum.  Both are taken
-    over L^(2e), e the lower of drop and N/2 - 1: e = -1 for N = 0
-    (k = 0), where both are taken times L^2."""
+    With C = Phi_{-k} Psi_k and N the (even) letter count of w_k, L^N
+    times the right side is C L^(N+2) + (2 - r C) L^N + C L^(N-2), packed
+    in the slots of `eval_word(w_k)`; the left side is M11 + M22 of that
+    evaluation.  Both are taken over L^(2e), e the lower of drop and
+    N/2 - 1 (e = -1 for k = 0, where both are taken times L^2)."""
     pw = eval_word(w_k_word(k))
     w, R, N = pw.slots.w, pw.slots.R, pw.slots.letters
     c = _trace_coeffs(k)
@@ -547,30 +541,27 @@ def trace_formula_check(k, samples=None, seed=""):
 
 
 def ideal_generator_check(k, n, F):
-    """Exact check of Riley's vanishing ideal for W = W_k^n and the given
-    F, a BiPoly in (y, r) such as the caller's riley_poly_J(k, n), at
-    y = L^2 + L^-2:
+    """Exact check of Riley's vanishing ideal, A W - W B =
+    [[0, F], [(r - 2) F, 0]], for W = W_k^n and the given F, a BiPoly in
+    (y, r) such as the caller's riley_poly_J(k, n), at y = L^2 + L^-2.
 
-        A W - W B = [[0, F], [(r - 2) F, 0]].
-
-    The words a W and W b, unreduced, have N + 1 letters each (N is
-    even, as for w_k) and are evaluated in one slot layout.  L^(N+1) F
-    is packed by Horner's rule in y from the rows F_j(r) of F:
-    z <- z (L^4 + 1) + F_j L^(2(d - j)), for j from d = deg_y F down to
-    0, gives L^(2d) F, which is L^(N+1) F over L^(N+1-2d).  The slot
-    width holds both sides: the entries of the two words, their
-    differences, and 3 sum_j ||F_j||_1 2^j, which bounds every
-    coefficient in r and L of F and of (r - 2) F.  With the r-degree of
-    (r - 2) F below R and 2d <= N + 1, equal ints mean equal
-    polynomials.  The words come over L^(2 drop) each, and all sides
-    are taken over the lowest of the three powers of L."""
+    With Mij the entries of L^N W from its two row passes (N is even) and
+    c = 2 - r, L^(N+1) (A W - W B) is [[L (M21 - c M12),
+    (L^2 - 1) M12 + L M22], [(1 - L^2) M21 - L c M22, 0]], by
+    L A = [[L^2, L], [0, 1]] and L B = [[L^2, 0], [L c, 1]].  Horner's rule
+    in y, z <- z (L^4 + 1) + F_j L^(2(d-j)) for j from d = deg_y F down,
+    packs L^(2d) F = L^(2d-N-1) L^(N+1) F.  A third of the bound of a W,
+    or of W b (`_slots`), bounds its entries' coefficients, and
+    3 sum_j ||F_j||_1 2^j those of F and (r - 2) F; the slots hold the
+    sum, so each entry less its side is zero exactly when its int is,
+    given 2d <= N + 1 and the r-degree of (r - 2) F below R.  W comes
+    over L^(2 drop); all sides are taken over the lower of the two."""
     word = word_power(w_k_word(k), n)
-    aw, wb = (("a", 1),) + word, word + (("b", 1),)
     rows = [f.c for f in F.cs]
     d = len(rows) - 1
-    s1, s2 = _slots(aw), _slots(wb)
+    s1, s2 = _slots((("a", 1),) + word), _slots(word + (("b", 1),))
     bound = 3 * sum(sum(map(abs, row)) << j for j, row in enumerate(rows))
-    slots = _Slots(s1.letters, max(s1.w, s2.w, _slot_bytes(bound)), s2.R)
+    slots = s2._replace(w=_slot_bytes((s1.bound + s2.bound) // 3 + bound))
     top, w = slots.letters, slots.w
     if 2 * d > top or max(map(len, rows), default=0) >= slots.R:
         return False
@@ -579,10 +570,11 @@ def ideal_generator_check(k, n, F):
     z = 0
     for j in range(d, -1, -1):
         z = (z << 2 * B) + z + (_pack(rows[j], w) << (d - j) * B)
-    p, q = eval_word(aw, slots), eval_word(wb, slots)
-    e = min(2 * p.drop, 2 * q.drop, top - 2 * d)
-    P = [m << (2 * p.drop - e) * L1 for m in p[:4]]
-    Q = [m << (2 * q.drop - e) * L1 for m in q[:4]]
+    pw = eval_word(word, slots)
+    e = min(2 * pw.drop, top - 2 * d)
+    m12, m21, m22 = (m << (2 * pw.drop - e) * L1 for m in pw[1:4])
     G = z << (top - 2 * d - e) * L1
-    return (P[0] == Q[0] and P[3] == Q[3] and P[1] - Q[1] == G
-            and P[2] - Q[2] == (G << 8 * w) - 2 * G)
+    rs = 8 * w
+    c12, c22 = (m12 << 1) - (m12 << rs), (m22 << 1) - (m22 << rs)
+    return (m21 == c12 and (m12 << B) - m12 + (m22 << L1) == G
+            and m21 - (m21 << B) - (c22 << L1) == (G << rs) - 2 * G)

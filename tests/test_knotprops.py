@@ -121,6 +121,101 @@ def test_fourplat_matches_continued_fraction_value():
         fourplat_sequence(1, 6, two_bridge_params(1, 6))
 
 
+# --- oracle: the two-bridge normal form in Fractions ---------------------
+
+def fraction_cont_frac(x):
+    """[a_1..a_s] with x = 1/(a_1 + 1/(a_2 + ...)), x in (0,1]."""
+    terms = []
+    while x:
+        inv = 1 / x
+        a = inv.numerator // inv.denominator
+        terms.append(a)
+        x = inv - a
+    return terms
+
+
+def fraction_cf_value(terms):
+    acc = Fraction(terms[-1])
+    for a in reversed(terms[:-1]):
+        acc = a + 1 / acc
+    return 1 / acc
+
+
+def fraction_two_bridge_params(k, l):
+    """`two_bridge_params` with q/p + eps, its continued fraction and the
+    reconstruction check in Fractions."""
+    if k * l == 0:
+        raise ExactError("unknot has no normal form")
+    if k % 2 and l % 2:
+        raise ExactError("not a knot (kl odd)")
+    den = 1 - k * l
+    p = abs(den)
+    if p == 1:
+        return knotprops.TwoBridgeForm(1, 1, (1,))
+    c = (l if den > 0 else -l) % p
+    q = c if c % 2 else c - p
+    x = Fraction(q, p) + (1 if q < 0 else 0)
+    terms = fraction_cont_frac(x)
+    if len(terms) % 2 == 0:
+        if terms[-1] == 1:
+            terms[-2] += 1
+            terms.pop()
+        else:
+            terms[-1] -= 1
+            terms.append(1)
+    assert fraction_cf_value(terms) == x and min(terms) >= 1
+    return knotprops.TwoBridgeForm(p, q, tuple(terms))
+
+
+def fraction_fourplat_sequence(k, l, form):
+    for test, build in knotprops._FOURPLAT_ROWS:
+        if test(k, l):
+            seq = build(k, l)
+            if fraction_cf_value(seq) != form.value():
+                raise AssertionError("plat table value off")
+            return seq
+    raise ExactError("not covered by table")
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except (ExactError, AssertionError) as e:
+        return type(e)
+
+
+def test_two_bridge_forms_in_integers_match_the_fraction_oracle():
+    # every |k|, |l| <= 40 with kl even, the unknots and the trefoils
+    # among them; the plat table also against a form whose q is off by 2,
+    # which both routes must refuse where the table has a row
+    refused = 0
+    for k in range(-40, 41):
+        for l in range(-40, 41):
+            if k * l % 2:
+                continue
+            tb = outcome(two_bridge_params, k, l)
+            assert tb == outcome(fraction_two_bridge_params, k, l), (k, l)
+            if tb is ExactError:
+                continue
+            assert tb.value() == fraction_cf_value(tb.cont_frac), (k, l)
+            wrong = tb._replace(q=tb.q + 2)
+            for form in (tb, wrong):
+                got = outcome(fourplat_sequence, k, l, form)
+                assert got == outcome(fraction_fourplat_sequence, k, l,
+                                      form), (k, l, form)
+                refused += form is wrong and got is AssertionError
+    assert refused > 4000, refused
+
+
+def test_cf_value_is_in_lowest_terms():
+    for terms in ((1,), (3,), (1, 2, 1, 4, 1), (2, 3, 1), (7, 1, 1, 5, 9)):
+        num, den = knotprops._cf_value(terms)
+        v = fraction_cf_value(terms)
+        assert (num, den) == (v.numerator, v.denominator), terms
+        assert knotprops._cf_value(knotprops._cont_frac(num, den)) \
+            == (num, den)
+
+
 def test_fourplat_covers_every_hyperbolic_knot():
     # each sequence is checked against two_bridge_params inside the call
     for k in range(-16, 17):

@@ -17,7 +17,7 @@ import os
 import sys
 
 import bridgevar
-from bridgevar import cli, kernels, seq
+from bridgevar import cli, kernels, riley, seq
 from bridgevar.knotprops import HYPERBOLIC, classify
 
 PACKAGE = os.path.dirname(os.path.realpath(bridgevar.__file__))
@@ -43,6 +43,7 @@ UNREACHED = {
     "poly:_pollard_rho": "factorint needs it for a large prime factor",
     "poly:parse_poly": "reads the polynomial text of a JSON witness back",
     "riley:TraceSubringError.__init__": ERROR_PATH,
+    "riley:_subring_error": ERROR_PATH,
     "poly:BiPoly.__bool__": SMALL_METHOD,
     "poly:BiPoly.__hash__": SMALL_METHOD,
     "poly:BiPoly.__pow__": SMALL_METHOD,
@@ -122,6 +123,7 @@ def test_src_holds_what_a_command_reaches(monkeypatch):
     # cached by an earlier test would hide the code that builds it
     monkeypatch.setattr(seq, "_memo", {})
     kernels._euclid_slots.cache_clear()
+    riley._dickson_l1.cache_clear()
     calls = set()
 
     def profile(frame, event, arg):

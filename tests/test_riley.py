@@ -11,7 +11,9 @@ entry by entry with the general product, and the packed closed form and
 int-row rewrite with their BiPoly versions.  The two exact identity
 checks are compared with oracles that decode: the trace identity at
 random points in Fractions, and Riley's ideal identity on decoded
-Laurent entries, with and without planted defects.
+Laurent entries, with and without planted defects.  The packed (r, y)
+rewrite and the ideal check are also compared with their second routes
+in `riley_oracle.py`: the row-by-row loop and four row passes.
 """
 
 import hashlib
@@ -22,15 +24,17 @@ import pytest
 
 from bridgevar import riley
 from bridgevar.poly import BiPoly, ExactError, UniPoly
-from bridgevar.riley import (TraceSubringError, _Slots, _digits, _pack,
-                             _row_pass, _slot_bytes, _slots, _taylor_at_2,
-                             _to_ry, eval_word, ideal_generator_check,
+from bridgevar.riley import (TraceSubringError, _Slots, _dickson_l1, _digits,
+                             _pack, _row_pass, _slot_bytes, _slots,
+                             _taylor_at_2, _to_ry, eval_word,
+                             ideal_generator_check,
                              normalize_unit, riley_poly_J,
                              riley_poly_matrix, riley_poly_pq, schubert_word,
                              trace_formula_check, w_k_word,
                              word_concat, word_inverse, word_normalize,
                              word_power)
 from bridgevar.seq import f_poly, phi
+from riley_oracle import ideal_check_four_passes, slot_rows, to_ry_loop
 from sigma_oracle import trace_wk
 
 # --- oracle: numeric 2x2 matrices ---------------------------------------
@@ -143,10 +147,12 @@ def decoded_word(word):
 def pack(f, N, w=2, per_block=3):
     """The dict f, all of whose powers of L lie in [-N, N] and have the
     parity of N, packed as L^N f in w-byte slots, per_block of them to a
-    power of L^2, as eval_word packs an entry."""
+    power of L^2, as eval_word packs an entry, with the l1 norm of f as
+    the slots' bound."""
     z = sum(v << 8 * w * ((e + N) // 2 * per_block + j)
             for e, c in f.items() for j, v in enumerate(c.c))
-    return z, _Slots(N, w, per_block)
+    l1 = sum(abs(v) for c in f.values() for v in c.c)
+    return z, _Slots(N, w, per_block, l1)
 
 
 def full_digits(z, w, R, blocks):
@@ -208,7 +214,7 @@ def fraction_trace_formula_check(k, samples, seed=""):
     defect planted there reaches this oracle too."""
     pw = eval_word(w_k_word(k))
     N = pw.slots.letters
-    rows = pw.slots.rows(pw.m11 + pw.m22, pw.drop)
+    rows = slot_rows(pw.m11 + pw.m22, pw.slots, pw.drop)
     closed = trace_wk(k)
     rng = Random("%strace-formula-%d" % (seed, k))
     for _ in range(samples):
@@ -257,6 +263,36 @@ def test_word_normalize_merges_and_drops():
     assert w == (("a", 3),)
     with pytest.raises(ExactError):
         word_normalize([("c", 1)])
+
+
+def test_word_power_matches_word_concat():
+    # normalized words whose first and last generators differ repeat as
+    # they are, and words whose ends merge or cancel (a^2 b a^-2,
+    # a b a^-1 b^-1 a, one-generator words) go through word_concat;
+    # unnormalized words and the empty word are normalized first
+    rng = Random("word-power")
+    words = [(), (("a", 2),), (("b", -1), ("b", 1)), (("a", 0), ("b", 2)),
+             (("a", 2), ("b", 1), ("a", -2)),
+             (("a", 1), ("b", 1), ("a", -1), ("b", -1), ("a", 1)),
+             (("a", 1), ("a", -1), ("b", 3), ("a", 2), ("b", -3))]
+    words += [random_word(rng, rng.randint(1, 8)) for _ in range(60)]
+    merging = 0
+    for word in words:
+        norm = word_normalize(word)
+        merging += bool(norm) and norm[0][0] == norm[-1][0]
+        for n in range(-4, 5):
+            base = word if n >= 0 else word_inverse(word)
+            assert word_power(word, n) == word_concat(*[base] * abs(n)), \
+                (word, n)
+    assert merging >= 20
+    for k in range(-9, 10):
+        m, rem = divmod(k, 2)
+        core = (("a", 1), ("b", 1)) if rem else ()
+        assert w_k_word(k) == word_concat(
+            word_concat(*[(("a", 1), ("b", -1))] * m) if m >= 0 else
+            word_concat(*[(("b", 1), ("a", -1))] * -m), core,
+            word_concat(*[(("a", -1), ("b", 1))] * m) if m >= 0 else
+            word_concat(*[(("b", -1), ("a", 1))] * -m)), k
 
 
 def test_word_inverse_and_power_laws():
@@ -561,6 +597,143 @@ def test_laurent_to_ry_matches_bipoly_sum():
         assert _to_ry(z, s, pw.drop) == laurent_to_ry_bipoly(F), (k, n)
 
 
+def pack_rows(rows, w, R, drop=0):
+    """The int rows, row e the coefficient of L^(2e), packed over
+    L^(2 drop) in w-byte slots, R of them to a block."""
+    return sum(v << 8 * w * ((e - drop) * R + j)
+               for e, row in enumerate(rows) for j, v in enumerate(row))
+
+
+def rewrite_or_error(z, slots, drop, rewrite):
+    """rewrite(z, slots, drop), or the exponent and coefficient of the
+    TraceSubringError it raises."""
+    try:
+        return rewrite(z, slots, drop)
+    except TraceSubringError as e:
+        return e.exponent, e.coefficient
+
+
+def palindromic_rows(rng, N, drop, R, h):
+    """N + 1 random int rows, with row e equal to row N - e and the rows
+    below drop (and above N - drop) empty: digits of at most h, the
+    extremes and zero rows among them."""
+    rows = [[] for _ in range(N + 1)]
+    for e in range(N // 2, N - drop + 1):
+        top = rng.choice((0, 1, R, rng.randint(0, R)))
+        row = [rng.choice((h, -h, 0, rng.randint(-h, h))) for _ in range(top)]
+        while row and not row[-1]:
+            row.pop()
+        rows[e] = rows[N - e] = row
+    return rows
+
+
+def test_packed_rewrite_matches_the_loop_oracle():
+    # even palindromic rows with and without a drop, zero rows and the
+    # zero polynomial, at widths up to and past 8 bytes, with digits up to
+    # the slot's largest: against the row-by-row loop, with the slots'
+    # bound the largest digit, the least that sizes the result correctly
+    rng = Random("clenshaw")
+    widened = past_8 = 0
+    for w in (1, 2, 3, 7, 8, 9, 12, 17):
+        h = 2 ** (8 * w - 1) - 1
+        for _ in range(25):
+            N = rng.choice(range(0, 23, 2))
+            drop, R = rng.randint(0, N // 2), rng.randint(1, 4)
+            rows = palindromic_rows(rng, N, drop, R, h)
+            bound = max((abs(v) for row in rows for v in row), default=0)
+            slots = _Slots(N, w, R, bound)
+            z = pack_rows(rows, w, R, drop)
+            assert _to_ry(z, slots, drop) == to_ry_loop(z, slots, drop), \
+                (w, N, drop, rows)
+            wide = _slot_bytes(bound * _dickson_l1(N // 2 - drop))
+            widened += wide > w
+            past_8 += wide > 8 >= w
+        assert _to_ry(0, _Slots(6, w, 2, 1), 1) == 0
+    assert widened >= 40 and past_8 >= 10, (widened, past_8)
+
+
+def test_packed_rewrite_refuses_as_the_loop_oracle():
+    # one row changed so that it no longer equals its mirror, a row above
+    # N - drop (whose mirror lies below drop), any nonzero row for odd N,
+    # and a drop past N/2: the same TraceSubringError, exponent and
+    # coefficient, as the loop's
+    rng = Random("clenshaw-refusals")
+    cases = 0
+    for w in (1, 2, 5, 9):
+        h = 2 ** (8 * w - 1) - 1
+        for _ in range(40):
+            N = rng.randint(1, 16)
+            drop, R = rng.randint(0, (N - 1) // 2), rng.randint(1, 3)
+            rows = palindromic_rows(rng, N - N % 2, drop, R, h)
+            if N % 2:
+                rows.append([])
+            kind = rng.choice(("row", "above", "row") if drop else ("row",))
+            if kind == "row":
+                e = rng.choice([e for e in range(drop, N - drop + 1)
+                                if 2 * e != N])
+                while rows[e] == rows[N - e]:
+                    rows[e] = [rng.choice((h, -h, 1))
+                               for _ in range(rng.randint(1, R))]
+            else:
+                e = rng.randint(N - drop + 1, N)
+                rows[e] = [rng.choice((h, -h, 1))]
+            slots = _Slots(N, w, R, h)
+            z = pack_rows(rows, w, R, drop)
+            want = rewrite_or_error(z, slots, drop, to_ry_loop)
+            assert isinstance(want, tuple), (w, N, drop, rows)
+            assert rewrite_or_error(z, slots, drop, _to_ry) == want, \
+                (w, N, drop, rows)
+            cases += 1
+        z = pack_rows([[], [], [1]], w, 1, 2)
+        assert rewrite_or_error(z, _Slots(2, w, 1, 1), 2, _to_ry) \
+            == rewrite_or_error(z, _Slots(2, w, 1, 1), 2, to_ry_loop)
+    assert cases == 160
+
+
+def riley_rewrites(word):
+    """The packed combination `_riley_word` rewrites, its slots and drop."""
+    slots = _slots(word)
+    m11, m12, drop = _row_pass(word, slots, 1, 0)
+    return m11 + (m12 >> slots.shift) - (m12 << slots.shift), slots, drop
+
+
+def test_packed_rewrite_matches_the_loop_on_riley_words():
+    from bridgevar.knotprops import two_bridge_params
+    words = [word_power(w_k_word(k), -n)
+             for k, n in ((12, 12), (16, 8), (16, 16), (-9, 3), (24, 4))]
+    words += [schubert_word(p, q) for p, q in ((289, 19), (101, 45))]
+    for k in range(-8, 9):
+        for n in range(-5, 6):
+            if abs(k) >= 2 and n:
+                words.append(word_power(w_k_word(k), -n))
+                tb = two_bridge_params(k, 2 * n)
+                words.append(schubert_word(tb.p, tb.q))
+    widened = 0
+    for word in words:
+        z, slots, drop = riley_rewrites(word)
+        assert _to_ry(z, slots, drop) == to_ry_loop(z, slots, drop), word
+        M = (slots.letters - 2 * drop) // 2
+        widened += _slot_bytes(slots.bound * _dickson_l1(M)) > slots.w
+    assert widened >= 60, widened
+
+
+def test_dickson_l1_sums_the_dickson_coefficients():
+    # S_M = max_i (sum_{1 <= j <= M} |[y^i] D_j| + [i = 0]), with
+    # D_0 = 2, D_1 = y, D_{j+1} = y D_j - D_{j-1}: D_2 = y^2 - 2 and
+    # D_4 = y^4 - 4 y^2 + 2 make S_4 = 5 at y^0 and y^2
+    assert [_dickson_l1(M) for M in range(5)] == [1, 1, 3, 4, 5]
+    y = UniPoly.gen("y")
+    D = [UniPoly.const(2, "y"), y]
+    sums = [1]
+    for M in range(1, 20):
+        if M > 1:
+            D.append(y * D[-1] - D[-2])
+        c = D[M].c
+        sums = [a + abs(b) for a, b in
+                zip(sums + [0] * len(c), list(c) + [0] * len(sums))]
+        assert _dickson_l1(M) == max(sums), M
+
+
 def test_trace_formula_check_ignores_samples_and_seed():
     # trace_formula_check(k, 1, seed=label) is the call of the riley
     # benchmark workload; both arguments are ignored
@@ -719,6 +892,19 @@ def test_ideal_identity_matches_decoded_laurent_oracle():
             got = ideal_generator_check(k, n, G)
             assert got == ideal_identity_oracle(k, n, G), (k, n)
             assert got == (G is F), (k, n)
+
+
+def test_ideal_check_matches_the_four_pass_oracle():
+    # the differences read from the two row passes of W against both
+    # words evaluated by their own passes: F, -F, F + 1 and F + r
+    one, r = BiPoly.const(1, "y", "r"), BiPoly.from_inner(R, "y")
+    for k in range(-10, 11):
+        for n in range(-5, 6):
+            F = riley_poly_J(k, n)
+            for G in (F, -F, F + one, F + r):
+                got = ideal_generator_check(k, n, G)
+                assert got == ideal_check_four_passes(k, n, G), (k, n)
+                assert got == (G is F), (k, n)
 
 
 def test_ideal_generator_check_fails_on_a_wrong_generator():
